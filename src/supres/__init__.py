@@ -8,7 +8,7 @@ Submodules:
 - specfun:     Si/Ci, imaginary-argument incomplete gamma, Lambert W
 - qk_operator: the deviation operator in the Dirichlet basis, asymptotic
                entries, structured matvec, truncation budgets
-- spectrum:    power iterations with a-posteriori residual bounds
+- spectrum:    Lanczos (ARPACK eigsh) with a-posteriori residual bounds
 - constants:   reproductions of the scalar constants used by the bounds
 - bound_audit: quadrature spot checks of the inner-integral master bounds
 - cli:         batch front-end

@@ -40,6 +40,9 @@ class AtomicMeasure:
             raise ValueError("cutoff n must be a positive integer")
         if atoms.shape != signs.shape or atoms.ndim != 1:
             raise ValueError("atoms and signs must be matching 1-d arrays")
+        # NaN compares False, so it would slip past every range check below
+        if not (np.all(np.isfinite(atoms)) and np.all(np.isfinite(signs))):
+            raise ValueError("atom positions and signs must be finite")
         # the empty measure is legal (projector/Gram paths use it); the
         # certificate solver separately requires at least one atom
         if np.any((atoms < 0) | (atoms >= 1)):

@@ -323,7 +323,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("spectrum", help="certify extreme singular values of the section")
     p.add_argument("--K", type=int, required=True, help="frequency cutoff of the section")
-    p.add_argument("--tol", type=float, default=1e-8, help="power-iteration residual target")
+    p.add_argument("--tol", type=float, default=1e-8,
+                   help="absolute residual target of the Lanczos (ARPACK eigsh) "
+                        "eigenpairs of M^T M")
     p.add_argument("--seed", type=int, default=0)
     add_out(p)
     p.set_defaults(func=_cmd_spectrum)

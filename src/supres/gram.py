@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.signal import fftconvolve
+from scipy.fft import fft2, ifft2, next_fast_len
 
 from . import trigpoly as tp
 from .certificate import AtomicMeasure, Certificate, eta_coeffs
@@ -156,12 +156,15 @@ def _sigma_matrix(m: AtomicMeasure) -> np.ndarray:
     """Dense matrix S[s',s] = T(P E_s P)_{s'} of the unweighted part of A A~*.
 
     S[s',s] = sum_{k,u} P[k,u] P[u-s, k-s'], a 2-D correlation of P with its
-    transpose, computed with FFT convolution. Hermitian positive
+    transpose, computed as a 2-D FFT convolution zero-padded past 2d-1 per
+    axis so the circular product is the linear one. Hermitian positive
     semidefinite; the full operator A A~* acting on coefficients is
     S diag(1/w), similar to the Hermitian pencil w^{-1/2} S w^{-1/2}.
     """
     P = projector_PUperp(m).entries
-    S = fftconvolve(P, P.T[::-1, ::-1], mode="full")
+    full = 2 * P.shape[0] - 1
+    shape = (next_fast_len(full),) * 2
+    S = ifft2(fft2(P, shape) * fft2(P.T[::-1, ::-1], shape))[:full, :full]
     S = (S + S.conj().T) / 2
     return S
 

@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.signal import fftconvolve
+from scipy.fft import irfft, next_fast_len, rfft
 from scipy.special import sici
 
 _EULER_GAMMA = float(np.euler_gamma)
@@ -140,7 +140,10 @@ class AsymptoticOperator:
 
     r_kernel holds R at lags -2K..2K; prefactor is the row scaling
     4/(pi l1)^2 on odd l1 and zero elsewhere, which realizes the even-row
-    sparsity without branching; signs alternates (-1)^l.
+    sparsity without branching; signs alternates (-1)^l. r_hat is the real
+    FFT of r_kernel at length fft_len >= 4K+1: the full linear convolution
+    with a length-(2K+1) vector spans lags 0..6K, and at that length the
+    circular wrap leaves the lags 2K..4K the matvec keeps untouched.
     """
 
     K: int
@@ -148,6 +151,8 @@ class AsymptoticOperator:
     prefactor: np.ndarray
     signs: np.ndarray
     pinf: ProjectorPinf
+    fft_len: int
+    r_hat: np.ndarray
 
     @property
     def dim(self) -> int:
@@ -163,7 +168,18 @@ def build_operator(K: int) -> AsymptoticOperator:
     odd = ells % 2 != 0
     prefactor[odd] = 4.0 / (np.pi * ells[odd]) ** 2
     signs = np.where(ells % 2 == 0, 1.0, -1.0)
-    return AsymptoticOperator(K, r_kernel, prefactor, signs, build_pinf(K))
+    fft_len = next_fast_len(4 * K + 1, real=True)
+    return AsymptoticOperator(K, r_kernel, prefactor, signs, build_pinf(K),
+                              fft_len, rfft(r_kernel, fft_len))
+
+
+def _conv_r(op: AsymptoticOperator, v: np.ndarray) -> np.ndarray:
+    """Lags 2K..4K of the linear convolution v * r_kernel, by one forward
+    and one inverse real FFT against the cached kernel transform."""
+    if np.iscomplexobj(v):
+        return _conv_r(op, v.real) + 1j * _conv_r(op, v.imag)
+    K = op.K
+    return irfft(rfft(v, op.fft_len) * op.r_hat, op.fft_len)[2 * K : 4 * K + 1]
 
 
 def _q_apply(op: AsymptoticOperator, x: np.ndarray) -> np.ndarray:
@@ -171,7 +187,7 @@ def _q_apply(op: AsymptoticOperator, x: np.ndarray) -> np.ndarray:
     K = op.K
     z = op.signs * x
     alpha = np.dot(op.r_kernel[K : 3 * K + 1], z)
-    conv = fftconvolve(z, op.r_kernel)[2 * K : 4 * K + 1]
+    conv = _conv_r(op, z)
     y = op.prefactor * (alpha - conv - x[K])
     y[K] = x[K]
     return y
@@ -182,7 +198,7 @@ def _q_apply_transpose(op: AsymptoticOperator, x: np.ndarray) -> np.ndarray:
     K = op.K
     v = op.prefactor * x
     s = np.sum(v)
-    conv = fftconvolve(v, op.r_kernel)[2 * K : 4 * K + 1]
+    conv = _conv_r(op, v)
     y = op.signs * (op.r_kernel[K : 3 * K + 1] * s - conv)
     y[K] += x[K] - s
     return y

@@ -1,10 +1,14 @@
-"""Extremal singular values of the stabilized section by power iteration.
+"""Extremal singular values of the stabilized section by Lanczos.
 
-Everything here works on the squared map M^T M (or its shifted complement),
-so the basic engine only ever sees a Hermitian positive semidefinite
-operator. A Rayleigh-quotient residual gives the usual a-posteriori
-guarantee: the reported estimate lies within residual of some true
-eigenvalue, which the report maps back to the singular-value scale.
+Both ends are eigenvalues of the real symmetric map M^T M, found by ARPACK's
+implicitly restarted Lanczos method (scipy.sparse.linalg.eigsh): the top
+with which="LA", the bottom with which="SA" directly, so no shift is needed.
+A Rayleigh-quotient residual on the returned Ritz vector gives the usual
+a-posteriori guarantee: the reported estimate lies within residual of some
+true eigenvalue, which the report maps back to the singular-value scale.
+That places *a* singular value near each estimate; it does not prove that
+none lies below sigma_min, so condition_holds is a residual-based estimate,
+not a proof.
 """
 
 from __future__ import annotations
@@ -13,6 +17,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
+from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
 
 from . import qk_operator as qk
 
@@ -22,7 +27,7 @@ class ZeroVector(ValueError):
 
 
 class NonConvergence(RuntimeError):
-    """Power iteration hit max_iter; carries the last iterate."""
+    """Lanczos missed the residual target; carries the last iterate."""
 
     def __init__(self, message: str, estimate: float, vector: np.ndarray,
                  residual: float, iters: int):
@@ -34,7 +39,7 @@ class NonConvergence(RuntimeError):
 
 
 @dataclass(frozen=True)
-class PowerResult:
+class Eigenpair:
     value: float
     vector: np.ndarray
     residual: float
@@ -62,91 +67,59 @@ def aposteriori_bound(apply: Callable, x: np.ndarray, lam: float) -> float:
     return float(np.linalg.norm(apply(x) - lam * x)) / nx
 
 
-def _start_vector(dim: int, seed) -> np.ndarray:
-    rng = np.random.default_rng(seed)
-    x = rng.uniform(-1.0, 1.0, dim) + 1j * rng.uniform(-1.0, 1.0, dim)
-    return x / np.linalg.norm(x)
+def lanczos_extreme(apply: Callable, dim: int, which: str = "LA",
+                    tol: float = 1e-8, max_iter: int = 20000, seed=0) -> Eigenpair:
+    """Largest ("LA") or smallest ("SA") eigenpair of a real symmetric map.
 
-
-def power_largest(apply: Callable, dim: int, tol: float = 1e-8,
-                  max_iter: int = 20000, seed=0) -> PowerResult:
-    """Largest eigenvalue of a Hermitian PSD map by plain power iteration.
-
-    Stops when the residual ||A x - lam x|| drops below tol on unit vectors.
-    Raises NonConvergence (carrying the final iterate) past max_iter.
+    ARPACK's stopping test is relative, ||r|| <= rtol |lam|, so it runs at
+    rtol = 0 (machine precision), which meets any absolute target above
+    eps |lam|; the residual of the returned Ritz vector is then checked
+    against tol. On the section this costs no extra products: ARPACK first
+    tests after a full 20-step Lanczos cycle, and both ends have converged
+    to rounding by then. max_iter caps ARPACK's restart cycles; iters counts
+    applications of the map, the residual check included. Raises
+    NonConvergence, carrying the last vector the map was applied to (or the
+    Ritz vector), when ARPACK gives up or the residual misses tol.
     """
-    x = _start_vector(dim, seed)
-    lam = 0.0
-    res = np.inf
-    for it in range(1, max_iter + 1):
+    count = 0
+    last = None
+
+    def counted(x):
+        nonlocal count, last
+        count += 1
         y = apply(x)
-        lam = float(np.real(np.vdot(x, y)))
-        res = float(np.linalg.norm(y - lam * x))
-        if res <= tol:
-            return PowerResult(lam, x, res, it)
-        ny = float(np.linalg.norm(y))
-        if ny == 0.0:
-            # x is in the kernel: 0 is an exact eigenvalue
-            return PowerResult(0.0, x, 0.0, it)
-        x = y / ny
-    raise NonConvergence(
-        f"power iteration stalled at residual {res:.3e} after {max_iter} steps",
-        lam, x, res, max_iter,
-    )
+        last = (np.array(x), y)  # ARPACK reuses the buffer behind x
+        return y
 
-
-def power_smallest_singular(apply: Callable, apply_adjoint: Callable, dim: int,
-                            lam_max: float, tol: float = 1e-8,
-                            max_iter: int = 20000, seed=0,
-                            avoid: np.ndarray | None = None) -> PowerResult:
-    """Smallest singular value of M through the shifted squared map.
-
-    Iterates on lam_shift I - M^T M with lam_shift = lam_max (1 + 1e-6), so
-    the map stays PSD whenever lam_max dominates the true top eigenvalue of
-    M^T M (pass the power_largest estimate plus its residual). The top
-    eigenvalue mu of the shift gives sigma_min = sqrt(lam_shift - mu); the
-    returned residual is already mapped onto the singular-value scale.
-
-    avoid: a vector to project out when stagnation is detected (use the
-    converged top eigenvector, which the shift turns into a nuisance
-    near-kernel direction).
-    """
-    lam_shift = lam_max * (1.0 + 1e-6)
-
-    def shifted(x):
-        return lam_shift * x - apply_adjoint(apply(x))
-
-    x = _start_vector(dim, seed)
-    mu = 0.0
-    res = np.inf
-    last_checked = np.inf
-    for it in range(1, max_iter + 1):
-        y = shifted(x)
-        mu = float(np.real(np.vdot(x, y)))
-        res = float(np.linalg.norm(y - mu * x))
-        if res <= tol:
-            break
-        if avoid is not None and it % 200 == 0:
-            if res > 0.5 * last_checked:
-                y = y - avoid * np.vdot(avoid, y)
-            last_checked = res
-        ny = float(np.linalg.norm(y))
-        if ny == 0.0:
-            res = 0.0
-            break
-        x = y / ny
-    else:
+    A = LinearOperator((dim, dim), matvec=counted, dtype=float)
+    v0 = np.random.default_rng(seed).uniform(-1.0, 1.0, dim)
+    try:
+        w, V = eigsh(A, k=1, which=which, v0=v0, tol=0.0, maxiter=max_iter)
+    except ArpackNoConvergence as exc:
+        x, y = last
+        nx = float(np.linalg.norm(x))
+        lam = float(np.dot(x, y)) / nx**2
+        raise NonConvergence(f"Lanczos ({which}) did not converge: {exc}", lam, x / nx,
+                             float(np.linalg.norm(y - lam * x)) / nx, count) from exc
+    lam, x = float(w[0]), V[:, 0]
+    res = aposteriori_bound(counted, x, lam)
+    if not res <= tol:  # a NaN residual fails too
         raise NonConvergence(
-            f"shifted iteration stalled at residual {res:.3e} after {max_iter} steps",
-            float(np.sqrt(max(lam_shift - mu, 0.0))), x, res, max_iter,
+            f"Lanczos ({which}) residual {res:.3e} above the target {tol:.3e}",
+            lam, x, res, count,
         )
-    sig_sq = max(lam_shift - mu, 0.0)
-    sigma = float(np.sqrt(sig_sq))
-    # |sigma - sigma_true| <= res / (sigma + sigma_true), and the true value
-    # is at least sqrt(sig_sq - res)
-    denom = sigma + float(np.sqrt(max(sig_sq - res, 0.0)))
-    mapped = res / denom if denom > 0 else float(np.sqrt(res))
-    return PowerResult(sigma, x, mapped, it)
+    return Eigenpair(lam, x, res, count)
+
+
+def _sigma_scale(pair: Eigenpair) -> tuple[float, float]:
+    """(sigma, residual) on the singular-value scale for an eigenpair of M^T M.
+
+    |sigma - sigma_true| <= res / (sigma + sigma_true), and the true value is
+    at least sqrt(lam - res).
+    """
+    sigma = float(np.sqrt(max(pair.value, 0.0)))
+    denom = sigma + float(np.sqrt(max(pair.value - pair.residual, 0.0)))
+    return sigma, pair.residual / denom if denom > 0 else float(np.sqrt(pair.residual))
 
 
 def dense_extremes(K: int, mem_cap_gb: float = 1.0) -> tuple[float, float]:
@@ -159,34 +132,23 @@ def dense_extremes(K: int, mem_cap_gb: float = 1.0) -> tuple[float, float]:
 
 def spectrum_report(K: int, tol: float = 1e-8, seed=0,
                     max_iter: int = 20000) -> SpectrumReport:
-    """Build the section at K and certify its extremal singular values."""
+    """Build the section at K and estimate its extremal singular values."""
     op = qk.build_operator(K)
 
-    def apply(x):
-        return qk.matvec(op, x)
-
-    def apply_t(x):
-        return qk.matvec_transpose(op, x)
-
     def squared(x):
-        return apply_t(apply(x))
+        return qk.matvec_transpose(op, qk.matvec(op, x))
 
-    top = power_largest(squared, op.dim, tol=tol, max_iter=max_iter, seed=seed)
-    sigma_max = float(np.sqrt(max(top.value, 0.0)))
-    denom = sigma_max + float(np.sqrt(max(top.value - top.residual, 0.0)))
-    res_max = top.residual / denom if denom > 0 else float(np.sqrt(top.residual))
-
-    bottom = power_smallest_singular(
-        apply, apply_t, op.dim, top.value + top.residual,
-        tol=tol, max_iter=max_iter, seed=seed, avoid=top.vector,
-    )
+    top = lanczos_extreme(squared, op.dim, "LA", tol, max_iter, seed)
+    bottom = lanczos_extreme(squared, op.dim, "SA", tol, max_iter, seed)
+    sigma_max, res_max = _sigma_scale(top)
+    sigma_min, res_min = _sigma_scale(bottom)
     return SpectrumReport(
         K=K,
         sigma_max=sigma_max,
-        sigma_min=bottom.value,
+        sigma_min=sigma_min,
         residual_max=res_max,
-        residual_min=bottom.residual,
+        residual_min=res_min,
         iters_max=top.iters,
         iters_min=bottom.iters,
-        condition_holds=bool(bottom.value - bottom.residual > 0.5),
+        condition_holds=bool(sigma_min - res_min > 0.5),
     )

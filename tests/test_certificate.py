@@ -36,6 +36,17 @@ class TestAtomicMeasure:
         with pytest.raises(ValueError, match=r"\[0, 1\)"):
             cert.AtomicMeasure(8, np.array([1.0]), np.array([1.0 + 0j]))
 
+    @pytest.mark.parametrize("position", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_position(self, position):
+        with pytest.raises(ValueError, match="finite"):
+            cert.AtomicMeasure(8, np.array([0.1, position]), np.array([1.0, 1.0]))
+
+    @pytest.mark.parametrize("sign", [complex(np.nan, 0.0), complex(0.0, np.nan),
+                                      complex(np.inf, 0.0), complex(0.0, -np.inf)])
+    def test_rejects_non_finite_sign(self, sign):
+        with pytest.raises(ValueError, match="finite"):
+            cert.AtomicMeasure(8, np.array([0.1, 0.6]), np.array([1.0, sign]))
+
     def test_separation_wraps_around(self):
         m = cert.AtomicMeasure(8, np.array([0.05, 0.5, 0.95]), np.ones(3, complex))
         assert m.separation == pytest.approx(0.1)

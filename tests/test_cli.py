@@ -76,6 +76,19 @@ class TestCertify:
         assert code == 1
         assert json.loads(err)["error"] == "measure"
 
+    @pytest.mark.parametrize("position, sign", [
+        (float("nan"), 1.0), (float("inf"), 1.0), (float("-inf"), 1.0),
+        (0.2, complex(float("nan"), 0.0)), (0.2, complex(float("inf"), 0.0)),
+        (0.2, complex(0.0, float("-inf"))),
+    ])
+    def test_non_finite_atom_is_measure_error(self, tmp_path, capsys, position, sign):
+        path = write_measure(tmp_path, 64, [0.7, position], [1.0, sign])
+        for command in ("certify", "gram"):
+            code, out, err = run_cli([command, "--measure", path], capsys)
+            assert code == 1
+            assert out == ""
+            assert json.loads(err)["error"] == "measure"
+
     def test_bad_grid_mult(self, tmp_path, capsys):
         path = write_measure(tmp_path, 64, [0.2], [1.0])
         code, _, err = run_cli(
@@ -293,6 +306,17 @@ class TestProcessLevel:
             capture_output=True, text=True, timeout=120, env=env)
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["condition_holds"] is True
+
+    def test_no_signal_processing_import(self):
+        # importing scipy.signal costs about a second of start-up, and no
+        # command needs it
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, supres.cli, supres.spectrum, supres.gram; "
+             "print('scipy.signal' in sys.modules)"],
+            capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"
 
     def test_invalid_thread_cap(self):
         import os

@@ -172,6 +172,19 @@ class TestMatvec:
         e0[K] = 1.0
         assert np.max(np.abs(qk.matvec(op, e0) - A @ e0)) < 1e-11
 
+    @pytest.mark.parametrize("K", [5, 40])
+    @pytest.mark.parametrize("kind", ["real", "complex"])
+    def test_cached_kernel_against_dense(self, K, kind):
+        op = qk.build_operator(K)
+        A = np.eye(2 * K + 1) - qk.qk_dense(K) + op.pinf.matrix()
+        rng = np.random.default_rng(K)
+        x = rng.standard_normal(2 * K + 1)
+        if kind == "complex":
+            x = x + 1j * rng.standard_normal(2 * K + 1)
+        assert np.max(np.abs(qk.matvec(op, x) - A @ x)) < 1e-12
+        assert np.max(np.abs(qk.matvec_transpose(op, x) - A.T @ x)) < 1e-12
+        assert np.isrealobj(qk.matvec(op, x.real))
+
     def test_adjoint_pairing(self):
         K = 64
         op = qk.build_operator(K)

@@ -38,66 +38,72 @@ class TestAposteriori:
             assert np.min(np.abs(eigs - lam)) <= bound + 1e-12
 
 
-class TestPowerLargest:
-    def test_identity_converges_immediately(self):
-        res = sp.power_largest(lambda x: x, 16, seed=3)
+def section_squared(op):
+    return lambda x: qk.matvec_transpose(op, qk.matvec(op, x))
+
+
+class TestLanczosLargest:
+    def test_identity(self):
+        res = sp.lanczos_extreme(lambda x: x, 16, "LA", seed=3)
         assert res.value == pytest.approx(1.0, abs=1e-14)
         assert res.residual == pytest.approx(0.0, abs=1e-14)
-        assert res.iters == 1
+        assert res.vector.shape == (16,)
 
     def test_diagonal_squared(self):
         D2 = np.diag([1.0, 4.0, 9.0])
-        res = sp.power_largest(matrix_apply(D2), 3, seed=0)
-        assert res.value == pytest.approx(9.0, abs=1e-7)
+        res = sp.lanczos_extreme(matrix_apply(D2), 3, "LA", seed=0)
+        assert res.value == pytest.approx(9.0, abs=1e-12)
 
     def test_estimate_within_residual_of_truth(self):
         rng = np.random.default_rng(4)
-        B = rng.standard_normal((100, 100)) + 1j * rng.standard_normal((100, 100))
-        A = B @ B.conj().T  # PSD
-        res = sp.power_largest(matrix_apply(A), 100, tol=1e-6, seed=1)
+        B = rng.standard_normal((100, 100))
+        A = B @ B.T  # PSD
+        res = sp.lanczos_extreme(matrix_apply(A), 100, "LA", tol=1e-6, seed=1)
         lam_true = np.linalg.eigvalsh(A)[-1]
         assert abs(res.value - lam_true) <= res.residual + 1e-9
 
     def test_nonconvergence_carries_iterate(self):
-        A = np.diag([1.0, 1.0 - 1e-12])
+        # two top eigenvalues 1e-12 apart cannot be split to rounding in one
+        # Lanczos cycle, so ARPACK gives up at its restart cap
+        d = np.linspace(0.0, 1.0, 200)
+        d[-2] = 1.0 - 1e-12
         with pytest.raises(sp.NonConvergence) as exc:
-            sp.power_largest(matrix_apply(A), 2, tol=1e-14, max_iter=5, seed=2)
+            sp.lanczos_extreme(lambda x: d * x, 200, "LA", max_iter=1, seed=2)
         err = exc.value
-        assert err.iters == 5
-        assert err.vector.shape == (2,)
-        assert err.estimate == pytest.approx(1.0, abs=1e-6)
+        assert err.iters >= 20  # products of one full Lanczos cycle
+        assert err.vector.shape == (200,)
+        assert np.linalg.norm(err.vector) == pytest.approx(1.0)
+        assert 0.0 <= err.estimate <= 1.0
         assert err.residual > 0
 
+    def test_residual_above_target_carries_ritz_vector(self):
+        op = qk.build_operator(4)
+        with pytest.raises(sp.NonConvergence) as exc:
+            sp.lanczos_extreme(section_squared(op), op.dim, "LA", tol=1e-30, seed=0)
+        err = exc.value
+        assert err.vector.shape == (op.dim,)
+        assert err.residual > 1e-30
+        assert err.iters >= 2
+        _, hi = sp.dense_extremes(4)
+        assert err.estimate == pytest.approx(hi**2, abs=1e-12)
 
-class TestSmallestSingular:
+
+class TestLanczosSmallest:
     def test_identity(self):
-        ident = lambda x: x
-        res = sp.power_smallest_singular(ident, ident, 8, 1.0, seed=0)
-        assert res.value == pytest.approx(1.0, abs=1e-7)
+        res = sp.lanczos_extreme(lambda x: x, 8, "SA", seed=0)
+        assert res.value == pytest.approx(1.0, abs=1e-14)
 
     def test_diagonal(self):
         A = np.diag([1.0, 2.0, 3.0])
-        res = sp.power_smallest_singular(
-            matrix_apply(A), matrix_apply(A.T), 3, 9.0, seed=0
-        )
-        assert res.value == pytest.approx(1.0, abs=1e-7)
+        res = sp.lanczos_extreme(matrix_apply(A.T @ A), 3, "SA", seed=0)
+        assert np.sqrt(res.value) == pytest.approx(1.0, abs=1e-12)
 
     def test_section_matches_dense_svd(self):
         K = 40
         op = qk.build_operator(K)
-        res_top = sp.power_largest(
-            lambda x: qk.matvec_transpose(op, qk.matvec(op, x)), op.dim, seed=0
-        )
-        res = sp.power_smallest_singular(
-            lambda x: qk.matvec(op, x),
-            lambda x: qk.matvec_transpose(op, x),
-            op.dim,
-            res_top.value + res_top.residual,
-            seed=0,
-            avoid=res_top.vector,
-        )
+        res = sp.lanczos_extreme(section_squared(op), op.dim, "SA", seed=0)
         dense_min, _ = sp.dense_extremes(K)
-        assert abs(res.value - dense_min) <= res.residual + 1e-12
+        assert abs(res.value - dense_min**2) <= res.residual + 1e-12
 
 
 class TestReport:
@@ -123,11 +129,17 @@ class TestReport:
         assert rep.condition_holds == (rep.sigma_min - rep.residual_min > 0.5)
 
     def test_agrees_with_dense(self):
-        for K in (25, 60):
-            rep = sp.spectrum_report(K)
+        for K, seed in ((25, 0), (60, 0), (25, 3), (60, 8), (200, 13)):
+            rep = sp.spectrum_report(K, seed=seed)
             lo, hi = sp.dense_extremes(K)
             assert abs(rep.sigma_min - lo) <= rep.residual_min + 1e-12
             assert abs(rep.sigma_max - hi) <= rep.residual_max + 1e-12
+
+    def test_products_per_end(self):
+        # iters_* count M^T M products per end, the residual check included
+        rep = sp.spectrum_report(400)
+        assert rep.iters_max <= 120
+        assert rep.iters_min <= 120
 
     def test_stability_over_truncation(self):
         sigmas = []

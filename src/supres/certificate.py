@@ -79,12 +79,24 @@ def measure_from_json(doc) -> AtomicMeasure:
     if isinstance(doc, (str, bytes)):
         doc = json.loads(doc)
     try:
-        n = int(doc["n"])
+        n = doc["n"]
         atoms = [float(a["position"]) for a in doc["atoms"]]
-        signs = [complex(a["sign"][0], a["sign"][1]) for a in doc["atoms"]]
-    except (KeyError, TypeError, IndexError) as exc:
+        raw_signs = [a["sign"] for a in doc["atoms"]]
+    except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed measure document: {exc}") from exc
+    if isinstance(n, float) and n.is_integer():
+        n = int(n)
+    if isinstance(n, bool) or not isinstance(n, int):
+        raise ValueError(f"cutoff n must be an integer, got {n!r}")
+    if not all(isinstance(s, list) and len(s) == 2 and all(map(_is_real, s))
+               for s in raw_signs):
+        raise ValueError("every sign must be a two-element [re, im] list of numbers")
+    signs = [complex(re, im) for re, im in raw_signs]
     return AtomicMeasure(n, np.array(atoms), np.array(signs))
+
+
+def _is_real(x) -> bool:
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
 
 
 @dataclass(frozen=True)

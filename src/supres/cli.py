@@ -173,6 +173,8 @@ def _cmd_spectrum(args, out) -> int:
 
     if args.K < 4:
         raise _CliError("usage", "--K must be at least 4")
+    if not (math.isfinite(args.tol) and args.tol > 0):
+        raise _CliError("usage", f"--tol must be a positive finite number, got {args.tol!r}")
     ks = sorted({max(4, args.K // 4), max(4, args.K // 2), args.K})
     try:
         reports = [sp.spectrum_report(k, tol=args.tol, seed=args.seed) for k in ks]
@@ -213,8 +215,13 @@ def _cmd_spectrum(args, out) -> int:
     return 0
 
 
+# section size at which the truncation budget is reported
+_BUDGET_K_TARGET = 1e13
+
+
 def _cmd_constants(args, out) -> int:
     from . import constants as ct
+    from . import qk_operator as qk
 
     rep = ct.constants_report()
     report = {
@@ -226,6 +233,7 @@ def _cmd_constants(args, out) -> int:
         "lam": _num(rep.lam),
         "eps": _num(rep.eps),
         "fK_samples": [[_num(k), _num(v)] for k, v in rep.fK_samples],
+        "truncation_budget": qk.truncation_budget(_BUDGET_K_TARGET),
     }
     _emit_json(report, out, "constants")
     if out is not None:
@@ -280,12 +288,8 @@ def _cmd_qk_dump(args, out) -> int:
 
     if args.K < 1 or args.K > 200:
         raise _CliError("usage", "--K must be between 1 and 200 for a dense dump")
-    try:
-        Q = qk.qk_dense(args.K, mem_cap_gb=args.mem_cap_gb)
-    except qk.BudgetExceeded as exc:
-        raise _CliError("memory_budget", str(exc))
-
     K = args.K
+    Q = qk.qk_dense(K)
     lines = ["l1,l2,re,im"]
     for i in range(2 * K + 1):
         for j in range(2 * K + 1):
@@ -330,7 +334,8 @@ def _build_parser() -> argparse.ArgumentParser:
     add_out(p)
     p.set_defaults(func=_cmd_spectrum)
 
-    p = sub.add_parser("constants", help="reproduce the scalar constants and bound curve")
+    p = sub.add_parser("constants", help="reproduce the scalar constants, bound curve "
+                                         "and truncation budget")
     add_out(p)
     p.set_defaults(func=_cmd_constants)
 
@@ -343,7 +348,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("qk-dump", help="write dense operator entries as CSV")
     p.add_argument("--K", type=int, required=True)
-    p.add_argument("--mem-cap-gb", type=float, default=1.0)
     add_out(p)
     p.set_defaults(func=_cmd_qk_dump)
 

@@ -22,9 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.fft import irfft, next_fast_len, rfft
-from scipy.special import sici
 
-_EULER_GAMMA = float(np.euler_gamma)
+from . import specfun as sf
 
 
 class BudgetExceeded(RuntimeError):
@@ -42,31 +41,6 @@ def dirichlet_limit(ell: int) -> complex:
     if ell % 2 == 0:
         return 0.0 + 0j
     return 2j / (np.pi * ell)
-
-
-def log_dirichlet_kernel(m) -> np.ndarray:
-    """R(m) = Ci(pi|m|) - gamma - ln(pi|m|), with R(0) = 0.
-
-    The real even kernel through which every off-center entry of the limit
-    matrix is expressed; equals Re of the integral of (e^{i pi m u} - 1)/u
-    over the unit interval.
-    """
-    m = np.atleast_1d(np.asarray(m, dtype=float))
-    out = np.zeros(m.shape)
-    nz = m != 0
-    a = np.pi * np.abs(m[nz])
-    _, ci_v = sici(a)
-    out[nz] = ci_v - _EULER_GAMMA - np.log(a)
-    return out
-
-
-def _e_kernel(c: float) -> complex:
-    """E(c) = integral over (0,1] of (e^{i pi c u} - 1)/u du."""
-    if c == 0:
-        return 0.0 + 0j
-    a = np.pi * abs(c)
-    si_v, ci_v = sici(a)
-    return complex(ci_v - _EULER_GAMMA - np.log(a), np.sign(c) * si_v)
 
 
 def qk_p0_term(l1: int, l2: int) -> float:
@@ -93,8 +67,8 @@ def qk_entry(K: int, l1: int, l2: int) -> complex:
     sgn_l2 = -1.0 if l2 % 2 else 1.0
     sgn_l12 = -1.0 if (l1 + l2) % 2 else 1.0
     s1 = (
-        sgn_l2 * (_e_kernel(l2) - _e_kernel(l2 - l1))
-        + sgn_l12 * (_e_kernel(l1 - l2) - _e_kernel(-l2))
+        sgn_l2 * (sf.e_kernel(l2) - sf.e_kernel(l2 - l1))
+        + sgn_l12 * (sf.e_kernel(l1 - l2) - sf.e_kernel(-l2))
     ) / (2j * np.pi * l1)
     return complex(2.0 * np.real(D * s1) - qk_p0_term(l1, l2))
 
@@ -163,7 +137,10 @@ def build_operator(K: int) -> AsymptoticOperator:
     if K < 1:
         raise ValueError("K must be at least 1")
     ells = np.arange(-K, K + 1)
-    r_kernel = log_dirichlet_kernel(np.arange(-2 * K, 2 * K + 1))
+    # R = Re E is real and even: Ci(pi|m|) - gamma - ln(pi|m|), R(0) = 0.
+    # Contiguous copy: the strided .real view sums in another order in the
+    # matvec's dot products, and the last bits of the reports would move.
+    r_kernel = np.ascontiguousarray(sf.e_kernel(np.arange(-2 * K, 2 * K + 1)).real)
     prefactor = np.zeros(2 * K + 1)
     odd = ells % 2 != 0
     prefactor[odd] = 4.0 / (np.pi * ells[odd]) ** 2

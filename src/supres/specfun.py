@@ -1,9 +1,11 @@
 """Special functions: sine/cosine integrals, the exponential integral on the
-imaginary axis, and real Lambert W branches with a log-linear equation solver.
+imaginary axis, the logarithmic kernel E of the limit operator, and real
+Lambert W branches with a log-linear equation solver.
 
-Si/Ci delegate to scipy's sici (double precision over the whole axis); the
-rest is implemented here because the branch handling and the root
-substitution are specific to how the toolkit consumes them.
+Si/Ci delegate to scipy's sici (double precision over the whole axis), and
+every function built from them goes through that one call; the rest is
+implemented here because the branch handling and the root substitution are
+specific to how the toolkit consumes them.
 """
 
 from __future__ import annotations
@@ -20,14 +22,6 @@ EULER_GAMMA = float(np.euler_gamma)
 
 class DomainError(ValueError):
     """Argument outside the domain of the requested function/branch."""
-
-
-@dataclass(frozen=True)
-class SpecialValue:
-    """A computed value together with an absolute error estimate."""
-
-    value: complex
-    est_abs_err: float
 
 
 def si(x):
@@ -65,6 +59,25 @@ def gamma0_imag(x):
     s, c = sici(np.abs(arr))
     out = -c + 1j * np.sign(arr) * (s - np.pi / 2)
     if np.ndim(x) == 0:
+        return complex(out)
+    return out
+
+
+def e_kernel(c):
+    """E(c) = integral over (0, 1] of (e^{i pi c u} - 1)/u du, with E(0) = 0.
+
+    In closed form E(c) = Ci(pi|c|) - gamma - ln(pi|c|) + i sgn(c) Si(pi|c|).
+    The real part is the even kernel R through which every off-center entry
+    of the limit operator is expressed.
+    """
+    arr = np.asarray(c, dtype=float)
+    out = np.zeros(arr.shape, dtype=np.complex128)
+    nz = arr != 0
+    a = np.pi * np.abs(arr[nz])
+    s, c_v = sici(a)
+    out.real[nz] = c_v - EULER_GAMMA - np.log(a)
+    out.imag[nz] = np.sign(arr[nz]) * s
+    if np.ndim(c) == 0:
         return complex(out)
     return out
 

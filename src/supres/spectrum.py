@@ -122,10 +122,10 @@ def _sigma_scale(pair: Eigenpair) -> tuple[float, float]:
     return sigma, pair.residual / denom if denom > 0 else float(np.sqrt(pair.residual))
 
 
-def dense_extremes(K: int, mem_cap_gb: float = 1.0) -> tuple[float, float]:
+def dense_extremes(K: int) -> tuple[float, float]:
     """(sigma_min, sigma_max) of the dense section, for oracle-scale K."""
     op = qk.build_operator(K)
-    A = np.eye(op.dim) - qk.qk_dense(K, mem_cap_gb) + op.pinf.matrix()
+    A = np.eye(op.dim) - qk.qk_dense(K) + op.pinf.matrix()
     svals = np.linalg.svd(A, compute_uv=False)
     return float(svals[-1]), float(svals[0])
 

@@ -132,11 +132,15 @@ class TestSystem:
 class TestEtaCoeffs:
     def test_matches_pointwise_evaluation(self):
         rng = np.random.default_rng(1)
-        m = random_measure(rng, 64, 3, min_sep=0.15)
-        c = cert.solve_certificate(m)
-        p = cert.eta_coeffs(c)
-        theta = rng.uniform(0, 1, 40)
-        np.testing.assert_allclose(tp.eval(p, theta), cert.eval_eta(c, theta), atol=1e-11)
+        # (n, |S|, separation): n = 256 with 20 atoms sits near the separation
+        # limit (sqrt(3) + 9/4) log|S| / n = 0.047
+        for n, size, min_sep in [(64, 3, 0.15), (256, 20, 0.048)]:
+            m = random_measure(rng, n, size, min_sep=min_sep)
+            c = cert.solve_certificate(m)
+            p = cert.eta_coeffs(c)
+            theta = rng.uniform(0, 1, 40)
+            np.testing.assert_allclose(tp.eval(p, theta), cert.eval_eta(c, theta),
+                                       atol=1e-11)
 
     def test_single_atom_coeffs_are_modulated_kernel(self):
         n = 20

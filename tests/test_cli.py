@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from supres import cli
-from supres.qk_operator import qk_entry
+from supres.qk_operator import qk_entry, truncation_budget
 from supres.spectrum import SpectrumReport
 
 
@@ -89,6 +89,28 @@ class TestCertify:
             assert out == ""
             assert json.loads(err)["error"] == "measure"
 
+    @pytest.mark.parametrize("n, sign", [
+        (128.7, [1.0, 0.0]), (True, [1.0, 0.0]), ("128", [1.0, 0.0]),
+        (128, [1.0, 0.0, 0.0]), (128, [1.0]), (128, 1.0), (128, [True, False]),
+    ])
+    def test_bad_cutoff_or_sign_is_measure_error(self, tmp_path, capsys, n, sign):
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps(
+            {"n": n, "atoms": [{"position": 0.1, "sign": sign}]}))
+        for command in ("certify", "gram"):
+            code, out, err = run_cli([command, "--measure", str(path)], capsys)
+            assert code == 1
+            assert out == ""
+            assert json.loads(err)["error"] == "measure"
+
+    def test_integral_float_cutoff_accepted(self, tmp_path, capsys):
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps(
+            {"n": 64.0, "atoms": [{"position": 0.1, "sign": [1.0, 0.0]}]}))
+        code, out, err = run_cli(["certify", "--measure", str(path)], capsys)
+        assert code == 0, err
+        assert json.loads(out)["n"] == 64
+
     def test_bad_grid_mult(self, tmp_path, capsys):
         path = write_measure(tmp_path, 64, [0.2], [1.0])
         code, _, err = run_cli(
@@ -154,6 +176,13 @@ class TestSpectrum:
         assert code == 1
         assert json.loads(err)["error"] == "usage"
 
+    @pytest.mark.parametrize("tol", ["nan", "-1", "0", "inf"])
+    def test_bad_tolerance_is_usage_error(self, capsys, tol):
+        code, out, err = run_cli(["spectrum", "--K", "4", "--tol", tol], capsys)
+        assert code == 1
+        assert out == ""
+        assert json.loads(err)["error"] == "usage"
+
     def test_unreachable_tolerance_exits_two(self, capsys):
         code, _, err = run_cli(["spectrum", "--K", "4", "--tol", "1e-30"], capsys)
         assert code == 2
@@ -180,6 +209,11 @@ class TestConstants:
         assert rep["C1_root_large"] == pytest.approx(2496.7, abs=1.0)
         assert rep["eta_star"] == pytest.approx(0.0112, abs=0.0005)
         assert len(rep["fK_samples"]) == 25
+
+    def test_truncation_budget(self, capsys):
+        code, out, err = run_cli(["constants"], capsys)
+        assert code == 0, err
+        assert json.loads(out)["truncation_budget"] == truncation_budget(1e13)
 
     def test_curve_csv(self, tmp_path, capsys):
         out_dir = tmp_path / "ct"

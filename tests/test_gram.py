@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import supres.gram as gram
 import supres.trigpoly as tp
 from supres.certificate import AtomicMeasure, Certificate, eval_eta, solve_certificate
 from supres.gram import (
@@ -314,6 +315,31 @@ class TestAssemble:
         m = AtomicMeasure(64, (0.3, 0.75), (1.0, 1.0))
         rep = assemble_and_verify(solve_certificate(m))
         assert rep["rank_deficiency"] >= m.size
+
+    def test_off_diagonal_perturbation_caught(self, monkeypatch):
+        # a Hermitian eps on entries (0, 1) and (1, 0) of Q moves the T(Q)
+        # coefficients at s = +-1 by eps each, so the l1 defect is 2 eps, and
+        # it bounds the pointwise defect everywhere
+        eps = 1e-6
+        real_x_corr = gram.x_corr
+
+        def perturbed(m, perr, with_info=False):
+            X, info = real_x_corr(m, perr, with_info=True)
+            E = X.entries.copy()
+            E[0, 1] += eps
+            E[1, 0] += eps
+            return GramMatrix(X.dim, E, X.freq_lo), info
+
+        monkeypatch.setattr(gram, "x_corr", perturbed)
+        c = solve_certificate(AtomicMeasure(64, (0.2, 0.6), (1.0, 1j)))
+        rep = assemble_and_verify(c)
+        assert rep["sup_poly_err"] > 1e-8
+        assert rep["sup_poly_err"] == pytest.approx(2 * eps, rel=1e-6)
+        theta = np.linspace(0.0, 1.0, 1001)
+        pointwise = np.abs(tp.eval(quad_form_poly(rep["gram"]), theta).real
+                           - (1.0 - np.abs(eval_eta(c, theta)) ** 2))
+        assert np.max(pointwise) <= rep["sup_poly_err"] + 1e-12
+        assert np.max(pointwise) > eps
 
 
 class TestLambdaMin:

@@ -88,6 +88,30 @@ class TestGamma0:
             sf.gamma0_imag(0.0)
 
 
+class TestEKernel:
+    @pytest.mark.parametrize("c", [-7.0, -1.0, 0.0, 0.5, 3.0, 40.0])
+    def test_against_quadrature(self, c):
+        # real and imaginary parts of integral_0^1 (e^{i pi c u} - 1)/u du
+        re, _ = quad(lambda u: (math.cos(math.pi * c * u) - 1.0) / u, 0.0, 1.0,
+                     limit=400, epsabs=1e-13, epsrel=1e-13)
+        im, _ = quad(lambda u: math.sin(math.pi * c * u) / u, 0.0, 1.0,
+                     limit=400, epsabs=1e-13, epsrel=1e-13)
+        got = sf.e_kernel(c)
+        assert isinstance(got, complex)
+        assert got.real == pytest.approx(re, abs=1e-11)
+        assert got.imag == pytest.approx(im, abs=1e-11)
+
+    def test_vectorized_matches_scalar(self):
+        cs = np.arange(-50, 51)
+        vec = sf.e_kernel(cs)
+        assert vec.shape == cs.shape
+        assert vec[50] == 0
+        np.testing.assert_array_equal(vec, [sf.e_kernel(c) for c in cs])
+        # real part even, imaginary part odd
+        np.testing.assert_array_equal(vec.real, vec.real[::-1])
+        np.testing.assert_array_equal(vec.imag, -vec.imag[::-1])
+
+
 class TestLambert:
     def test_special_points(self):
         assert sf.lambert_w(0, 0.0) == 0.0

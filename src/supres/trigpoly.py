@@ -1,8 +1,10 @@
 """Trigonometric polynomials and Dirichlet kernels.
 
 A polynomial of order n is stored as the dense coefficient array c_k,
-k = -n..n, so that p(theta) = sum_k c_k exp(2i pi k theta). The Dirichlet
-kernel comes in two normalizations; the centered one,
+k = -n..n, so that p(theta) = sum_k c_k exp(2i pi k theta). `eval` sums
+the series at arbitrary points; `eval_grid` samples it on a uniform grid by
+one inverse FFT. The Dirichlet kernel comes in two normalizations; the
+centered one,
 
     D(theta) = sin((2n+1) pi theta) / ((2n+1) sin(pi theta)),
 
@@ -81,6 +83,22 @@ def eval(p: TrigPoly, theta):
     if np.isscalar(theta) or np.ndim(theta) == 0:
         return complex(out)
     return out
+
+
+def eval_grid(p: TrigPoly, G: int) -> np.ndarray:
+    """Values p(g/G), g = 0..G-1, by one zero-padded inverse FFT in O(G log G).
+
+    The length-G buffer holds c_0..c_n at the front and c_-n..c_-1 at the
+    back; G must exceed 2n so the two ends do not overlap.
+    """
+    n = p.n
+    if G <= 2 * n:
+        raise ValueError(f"grid of {G} points cannot hold order {n} (needs > {2 * n})")
+    buf = np.zeros(G, dtype=np.complex128)
+    buf[: n + 1] = p.coeffs[n:]
+    buf[G - n :] = p.coeffs[:n]
+    # "forward" puts the 1/G on the forward transform, so the inverse is the plain sum
+    return np.fft.ifft(buf, norm="forward")
 
 
 def dirichlet_poly(spec: DirichletSpec) -> TrigPoly:

@@ -187,6 +187,104 @@ class TestVerifyBounded:
             cert.verify_bounded(c, grid_mult=3)
 
 
+def dense_off_mask(atoms, n, G):
+    """Off-atom mask from the full G x |S| wrap-around distance matrix."""
+    dist = np.abs(np.arange(G)[:, None] / G - atoms[None, :]) % 1.0
+    dist = np.minimum(dist, 1.0 - dist)
+    return np.min(dist, axis=1) > 1.0 / n
+
+
+def dense_verify_bounded(c, grid_mult=10):
+    """The boundedness scan by pointwise kernel sums and a dense distance mask."""
+    n = c.n
+    G = grid_mult * (2 * n + 1)
+    theta = np.arange(G) / G
+    vals = np.abs(cert.eval_eta(c, theta))
+    off = dense_off_mask(c.measure.atoms, n, G)
+    slack = np.pi * n * np.max(np.abs(cert.eta_coeffs(c).coeffs)) / grid_mult
+    idx = np.argmax(np.where(off, vals, -np.inf))
+    return {"sup_off_atom": vals[idx], "argmax": theta[idx],
+            "certified": bool(vals[idx] + slack < 1.0)}
+
+
+class TestGridScan:
+    @pytest.mark.parametrize("n, size, min_sep, grid_mult", [
+        (64, 1, 0.5, 10), (64, 3, 0.15, 7), (1448, 5, 0.1, 10), (1448, 20, 0.03, 10),
+    ])
+    def test_eval_grid_matches_pointwise(self, n, size, min_sep, grid_mult):
+        # G = grid_mult (2n+1) is never a power of two; at n = 1448 it is
+        # 28970 = 2 * 5 * 2897 with 2897 prime
+        rng = np.random.default_rng(n + size)
+        c = cert.solve_certificate(random_measure(rng, n, size, min_sep))
+        p = cert.eta_coeffs(c)
+        G = grid_mult * (2 * n + 1)
+        grid = tp.eval_grid(p, G)
+        idx = np.arange(G) if G < 2000 else rng.choice(G, 400, replace=False)
+        theta = idx / G
+        np.testing.assert_allclose(grid[idx], cert.eval_eta(c, theta), rtol=0, atol=1e-11)
+        np.testing.assert_allclose(grid[idx], tp.eval(p, theta), rtol=0, atol=1e-11)
+
+    @pytest.mark.parametrize("atoms, n, G", [
+        ([0.0], 64, 1290),
+        ([1 - 1e-9], 64, 1290),
+        ([0.0, 0.5, 1 - 1e-9], 16, 330),
+        # 0.25 + 1/16 = 320/1024 exactly: a grid point at distance exactly 1/n
+        ([0.25], 16, 1024),
+        ([0.25, 0.75], 16, 33),
+        ([0.1, 0.35, 0.8], 256, 5130),
+    ])
+    def test_window_mask_matches_dense(self, atoms, n, G):
+        atoms = np.array(atoms)
+        np.testing.assert_array_equal(cert._off_atom_mask(atoms, n, G),
+                                      dense_off_mask(atoms, n, G))
+
+    def test_boundary_point_is_excluded(self):
+        off = cert._off_atom_mask(np.array([0.25]), 16, 1024)
+        assert not off[320] and off[321]
+        assert not off[192] and off[191]
+
+    def test_window_mask_random(self):
+        rng = np.random.default_rng(5)
+        for _ in range(40):
+            n = int(rng.integers(1, 300))
+            G = int(rng.integers(4, 13)) * (2 * n + 1)
+            atoms = np.sort(rng.uniform(0, 1, int(rng.integers(1, 6))))
+            np.testing.assert_array_equal(cert._off_atom_mask(atoms, n, G),
+                                          dense_off_mask(atoms, n, G))
+
+    @pytest.mark.parametrize("n, atoms, grid_mult", [
+        (64, [0.123456], 10),
+        (128, [0.1, 0.5], 10),
+        (256, [0.1, 0.35, 0.8], 8),
+        (200, [0.0, 0.31, 0.62, 0.93], 10),
+        (512, [0.02, 0.13, 0.27, 0.38, 0.51, 0.64, 0.77, 0.9], 10),
+        (1024, [0.05, 0.4, 0.7], 4),
+    ])
+    def test_verify_bounded_matches_dense(self, n, atoms, grid_mult):
+        atoms = np.array(atoms)
+        signs = np.exp(1j * np.random.default_rng(n).uniform(0, 2 * np.pi, atoms.size))
+        c = cert.solve_certificate(cert.AtomicMeasure(n, atoms, signs))
+        got = cert.verify_bounded(c, grid_mult=grid_mult)
+        ref = dense_verify_bounded(c, grid_mult=grid_mult)
+        assert got["certified"] == ref["certified"]
+        assert got["argmax"] == ref["argmax"]
+        assert abs(got["sup_off_atom"] - ref["sup_off_atom"]) <= 1e-11
+
+    def test_scan_over_memory_cap_refused_before_allocating(self):
+        import tracemalloc
+
+        m = cert.AtomicMeasure(10**12, np.array([0.3]), np.array([1.0 + 0j]))
+        c = cert.solve_certificate(m)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="GB"):
+                cert.verify_bounded(c)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
+
+
 class TestNeumannBounds:
     def test_report_shape(self):
         m = cert.AtomicMeasure(64, np.array([0.2, 0.7]), np.ones(2, complex))

@@ -103,6 +103,33 @@ class TestCertify:
             assert out == ""
             assert json.loads(err)["error"] == "measure"
 
+    @pytest.mark.parametrize("position", [False, True, "0.5", None, [0.5], {"x": 0.5}])
+    def test_bad_position_is_measure_error(self, tmp_path, capsys, position):
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps({"n": 64, "atoms": [
+            {"position": position, "sign": [1.0, 0.0]},
+            {"position": 0.7, "sign": [1.0, 0.0]}]}))
+        for command in ("certify", "gram"):
+            code, out, err = run_cli([command, "--measure", str(path)], capsys)
+            assert code == 1
+            assert out == ""
+            assert json.loads(err)["error"] == "measure"
+
+    def test_integer_position_accepted(self, tmp_path, capsys):
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps(
+            {"n": 64, "atoms": [{"position": 0, "sign": [1.0, 0.0]}]}))
+        code, out, err = run_cli(["certify", "--measure", str(path)], capsys)
+        assert code == 0, err
+        assert json.loads(out)["certified"] is True
+
+    def test_scan_over_memory_cap_exits_one(self, tmp_path, capsys):
+        path = write_measure(tmp_path, 10**12, [0.3], [1.0])
+        code, out, err = run_cli(["certify", "--measure", path], capsys)
+        assert code == 1
+        assert out == ""
+        assert "GB" in json.loads(err)["message"]
+
     def test_integral_float_cutoff_accepted(self, tmp_path, capsys):
         path = tmp_path / "m.json"
         path.write_text(json.dumps(
@@ -351,6 +378,19 @@ class TestProcessLevel:
             capture_output=True, text=True, timeout=120)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "False"
+
+    def test_certify_imports_no_scipy(self, tmp_path):
+        # the certify path needs numpy only; importing scipy would add to
+        # every certify run's start-up
+        path = write_measure(tmp_path, 256, [0.1, 0.6], [1.0, -1.0])
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import sys; from supres import cli; "
+             f"code = cli.main(['certify', '--measure', {path!r}]); "
+             "print(code, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"],
+            capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "0 []"
 
     def test_invalid_thread_cap(self):
         import os

@@ -43,6 +43,20 @@ class TestEval:
             assert arr[i] == pytest.approx(tp.eval(p, float(t)), abs=1e-13)
 
 
+class TestEvalGrid:
+    @pytest.mark.parametrize("n, G", [(0, 1), (0, 7), (1, 3), (7, 15), (7, 150),
+                                      (64, 129), (64, 1000), (64, 1290)])
+    def test_matches_pointwise(self, n, G):
+        p = random_poly(np.random.default_rng(n + G), n)
+        np.testing.assert_allclose(tp.eval_grid(p, G), tp.eval(p, np.arange(G) / G),
+                                   rtol=0, atol=1e-11)
+
+    def test_grid_must_exceed_twice_the_order(self):
+        p = random_poly(np.random.default_rng(0), 5)
+        with pytest.raises(ValueError, match="needs > 10"):
+            tp.eval_grid(p, 10)
+
+
 @settings(max_examples=100, deadline=None)
 @given(
     n=st.integers(0, 12),

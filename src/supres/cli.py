@@ -112,12 +112,14 @@ def _cmd_certify(args, out) -> int:
     from . import certificate as cert
     import numpy as np
 
+    if args.grid_mult < 4:
+        raise _CliError("usage", "--grid-mult must be at least 4")
     m = _load_measure(args.measure)
     c = _solve(m)
     try:
         vb = cert.verify_bounded(c, grid_mult=args.grid_mult)
     except ValueError as exc:
-        raise _CliError("usage", str(exc))
+        raise _CliError("measure", str(exc))
 
     atoms = c.measure.atoms
     interp_err = float(np.max(np.abs(cert.eval_eta(c, atoms) - c.measure.signs)))
@@ -146,6 +148,8 @@ def _cmd_gram(args, out) -> int:
     c = _solve(m)
     try:
         res = gram.assemble_and_verify(c)
+    except ValueError as exc:
+        raise _CliError("measure", str(exc))
     except (gram.SingularGram, gram.IllConditioned) as exc:
         raise _CliError("gram_conditioning", str(exc))
 

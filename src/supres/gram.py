@@ -3,7 +3,7 @@
 The central identity is 1 - |eta(theta)|^2 = psi*(theta) Q psi(theta) with
 psi the vector of Fourier exponentials and Q = P/dim + X_corr, where P
 projects onto the orthogonal complement of the atom columns and X_corr is
-the minimum-norm correction solving the diagonal-sum constraint. The
+the minimum-norm correction solving the diagonal-sum constraint by CG. The
 operators here are the diagonal summation T, its weighted right inverse
 T~*, the compressed maps A = T(P . P) and A~* = P T~*(.) P, and the
 weighted coefficient norm attached to T~*.
@@ -19,6 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.fft import fft2, ifft2, next_fast_len
+from scipy.sparse.linalg import cg
 
 from . import trigpoly as tp
 from .certificate import AtomicMeasure, Certificate, eta_coeffs
@@ -154,7 +155,7 @@ def p_err(c: Certificate) -> tp.TrigPoly:
     return tp.TrigPoly(2 * c.n, _one_minus_eta_sq(c) - q_perp)
 
 
-def _sigma_matrix(m: AtomicMeasure) -> np.ndarray:
+def _sigma_matrix(P: np.ndarray) -> np.ndarray:
     """Dense matrix S[s',s] = T(P E_s P)_{s'} of the unweighted part of A A~*.
 
     S[s',s] = sum_{k,u} P[k,u] P[u-s, k-s'], a 2-D correlation of P with its
@@ -163,7 +164,6 @@ def _sigma_matrix(m: AtomicMeasure) -> np.ndarray:
     semidefinite; the full operator A A~* acting on coefficients is
     S diag(1/w), similar to the Hermitian pencil w^{-1/2} S w^{-1/2}.
     """
-    P = projector_PUperp(m).entries
     full = 2 * P.shape[0] - 1
     shape = (next_fast_len(full),) * 2
     S = ifft2(fft2(P, shape) * fft2(P.T[::-1, ::-1], shape))[:full, :full]
@@ -177,6 +177,12 @@ def _weights(n: int) -> np.ndarray:
     return d - np.abs(s)
 
 
+def _normal_matrix(P: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Weighted normal matrix w^{-1/2} S w^{-1/2} of A A~*, and w^{-1/2}."""
+    rw = 1.0 / np.sqrt(_weights((P.shape[0] - 1) // 2))
+    return rw[:, None] * _sigma_matrix(P) * rw[None, :], rw
+
+
 def lambda_min_AAtilde(m: AtomicMeasure) -> float:
     """Smallest eigenvalue of A A~* off its 2|S|-dimensional analytic kernel.
 
@@ -186,85 +192,76 @@ def lambda_min_AAtilde(m: AtomicMeasure) -> float:
     outer projectors, so the 2|S| smallest eigenvalues are discarded by
     count.
     """
-    S = _sigma_matrix(m)
-    w = _weights(m.n)
-    rw = 1.0 / np.sqrt(w)
-    sym = rw[:, None] * S * rw[None, :]
-    eigs = np.linalg.eigvalsh(sym)
-    return float(eigs[2 * m.size])
+    sym, _ = _normal_matrix(projector_PUperp(m).entries)
+    return float(np.linalg.eigvalsh(sym)[2 * m.size])
 
 
-def x_corr(m: AtomicMeasure, perr: tp.TrigPoly, with_info: bool = False):
+# CG on a matrix of condition ~1.5 on its range; the absolute floor sits above
+# the rounding noise of p_err (~1e-17 for one atom, which gets X = 0 at once)
+_CG_RTOL = 1e-12
+_CG_ATOL = 1e-15
+_CG_MAXITER = 200
+
+# 1 GB, the cap of qk_operator.qk_dense, at 64 peak resident bytes per entry of
+# the (4n+1)^2 normal matrix (62.4 measured with getrusage at n = 512..700)
+_GRAM_CAP_BYTES = 1e9
+_GRAM_BYTES_PER_ENTRY = 64
+
+
+def x_corr(m: AtomicMeasure, perr: tp.TrigPoly) -> GramMatrix:
     """Minimum-norm correction X whose quadratic form psi* X psi equals perr.
 
     Since psi* X psi(theta) = sum_s T(X)_s e^{-2 pi i s theta}, the constraint
-    in T-coefficients is A(X) = conj(perr), solved in the eigenbasis of the
-    dense A A~* representation with a spectral floor at 1e-12 times the
-    trace. The directions below the floor form the analytic kernel (two per
-    atom), to which perr is orthogonal because it has double zeros at the
-    atoms.
+    in T-coefficients is A(X) = conj(perr). X = P Toep(w^{-1/2} y) P, with y
+    from scipy's CG, started from zero, on w^{-1/2} S w^{-1/2} y = w^{-1/2}
+    conj(perr). The matrix is PSD and its kernel, two directions per atom,
+    is orthogonal to perr, which has double zeros at the atoms, so CG returns
+    the minimum-norm solution. Raises IllConditioned if CG does not converge.
     """
     n = m.n
     if perr.n != 2 * n:
         raise ValueError("perr must have order 2n")
-    S = _sigma_matrix(m)
-    w = _weights(n)
-    rw = 1.0 / np.sqrt(w)
-    sym = rw[:, None] * S * rw[None, :]
-    lam, V = np.linalg.eigh(sym)
-    # Tikhonov floor: eigenvalues below 1e-12 * trace belong to the analytic
-    # kernel (2|S| directions whose lifts vanish under the outer projectors)
-    # and are excluded from the inversion.
-    floor = 1e-12 * float(np.sum(lam))
-    keep = lam > floor
-    if not np.any(keep):
-        raise IllConditioned("no spectrum above the regularization floor")
-    cond = lam[-1] / float(np.min(lam[keep]))
-    if cond > 1e12:
-        raise IllConditioned(f"normal-equation condition estimate {cond:.3e}")
-    inv = np.where(keep, 1.0 / np.where(keep, lam, 1.0), 0.0)
-    # zeta solves S zeta = conj(perr) through the weighted symmetrization
-    target = np.conj(perr.coeffs)
-    rhs = rw * target
-    zeta = rw * (V @ (inv * (V.conj().T @ rhs)))
-
     P = projector_PUperp(m).entries
+    sym, rw = _normal_matrix(P)
+    y, info = cg(sym, rw * np.conj(perr.coeffs),
+                 rtol=_CG_RTOL, atol=_CG_ATOL, maxiter=_CG_MAXITER)
+    if info != 0:
+        raise IllConditioned(f"conjugate gradients did not converge in {_CG_MAXITER} iterations")
+    zeta = rw * y
     idx = np.arange(2 * n + 1)
-    toep = zeta[(idx[:, None] - idx[None, :]) + 2 * n]
-    X = P @ toep @ P
-    X = (X + X.conj().T) / 2
-    gram = GramMatrix(2 * n + 1, X, freq_lo=-n)
-    if not with_info:
-        return gram
-    applied = op_A(m, gram)
-    scale = float(np.linalg.norm(perr.coeffs))
-    resid = float(np.linalg.norm(applied.coeffs - target))
-    # relative residual, except when the target itself is numerically zero
-    # (single-atom certificates have p_err identically zero)
-    if scale > 1e-13:
-        resid /= scale
-    return gram, {"residual_rel": resid, "cond_estimate": float(cond)}
+    X = P @ zeta[(idx[:, None] - idx[None, :]) + 2 * n] @ P
+    return GramMatrix(2 * n + 1, (X + X.conj().T) / 2, freq_lo=-n)
 
 
 def assemble_and_verify(c: Certificate) -> dict:
     """Build Q = P/dim + X_corr and check it reproduces 1 - |eta|^2.
 
     Returns the Gram matrix together with its minimum eigenvalue, the count
-    of eigenvalues below 1e-8 times the spectral norm, and sup_poly_err, the
-    l1 norm of the coefficients of psi* Q psi - (1 - |eta|^2). The defect
-    polynomial is bounded by that norm at every theta, not only on a grid.
+    of eigenvalues below 1e-8 times the spectral norm, sup_poly_err, the l1
+    norm of the coefficients of psi* Q psi - (1 - |eta|^2), and residual_rel,
+    |T(X) - conj(p_err)| / |p_err| (absolute if p_err is numerically zero).
+    The defect polynomial is bounded by sup_poly_err at every theta, not only
+    on a grid. Raises ValueError, before allocating, past 1 GB of memory.
     """
     m = c.measure
     n = c.n
+    need = _GRAM_BYTES_PER_ENTRY * (4 * n + 1) ** 2
+    if need > _GRAM_CAP_BYTES:
+        raise ValueError(f"Gram assembly at n={n} needs {need / 1e9:.3g} GB, cap 1 GB")
     d = 2 * n + 1
     perr = p_err(c)
-    X, info = x_corr(m, perr, with_info=True)
+    X = x_corr(m, perr)
     P = projector_PUperp(m).entries
     Q = P / d + X.entries
     Q = (Q + Q.conj().T) / 2
     gram = GramMatrix(d, Q, freq_lo=-n)
 
     defect = quad_form_poly(gram).coeffs - _one_minus_eta_sq(c)
+    # X = P Toep(zeta) P is already projected, so A(X) = T(P X P) = T(X)
+    resid = float(np.linalg.norm(op_T(X).coeffs - np.conj(perr.coeffs)))
+    scale = float(np.linalg.norm(perr.coeffs))
+    if scale > 1e-13:
+        resid /= scale
 
     eigs = np.linalg.eigvalsh(Q)
     spec_norm = float(np.max(np.abs(eigs)))
@@ -274,7 +271,7 @@ def assemble_and_verify(c: Certificate) -> dict:
         "min_eig": float(eigs[0]),
         "rank_deficiency": deficiency,
         "sup_poly_err": float(np.sum(np.abs(defect))),
-        "residual_rel": info["residual_rel"],
+        "residual_rel": resid,
     }
 
 

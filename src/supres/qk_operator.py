@@ -282,22 +282,17 @@ def _budget_bounds(K_target: float) -> dict:
     }
 
 
-def truncation_budget(K_target: float, tol=None) -> dict:
+def truncation_budget(K_target: float) -> dict:
     """Smallest power-of-two split K1 driving each tail bound under its
     threshold, for a run truncated at K_target.
 
-    tol=None uses the per-bound thresholds; a scalar applies uniformly.
     Doubling search, so each reported K1 is within a factor 2 of the exact
     crossover.
     """
     bounds = _budget_bounds(K_target)
-    if tol is None:
-        thresholds = dict(_BUDGET_THRESHOLDS)
-    else:
-        thresholds = {name: float(tol) for name in bounds}
     report = {"K_target": float(K_target), "bounds": {}, "feasible": True}
     for name, fn in bounds.items():
-        thr = thresholds[name]
+        thr = _BUDGET_THRESHOLDS[name]
         K1 = 1.0
         while fn(K1) > thr and K1 < 2.0**60:
             K1 *= 2.0

@@ -128,6 +128,7 @@ class TestCertify:
         code, out, err = run_cli(["certify", "--measure", path], capsys)
         assert code == 1
         assert out == ""
+        assert json.loads(err)["error"] == "measure"
         assert "GB" in json.loads(err)["message"]
 
     def test_integral_float_cutoff_accepted(self, tmp_path, capsys):
@@ -171,6 +172,33 @@ class TestGram:
         code, _, err = run_cli(["gram", "--measure", path], capsys)
         assert code == 1
         assert json.loads(err)["error"] == "separation_too_small"
+
+    def test_over_memory_cap_exits_one(self, tmp_path, capsys):
+        path = write_measure(tmp_path, 10**12, [0.3], [1.0])
+        code, out, err = run_cli(["gram", "--measure", path], capsys)
+        assert code == 1
+        assert out == ""
+        assert json.loads(err)["error"] == "measure"
+        assert "GB" in json.loads(err)["message"]
+
+    def test_nonconvergence_is_gram_conditioning(self, tmp_path, capsys, monkeypatch):
+        # add an analytic-kernel direction of A A~* to p_err: the normal
+        # equations then have no solution and CG cannot converge
+        from supres import gram, trigpoly as tp
+        from test_gram import kernel_poly
+
+        real_p_err = gram.p_err
+
+        def off_range(c):
+            kern = kernel_poly(c.n, c.measure.atoms[0]).coeffs
+            return tp.TrigPoly(2 * c.n, real_p_err(c).coeffs + 1e-3 * kern)
+
+        monkeypatch.setattr(gram, "p_err", off_range)
+        path = write_measure(tmp_path, 64, [0.15, 0.6], [1.0, 1.0j])
+        code, out, err = run_cli(["gram", "--measure", path], capsys)
+        assert code == 1
+        assert out == ""
+        assert json.loads(err)["error"] == "gram_conditioning"
 
 
 class TestSpectrum:

@@ -6,9 +6,11 @@ from hypothesis import given, settings, strategies as st
 
 import supres.gram as gram
 import supres.trigpoly as tp
-from supres.certificate import AtomicMeasure, Certificate, eval_eta, solve_certificate
+from supres.certificate import (AtomicMeasure, Certificate, eval_eta, solve_certificate,
+                               system_norm_bounds)
 from supres.gram import (
     GramMatrix,
+    IllConditioned,
     SingularGram,
     assemble_and_verify,
     kernel_Kp,
@@ -39,6 +41,35 @@ def random_poly(rng, order):
 def hermitian_poly(rng, order):
     p = random_poly(rng, order)
     return tp.TrigPoly(order, (p.coeffs + np.conj(p.coeffs[::-1])) / 2)
+
+
+def residual_rel(m, X, pe):
+    """|A(X) - conj(p_err)| / |p_err|, absolute when p_err is numerically zero."""
+    r = np.linalg.norm(op_A(m, X).coeffs - np.conj(pe.coeffs))
+    scale = np.linalg.norm(pe.coeffs)
+    return r / scale if scale > 1e-13 else r
+
+
+def kernel_poly(n, tau):
+    """Order-2n polynomial whose conjugate coefficients w_s e^{2 pi i s tau}
+    span one analytic-kernel direction of A A~* for an atom at tau."""
+    s = np.arange(-2 * n, 2 * n + 1)
+    return tp.TrigPoly(2 * n, (2 * n + 1 - np.abs(s)) * np.exp(-2j * np.pi * s * tau))
+
+
+def dense_x_corr(m, pe):
+    """X = P Toep(zeta) P with zeta from a dense eigendecomposition
+    pseudo-inverse of the weighted normal matrix, kernel cut at 1e-8."""
+    from supres.gram import _sigma_matrix, _weights
+
+    n = m.n
+    P = projector_PUperp(m).entries
+    rw = 1 / np.sqrt(_weights(n))
+    lam, V = np.linalg.eigh(rw[:, None] * _sigma_matrix(P) * rw[None, :])
+    inv = np.where(lam > 1e-8 * lam[-1], 1 / lam, 0.0)
+    zeta = rw * (V @ (inv * (V.conj().T @ (rw * np.conj(pe.coeffs)))))
+    idx = np.arange(2 * n + 1)
+    return P @ zeta[idx[:, None] - idx[None, :] + 2 * n] @ P
 
 
 class TestOpT:
@@ -193,7 +224,7 @@ class TestOpA:
         from supres.gram import _sigma_matrix, _weights
 
         m = AtomicMeasure(32, (0.25, 0.7), (1.0, 1.0))
-        S = _sigma_matrix(m)
+        S = _sigma_matrix(projector_PUperp(m).entries)
         assert np.max(np.abs(S - S.conj().T)) < 1e-10
         rw = 1 / np.sqrt(_weights(m.n))
         eigs = np.linalg.eigvalsh(rw[:, None] * S * rw[None, :])
@@ -207,7 +238,7 @@ class TestOpA:
         m = AtomicMeasure(6, (0.3,), (1.0,))
         n = m.n
         dim = 4 * n + 1
-        S = _sigma_matrix(m)
+        S = _sigma_matrix(projector_PUperp(m).entries)
         w = _weights(n)
         cols = np.zeros((dim, dim), dtype=complex)
         for j in range(dim):
@@ -252,9 +283,41 @@ class TestXCorr:
     def test_residual_two_atoms(self):
         m = AtomicMeasure(128, (0.2, 0.6), (1.0, 1.0))
         pe = p_err(solve_certificate(m))
-        X, info = x_corr(m, pe, with_info=True)
+        X = x_corr(m, pe)
         assert X.is_hermitian(1e-10)
-        assert info["residual_rel"] <= 1e-8
+        assert residual_rel(m, X, pe) <= 1e-8
+
+    def test_matches_dense_pseudo_inverse(self):
+        # targets: a random one in the range of A, and the certificate's
+        # p_err wherever the atoms are within the certificate's separation
+        # limit (n = 16 with five atoms is not)
+        rng = np.random.default_rng(44)
+        for n in (16, 48, 96):
+            d = 2 * n + 1
+            for size in (1, 2, 3, 5):
+                atoms = (rng.uniform() + (np.arange(size) + rng.uniform(-0.1, 0.1, size)) / size) % 1
+                m = AtomicMeasure(n, tuple(atoms), tuple(np.exp(2j * np.pi * rng.uniform(size=size))))
+                Y = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+                Y = GramMatrix(d, Y + Y.conj().T, freq_lo=-n)
+                targets = [tp.TrigPoly(2 * n, np.conj(op_A(m, Y).coeffs))]
+                if system_norm_bounds(m)["operator_norm"] < 1:
+                    targets.append(p_err(solve_certificate(m)))
+                for pe in targets:
+                    want = dense_x_corr(m, pe)
+                    np.testing.assert_allclose(
+                        x_corr(m, pe).entries, want, rtol=0,
+                        atol=1e-10 * float(np.max(np.abs(want))) + 1e-15,
+                        err_msg=f"n={n}, |S|={size}")
+
+    def test_rhs_off_the_range_raises(self):
+        # a component along the analytic kernel leaves A(X) = conj(perr) with
+        # no solution: CG stalls at that component's norm and must not
+        # return an X
+        m = AtomicMeasure(32, (0.2, 0.6), (1.0, 1.0))
+        pe = p_err(solve_certificate(m))
+        off = tp.TrigPoly(2 * m.n, pe.coeffs + 1e-3 * kernel_poly(m.n, m.atoms[0]).coeffs)
+        with pytest.raises(IllConditioned, match="did not converge"):
+            x_corr(m, off)
 
     def test_quadratic_form_reproduces_perr(self):
         # The correction is defined by psi* X psi = p_err pointwise, which
@@ -292,6 +355,49 @@ class TestAssemble:
         assert rep["gram"].is_hermitian(1e-12)
         assert rep["residual_rel"] <= 1e-8
 
+    def test_residual_matches_projected_form(self):
+        # residual_rel reads T(X) without the outer projectors; X = P Toep P
+        # is already projected, so it equals the op_A residual
+        for atoms in ((0.2, 0.6), (0.1, 0.45, 0.8)):
+            m = AtomicMeasure(64, atoms, (1.0,) * len(atoms))
+            c = solve_certificate(m)
+            pe = p_err(c)
+            want = residual_rel(m, x_corr(m, pe), pe)
+            assert assemble_and_verify(c)["residual_rel"] == pytest.approx(want, rel=1e-3, abs=1e-15)
+
+    def test_single_atom_target_is_rounding_noise(self):
+        c = solve_certificate(AtomicMeasure(64, (0.37,), (1.0,)))
+        rep = assemble_and_verify(c)
+        assert rep["residual_rel"] < 1e-15
+        assert rep["rank_deficiency"] == 1
+
+    def test_over_memory_cap_refused_before_allocating(self):
+        import tracemalloc
+
+        c = solve_certificate(AtomicMeasure(10**12, (0.3,), (1.0,)))
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="GB"):
+                assemble_and_verify(c)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
+
+    def test_memory_cap_admits_n_512(self, monkeypatch):
+        # stop right after the guard: the full n = 512 assembly takes seconds
+        class Reached(Exception):
+            pass
+
+        def stop(c):
+            raise Reached
+
+        monkeypatch.setattr(gram, "p_err", stop)
+        with pytest.raises(Reached):
+            assemble_and_verify(solve_certificate(AtomicMeasure(512, (0.3,), (1.0,))))
+        with pytest.raises(ValueError, match="GB"):
+            assemble_and_verify(solve_certificate(AtomicMeasure(1024, (0.3,), (1.0,))))
+
     def test_atoms_in_kernel(self):
         m = AtomicMeasure(64, (0.3, 0.75), (1.0, 1.0))
         rep = assemble_and_verify(solve_certificate(m))
@@ -323,12 +429,12 @@ class TestAssemble:
         eps = 1e-6
         real_x_corr = gram.x_corr
 
-        def perturbed(m, perr, with_info=False):
-            X, info = real_x_corr(m, perr, with_info=True)
+        def perturbed(m, perr):
+            X = real_x_corr(m, perr)
             E = X.entries.copy()
             E[0, 1] += eps
             E[1, 0] += eps
-            return GramMatrix(X.dim, E, X.freq_lo), info
+            return GramMatrix(X.dim, E, X.freq_lo)
 
         monkeypatch.setattr(gram, "x_corr", perturbed)
         c = solve_certificate(AtomicMeasure(64, (0.2, 0.6), (1.0, 1j)))
@@ -360,7 +466,7 @@ class TestLambdaMin:
         from supres.gram import _sigma_matrix, _weights
 
         m = AtomicMeasure(24, (0.2, 0.55), (1.0, 1.0))
-        S = _sigma_matrix(m)
+        S = _sigma_matrix(projector_PUperp(m).entries)
         rw = 1 / np.sqrt(_weights(m.n))
         eigs = np.linalg.eigvalsh(rw[:, None] * S * rw[None, :])
         assert np.max(np.abs(eigs[: 2 * m.size])) < 1e-10
@@ -437,7 +543,7 @@ def test_correction_pipeline_property(n, size, seed):
     m = well_separated(np.random.default_rng(seed), n, size)
     c = solve_certificate(m)
     pe = p_err(c)
-    X, info = x_corr(m, pe, with_info=True)
-    assert info["residual_rel"] <= 1e-8
+    X = x_corr(m, pe)
+    assert residual_rel(m, X, pe) <= 1e-8
     lam = lambda_min_AAtilde(m)
     assert np.linalg.norm(X.entries, "fro") <= norm_W(pe) / np.sqrt(lam) + 1e-12

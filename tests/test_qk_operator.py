@@ -255,16 +255,6 @@ class TestBudget:
         assert bounds["B5"](7.54e10) <= 0.1
         assert bounds["B6"](1.46e10) <= 0.1
 
-    def test_uniform_tolerance(self):
-        rep = qk.truncation_budget(1e13, tol=0.5)
-        for b in rep["bounds"].values():
-            assert b["threshold"] == 0.5
-            assert b["value_at_K1"] <= 0.5
-
-    def test_infinite_tolerance_needs_no_split(self):
-        rep = qk.truncation_budget(1e13, tol=np.inf)
-        assert all(b["K1"] == 1.0 for b in rep["bounds"].values())
-
     def test_growth_with_target(self):
         # the log K factor makes the quadratic bounds need a larger split
         lo = qk.truncation_budget(1e8)["bounds"]["B1"]["K1"]

@@ -2,15 +2,16 @@
 
 Submodules:
 
-- trigpoly:    trigonometric polynomials, Dirichlet kernels and derivatives
+- trigpoly:    trigonometric polynomials, the Dirichlet kernel and derivatives
 - certificate: interpolating dual certificate construction and verification
 - gram:        Gram-matrix calculus (T, weighted inverse, projector, correction)
-- specfun:     Si/Ci, imaginary-argument incomplete gamma, Lambert W
+- specfun:     Si/Ci, the logarithmic kernel E, Lambert W
 - qk_operator: the deviation operator in the Dirichlet basis, asymptotic
                entries, structured matvec, truncation budgets
 - spectrum:    Lanczos (ARPACK eigsh) with a-posteriori residual bounds
 - constants:   reproductions of the scalar constants used by the bounds
 - bound_audit: quadrature spot checks of the inner-integral master bounds
+- budget:      the one memory budget and BudgetExceeded
 - cli:         batch front-end
 """
 

@@ -24,19 +24,25 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.integrate import quad
 
+from .budget import check_budget
+
 DOMAINS = ("D0+", "D1+", "D2+", "D3+", "D4+",
            "D0-", "D1-", "D2-", "D3-", "D4-", "D5-")
 
 
-def f_inner(s: float, theta: float, n: int) -> complex:
-    """F(s; theta) by adaptive quadrature."""
-    return _f_inner_err(s, theta, n)[0]
+# peak bytes per term of one kernel evaluation: the index, the phase and its
+# exponential (40.2 measured with getrusage at n = 2e6)
+_KERNEL_BYTES_PER_TERM = 40
 
 
-def _f_inner_err(s: float, theta: float, n: int) -> tuple[complex, float]:
-    """Value and combined absolute-error estimate."""
+def f_inner(s: float, theta: float, n: int) -> tuple[complex, float]:
+    """F(s; theta) by adaptive quadrature, with its absolute-error estimate
+    (the sum of the real and imaginary parts' estimates). Raises
+    BudgetExceeded when one evaluation of the n+1 kernel terms would exceed
+    the memory budget."""
     if not 0.0 <= theta <= 0.5:
         raise ValueError("theta must lie in [0, 1/2]")
+    check_budget(_KERNEL_BYTES_PER_TERM * (n + 1), f"audit kernel at n={n}")
     if theta == 0.0:
         return 0.0 + 0j, 0.0
     j = np.arange(1, n + 2)
@@ -256,7 +262,7 @@ def check_master_bounds(n: int, sample_count: int = 110, seed=0) -> AuditReport:
     for label in DOMAINS:
         for _ in range(per):
             s, th = _proposal(label, n, rng)
-            val, err = _f_inner_err(s, th, n)
+            val, err = f_inner(s, th, n)
             for part, measured, bound in (
                 ("Re", abs(val.real), bound_real(label, s, th, n)),
                 ("Im", abs(val.imag), bound_imag(label, s, th, n)),

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import trigpoly as tp
+from .budget import check_budget
 
 
 class SeparationTooSmall(ValueError):
@@ -40,13 +41,16 @@ class AtomicMeasure:
         signs = np.atleast_1d(np.asarray(self.signs, dtype=np.complex128))
         if self.n < 1:
             raise ValueError("cutoff n must be a positive integer")
+        # past 2^53 the frequencies are no longer exact float64 integers
+        if self.n > 2**53:
+            raise ValueError("cutoff n must not exceed 2^53")
         if atoms.shape != signs.shape or atoms.ndim != 1:
             raise ValueError("atoms and signs must be matching 1-d arrays")
         # NaN compares False, so it would slip past every range check below
         if not (np.all(np.isfinite(atoms)) and np.all(np.isfinite(signs))):
             raise ValueError("atom positions and signs must be finite")
-        # the empty measure is legal (projector/Gram paths use it); the
-        # certificate solver separately requires at least one atom
+        # the empty measure is legal (the projector handles it); measure
+        # documents and the certificate solver require at least one atom
         if np.any((atoms < 0) | (atoms >= 1)):
             raise ValueError("atom positions must lie in [0, 1)")
         if atoms.size and np.max(np.abs(np.abs(signs) - 1.0)) > 1e-12:
@@ -77,15 +81,21 @@ def _pairwise_wrap_dist(atoms):
 
 
 def measure_from_json(doc) -> AtomicMeasure:
-    """Build a measure from {"n": int, "atoms": [{"position": p, "sign": [re, im]}]}."""
+    """Build a measure from {"n": int, "atoms": [{"position": p, "sign": [re, im]}]}.
+
+    The atom list must be non-empty; a malformed document raises ValueError.
+    """
     if isinstance(doc, (str, bytes)):
         doc = json.loads(doc)
     try:
         n = doc["n"]
-        positions = [a["position"] for a in doc["atoms"]]
-        raw_signs = [a["sign"] for a in doc["atoms"]]
+        atoms = doc["atoms"]
+        positions = [a["position"] for a in atoms]
+        raw_signs = [a["sign"] for a in atoms]
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed measure document: {exc}") from exc
+    if not isinstance(atoms, list) or not atoms:
+        raise ValueError("atoms must be a non-empty list")
     if isinstance(n, float) and n.is_integer():
         n = int(n)
     if isinstance(n, bool) or not isinstance(n, int):
@@ -95,8 +105,12 @@ def measure_from_json(doc) -> AtomicMeasure:
     if not all(isinstance(s, list) and len(s) == 2 and all(map(_is_real, s))
                for s in raw_signs):
         raise ValueError("every sign must be a two-element [re, im] list of numbers")
-    signs = [complex(re, im) for re, im in raw_signs]
-    return AtomicMeasure(n, np.array(positions, dtype=float), np.array(signs))
+    try:
+        signs = np.array([complex(re, im) for re, im in raw_signs])
+        positions = np.array(positions, dtype=float)
+    except OverflowError as exc:
+        raise ValueError(f"a position or sign is out of range: {exc}") from exc
+    return AtomicMeasure(n, positions, signs)
 
 
 def _is_real(x) -> bool:
@@ -119,9 +133,8 @@ def _gamma(n: int) -> float:
 
 
 def _kernel_blocks(m: AtomicMeasure):
-    spec = tp.DirichletSpec(m.n)
     diffs = m.atoms[:, None] - m.atoms[None, :]
-    return tuple(tp.dirichlet_deriv(spec, diffs, k) for k in (0, 1, 2))
+    return tuple(tp.dirichlet_deriv(m.n, diffs, k) for k in (0, 1, 2))
 
 
 def build_system(m: AtomicMeasure):
@@ -210,12 +223,11 @@ def eval_eta(c: Certificate, theta, deriv_order: int = 0):
     """Evaluate eta or one of its first two derivatives at theta (scalar or array)."""
     if deriv_order not in (0, 1, 2):
         raise ValueError("deriv_order must be 0, 1 or 2")
-    spec = tp.DirichletSpec(c.n)
     th = np.atleast_1d(np.asarray(theta, dtype=float))
     out = np.zeros(th.shape, dtype=np.complex128)
     for tau, aj, bj in zip(c.measure.atoms, c.a, c.b):
-        out += aj * tp.dirichlet_deriv(spec, th - tau, deriv_order)
-        out += bj * tp.dirichlet_deriv(spec, th - tau, deriv_order + 1)
+        out += aj * tp.dirichlet_deriv(c.n, th - tau, deriv_order)
+        out += bj * tp.dirichlet_deriv(c.n, th - tau, deriv_order + 1)
     if np.isscalar(theta) or np.ndim(theta) == 0:
         return complex(out[0])
     return out
@@ -230,8 +242,6 @@ def eta_coeffs(c: Certificate) -> tp.TrigPoly:
     return tp.TrigPoly(n, ck)
 
 
-# the scan's memory cap, the same 1 GB that bounds qk_operator.qk_dense
-_SCAN_CAP_BYTES = 1e9
 # peak resident bytes per grid point, measured at n ~ 2^18: about 50, and
 # about 146 when G has a large prime factor and the inverse FFT falls back
 # to Bluestein's algorithm with its longer scratch arrays
@@ -265,19 +275,16 @@ def verify_bounded(c: Certificate, grid_mult: int = 10) -> dict:
     radius-1/n neighborhood of each atom (main lobe plus first sidelobe), and
     adds the crude Lipschitz slack pi*n*max|c_k|/grid_mult covering the gap
     between adjacent samples. certified is True when grid max + slack < 1.
-    Raises ValueError, before allocating, when the scan would need more than
-    1 GB.
+    Raises BudgetExceeded, before allocating, when the scan would exceed the
+    memory budget.
     """
     if grid_mult < 4:
         raise ValueError("grid_mult must be at least 4")
     n = c.n
     G = grid_mult * (2 * n + 1)
-    need = _SCAN_BYTES_PER_POINT * G + _PHASE_BYTES_PER_ENTRY * (2 * n + 1) * c.measure.size
-    if need > _SCAN_CAP_BYTES:
-        raise ValueError(
-            f"boundedness scan at n={n}, grid_mult={grid_mult} needs {need / 1e9:.3g} GB, "
-            f"cap {_SCAN_CAP_BYTES / 1e9:g} GB"
-        )
+    check_budget(_SCAN_BYTES_PER_POINT * G
+                 + _PHASE_BYTES_PER_ENTRY * (2 * n + 1) * c.measure.size,
+                 f"boundedness scan at n={n}, grid_mult={grid_mult}")
     p = eta_coeffs(c)
     vals = np.abs(tp.eval_grid(p, G))
     off = _off_atom_mask(c.measure.atoms, n, G)

@@ -174,11 +174,16 @@ def _cmd_gram(args, out) -> int:
 
 def _cmd_spectrum(args, out) -> int:
     from . import spectrum as sp
+    from .budget import BudgetExceeded
 
     if args.K < 4:
         raise _CliError("usage", "--K must be at least 4")
     if not (math.isfinite(args.tol) and args.tol > 0):
         raise _CliError("usage", f"--tol must be a positive finite number, got {args.tol!r}")
+    try:
+        sp.check_section_budget(args.K)
+    except BudgetExceeded as exc:
+        raise _CliError("usage", f"--K too large: {exc}")
     ks = sorted({max(4, args.K // 4), max(4, args.K // 2), args.K})
     try:
         reports = [sp.spectrum_report(k, tol=args.tol, seed=args.seed) for k in ks]

@@ -24,10 +24,7 @@ import numpy as np
 from scipy.fft import irfft, next_fast_len, rfft
 
 from . import specfun as sf
-
-
-class BudgetExceeded(RuntimeError):
-    """A dense allocation would exceed the configured memory cap."""
+from .budget import check_budget
 
 
 def dirichlet_limit(ell: int) -> complex:
@@ -51,7 +48,8 @@ def qk_p0_term(l1: int, l2: int) -> float:
 
 
 def qk_entry(K: int, l1: int, l2: int) -> complex:
-    """Closed-form limit entry at (l1, l2), assembled case by case.
+    """Test oracle: closed-form limit entry at (l1, l2), assembled case by
+    case; TestDense::test_matches_entry_route checks qk_dense against it.
 
     Cases: the l1 = 0 row is e0^T; even l1 != 0 vanishes through the
     Dirichlet prefactor; otherwise the entry is 2 Re(D S1) minus the
@@ -197,17 +195,17 @@ def matvec_transpose(op: AsymptoticOperator, x: np.ndarray) -> np.ndarray:
     return x - _q_apply_transpose(op, x) + op.pinf.apply(x)
 
 
-def qk_dense(K: int, mem_cap_gb: float = 1.0) -> np.ndarray:
+def qk_dense(K: int) -> np.ndarray:
     """Dense limit matrix Q reconstructed from the R kernel.
 
     Row l1 = 0 is e0^T, even rows vanish, and odd rows are
-    g(l1) [(-1)^{l2} (R(l2) - R(l1 - l2)) - delta_{l2,0}].
+    g(l1) [(-1)^{l2} (R(l2) - R(l1 - l2)) - delta_{l2,0}]. Raises
+    BudgetExceeded past the memory budget.
     """
     dim = 2 * K + 1
-    if dim * dim * 8 > mem_cap_gb * 1e9:
-        raise BudgetExceeded(
-            f"dense {dim}x{dim} needs {dim * dim * 8 / 1e9:.2f} GB, cap {mem_cap_gb} GB"
-        )
+    # 24 peak resident bytes per entry, the lag index table and temporaries
+    # included, measured with getrusage at K = 1000..2000
+    check_budget(24 * dim * dim, f"dense {dim}x{dim} limit matrix")
     op = build_operator(K)
     ells = np.arange(-K, K + 1)
     rk = op.r_kernel
@@ -223,8 +221,9 @@ def qk_dense(K: int, mem_cap_gb: float = 1.0) -> np.ndarray:
 
 
 def qk_finite_n(K: int, n: int) -> np.ndarray:
-    """Finite-n matrix: the one-atom operator applied to translated Dirichlet
-    kernels, sampled at l1/(2n+1).
+    """Test oracle: the finite-n matrix, the one-atom operator applied to
+    translated Dirichlet kernels, sampled at l1/(2n+1);
+    TestFiniteN::test_converges_to_limit checks qk_dense against it.
 
     Entry [l1, l2] is 2 Re(D(theta) S1(theta)) - |D(theta)|^2 p(0) at
     theta = l1/(2n+1), where p is the Dirichlet kernel centered at

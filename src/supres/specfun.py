@@ -1,6 +1,6 @@
-"""Special functions: sine/cosine integrals, the exponential integral on the
-imaginary axis, the logarithmic kernel E of the limit operator, and real
-Lambert W branches with a log-linear equation solver.
+"""Special functions: sine/cosine integrals, the logarithmic kernel E of the
+limit operator, and real Lambert W branches with a log-linear equation
+solver.
 
 Si/Ci delegate to scipy's sici (double precision over the whole axis), and
 every function built from them goes through that one call; the rest is
@@ -41,26 +41,6 @@ def ci(x):
     if np.ndim(x) == 0:
         return float(c)
     return c
-
-
-def gamma0_imag(x):
-    """Incomplete gamma of order zero on the imaginary axis: Gamma[0, i*x].
-
-    Reduces to the sine/cosine integrals,
-
-        Gamma[0, ix] = -Ci(|x|) + i*sgn(x)*(Si(|x|) - pi/2),
-
-    which is the branch agreeing with contour quadrature of
-    integral_{ix}^{inf} e^{-t}/t dt taken horizontally to +infinity.
-    """
-    arr = np.asarray(x, dtype=float)
-    if np.any(arr == 0):
-        raise DomainError("Gamma[0, 0] diverges (logarithmic singularity)")
-    s, c = sici(np.abs(arr))
-    out = -c + 1j * np.sign(arr) * (s - np.pi / 2)
-    if np.ndim(x) == 0:
-        return complex(out)
-    return out
 
 
 def e_kernel(c):

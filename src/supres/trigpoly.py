@@ -1,16 +1,14 @@
-"""Trigonometric polynomials and Dirichlet kernels.
+"""Trigonometric polynomials and the centered Dirichlet kernel.
 
 A polynomial of order n is stored as the dense coefficient array c_k,
-k = -n..n, so that p(theta) = sum_k c_k exp(2i pi k theta). `eval` sums
-the series at arbitrary points; `eval_grid` samples it on a uniform grid by
-one inverse FFT. The Dirichlet kernel comes in two normalizations; the
-centered one,
+k = -n..n, so that p(theta) = sum_k c_k exp(2i pi k theta). `eval_grid`
+samples it on a uniform grid by one inverse FFT; `eval` sums the series at
+arbitrary points and is kept as its oracle. The kernel is the centered one,
 
     D(theta) = sin((2n+1) pi theta) / ((2n+1) sin(pi theta)),
 
-is the interpolation building block and the only one with closed-form
-derivatives implemented here (orders 0 through 3, stable near theta = 0
-through a series switch).
+the interpolation building block, with closed-form derivatives of orders 0
+through 3 (stable near theta = 0 through a series switch).
 """
 
 from __future__ import annotations
@@ -35,41 +33,17 @@ class TrigPoly:
             )
         object.__setattr__(self, "coeffs", c)
 
-    def __add__(self, other):
-        if self.n != other.n:
-            raise ValueError("order mismatch")
-        return TrigPoly(self.n, self.coeffs + other.coeffs)
-
-    def __sub__(self, other):
-        if self.n != other.n:
-            raise ValueError("order mismatch")
-        return TrigPoly(self.n, self.coeffs - other.coeffs)
-
-
-@dataclass(frozen=True)
-class DirichletSpec:
-    """Dirichlet kernel description: cutoff n and normalization tag.
-
-    centered:  (1/(2n+1)) sum_{|k| <= n} e^{2 i pi k theta}
-    one_sided: (1/(n+1))  sum_{k=0}^{n}  e^{2 i pi k theta}
-    """
-
-    n: int
-    normalization: str = "centered"
-
-    def __post_init__(self):
-        if self.normalization not in ("centered", "one_sided"):
-            raise ValueError(f"unknown normalization {self.normalization!r}")
-        if self.n < 0:
-            raise ValueError("cutoff must be non-negative")
-
 
 def freqs(p: TrigPoly) -> np.ndarray:
     return np.arange(-p.n, p.n + 1)
 
 
 def eval(p: TrigPoly, theta):
-    """Evaluate p at theta (scalar or array). Periodic with period 1."""
+    """Evaluate p at theta (scalar or array). Periodic with period 1.
+
+    Test oracle: the direct sum at arbitrary points, against which
+    TestEvalGrid::test_matches_pointwise checks `eval_grid`.
+    """
     th = np.asarray(theta, dtype=float)
     k = freqs(p)
     # outer-product evaluation; chunk large grids to keep the phase matrix small
@@ -101,26 +75,13 @@ def eval_grid(p: TrigPoly, G: int) -> np.ndarray:
     return np.fft.ifft(buf, norm="forward")
 
 
-def dirichlet_poly(spec: DirichletSpec) -> TrigPoly:
-    """Coefficient representation of the kernel (one-sided kernels get zero-padded
-    negative frequencies so both fit the symmetric storage)."""
-    n = spec.n
-    c = np.zeros(2 * n + 1, dtype=np.complex128)
-    if spec.normalization == "centered":
-        c[:] = 1.0 / (2 * n + 1)
-    else:
-        c[n:] = 1.0 / (n + 1)
-    return TrigPoly(n, c)
-
-
-def dirichlet_deriv(spec: DirichletSpec, theta, order: int = 0):
-    """Derivatives of the centered Dirichlet kernel, closed form.
+def dirichlet_deriv(n: int, theta, order: int):
+    """Derivatives of the centered Dirichlet kernel of cutoff n, closed form.
 
     Parameters
     ----------
-    spec : DirichletSpec
-        Must be centered; the one-sided kernel is complex-valued and its
-        derivatives are never needed in closed form.
+    n : int
+        Cutoff; the kernel has frequencies -n..n.
     theta : float or ndarray
         Evaluation points (any reals; the kernel is 1-periodic).
     order : {0, 1, 2, 3}
@@ -147,11 +108,8 @@ def dirichlet_deriv(spec: DirichletSpec, theta, order: int = 0):
     (and its derivatives) is used instead; at that radius the neglected u^6
     term is below 1e-12 of the leading scale for every order.
     """
-    if spec.normalization != "centered":
-        raise ValueError("closed-form derivatives exist for the centered kernel only")
     if order not in (0, 1, 2, 3):
         raise ValueError("order must be 0..3")
-    n = spec.n
     N = 2 * n + 1
     th = np.asarray(theta, dtype=float)
     # reduce to [-1/2, 1/2): the kernel and all derivatives are 1-periodic
@@ -186,24 +144,3 @@ def dirichlet_deriv(spec: DirichletSpec, theta, order: int = 0):
     if np.isscalar(theta) or np.ndim(theta) == 0:
         return float(val)
     return val
-
-
-def dirichlet_truncate(p: TrigPoly, K: int):
-    """Split p = p_K + p_K_err where p_K interpolates p at the 2K+1 grid points
-    k/(2n+1), |k| <= K, against centered Dirichlet kernels at those points.
-
-    K = n reproduces p exactly (full interpolation basis).
-    """
-    n = p.n
-    if K > n:
-        raise ValueError("K must not exceed the order")
-    N = 2 * n + 1
-    ks = np.arange(-K, K + 1)
-    xs = ks / N
-    samples = eval(p, xs)
-    # sum_k p(x_k) D0(theta - x_k): frequency-j coefficient is
-    # (1/N) sum_k p(x_k) e^{-2 i pi j x_k}
-    j = freqs(p)
-    ck = np.exp(-2j * np.pi * np.outer(j, xs)) @ samples / N
-    p_K = TrigPoly(n, ck)
-    return p_K, p - p_K

@@ -22,7 +22,7 @@ from supres.certificate import (AtomicMeasure, eval_eta, solve_certificate,
                                 verify_bounded)
 from supres.constants import c1_bound, eta_star, k_bound_value
 from supres.gram import (assemble_and_verify, lambda_min_AAtilde, norm_W,
-                         p_err)
+                         p_err, projector_PUperp)
 from supres.spectrum import dense_extremes, spectrum_report
 
 _BATCH = []
@@ -82,7 +82,7 @@ def test_criterion_03_gram_identity():
     assert res["min_eig"] >= -1e-9
 
     m2 = AtomicMeasure(256, np.array([0.1, 0.5]), np.array([1.0 + 0j, -1.0 + 0j]))
-    w = norm_W(p_err(solve_certificate(m2)))
+    w = norm_W(p_err(solve_certificate(m2), projector_PUperp(m2)))
     assert w <= 1.0 / 256.0
     elapsed = time.perf_counter() - t0
     assert elapsed < 30.0

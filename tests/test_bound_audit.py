@@ -3,6 +3,7 @@ import pytest
 from scipy.integrate import quad
 
 from supres import bound_audit as ba
+from supres.budget import BudgetExceeded
 
 
 def closed_form(s, theta, n):
@@ -16,10 +17,10 @@ def closed_form(s, theta, n):
 
 class TestFInner:
     def test_zero_width(self):
-        assert ba.f_inner(0.2, 0.0, 10) == 0.0
+        assert ba.f_inner(0.2, 0.0, 10) == (0.0, 0.0)
 
     def test_frozen_value(self):
-        v = ba.f_inner(0.3, 0.1, 10)
+        v, _ = ba.f_inner(0.3, 0.1, 10)
         assert v.real == pytest.approx(0.044934138663, abs=1e-9)
         assert v.imag == pytest.approx(-0.059268817679, abs=1e-9)
 
@@ -29,7 +30,7 @@ class TestFInner:
             s = rng.uniform(-0.5, 0.5)
             theta = rng.uniform(0.0, 0.5)
             n = int(rng.integers(4, 40))
-            v, err = ba._f_inner_err(s, theta, n)
+            v, err = ba.f_inner(s, theta, n)
             assert abs(v - closed_form(s, theta, n)) <= max(err, 1e-9)
 
     def test_error_estimate_small(self):
@@ -37,7 +38,7 @@ class TestFInner:
         for _ in range(10):
             s = rng.uniform(-0.5, 0.5)
             theta = rng.uniform(0.01, 0.5)
-            _, err = ba._f_inner_err(s, theta, 16)
+            _, err = ba.f_inner(s, theta, 16)
             assert err <= 1e-9
 
     def test_real_part_kernel_form(self):
@@ -51,7 +52,7 @@ class TestFInner:
             )
 
         ref, ref_err = quad(g, 0.0, -theta, limit=200)
-        assert ba.f_inner(s, theta, n).real == pytest.approx(
+        assert ba.f_inner(s, theta, n)[0].real == pytest.approx(
             ref, abs=max(1e-9, 10 * ref_err)
         )
 
@@ -62,11 +63,23 @@ class TestFInner:
         j = np.arange(1, n + 2)
         vals = np.exp(2j * np.pi * np.outer(s + tm, j)).sum(axis=1)
         riemann = -vals.sum() * (theta / m)
-        assert abs(ba.f_inner(s, theta, n) - riemann) < 1e-6
+        assert abs(ba.f_inner(s, theta, n)[0] - riemann) < 1e-6
 
     def test_rejects_bad_theta(self):
         with pytest.raises(ValueError):
             ba.f_inner(0.1, 0.6, 8)
+
+    def test_over_memory_budget_refused_before_allocating(self):
+        import tracemalloc
+
+        tracemalloc.start()
+        try:
+            with pytest.raises(BudgetExceeded, match="GB"):
+                ba.f_inner(0.1, 0.2, 10**8)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
 
 
 class TestClassify:
@@ -123,7 +136,7 @@ class TestAudit:
         rng = np.random.default_rng(8)
         for label in ba.DOMAINS:
             s, th = ba._proposal(label, 16, rng)
-            v, err = ba._f_inner_err(s, th, 16)
+            v, err = ba.f_inner(s, th, 16)
             total = ba.bound_real(label, s, th, 16) + ba.bound_imag(label, s, th, 16)
             assert abs(v) <= total + err
 

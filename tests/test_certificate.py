@@ -72,6 +72,16 @@ class TestAtomicMeasure:
         with pytest.raises(ValueError, match="malformed"):
             cert.measure_from_json({"n": 4, "atoms": [{"position": 0.1}]})
 
+    @pytest.mark.parametrize("atoms", [[], {}, ""])
+    def test_from_json_needs_an_atom_list(self, atoms):
+        with pytest.raises(ValueError, match="non-empty list"):
+            cert.measure_from_json({"n": 4, "atoms": atoms})
+
+    def test_cutoff_beyond_exact_float_integers_rejected(self):
+        cert.AtomicMeasure(2**53, np.array([0.3]), np.array([1.0 + 0j]))
+        with pytest.raises(ValueError, match="2\\^53"):
+            cert.AtomicMeasure(2**53 + 1, np.array([0.3]), np.array([1.0 + 0j]))
+
 
 class TestSystem:
     def test_single_atom_system_is_identity(self):

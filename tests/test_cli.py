@@ -2,12 +2,17 @@
 schemas, fixed CSV layouts, machine-readable errors, and byte-level
 reproducibility of identical runs."""
 
+import contextlib
+import io
 import json
+import math
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from supres import cli
 from supres.qk_operator import qk_entry, truncation_budget
@@ -115,6 +120,26 @@ class TestCertify:
             assert out == ""
             assert json.loads(err)["error"] == "measure"
 
+    def test_position_beyond_float_range_is_measure_error(self, tmp_path, capsys):
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps({"n": 64, "atoms": [
+            {"position": 10**400, "sign": [1.0, 0.0]}]}))
+        for command in ("certify", "gram"):
+            code, out, err = run_cli([command, "--measure", str(path)], capsys)
+            assert code == 1
+            assert out == ""
+            assert json.loads(err)["error"] == "measure"
+
+    @pytest.mark.parametrize("atoms", [[], {}])
+    def test_empty_measure_is_measure_error(self, tmp_path, capsys, atoms):
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps({"n": 64, "atoms": atoms}))
+        for command in ("certify", "gram"):
+            code, out, err = run_cli([command, "--measure", str(path)], capsys)
+            assert code == 1
+            assert out == ""
+            assert json.loads(err)["error"] == "measure"
+
     def test_integer_position_accepted(self, tmp_path, capsys):
         path = tmp_path / "m.json"
         path.write_text(json.dumps(
@@ -189,9 +214,9 @@ class TestGram:
 
         real_p_err = gram.p_err
 
-        def off_range(c):
+        def off_range(c, P):
             kern = kernel_poly(c.n, c.measure.atoms[0]).coeffs
-            return tp.TrigPoly(2 * c.n, real_p_err(c).coeffs + 1e-3 * kern)
+            return tp.TrigPoly(2 * c.n, real_p_err(c, P).coeffs + 1e-3 * kern)
 
         monkeypatch.setattr(gram, "p_err", off_range)
         path = write_measure(tmp_path, 64, [0.15, 0.6], [1.0, 1.0j])
@@ -237,6 +262,24 @@ class TestSpectrum:
         assert code == 1
         assert out == ""
         assert json.loads(err)["error"] == "usage"
+
+    def test_over_memory_budget_is_usage_error(self, capsys, monkeypatch):
+        # refused before any sweep size is solved
+        def unreachable(*args, **kwargs):
+            raise AssertionError("a sweep size was solved")
+
+        monkeypatch.setattr("supres.spectrum.spectrum_report", unreachable)
+        tracemalloc.start()
+        try:
+            code, out, err = run_cli(["spectrum", "--K", str(10**9)], capsys)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == 1
+        assert out == ""
+        assert json.loads(err)["error"] == "usage"
+        assert "GB" in json.loads(err)["message"]
+        assert peak < 1_000_000
 
     def test_unreachable_tolerance_exits_two(self, capsys):
         code, _, err = run_cli(["spectrum", "--K", "4", "--tol", "1e-30"], capsys)
@@ -301,6 +344,13 @@ class TestAudit:
         code, _, err = run_cli(["audit", "--n", "3"], capsys)
         assert code == 1
         assert json.loads(err)["error"] == "usage"
+
+    def test_degree_over_memory_budget_rejected(self, capsys):
+        code, out, err = run_cli(["audit", "--n", str(10**8)], capsys)
+        assert code == 1
+        assert out == ""
+        assert json.loads(err)["error"] == "usage"
+        assert "GB" in json.loads(err)["message"]
 
     def test_hard_violation_exits_two(self, capsys, monkeypatch):
         from supres.bound_audit import AuditReport
@@ -434,3 +484,48 @@ class TestProcessLevel:
         code, _, err = run_cli([], capsys)
         assert code == 1
         assert json.loads(err)["error"] == "usage"
+
+
+# every kind a command reports on stderr, as documented in the README
+ERROR_KINDS = {"usage", "io", "parse", "measure", "separation_too_small",
+               "singular_system", "gram_conditioning", "non_convergence",
+               "verification_failed"}
+
+_junk = st.one_of(st.none(), st.booleans(), st.integers(-3, 3),
+                  st.floats(allow_nan=True, allow_infinity=True),
+                  st.text(max_size=3), st.just([]), st.just({}))
+_position = st.one_of(st.floats(0.0, 1.0, exclude_max=True), _junk)
+_sign = st.one_of(st.sampled_from([[1.0, 0.0], [0.0, -1.0], [-0.6, 0.8]]),
+                  st.lists(_junk, max_size=3), _junk)
+_atom = st.one_of(st.fixed_dictionaries({"position": _position, "sign": _sign}),
+                  st.fixed_dictionaries({}, optional={"position": _position, "sign": _sign}),
+                  _junk)
+# n stays at most 64, or is refused before any work grows with it (an
+# arbitrary integral float such as 900.0 would run a seconds-long Gram task)
+_cutoff = st.one_of(st.integers(1, 64),
+                    st.sampled_from([0, -3, 2.5, 64.0, 10**12, 1e300, math.nan, math.inf]),
+                    st.none(), st.booleans(), st.text(max_size=3), st.just([]), st.just({}))
+_good_atom = st.fixed_dictionaries({"position": st.floats(0.0, 1.0, exclude_max=True),
+                                    "sign": st.sampled_from([[1.0, 0.0], [0.0, -1.0]])})
+_document = st.one_of(
+    st.fixed_dictionaries({"n": _cutoff, "atoms": st.lists(_good_atom, min_size=1, max_size=4)}),
+    st.fixed_dictionaries({"n": _cutoff, "atoms": st.one_of(st.lists(_atom, max_size=4), _junk)}),
+    st.fixed_dictionaries({}, optional={"n": _cutoff, "atoms": st.lists(_atom, max_size=2)}),
+    _junk,
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(doc=_document, command=st.sampled_from(["certify", "gram"]))
+def test_malformed_measure_documents(tmp_path_factory, doc, command):
+    path = tmp_path_factory.getbasetemp() / "fuzzed_measure.json"
+    path.write_text(json.dumps(doc))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main([command, "--measure", str(path)])
+    assert code in (0, 1, 2)
+    if code == 1:
+        assert out.getvalue() == ""
+    if code:
+        kind = json.loads(err.getvalue())["error"]
+        assert kind in ERROR_KINDS, (kind, err.getvalue())

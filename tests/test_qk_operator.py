@@ -9,6 +9,7 @@ from scipy.integrate import quad
 from supres import gram
 from supres import qk_operator as qk
 from supres import trigpoly as tp
+from supres.budget import BudgetExceeded
 from supres.certificate import AtomicMeasure
 
 
@@ -89,8 +90,9 @@ class TestDense:
         assert np.array_equal(Q, Q[::-1, ::-1])
 
     def test_memory_cap(self):
-        with pytest.raises(qk.BudgetExceeded):
-            qk.qk_dense(5000, mem_cap_gb=0.5)
+        # (2K+1)^2 entries of 24 bytes: 3.5 GB at K = 6000
+        with pytest.raises(BudgetExceeded):
+            qk.qk_dense(6000)
 
 
 class TestFiniteN:

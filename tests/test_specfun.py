@@ -16,13 +16,6 @@ SI_CI_REFERENCE = {
     100.0: (1.562225466889, -0.005148825143),
 }
 
-GAMMA0_REFERENCE = {
-    math.pi: -0.073667912046 + 0.281140725188j,
-    1.0: -0.337403922901 - 0.624713256428j,
-    -2.0: -0.422980828775 - 0.034616650008j,
-    0.5: 0.177784078807 - 1.077688908752j,
-}
-
 
 class TestSiCi:
     def test_si_zero(self):
@@ -66,26 +59,6 @@ class TestSiCi:
             assert abs(sf.si(float(x)) - si_acc) < 1e-9
             ci_expected = sf.EULER_GAMMA + math.log(x) + ci_acc
             assert abs(sf.ci(float(x)) - ci_expected) < 1e-9
-
-
-class TestGamma0:
-    @pytest.mark.parametrize("x", sorted(GAMMA0_REFERENCE))
-    def test_frozen_values(self, x):
-        assert sf.gamma0_imag(x) == pytest.approx(GAMMA0_REFERENCE[x], abs=1e-11)
-
-    def test_reflection(self):
-        for x in (0.3, 1.0, 4.7, 31.0):
-            assert sf.gamma0_imag(-x) == pytest.approx(
-                np.conj(sf.gamma0_imag(x)), abs=1e-14
-            )
-
-    def test_real_part_is_minus_ci(self):
-        for x in (0.2, 1.0, 9.0):
-            assert sf.gamma0_imag(x).real == pytest.approx(-sf.ci(x), abs=1e-14)
-
-    def test_zero_rejected(self):
-        with pytest.raises(sf.DomainError):
-            sf.gamma0_imag(0.0)
 
 
 class TestEKernel:

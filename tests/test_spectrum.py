@@ -3,6 +3,7 @@ import pytest
 
 from supres import qk_operator as qk
 from supres import spectrum as sp
+from supres.budget import BudgetExceeded
 
 
 def matrix_apply(A):
@@ -159,3 +160,29 @@ class TestReport:
         b = sp.spectrum_report(30, seed=2)
         assert a.sigma_min == pytest.approx(b.sigma_min, abs=1e-7)
         assert a.sigma_max == pytest.approx(b.sigma_max, abs=1e-7)
+
+
+class TestMemoryBudget:
+    def test_over_budget_refused_before_allocating(self):
+        import tracemalloc
+
+        tracemalloc.start()
+        try:
+            with pytest.raises(BudgetExceeded, match="GB"):
+                sp.spectrum_report(10**9)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
+
+    def test_budget_admits_k_2_20(self, monkeypatch):
+        # stop right after the guard: the full K = 2^20 report takes seconds
+        class Reached(Exception):
+            pass
+
+        def stop(K):
+            raise Reached
+
+        monkeypatch.setattr(qk, "build_operator", stop)
+        with pytest.raises(Reached):
+            sp.spectrum_report(2**20)

@@ -1,0 +1,46 @@
+"""Every public function of the package has a caller inside it, or is on a
+short named list.
+
+A public module-level function of src/supres that no code of the package
+uses (as a name, an attribute or an import) is surface that only the tests
+keep alive. Docstrings and comments do not count as uses. The allowed set
+below is exact: a new function without a caller fails here, and so does a
+listed one that gains a caller.
+"""
+
+import ast
+import pathlib
+
+SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "supres"
+
+ALLOWED = {
+    # independent oracles that the fast paths are checked against
+    "gram.op_A", "gram.op_Atilde_star", "gram.norm_W", "gram.lambda_min_AAtilde",
+    "trigpoly.eval", "spectrum.dense_extremes",
+    "qk_operator.qk_entry", "qk_operator.qk_finite_n",
+    # measured-vs-analytic margins behind SeparationTooSmall, kept for reports
+    "certificate.coefficient_bounds", "certificate.neumann_bounds",
+    # the scalar Si/Ci of the documented specfun API
+    "specfun.si", "specfun.ci",
+}
+
+
+def unreferenced_functions() -> set:
+    defined, used = {}, set()
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        for node in tree.body:
+            if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
+                defined[f"{path.stem}.{node.name}"] = node.name
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            elif isinstance(node, ast.alias):
+                used.add(node.name)
+    return {qualified for qualified, name in defined.items() if name not in used}
+
+
+def test_functions_without_callers_are_the_listed_ones():
+    assert unreferenced_functions() == ALLOWED

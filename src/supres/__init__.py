@@ -10,7 +10,7 @@ Submodules:
                entries, structured matvec, truncation budgets
 - spectrum:    Lanczos (ARPACK eigsh) with a-posteriori residual bounds
 - constants:   reproductions of the scalar constants used by the bounds
-- bound_audit: quadrature spot checks of the inner-integral master bounds
+- bound_audit: closed-form spot checks of the inner-integral master bounds
 - budget:      the one memory budget and BudgetExceeded
 - cli:         batch front-end
 """

@@ -59,6 +59,18 @@ def _cap_threads() -> None:
         os.environ[var] = cap
 
 
+def _size(text: str) -> int:
+    """Integer flag that sizes work. Beyond 2^53 (as for a measure's n) it is
+    a usage error, not an overflow deep in a float conversion."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    if abs(value) > 2**53:
+        raise argparse.ArgumentTypeError("must lie between -2^53 and 2^53")
+    return value
+
+
 def _num(x):
     """Plain Python float for JSON, with non-finite values mapped to null."""
     x = float(x)
@@ -178,6 +190,8 @@ def _cmd_spectrum(args, out) -> int:
 
     if args.K < 4:
         raise _CliError("usage", "--K must be at least 4")
+    if args.seed < 0:
+        raise _CliError("usage", f"--seed must be non-negative, got {args.seed}")
     if not (math.isfinite(args.tol) and args.tol > 0):
         raise _CliError("usage", f"--tol must be a positive finite number, got {args.tol!r}")
     try:
@@ -267,6 +281,7 @@ def _cmd_audit(args, out) -> int:
         "hard_violation_count": len(hard),
         "min_margin": _num(rep.margin_stats["min_margin"]),
         "mean_margin": _num(rep.margin_stats["mean_margin"]),
+        "eval_err_max": _num(rep.eval_err_max),
         "per_domain_min": {k: _num(v) for k, v in rep.margin_stats["per_domain_min"].items()},
         "violations": [
             {
@@ -324,7 +339,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("certify", help="build and check an interpolating certificate")
     p.add_argument("--measure", required=True, help="measure JSON file")
-    p.add_argument("--grid-mult", type=int, default=10,
+    p.add_argument("--grid-mult", type=_size, default=10,
                    help="grid oversampling for the boundedness check")
     add_out(p)
     p.set_defaults(func=_cmd_certify)
@@ -335,7 +350,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_gram)
 
     p = sub.add_parser("spectrum", help="certify extreme singular values of the section")
-    p.add_argument("--K", type=int, required=True, help="frequency cutoff of the section")
+    p.add_argument("--K", type=_size, required=True, help="frequency cutoff of the section")
     p.add_argument("--tol", type=float, default=1e-8,
                    help="absolute residual target of the Lanczos (ARPACK eigsh) "
                         "eigenpairs of M^T M")
@@ -348,15 +363,17 @@ def _build_parser() -> argparse.ArgumentParser:
     add_out(p)
     p.set_defaults(func=_cmd_constants)
 
-    p = sub.add_parser("audit", help="quadrature spot checks of the inner-integral bounds")
-    p.add_argument("--n", type=int, required=True, help="kernel degree")
-    p.add_argument("--samples", type=int, default=110, help="total sample count")
+    p = sub.add_parser("audit", help="closed-form spot checks of the inner-integral bounds")
+    p.add_argument("--n", type=_size, required=True, help="kernel degree")
+    p.add_argument("--samples", type=_size, default=110,
+                   help="total sample count, at least 11; rounded down to a multiple "
+                        "of 11 (one share per subdomain), so 50 gives 44")
     p.add_argument("--seed", type=int, default=0)
     add_out(p)
     p.set_defaults(func=_cmd_audit)
 
     p = sub.add_parser("qk-dump", help="write dense operator entries as CSV")
-    p.add_argument("--K", type=int, required=True)
+    p.add_argument("--K", type=_size, required=True)
     add_out(p)
     p.set_defaults(func=_cmd_qk_dump)
 

@@ -31,7 +31,28 @@ class TestFInner:
             theta = rng.uniform(0.0, 0.5)
             n = int(rng.integers(4, 40))
             v, err = ba.f_inner(s, theta, n)
-            assert abs(v - closed_form(s, theta, n)) <= max(err, 1e-9)
+            ref, ref_err = ba.f_inner_quad(s, theta, n)
+            assert abs(v - ref) <= ref_err + err
+            assert abs(v - closed_form(s, theta, n)) <= 1e-12
+
+    def test_rounding_bound_against_long_double(self):
+        # the same sum in extended precision: its own error is some 2^-11 of
+        # the double-precision bound
+        pi = np.arctan(np.longdouble(1)) * 4
+        rng = np.random.default_rng(4)
+        for n in (16, 64, 1024):
+            j = np.arange(1, n + 2, dtype=np.longdouble)
+            for label in ba.DOMAINS:
+                for _ in range(4):
+                    s, th = ba._proposal(label, n, rng)
+                    v, bound = ba.f_inner(s, th, n)
+                    sl, tl = np.longdouble(s), np.longdouble(th)
+                    q = np.sin(pi * tl * j) / (pi * j)
+                    y = 2 * pi * (sl - tl / 2) * j
+                    re = np.longdouble(v.real) + (np.cos(y) * q).sum()
+                    im = np.longdouble(v.imag) + (np.sin(y) * q).sum()
+                    assert 0.0 < bound < 1e-11
+                    assert float(np.hypot(re, im)) <= bound, (n, label, s, th)
 
     def test_error_estimate_small(self):
         rng = np.random.default_rng(2)
@@ -80,6 +101,9 @@ class TestFInner:
         finally:
             tracemalloc.stop()
         assert peak < 1_000_000
+
+    def test_quadrature_oracle_zero_width(self):
+        assert ba.f_inner_quad(0.2, 0.0, 10) == (0.0, 0.0)
 
 
 class TestClassify:
@@ -155,3 +179,22 @@ class TestAudit:
     def test_rejects_small_n(self):
         with pytest.raises(ValueError):
             ba.check_master_bounds(3, 11)
+
+    @pytest.mark.parametrize("count", [-5, 0, 10])
+    def test_rejects_fewer_samples_than_subdomains(self, count):
+        with pytest.raises(ValueError, match="at least 11 samples"):
+            ba.check_master_bounds(8, count)
+
+    def test_sample_count_rounds_down_to_subdomain_multiple(self):
+        assert ba.check_master_bounds(8, 50, seed=2).samples == 44
+
+    def test_sample_rows_over_memory_budget_refused(self):
+        with pytest.raises(BudgetExceeded, match="GB"):
+            ba.check_master_bounds(8, 10**9)
+
+    def test_eval_err_max_is_the_largest_rounding_bound(self):
+        rep = ba.check_master_bounds(16, 22, seed=6)
+        rng = np.random.default_rng(6)
+        errs = [ba.f_inner(*ba._proposal(label, 16, rng), 16)[1]
+                for label in ba.DOMAINS for _ in range(2)]
+        assert rep.eval_err_max == max(errs)

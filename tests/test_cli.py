@@ -12,7 +12,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from supres import cli
 from supres.qk_operator import qk_entry, truncation_budget
@@ -263,6 +263,12 @@ class TestSpectrum:
         assert out == ""
         assert json.loads(err)["error"] == "usage"
 
+    def test_negative_seed_is_usage_error(self, capsys):
+        code, out, err = run_cli(["spectrum", "--K", "40", "--seed", "-1"], capsys)
+        assert code == 1
+        assert out == ""
+        assert json.loads(err)["error"] == "usage"
+
     def test_over_memory_budget_is_usage_error(self, capsys, monkeypatch):
         # refused before any sweep size is solved
         def unreachable(*args, **kwargs):
@@ -336,6 +342,7 @@ class TestAudit:
         assert rep["violation_count"] == 0
         assert rep["hard_violation_count"] == 0
         assert rep["min_margin"] > 0
+        assert 0.0 < rep["eval_err_max"] < 1e-12
         assert len(rep["per_domain_min"]) == 22
         assert (out_dir / "audit_violations.csv").read_text() == \
             "domain,s,theta,measured,bound\n"
@@ -344,6 +351,18 @@ class TestAudit:
         code, _, err = run_cli(["audit", "--n", "3"], capsys)
         assert code == 1
         assert json.loads(err)["error"] == "usage"
+
+    @pytest.mark.parametrize("count", ["0", "-5", "10"])
+    def test_fewer_samples_than_subdomains_rejected(self, capsys, count):
+        code, out, err = run_cli(["audit", "--n", "8", "--samples", count], capsys)
+        assert code == 1
+        assert out == ""
+        assert json.loads(err)["error"] == "usage"
+
+    def test_sample_count_rounded_down(self, capsys):
+        code, out, err = run_cli(["audit", "--n", "8", "--samples", "50"], capsys)
+        assert code == 0, err
+        assert json.loads(out)["samples"] == 44
 
     def test_degree_over_memory_budget_rejected(self, capsys):
         code, out, err = run_cli(["audit", "--n", str(10**8)], capsys)
@@ -356,11 +375,12 @@ class TestAudit:
         from supres.bound_audit import AuditReport
 
         bad = {"domain": "D0+/Re", "s": 0.3, "theta": 0.1,
-               "measured": 5.0, "bound": 1.0, "quad_err": 1e-12}
+               "measured": 5.0, "bound": 1.0, "eval_err": 1e-12}
         fake_report = AuditReport(
             n=8, samples=1, violations=(bad,),
             margin_stats={"min_margin": -4.0, "mean_margin": -4.0,
-                          "per_domain_min": {"D0+/Re": -4.0}})
+                          "per_domain_min": {"D0+/Re": -4.0}},
+            eval_err_max=1e-12)
         monkeypatch.setattr("supres.bound_audit.check_master_bounds",
                             lambda *a, **k: fake_report)
         code, out, err = run_cli(["audit", "--n", "8"], capsys)
@@ -480,6 +500,19 @@ class TestProcessLevel:
         assert proc.returncode == 1
         assert json.loads(proc.stderr)["error"] == "usage"
 
+    @pytest.mark.parametrize("argv", [
+        ["spectrum", "--K"], ["qk-dump", "--K"], ["audit", "--n"],
+        ["audit", "--n", "8", "--samples"], ["certify", "--grid-mult"],
+    ])
+    def test_size_flag_beyond_float_range_is_usage_error(self, tmp_path, capsys, argv):
+        argv = argv + [str(10**400)]
+        if argv[0] == "certify":
+            argv += ["--measure", write_measure(tmp_path, 32, [0.1, 0.6], [1.0, -1.0])]
+        code, out, err = run_cli(argv, capsys)
+        assert code == 1
+        assert out == ""
+        assert json.loads(err)["error"] == "usage"
+
     def test_missing_subcommand(self, capsys):
         code, _, err = run_cli([], capsys)
         assert code == 1
@@ -523,6 +556,44 @@ def test_malformed_measure_documents(tmp_path_factory, doc, command):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = cli.main([command, "--measure", str(path)])
+    assert code in (0, 1, 2)
+    if code == 1:
+        assert out.getvalue() == ""
+    if code:
+        kind = json.loads(err.getvalue())["error"]
+        assert kind in ERROR_KINDS, (kind, err.getvalue())
+
+
+def _int_flag(valid):
+    # negative, zero, a small valid value, or one so large that a size guard
+    # (or the budget) refuses it before any work grows with it; 10^400 is
+    # beyond the float range
+    return st.one_of(st.integers(-10**6, -1), st.just(0), valid,
+                     st.sampled_from([10**9, 10**18, 10**400])).map(str)
+
+
+_flag_argv = st.one_of(
+    st.tuples(st.just("spectrum"), st.just("--K"), _int_flag(st.integers(4, 64)),
+              st.just("--seed"), _int_flag(st.integers(1, 99))),
+    st.tuples(st.just("audit"), st.just("--n"), _int_flag(st.integers(4, 32)),
+              st.just("--samples"), _int_flag(st.integers(11, 22)),
+              st.just("--seed"), _int_flag(st.integers(1, 99))),
+    st.tuples(st.just("qk-dump"), st.just("--K"), _int_flag(st.integers(1, 16))),
+    st.tuples(st.just("certify"), st.just("--grid-mult"), _int_flag(st.integers(4, 64))),
+)
+
+
+@settings(max_examples=120, deadline=None)
+@given(argv=_flag_argv)
+@example(argv=("spectrum", "--K", "40", "--seed", "-1"))
+def test_malformed_integer_flags(tmp_path_factory, argv):
+    argv = list(argv)
+    if argv[0] == "certify":
+        argv += ["--measure", write_measure(tmp_path_factory.getbasetemp(), 32,
+                                            [0.1, 0.6], [1.0, -1.0], "flags_measure.json")]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
     assert code in (0, 1, 2)
     if code == 1:
         assert out.getvalue() == ""

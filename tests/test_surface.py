@@ -17,7 +17,7 @@ ALLOWED = {
     # independent oracles that the fast paths are checked against
     "gram.op_A", "gram.op_Atilde_star", "gram.norm_W", "gram.lambda_min_AAtilde",
     "trigpoly.eval", "spectrum.dense_extremes",
-    "qk_operator.qk_entry", "qk_operator.qk_finite_n",
+    "qk_operator.qk_entry", "qk_operator.qk_finite_n", "bound_audit.f_inner_quad",
     # measured-vs-analytic margins behind SeparationTooSmall, kept for reports
     "certificate.coefficient_bounds", "certificate.neumann_bounds",
     # the scalar Si/Ci of the documented specfun API

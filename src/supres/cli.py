@@ -174,6 +174,7 @@ def _cmd_gram(args, out) -> int:
         "rank_deficiency": int(res["rank_deficiency"]),
         "sup_poly_err": _num(res["sup_poly_err"]),
         "residual_rel": _num(res["residual_rel"]),
+        "cg_iters": int(res["cg_iters"]),
         "psd_ok": bool(psd_ok),
         "defect_ok": bool(defect_ok),
         "verified": bool(psd_ok and defect_ok),

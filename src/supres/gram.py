@@ -1,25 +1,32 @@
 """Gram-matrix calculus for sum-of-squares certificates.
 
 The central identity is 1 - |eta(theta)|^2 = psi*(theta) Q psi(theta) with
-psi the vector of Fourier exponentials and Q = P/dim + X_corr, where P
-projects onto the orthogonal complement of the atom columns and X_corr is
-the minimum-norm correction solving the diagonal-sum constraint by CG. The
-operators here are the diagonal summation T, its weighted right inverse
-T~*, the compressed maps A = T(P . P) and A~* = P T~*(.) P, and the
-weighted coefficient norm attached to T~*.
+psi the vector of Fourier exponentials and Q = P (I/dim + Toep(zeta)) P.
+Here P = I - V V* projects onto the orthogonal complement of the atom
+columns, and zeta, 4n+1 Toeplitz coefficients, is the minimum-norm solution
+of the diagonal-sum constraint by CG. CG applies z -> T(P Toep(z) P)
+matrix-free: with the spectra of V's |S| columns taken once per task, each
+step is a few batched FFTs, O(|S| n log n) (Toeplitz products and diagonal
+sums by FFT as in R. M. Gray, Toeplitz and Circulant Matrices: A Review,
+2006). The identity is checked in coefficient form, and the dense Q is
+formed once, by a rank-2|S| update of Toep(zeta), for its eigenvalues.
 
-Matrices are plain square complex arrays. The certificate-side ones (the
-projector, the correction and Q) are indexed by the frequencies -n..n;
-diagonal sums do not depend on where a range starts, so T and T~* take and
-give square arrays of any size. Each Gram task builds the projector once
-and passes it on.
+The dense maps kept as test oracles are the diagonal summation T, its
+weighted right inverse T~*, the compressed maps A = T(P . P) and
+A~* = P T~*(.) P, and the weighted coefficient norm attached to T~*. Their
+matrices are plain square complex arrays; the certificate-side ones are
+indexed by the frequencies -n..n, and since diagonal sums do not depend on
+where a range starts, T and T~* take and give square arrays of any size.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
-from scipy.fft import fft2, ifft2, next_fast_len
-from scipy.sparse.linalg import cg
+from scipy.fft import fft, fft2, ifft, ifft2, next_fast_len
+from scipy.linalg import solve_triangular, toeplitz
+from scipy.sparse.linalg import LinearOperator, cg
 
 from . import trigpoly as tp
 from .budget import check_budget
@@ -64,29 +71,94 @@ def norm_W(p: tp.TrigPoly) -> float:
     return float(np.sqrt(np.sum(np.abs(p.coeffs) ** 2 / w)))
 
 
-def _psi_matrix(m: AtomicMeasure) -> np.ndarray:
+@dataclass(frozen=True)
+class _Factor:
+    """P = I - V V* on -n..n through its d x |S| factor V, with the spectra
+    of V's columns (one row per atom) at an FFT length >= 4n+1.
+
+    Coefficients sit at index k mod length. Every product below is a
+    Toeplitz product, whose outputs -n..n come from lags -3n..3n, or a
+    correlation of two vectors on -n..n, with lags -2n..2n; at length 4n+1
+    or more the circular wrap reaches none of the kept outputs (the 4K+1
+    note of qk_operator.AsymptoticOperator).
+    """
+
+    V: np.ndarray
+    spectra: np.ndarray
+
+
+def _to_grid(x: np.ndarray, length: int) -> np.ndarray:
+    """Rows of coefficients on -h..h placed at index k mod length."""
+    h = (x.shape[-1] - 1) // 2
+    buf = np.zeros(x.shape[:-1] + (length,), dtype=np.complex128)
+    buf[..., : h + 1] = x[..., h:]
+    buf[..., length - h :] = x[..., :h]
+    return buf
+
+
+def _from_grid(buf: np.ndarray, h: int) -> np.ndarray:
+    """Coefficients -h..h of rows laid out as in _to_grid."""
+    return np.concatenate([buf[..., buf.shape[-1] - h :], buf[..., : h + 1]], axis=-1)
+
+
+def _projector_factor(m: AtomicMeasure) -> _Factor:
+    """V = U L^{-*} for the atom columns U = [psi(tau_j)] and the Cholesky
+    factor G = U*U = L L*, so that V V* = U G^{-1} U*."""
     k = np.arange(-m.n, m.n + 1)
-    return np.exp(2j * np.pi * np.outer(k, m.atoms))
+    V = np.exp(2j * np.pi * np.outer(k, m.atoms))
+    if m.size:
+        G = V.conj().T @ V
+        if np.linalg.cond(G) > 1e12:
+            raise SingularGram("atom Gram matrix U*U is numerically singular")
+        V = solve_triangular(np.linalg.cholesky(G), V.conj().T, lower=True).conj().T
+    return _Factor(V, fft(_to_grid(V.T, next_fast_len(4 * m.n + 1))))
 
 
 def projector_PUperp(m: AtomicMeasure) -> np.ndarray:
-    """Orthogonal projector onto the complement of span{psi(tau_j)}, on -n..n."""
-    d = 2 * m.n + 1
-    if m.size == 0:
-        return np.eye(d, dtype=np.complex128)
-    U = _psi_matrix(m)
-    G = U.conj().T @ U
-    if np.linalg.cond(G) > 1e12:
-        raise SingularGram("atom Gram matrix U*U is numerically singular")
-    P = np.eye(d) - U @ np.linalg.solve(G, U.conj().T)
+    """Orthogonal projector onto the complement of span{psi(tau_j)}, on -n..n.
+
+    The dense I - V V* of the factor the Gram task uses; only the test
+    oracles op_A, op_Atilde_star and lambda_min_AAtilde form it.
+    """
+    V = _projector_factor(m).V
+    P = np.eye(V.shape[0]) - V @ V.conj().T
     return (P + P.conj().T) / 2
+
+
+def _t_proj(f: _Factor) -> np.ndarray:
+    """T(P) = dim delta_0 - sum_j corr(v_j, v_j), on -2n..2n."""
+    d = f.V.shape[0]
+    t = -_from_grid(ifft(np.sum(np.abs(f.spectra) ** 2, axis=0)), d - 1)
+    t[d - 1] += d
+    return t
+
+
+def _t_ptp(f: _Factor, z: np.ndarray) -> np.ndarray:
+    """T(P Toep(z) P) for coefficients z on -2n..2n, by FFT.
+
+    Expanding P = I - V V* gives w z - sum_j [corr(v_j, Toep(z)* v_j - (V C*)_j)
+    + corr(Toep(z) v_j, v_j)] with C = V* Toep(z) V and w the diagonal
+    lengths. Toep(z)* is Toep of conj(z_{-s}), whose spectrum at this
+    layout is the conjugate of z's.
+    """
+    V, spectra = f.V, f.spectra
+    n = (V.shape[0] - 1) // 2
+    size, length = spectra.shape
+    zf = fft(_to_grid(z, length))
+    both = _from_grid(ifft(np.concatenate([zf * spectra, np.conj(zf) * spectra])), n)
+    tv, tsv = both[:size], both[size:]
+    C = V.T.conj() @ tv.T
+    rows = fft(_to_grid(np.concatenate([tsv - C.conj() @ V.T, tv]), length))
+    cross = spectra * np.conj(rows[:size]) + rows[size:] * np.conj(spectra)
+    return _weights(n) * z - _from_grid(ifft(np.sum(cross, axis=0)), 2 * n)
 
 
 def op_A(m: AtomicMeasure, X: np.ndarray) -> tp.TrigPoly:
     """Test oracle: A(X) = T(P X P) with P the atom-complement projector.
 
-    The TestXCorr residuals are measured through it, TestOpA checks the
-    FFT-built normal matrix against it column by column, and
+    The TestXCorr residuals are measured through it, TestFFTOperator checks
+    the matrix-free T(P Toep(z) P) against it, TestOpA checks the 2-D FFT
+    matrix of lambda_min_AAtilde against it column by column, and
     TestFiniteN::test_matches_toeplitz_composition composes it with A~*.
     """
     P = projector_PUperp(m)
@@ -107,11 +179,14 @@ def op_Atilde_star(m: AtomicMeasure, p: tp.TrigPoly) -> np.ndarray:
 
 
 def quad_form_poly(H: np.ndarray) -> tp.TrigPoly:
-    """Coefficients of theta -> psi*(theta) H psi(theta) for Hermitian H.
+    """Test oracle: coefficients of theta -> psi*(theta) H psi(theta) for
+    Hermitian H.
 
     The pairing psi* H psi produces sum_s T(H)_s e^{-2 pi i s theta}, so the
     standard-orientation coefficients are the conjugates of T(H); the
     resulting polynomial is real valued but in general not even.
+    TestAssemble checks the dense Q's pointwise defect against the
+    coefficient-form sup_poly_err through it.
     """
     return tp.TrigPoly(H.shape[0] - 1, np.conj(op_T(H).coeffs))
 
@@ -125,10 +200,10 @@ def _one_minus_eta_sq(c: Certificate) -> np.ndarray:
     return one_minus
 
 
-def p_err(c: Certificate, P: np.ndarray) -> tp.TrigPoly:
+def p_err(c: Certificate, f: _Factor) -> tp.TrigPoly:
     """Residual polynomial (1 - |eta|^2) - psi* P psi / dim, order 2n, for
-    the measure's projector P."""
-    q_perp = quad_form_poly(P).coeffs / (2 * c.n + 1)
+    the projector factor f of the measure."""
+    q_perp = np.conj(_t_proj(f)) / (2 * c.n + 1)
     return tp.TrigPoly(2 * c.n, _one_minus_eta_sq(c) - q_perp)
 
 
@@ -154,15 +229,9 @@ def _weights(n: int) -> np.ndarray:
     return d - np.abs(s)
 
 
-def _normal_matrix(P: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Weighted normal matrix w^{-1/2} S w^{-1/2} of A A~*, and w^{-1/2}."""
-    rw = 1.0 / np.sqrt(_weights((P.shape[0] - 1) // 2))
-    return rw[:, None] * _sigma_matrix(P) * rw[None, :], rw
-
-
 def lambda_min_AAtilde(m: AtomicMeasure) -> float:
     """Test oracle: smallest eigenvalue of A A~* off its 2|S|-dimensional
-    analytic kernel, by a dense eigvalsh.
+    analytic kernel, by a dense eigvalsh of w^{-1/2} S w^{-1/2}.
 
     TestXCorr::test_frobenius_bound_chain, TestLambdaMin and acceptance
     criterion 4 use it. Each
@@ -172,72 +241,96 @@ def lambda_min_AAtilde(m: AtomicMeasure) -> float:
     outer projectors, so the 2|S| smallest eigenvalues are discarded by
     count.
     """
-    sym, _ = _normal_matrix(projector_PUperp(m))
+    rw = 1.0 / np.sqrt(_weights(m.n))
+    sym = rw[:, None] * _sigma_matrix(projector_PUperp(m)) * rw[None, :]
     return float(np.linalg.eigvalsh(sym)[2 * m.size])
 
 
 # CG on a matrix of condition ~1.5 on its range; the absolute floor sits above
-# the rounding noise of p_err (~1e-17 for one atom, which gets X = 0 at once)
+# the rounding noise of p_err (~1e-17 for one atom, which gets zeta = 0 at once)
 _CG_RTOL = 1e-12
 _CG_ATOL = 1e-15
 _CG_MAXITER = 200
 
-# peak resident bytes per entry of the (4n+1)^2 normal matrix (62.4 measured
-# with getrusage at n = 512..700)
-_GRAM_BYTES_PER_ENTRY = 64
+# peak resident bytes per entry of the dim^2 Gram matrix: Q, one dim^2
+# temporary and eigvalsh's copy; 32.6..36.2 measured with getrusage in fresh
+# processes (peak minus the RSS before the assembly) at n = 512..2048,
+# |S| = 2..60
+_GRAM_BYTES_PER_ENTRY = 40
 
 
-def x_corr(P: np.ndarray, perr: tp.TrigPoly) -> np.ndarray:
-    """Minimum-norm correction X whose quadratic form psi* X psi equals perr,
-    for the atom-complement projector P on -n..n.
+def x_corr(f: _Factor, perr: tp.TrigPoly) -> tuple[np.ndarray, int]:
+    """Toeplitz coefficients zeta, on -2n..2n, of the minimum-norm correction
+    X = P Toep(zeta) P whose quadratic form psi* X psi equals perr, and the
+    CG iteration count; f is the measure's projector factor.
 
     Since psi* X psi(theta) = sum_s T(X)_s e^{-2 pi i s theta}, the constraint
-    in T-coefficients is A(X) = conj(perr). X = P Toep(w^{-1/2} y) P, with y
-    from scipy's CG, started from zero, on w^{-1/2} S w^{-1/2} y = w^{-1/2}
-    conj(perr). The matrix is PSD and its kernel, two directions per atom,
-    is orthogonal to perr, which has double zeros at the atoms, so CG returns
-    the minimum-norm solution. Raises IllConditioned if CG does not converge.
+    in T-coefficients is A(X) = conj(perr). zeta = w^{-1/2} y, with y from
+    scipy's CG, started from zero, on w^{-1/2} S w^{-1/2} y = w^{-1/2}
+    conj(perr), where S z = T(P Toep(z) P) is applied by FFT. S is PSD and
+    its kernel, two directions per atom, is orthogonal to perr, which has
+    double zeros at the atoms, so CG returns the minimum-norm solution. zeta
+    is returned Hermitian-symmetrized, so Toep(zeta) is Hermitian. Raises
+    IllConditioned if CG does not converge.
     """
-    n = (P.shape[0] - 1) // 2
+    n = (f.V.shape[0] - 1) // 2
     if perr.n != 2 * n:
         raise ValueError("perr must have order 2n")
-    sym, rw = _normal_matrix(P)
-    y, info = cg(sym, rw * np.conj(perr.coeffs),
-                 rtol=_CG_RTOL, atol=_CG_ATOL, maxiter=_CG_MAXITER)
+    rw = 1.0 / np.sqrt(_weights(n))
+    op = LinearOperator((4 * n + 1,) * 2, dtype=np.complex128,
+                        matvec=lambda y: rw * _t_ptp(f, rw * np.ravel(y)))
+    iters = 0
+
+    def count(_):
+        nonlocal iters
+        iters += 1
+
+    y, info = cg(op, rw * np.conj(perr.coeffs), rtol=_CG_RTOL, atol=_CG_ATOL,
+                 maxiter=_CG_MAXITER, callback=count)
     if info != 0:
         raise IllConditioned(f"conjugate gradients did not converge in {_CG_MAXITER} iterations")
     zeta = rw * y
-    idx = np.arange(2 * n + 1)
-    X = P @ zeta[(idx[:, None] - idx[None, :]) + 2 * n] @ P
-    return (X + X.conj().T) / 2
+    return (zeta + np.conj(zeta[::-1])) / 2, iters
 
 
 def assemble_and_verify(c: Certificate) -> dict:
-    """Build Q = P/dim + X_corr and check it reproduces 1 - |eta|^2.
+    """Build Q = P (I/dim + Toep(zeta)) P and check it reproduces 1 - |eta|^2.
 
     Returns the Gram matrix together with its minimum eigenvalue, the count
-    of eigenvalues below 1e-8 times the spectral norm, sup_poly_err, the l1
-    norm of the coefficients of psi* Q psi - (1 - |eta|^2), and residual_rel,
-    |T(X) - conj(p_err)| / |p_err| (absolute if p_err is numerically zero).
-    The defect polynomial is bounded by sup_poly_err at every theta, not only
-    on a grid. The projector is built once and shared by every step. Raises
-    BudgetExceeded, before allocating, past the memory budget.
+    of eigenvalues below 1e-8 times the spectral norm, sup_poly_err,
+    residual_rel and cg_iters. The defect is taken in coefficient form from
+    one fresh T(P Toep(zeta) P) with the final zeta: psi* Q psi - (1 - |eta|^2)
+    has coefficients conj(T(P Toep(zeta) P)) - p_err. sup_poly_err is their
+    l1 norm, which bounds the defect at every theta, not only on a grid;
+    residual_rel is their l2 norm over |p_err| (absolute if p_err is
+    numerically zero). Q itself is formed once, by a rank-2|S| update of
+    Toep(zeta), for its eigenvalues. Raises BudgetExceeded, before
+    allocating, past the memory budget.
     """
     n = c.n
-    check_budget(_GRAM_BYTES_PER_ENTRY * (4 * n + 1) ** 2, f"Gram assembly at n={n}")
     d = 2 * n + 1
-    P = projector_PUperp(c.measure)
-    perr = p_err(c, P)
-    X = x_corr(P, perr)
-    Q = P / d + X
-    Q = (Q + Q.conj().T) / 2
+    check_budget(_GRAM_BYTES_PER_ENTRY * d**2, f"Gram assembly at n={n}")
+    f = _projector_factor(c.measure)
+    perr = p_err(c, f)
+    zeta, iters = x_corr(f, perr)
 
-    defect = quad_form_poly(Q).coeffs - _one_minus_eta_sq(c)
-    # X = P Toep(zeta) P is already projected, so A(X) = T(P X P) = T(X)
-    resid = float(np.linalg.norm(op_T(X).coeffs - np.conj(perr.coeffs)))
+    defect = np.conj(_t_ptp(f, zeta)) - perr.coeffs
+    resid = float(np.linalg.norm(defect))
     scale = float(np.linalg.norm(perr.coeffs))
     if scale > 1e-13:
         resid /= scale
+
+    # P T P = T - (V M* + M V*) with M = T V - V C/2 and C = V* T V, since T
+    # and C are Hermitian; V/(2 dim) in M adds the -V V*/dim of P/dim
+    V = f.V
+    Q = toeplitz(zeta[2 * n :], zeta[2 * n :: -1])
+    TV = Q @ V
+    C = V.conj().T @ TV
+    M = TV - V @ ((C + C.conj().T) / 4) + V / (2 * d)
+    Q -= np.hstack([V, M]) @ np.hstack([M, V]).conj().T
+    Q.flat[:: d + 1] += 1.0 / d
+    Q += Q.conj().T
+    Q *= 0.5
 
     eigs = np.linalg.eigvalsh(Q)
     spec_norm = float(np.max(np.abs(eigs)))
@@ -248,4 +341,5 @@ def assemble_and_verify(c: Certificate) -> dict:
         "rank_deficiency": deficiency,
         "sup_poly_err": float(np.sum(np.abs(defect))),
         "residual_rel": resid,
+        "cg_iters": iters,
     }

@@ -2,8 +2,9 @@
 
 A polynomial of order n is stored as the dense coefficient array c_k,
 k = -n..n, so that p(theta) = sum_k c_k exp(2i pi k theta). `eval_grid`
-samples it on a uniform grid by one inverse FFT; `eval` sums the series at
-arbitrary points and is kept as its oracle. The kernel is the centered one,
+samples it on a uniform grid by one inverse FFT, whose length `fast_len`
+rounds up to a 5-smooth number; `eval` sums the series at arbitrary points
+and is kept as its oracle. The kernel is the centered one,
 
     D(theta) = sin((2n+1) pi theta) / ((2n+1) sin(pi theta)),
 
@@ -73,6 +74,25 @@ def eval_grid(p: TrigPoly, G: int) -> np.ndarray:
     buf[G - n :] = p.coeffs[:n]
     # "forward" puts the 1/G on the forward transform, so the inverse is the plain sum
     return np.fft.ifft(buf, norm="forward")
+
+
+def fast_len(m: int) -> int:
+    """Smallest 2^a 3^b 5^c >= m, m >= 1.
+
+    numpy's FFT runs these lengths by its mixed-radix kernels; a length with
+    a large prime factor falls back to Bluestein's algorithm, several times
+    slower and with longer scratch arrays. Pure Python, so that the certify
+    path does not pay for importing scipy.fft.
+    """
+    best = 1 << (m - 1).bit_length()
+    p5 = 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:
+            best = min(best, p35 << (-(-m // p35) - 1).bit_length())
+            p35 *= 3
+        p5 *= 5
+    return best
 
 
 def dirichlet_deriv(n: int, theta, order: int):

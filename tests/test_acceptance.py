@@ -21,8 +21,8 @@ from supres.bound_audit import check_master_bounds
 from supres.certificate import (AtomicMeasure, eval_eta, solve_certificate,
                                 verify_bounded)
 from supres.constants import c1_bound, eta_star, k_bound_value
-from supres.gram import (assemble_and_verify, lambda_min_AAtilde, norm_W,
-                         p_err, projector_PUperp)
+from supres.gram import (_projector_factor, assemble_and_verify, lambda_min_AAtilde,
+                         norm_W, p_err)
 from supres.spectrum import dense_extremes, spectrum_report
 
 _BATCH = []
@@ -82,7 +82,7 @@ def test_criterion_03_gram_identity():
     assert res["min_eig"] >= -1e-9
 
     m2 = AtomicMeasure(256, np.array([0.1, 0.5]), np.array([1.0 + 0j, -1.0 + 0j]))
-    w = norm_W(p_err(solve_certificate(m2), projector_PUperp(m2)))
+    w = norm_W(p_err(solve_certificate(m2), _projector_factor(m2)))
     assert w <= 1.0 / 256.0
     elapsed = time.perf_counter() - t0
     assert elapsed < 30.0

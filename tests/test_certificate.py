@@ -152,6 +152,25 @@ class TestEtaCoeffs:
             np.testing.assert_allclose(tp.eval(p, theta), cert.eval_eta(c, theta),
                                        atol=1e-11)
 
+    @pytest.mark.parametrize("n, size", [(1, 1), (2, 2), (7, 3), (1448, 20), (16384, 32)])
+    def test_blocked_tables_match_direct_sum(self, n, size):
+        # the coarse x fine split against the (2n+1) x |S| exponential table;
+        # either side's exponentials carry an error of a few eps times their
+        # argument, up to 2 pi (n + sqrt(2n+1)), on terms of size |a| + 2 pi n |b|
+        rng = np.random.default_rng(n)
+        atoms = np.sort(rng.uniform(0, 1, size))
+        m = cert.AtomicMeasure(n, atoms, np.ones(size, complex))
+        a = rng.normal(size=size) + 1j * rng.normal(size=size)
+        b = (rng.normal(size=size) + 1j * rng.normal(size=size)) / n
+        k = np.arange(-n, n + 1)
+        phases = np.exp(-2j * np.pi * np.outer(k, atoms))
+        want = (phases @ a + 2j * np.pi * k * (phases @ b)) / (2 * n + 1)
+        got = cert.eta_coeffs(cert.Certificate(m, a, b, n)).coeffs
+        scale = np.sum(np.abs(a) + 2 * np.pi * n * np.abs(b)) / (2 * n + 1)
+        eps = np.finfo(float).eps
+        bound = 8 * eps * 2 * np.pi * (n + np.sqrt(2 * n + 1)) * scale
+        np.testing.assert_allclose(got, want, rtol=0, atol=bound)
+
     def test_single_atom_coeffs_are_modulated_kernel(self):
         n = 20
         m = cert.AtomicMeasure(n, np.array([0.25]), np.array([1.0 + 0j]))
@@ -207,7 +226,7 @@ def dense_off_mask(atoms, n, G):
 def dense_verify_bounded(c, grid_mult=10):
     """The boundedness scan by pointwise kernel sums and a dense distance mask."""
     n = c.n
-    G = grid_mult * (2 * n + 1)
+    G = tp.fast_len(grid_mult * (2 * n + 1))
     theta = np.arange(G) / G
     vals = np.abs(cert.eval_eta(c, theta))
     off = dense_off_mask(c.measure.atoms, n, G)
@@ -222,12 +241,12 @@ class TestGridScan:
         (64, 1, 0.5, 10), (64, 3, 0.15, 7), (1448, 5, 0.1, 10), (1448, 20, 0.03, 10),
     ])
     def test_eval_grid_matches_pointwise(self, n, size, min_sep, grid_mult):
-        # G = grid_mult (2n+1) is never a power of two; at n = 1448 it is
-        # 28970 = 2 * 5 * 2897 with 2897 prime
+        # the scan's G, grid_mult (2n+1) rounded up to a 5-smooth length
+        # (28970 = 2 * 5 * 2897 becomes 29160 at n = 1448)
         rng = np.random.default_rng(n + size)
         c = cert.solve_certificate(random_measure(rng, n, size, min_sep))
         p = cert.eta_coeffs(c)
-        G = grid_mult * (2 * n + 1)
+        G = tp.fast_len(grid_mult * (2 * n + 1))
         grid = tp.eval_grid(p, G)
         idx = np.arange(G) if G < 2000 else rng.choice(G, 400, replace=False)
         theta = idx / G

@@ -190,6 +190,7 @@ class TestGram:
         assert rep["min_eig"] >= -1e-9
         assert rep["rank_deficiency"] == 2
         assert rep["sup_poly_err"] <= 1e-8
+        assert 0 < rep["cg_iters"] <= 200
 
     def test_separation_error_propagates(self, tmp_path, capsys):
         n = 64
@@ -214,9 +215,9 @@ class TestGram:
 
         real_p_err = gram.p_err
 
-        def off_range(c, P):
+        def off_range(c, f):
             kern = kernel_poly(c.n, c.measure.atoms[0]).coeffs
-            return tp.TrigPoly(2 * c.n, real_p_err(c, P).coeffs + 1e-3 * kern)
+            return tp.TrigPoly(2 * c.n, real_p_err(c, f).coeffs + 1e-3 * kern)
 
         monkeypatch.setattr(gram, "p_err", off_range)
         path = write_measure(tmp_path, 64, [0.15, 0.6], [1.0, 1.0j])

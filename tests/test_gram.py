@@ -11,6 +11,9 @@ from supres.certificate import (AtomicMeasure, Certificate, eval_eta, solve_cert
 from supres.gram import (
     IllConditioned,
     SingularGram,
+    _projector_factor,
+    _t_proj,
+    _t_ptp,
     assemble_and_verify,
     lambda_min_AAtilde,
     norm_W,
@@ -42,8 +45,22 @@ def hermitian_poly(rng, order):
 
 
 def perr_of(c):
-    """p_err of a certificate against its measure's projector."""
-    return p_err(c, projector_PUperp(c.measure))
+    """p_err of a certificate against its measure's projector factor."""
+    return p_err(c, _projector_factor(c.measure))
+
+
+def toep(z):
+    """Dense Toeplitz matrix with entries z_{k-l}, z on -2n..2n."""
+    d = (z.size + 1) // 2
+    idx = np.arange(d)
+    return z[idx[:, None] - idx[None, :] + d - 1]
+
+
+def x_corr_dense(m, pe):
+    """The coefficients x_corr returns, lifted to the dense X = P Toep(zeta) P."""
+    zeta, _ = x_corr(_projector_factor(m), pe)
+    P = projector_PUperp(m)
+    return P @ toep(zeta) @ P
 
 
 def is_hermitian(H, tol=1e-12):
@@ -70,14 +87,12 @@ def dense_x_corr(m, pe):
     pseudo-inverse of the weighted normal matrix, kernel cut at 1e-8."""
     from supres.gram import _sigma_matrix, _weights
 
-    n = m.n
     P = projector_PUperp(m)
-    rw = 1 / np.sqrt(_weights(n))
+    rw = 1 / np.sqrt(_weights(m.n))
     lam, V = np.linalg.eigh(rw[:, None] * _sigma_matrix(P) * rw[None, :])
     inv = np.where(lam > 1e-8 * lam[-1], 1 / lam, 0.0)
     zeta = rw * (V @ (inv * (V.conj().T @ (rw * np.conj(pe.coeffs)))))
-    idx = np.arange(2 * n + 1)
-    return P @ zeta[idx[:, None] - idx[None, :] + 2 * n] @ P
+    return P @ toep(zeta) @ P
 
 
 class TestOpT:
@@ -245,6 +260,33 @@ class TestOpA:
         np.testing.assert_allclose(S / w[None, :], cols, atol=1e-12)
 
 
+class TestFFTOperator:
+    @pytest.mark.parametrize("n, size", [(1, 0), (1, 1), (9, 2), (16, 5), (48, 0),
+                                         (48, 1), (48, 2), (48, 5), (33, 5)])
+    def test_matches_dense_oracle(self, n, size):
+        # T(P Toep(z) P) by FFT against op_A on the dense Toeplitz matrix,
+        # for random complex and Hermitian z, and T(P) against op_T(P)
+        rng = np.random.default_rng(100 * n + size)
+        spread = (np.arange(size) + rng.uniform(-0.1, 0.1, size)) / max(size, 1)
+        atoms = (rng.uniform() + spread) % 1
+        m = AtomicMeasure(n, tuple(atoms), (1.0,) * size)
+        f = _projector_factor(m)
+        P = projector_PUperp(m)
+        for z in (random_poly(rng, 2 * n).coeffs, hermitian_poly(rng, 2 * n).coeffs):
+            want = op_A(m, toep(z)).coeffs
+            np.testing.assert_allclose(_t_ptp(f, z), want, rtol=0,
+                                       atol=1e-13 * float(np.max(np.abs(want))))
+        np.testing.assert_allclose(_t_proj(f), op_T(P).coeffs, rtol=0, atol=1e-12 * n)
+
+    def test_factor_spans_projector_complement(self):
+        m = well_separated(np.random.default_rng(7), 40, 4)
+        V = _projector_factor(m).V
+        np.testing.assert_allclose(V.conj().T @ V, np.eye(4), atol=1e-12)
+        k = np.arange(-m.n, m.n + 1)
+        U = np.exp(2j * np.pi * np.outer(k, m.atoms))
+        np.testing.assert_allclose(V @ (V.conj().T @ U), U, atol=1e-10)
+
+
 class TestPErr:
     def test_empty_measure_zero(self):
         m = AtomicMeasure(16, (), ())
@@ -274,13 +316,13 @@ class TestPErr:
 class TestXCorr:
     def test_zero_input_zero_output(self):
         m = AtomicMeasure(16, (0.4,), (1.0,))
-        X = x_corr(projector_PUperp(m), tp.TrigPoly(32, np.zeros(65, dtype=complex)))
+        X = x_corr_dense(m, tp.TrigPoly(32, np.zeros(65, dtype=complex)))
         assert np.max(np.abs(X)) < 1e-14
 
     def test_residual_two_atoms(self):
         m = AtomicMeasure(128, (0.2, 0.6), (1.0, 1.0))
         pe = perr_of(solve_certificate(m))
-        X = x_corr(projector_PUperp(m), pe)
+        X = x_corr_dense(m, pe)
         assert is_hermitian(X, 1e-10)
         assert residual_rel(m, X, pe) <= 1e-8
 
@@ -302,7 +344,7 @@ class TestXCorr:
                 for pe in targets:
                     want = dense_x_corr(m, pe)
                     np.testing.assert_allclose(
-                        x_corr(projector_PUperp(m), pe), want, rtol=0,
+                        x_corr_dense(m, pe), want, rtol=0,
                         atol=1e-10 * float(np.max(np.abs(want))) + 1e-15,
                         err_msg=f"n={n}, |S|={size}")
 
@@ -314,14 +356,14 @@ class TestXCorr:
         pe = perr_of(solve_certificate(m))
         off = tp.TrigPoly(2 * m.n, pe.coeffs + 1e-3 * kernel_poly(m.n, m.atoms[0]).coeffs)
         with pytest.raises(IllConditioned, match="did not converge"):
-            x_corr(projector_PUperp(m), off)
+            x_corr(_projector_factor(m), off)
 
     def test_quadratic_form_reproduces_perr(self):
         # The correction is defined by psi* X psi = p_err pointwise, which
         # in diagonal-sum coefficients reads A(X) = conj(p_err).
         m = AtomicMeasure(48, (0.15, 0.62), (1.0, 1.0))
         pe = perr_of(solve_certificate(m))
-        X = x_corr(projector_PUperp(m), pe)
+        X = x_corr_dense(m, pe)
         grid = np.linspace(0, 1, 401)
         lhs = tp.eval(quad_form_poly(X), grid).real
         rhs = tp.eval(pe, grid).real
@@ -332,7 +374,7 @@ class TestXCorr:
         for _ in range(6):
             m = well_separated(rng, int(rng.integers(32, 72)), int(rng.integers(1, 4)))
             pe = perr_of(solve_certificate(m))
-            X = x_corr(projector_PUperp(m), pe)
+            X = x_corr_dense(m, pe)
             lam = lambda_min_AAtilde(m)
             fro = np.linalg.norm(X, "fro")
             assert fro <= norm_W(pe) / np.sqrt(lam) + 1e-12
@@ -340,7 +382,7 @@ class TestXCorr:
     def test_order_must_match(self):
         m = AtomicMeasure(16, (0.4,), (1.0,))
         with pytest.raises(ValueError):
-            x_corr(projector_PUperp(m), tp.TrigPoly(16, np.zeros(33, dtype=complex)))
+            x_corr(_projector_factor(m), tp.TrigPoly(16, np.zeros(33, dtype=complex)))
 
 
 class TestAssemble:
@@ -353,13 +395,13 @@ class TestAssemble:
         assert rep["residual_rel"] <= 1e-8
 
     def test_residual_matches_projected_form(self):
-        # residual_rel reads T(X) without the outer projectors; X = P Toep P
-        # is already projected, so it equals the op_A residual
+        # residual_rel comes from the FFT operator T(P Toep(zeta) P); it must
+        # equal the residual of the dense oracle op_A on the lifted correction
         for atoms in ((0.2, 0.6), (0.1, 0.45, 0.8)):
             m = AtomicMeasure(64, atoms, (1.0,) * len(atoms))
             c = solve_certificate(m)
             pe = perr_of(c)
-            want = residual_rel(m, x_corr(projector_PUperp(m), pe), pe)
+            want = residual_rel(m, x_corr_dense(m, pe), pe)
             assert assemble_and_verify(c)["residual_rel"] == pytest.approx(want, rel=1e-3, abs=1e-15)
 
     def test_single_atom_target_is_rounding_noise(self):
@@ -381,19 +423,24 @@ class TestAssemble:
             tracemalloc.stop()
         assert peak < 1_000_000
 
-    def test_memory_cap_admits_n_512(self, monkeypatch):
-        # stop right after the guard: the full n = 512 assembly takes seconds
-        class Reached(Exception):
-            pass
-
-        def stop(c, P):
-            raise Reached
-
-        monkeypatch.setattr(gram, "p_err", stop)
-        with pytest.raises(Reached):
-            assemble_and_verify(solve_certificate(AtomicMeasure(512, (0.3,), (1.0,))))
+    def test_memory_cap_admits_n_512(self):
+        rep = assemble_and_verify(solve_certificate(AtomicMeasure(512, (0.3, 0.61), (1.0, 1j))))
+        assert rep["gram"].shape == (1025, 1025)
+        assert rep["rank_deficiency"] == 2
+        assert rep["sup_poly_err"] <= 1e-8
         with pytest.raises(ValueError, match="GB"):
-            assemble_and_verify(solve_certificate(AtomicMeasure(1024, (0.3,), (1.0,))))
+            assemble_and_verify(solve_certificate(AtomicMeasure(4096, (0.3,), (1.0,))))
+
+    def test_cg_iteration_count(self):
+        # one atom: p_err is rounding noise below the CG floor, so CG stops
+        # before its first step
+        rep = assemble_and_verify(solve_certificate(AtomicMeasure(64, (0.37,), (1.0,))))
+        assert rep["cg_iters"] == 0
+        rng = np.random.default_rng(61)
+        for _ in range(4):
+            m = well_separated(rng, int(rng.integers(32, 128)), int(rng.integers(2, 5)))
+            iters = assemble_and_verify(solve_certificate(m))["cg_iters"]
+            assert 0 < iters <= 200
 
     def test_atoms_in_kernel(self):
         m = AtomicMeasure(64, (0.3, 0.75), (1.0, 1.0))
@@ -409,7 +456,7 @@ class TestAssemble:
         for _ in range(4):
             m = well_separated(rng, int(rng.integers(48, 96)), 2)
             c = solve_certificate(m)
-            X = x_corr(projector_PUperp(m), perr_of(c))
+            X = x_corr_dense(m, perr_of(c))
             if np.linalg.norm(X, "fro") <= 0.5 / (m.n + 1):
                 rep = assemble_and_verify(c)
                 assert rep["min_eig"] >= -1e-9
@@ -420,23 +467,25 @@ class TestAssemble:
         assert rep["rank_deficiency"] >= m.size
 
     def test_off_diagonal_perturbation_caught(self, monkeypatch):
-        # a Hermitian eps on entries (0, 1) and (1, 0) of Q moves the T(Q)
-        # coefficients at s = +-1 by eps each, so the l1 defect is 2 eps, and
-        # it bounds the pointwise defect everywhere
+        # a Hermitian eps on zeta at s = +-1 moves T(Q) by T(P Toep(delta) P),
+        # so the l1 defect is the l1 norm of that oracle image, and it bounds
+        # the pointwise defect of the dense Q everywhere
         eps = 1e-6
         real_x_corr = gram.x_corr
+        m = AtomicMeasure(64, (0.2, 0.6), (1.0, 1j))
+        delta = np.zeros(4 * m.n + 1, dtype=complex)
+        delta[2 * m.n - 1] = delta[2 * m.n + 1] = eps
 
-        def perturbed(P, perr):
-            X = real_x_corr(P, perr).copy()
-            X[0, 1] += eps
-            X[1, 0] += eps
-            return X
+        def perturbed(f, perr):
+            zeta, iters = real_x_corr(f, perr)
+            return zeta + delta, iters
 
         monkeypatch.setattr(gram, "x_corr", perturbed)
-        c = solve_certificate(AtomicMeasure(64, (0.2, 0.6), (1.0, 1j)))
+        c = solve_certificate(m)
         rep = assemble_and_verify(c)
         assert rep["sup_poly_err"] > 1e-8
-        assert rep["sup_poly_err"] == pytest.approx(2 * eps, rel=1e-6)
+        want = np.sum(np.abs(op_A(m, toep(delta)).coeffs))
+        assert rep["sup_poly_err"] == pytest.approx(want, rel=1e-6)
         theta = np.linspace(0.0, 1.0, 1001)
         pointwise = np.abs(tp.eval(quad_form_poly(rep["gram"]), theta).real
                            - (1.0 - np.abs(eval_eta(c, theta)) ** 2))
@@ -490,7 +539,7 @@ def test_correction_pipeline_property(n, size, seed):
     m = well_separated(np.random.default_rng(seed), n, size)
     c = solve_certificate(m)
     pe = perr_of(c)
-    X = x_corr(projector_PUperp(m), pe)
+    X = x_corr_dense(m, pe)
     assert residual_rel(m, X, pe) <= 1e-8
     lam = lambda_min_AAtilde(m)
     assert np.linalg.norm(X, "fro") <= norm_W(pe) / np.sqrt(lam) + 1e-12

@@ -16,6 +16,7 @@ SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "supres"
 ALLOWED = {
     # independent oracles that the fast paths are checked against
     "gram.op_A", "gram.op_Atilde_star", "gram.norm_W", "gram.lambda_min_AAtilde",
+    "gram.quad_form_poly",
     "trigpoly.eval", "spectrum.dense_extremes",
     "qk_operator.qk_entry", "qk_operator.qk_finite_n", "bound_audit.f_inner_quad",
     # measured-vs-analytic margins behind SeparationTooSmall, kept for reports

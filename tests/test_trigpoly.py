@@ -58,6 +58,21 @@ class TestEvalGrid:
         np.testing.assert_allclose(tp.eval_grid(p, G), tp.eval(p, np.arange(G) / G),
                                    rtol=0, atol=1e-11)
 
+    def test_fast_len_is_next_five_smooth(self):
+        def smooth(x):
+            for q in (2, 3, 5):
+                while x % q == 0:
+                    x //= q
+            return x == 1
+
+        for m in list(range(1, 3000)) + [28970, 81930, 327690]:
+            G = tp.fast_len(m)
+            assert G >= m and smooth(G), m
+            assert not any(smooth(x) for x in range(m, G)), m
+        # the scan sizes whose prime factors 2731 and 331 sent the FFT to Bluestein
+        assert tp.fast_len(81930) == 82944
+        assert tp.fast_len(327690) == 328050
+
     def test_grid_must_exceed_twice_the_order(self):
         p = random_poly(np.random.default_rng(0), 5)
         with pytest.raises(ValueError, match="needs > 10"):

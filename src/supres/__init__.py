@@ -5,7 +5,7 @@ Submodules:
 - trigpoly:    trigonometric polynomials, the Dirichlet kernel and derivatives
 - certificate: interpolating dual certificate construction and verification
 - gram:        Gram-matrix calculus (T, weighted inverse, projector, correction)
-- specfun:     Si/Ci, the logarithmic kernel E, Lambert W
+- specfun:     the logarithmic kernel E, Lambert W
 - qk_operator: the deviation operator in the Dirichlet basis, asymptotic
                entries, structured matvec, truncation budgets
 - spectrum:    Lanczos (ARPACK eigsh) with a-posteriori residual bounds

@@ -125,14 +125,6 @@ def projector_PUperp(m: AtomicMeasure) -> np.ndarray:
     return (P + P.conj().T) / 2
 
 
-def _t_proj(f: _Factor) -> np.ndarray:
-    """T(P) = dim delta_0 - sum_j corr(v_j, v_j), on -2n..2n."""
-    d = f.V.shape[0]
-    t = -_from_grid(ifft(np.sum(np.abs(f.spectra) ** 2, axis=0)), d - 1)
-    t[d - 1] += d
-    return t
-
-
 def _t_ptp(f: _Factor, z: np.ndarray) -> np.ndarray:
     """T(P Toep(z) P) for coefficients z on -2n..2n, by FFT.
 
@@ -191,20 +183,18 @@ def quad_form_poly(H: np.ndarray) -> tp.TrigPoly:
     return tp.TrigPoly(H.shape[0] - 1, np.conj(op_T(H).coeffs))
 
 
-def _one_minus_eta_sq(c: Certificate) -> np.ndarray:
-    """Coefficients of 1 - |eta|^2 on frequencies -2n..2n."""
-    e = eta_coeffs(c).coeffs
-    # |eta|^2 has coefficient s at convolution index 2n + s
-    one_minus = -np.convolve(e, np.conj(e)[::-1])
-    one_minus[2 * c.n] += 1.0
-    return one_minus
-
-
 def p_err(c: Certificate, f: _Factor) -> tp.TrigPoly:
     """Residual polynomial (1 - |eta|^2) - psi* P psi / dim, order 2n, for
-    the projector factor f of the measure."""
-    q_perp = np.conj(_t_proj(f)) / (2 * c.n + 1)
-    return tp.TrigPoly(2 * c.n, _one_minus_eta_sq(c) - q_perp)
+    the projector factor f of the measure.
+
+    With T(P) = dim delta_0 - sum_j corr(v_j, v_j) the constants cancel and
+    p_err = conj(sum_j corr(v_j, v_j)) / dim - corr(eta, eta), one inverse
+    FFT on f's grid; conjugating a correlation reverses its spectrum.
+    """
+    eta = fft(_to_grid(eta_coeffs(c).coeffs, f.spectra.shape[1]))
+    vv = np.sum(np.abs(f.spectra) ** 2, axis=0)
+    spec = np.roll(vv[::-1], 1) / (2 * c.n + 1) - np.abs(eta) ** 2
+    return tp.TrigPoly(2 * c.n, _from_grid(ifft(spec), 2 * c.n))
 
 
 def _sigma_matrix(P: np.ndarray) -> np.ndarray:

@@ -1,11 +1,10 @@
-"""Special functions: sine/cosine integrals, the logarithmic kernel E of the
-limit operator, and real Lambert W branches with a log-linear equation
-solver.
+"""Special functions: the logarithmic kernel E of the limit operator, and
+real Lambert W branches with a log-linear equation solver.
 
-Si/Ci delegate to scipy's sici (double precision over the whole axis), and
-every function built from them goes through that one call; the rest is
-implemented here because the branch handling and the root substitution are
-specific to how the toolkit consumes them.
+E is built from the sine and cosine integrals of scipy's sici (double
+precision over the whole axis); the rest is implemented here because the
+branch handling and the root substitution are specific to how the toolkit
+consumes them.
 """
 
 from __future__ import annotations
@@ -22,25 +21,6 @@ EULER_GAMMA = float(np.euler_gamma)
 
 class DomainError(ValueError):
     """Argument outside the domain of the requested function/branch."""
-
-
-def si(x):
-    """Sine integral, integral of sin(t)/t from 0 to x. Odd, si(inf) = pi/2."""
-    s, _ = sici(x)
-    if np.ndim(x) == 0:
-        return float(s)
-    return s
-
-
-def ci(x):
-    """Cosine integral for x > 0: -integral of cos(t)/t from x to infinity."""
-    arr = np.asarray(x, dtype=float)
-    if np.any(arr <= 0):
-        raise DomainError("ci is defined for positive arguments only")
-    _, c = sici(arr)
-    if np.ndim(x) == 0:
-        return float(c)
-    return c
 
 
 def e_kernel(c):

@@ -6,13 +6,12 @@ from hypothesis import given, settings, strategies as st
 
 import supres.gram as gram
 import supres.trigpoly as tp
-from supres.certificate import (AtomicMeasure, Certificate, eval_eta, solve_certificate,
-                               system_norm_bounds)
+from supres.certificate import (AtomicMeasure, Certificate, eta_coeffs, eval_eta,
+                               solve_certificate, system_norm_bounds)
 from supres.gram import (
     IllConditioned,
     SingularGram,
     _projector_factor,
-    _t_proj,
     _t_ptp,
     assemble_and_verify,
     lambda_min_AAtilde,
@@ -265,7 +264,8 @@ class TestFFTOperator:
                                          (48, 1), (48, 2), (48, 5), (33, 5)])
     def test_matches_dense_oracle(self, n, size):
         # T(P Toep(z) P) by FFT against op_A on the dense Toeplitz matrix,
-        # for random complex and Hermitian z, and T(P) against op_T(P)
+        # for random complex and Hermitian z, and p_err by FFT against
+        # (1 - |eta|^2) by np.convolve minus conj(op_T(P)) / dim
         rng = np.random.default_rng(100 * n + size)
         spread = (np.arange(size) + rng.uniform(-0.1, 0.1, size)) / max(size, 1)
         atoms = (rng.uniform() + spread) % 1
@@ -276,7 +276,11 @@ class TestFFTOperator:
             want = op_A(m, toep(z)).coeffs
             np.testing.assert_allclose(_t_ptp(f, z), want, rtol=0,
                                        atol=1e-13 * float(np.max(np.abs(want))))
-        np.testing.assert_allclose(_t_proj(f), op_T(P).coeffs, rtol=0, atol=1e-12 * n)
+        c = Certificate(m, rng.normal(size=size), rng.normal(size=size) / n, n)
+        e = eta_coeffs(c).coeffs
+        want = -np.convolve(e, np.conj(e)[::-1]) - np.conj(op_T(P).coeffs) / (2 * n + 1)
+        want[2 * n] += 1.0
+        np.testing.assert_allclose(p_err(c, f).coeffs, want, rtol=0, atol=1e-12 * n)
 
     def test_factor_spans_projector_complement(self):
         m = well_separated(np.random.default_rng(7), 40, 4)

@@ -17,29 +17,38 @@ SI_CI_REFERENCE = {
 }
 
 
+def si_ci(x):
+    """(Si(x), Ci(x)) for x > 0 read off the kernel: with c = x/pi,
+    Re E(c) = Ci(x) - gamma - ln(x) and Im E(c) = Si(x)."""
+    e = sf.e_kernel(np.asarray(x) / math.pi)
+    return e.imag, e.real + sf.EULER_GAMMA + np.log(x)
+
+
 class TestSiCi:
     def test_si_zero(self):
-        assert sf.si(0.0) == 0.0
+        assert sf.e_kernel(0.0) == 0
 
     def test_si_limit(self):
-        assert abs(sf.si(1e6) - math.pi / 2) <= 2e-6
+        s, _ = si_ci(1e6)
+        assert abs(s - math.pi / 2) <= 2e-6
 
     @pytest.mark.parametrize("x", sorted(SI_CI_REFERENCE))
     def test_frozen_values(self, x):
         s_ref, c_ref = SI_CI_REFERENCE[x]
-        assert sf.si(x) == pytest.approx(s_ref, abs=1e-11)
-        assert sf.ci(x) == pytest.approx(c_ref, abs=1e-11)
+        s, c = si_ci(x)
+        assert s == pytest.approx(s_ref, abs=1e-11)
+        assert c == pytest.approx(c_ref, abs=1e-11)
 
-    def test_ci_domain(self):
-        with pytest.raises(sf.DomainError):
-            sf.ci(0.0)
-        with pytest.raises(sf.DomainError):
-            sf.ci(-1.0)
+    def test_negative_argument_conjugates(self):
+        # Si is odd and Ci enters through |c|, so E(-c) = conj(E(c))
+        cs = np.array([0.5, 1.0, 7.0, 40.0]) / math.pi
+        np.testing.assert_array_equal(sf.e_kernel(-cs), np.conj(sf.e_kernel(cs)))
 
     def test_vectorized(self):
         xs = np.array([0.5, 1.0, 7.0])
-        assert np.allclose(sf.si(xs), [sf.si(float(v)) for v in xs])
-        assert np.allclose(sf.ci(xs), [sf.ci(float(v)) for v in xs])
+        s, c = si_ci(xs)
+        assert np.allclose(s, [si_ci(float(v))[0] for v in xs])
+        assert np.allclose(c, [si_ci(float(v))[1] for v in xs])
 
     def test_against_quadrature_sweep(self):
         # 200 log-spaced points; Si and Ci built up by piecewise smooth
@@ -56,9 +65,10 @@ class TestSiCi:
             si_acc += inc_s
             ci_acc += inc_c
             prev = x
-            assert abs(sf.si(float(x)) - si_acc) < 1e-9
+            s, c = si_ci(float(x))
+            assert abs(s - si_acc) < 1e-9
             ci_expected = sf.EULER_GAMMA + math.log(x) + ci_acc
-            assert abs(sf.ci(float(x)) - ci_expected) < 1e-9
+            assert abs(c - ci_expected) < 1e-9
 
 
 class TestEKernel:

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.sparse.linalg import eigsh
 
 from supres import qk_operator as qk
 from supres import spectrum as sp
@@ -45,66 +46,65 @@ def section_squared(op):
 
 class TestLanczosLargest:
     def test_identity(self):
-        res = sp.lanczos_extreme(lambda x: x, 16, "LA", seed=3)
-        assert res.value == pytest.approx(1.0, abs=1e-14)
-        assert res.residual == pytest.approx(0.0, abs=1e-14)
-        assert res.vector.shape == (16,)
+        _, top = sp.lanczos_extremes(lambda x: x, 16, seed=3)
+        assert top.value == pytest.approx(1.0, abs=1e-14)
+        assert top.residual == pytest.approx(0.0, abs=1e-14)
+        assert top.vector.shape == (16,)
 
     def test_diagonal_squared(self):
         D2 = np.diag([1.0, 4.0, 9.0])
-        res = sp.lanczos_extreme(matrix_apply(D2), 3, "LA", seed=0)
-        assert res.value == pytest.approx(9.0, abs=1e-12)
+        _, top = sp.lanczos_extremes(matrix_apply(D2), 3, seed=0)
+        assert top.value == pytest.approx(9.0, abs=1e-12)
 
     def test_estimate_within_residual_of_truth(self):
         rng = np.random.default_rng(4)
         B = rng.standard_normal((100, 100))
         A = B @ B.T  # PSD
-        res = sp.lanczos_extreme(matrix_apply(A), 100, "LA", tol=1e-6, seed=1)
+        _, top = sp.lanczos_extremes(matrix_apply(A), 100, tol=1e-6, seed=1)
         lam_true = np.linalg.eigvalsh(A)[-1]
-        assert abs(res.value - lam_true) <= res.residual + 1e-9
+        assert abs(top.value - lam_true) <= top.residual + 1e-9
 
-    def test_nonconvergence_carries_iterate(self):
+    def test_nonconvergence_raises(self):
         # two top eigenvalues 1e-12 apart cannot be split to rounding in one
         # Lanczos cycle, so ARPACK gives up at its restart cap
         d = np.linspace(0.0, 1.0, 200)
         d[-2] = 1.0 - 1e-12
-        with pytest.raises(sp.NonConvergence) as exc:
-            sp.lanczos_extreme(lambda x: d * x, 200, "LA", max_iter=1, seed=2)
-        err = exc.value
-        assert err.iters >= 20  # products of one full Lanczos cycle
-        assert err.vector.shape == (200,)
-        assert np.linalg.norm(err.vector) == pytest.approx(1.0)
-        assert 0.0 <= err.estimate <= 1.0
-        assert err.residual > 0
+        with pytest.raises(sp.NonConvergence, match="did not converge"):
+            sp.lanczos_extremes(lambda x: d * x, 200, max_iter=1, seed=2)
 
-    def test_residual_above_target_carries_ritz_vector(self):
+    def test_residual_above_target_raises(self):
         op = qk.build_operator(4)
-        with pytest.raises(sp.NonConvergence) as exc:
-            sp.lanczos_extreme(section_squared(op), op.dim, "LA", tol=1e-30, seed=0)
-        err = exc.value
-        assert err.vector.shape == (op.dim,)
-        assert err.residual > 1e-30
-        assert err.iters >= 2
-        _, hi = sp.dense_extremes(4)
-        assert err.estimate == pytest.approx(hi**2, abs=1e-12)
+        with pytest.raises(sp.NonConvergence, match="above the target"):
+            sp.lanczos_extremes(section_squared(op), op.dim, tol=1e-30, seed=0)
 
 
 class TestLanczosSmallest:
     def test_identity(self):
-        res = sp.lanczos_extreme(lambda x: x, 8, "SA", seed=0)
-        assert res.value == pytest.approx(1.0, abs=1e-14)
+        bottom, _ = sp.lanczos_extremes(lambda x: x, 8, seed=0)
+        assert bottom.value == pytest.approx(1.0, abs=1e-14)
 
     def test_diagonal(self):
         A = np.diag([1.0, 2.0, 3.0])
-        res = sp.lanczos_extreme(matrix_apply(A.T @ A), 3, "SA", seed=0)
-        assert np.sqrt(res.value) == pytest.approx(1.0, abs=1e-12)
+        bottom, _ = sp.lanczos_extremes(matrix_apply(A.T @ A), 3, seed=0)
+        assert np.sqrt(bottom.value) == pytest.approx(1.0, abs=1e-12)
 
     def test_section_matches_dense_svd(self):
         K = 40
         op = qk.build_operator(K)
-        res = sp.lanczos_extreme(section_squared(op), op.dim, "SA", seed=0)
+        bottom, _ = sp.lanczos_extremes(section_squared(op), op.dim, seed=0)
         dense_min, _ = sp.dense_extremes(K)
-        assert abs(res.value - dense_min**2) <= res.residual + 1e-12
+        assert abs(bottom.value - dense_min**2) <= bottom.residual + 1e-12
+
+
+class TestLanczosBothEnds:
+    @pytest.mark.parametrize("K", [4, 10, 40, 200])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_match_dense_svd(self, K, seed):
+        op = qk.build_operator(K)
+        bottom, top = sp.lanczos_extremes(section_squared(op), op.dim, seed=seed)
+        lo, hi = sp.dense_extremes(K)
+        assert abs(bottom.value - lo**2) <= bottom.residual + 1e-12
+        assert abs(top.value - hi**2) <= top.residual + 1e-12
 
 
 class TestReport:
@@ -137,10 +137,27 @@ class TestReport:
             assert abs(rep.sigma_max - hi) <= rep.residual_max + 1e-12
 
     def test_products_per_end(self):
-        # iters_* count M^T M products per end, the residual check included
+        # iters_* both count the M^T M products of the section's one Lanczos
+        # run, its two residual checks included
         rep = sp.spectrum_report(400)
         assert rep.iters_max <= 120
         assert rep.iters_min <= 120
+
+    def test_one_run_at_k4096(self):
+        # one Lanczos cycle of 20 products plus the residual checks
+        rep = sp.spectrum_report(4096)
+        assert rep.iters_min == rep.iters_max <= 25
+
+    def test_one_eigsh_call_per_section(self, monkeypatch):
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(kwargs.get("which"))
+            return eigsh(*args, **kwargs)
+
+        monkeypatch.setattr(sp, "eigsh", counted)
+        sp.spectrum_report(40)
+        assert calls == ["BE"]
 
     def test_stability_over_truncation(self):
         sigmas = []

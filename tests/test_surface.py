@@ -21,8 +21,6 @@ ALLOWED = {
     "qk_operator.qk_entry", "qk_operator.qk_finite_n", "bound_audit.f_inner_quad",
     # measured-vs-analytic margins behind SeparationTooSmall, kept for reports
     "certificate.coefficient_bounds", "certificate.neumann_bounds",
-    # the scalar Si/Ci of the documented specfun API
-    "specfun.si", "specfun.ci",
 }
 
 

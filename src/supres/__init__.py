@@ -2,14 +2,16 @@
 
 Submodules:
 
-- trigpoly:    trigonometric polynomials, the Dirichlet kernel and derivatives
+- trigpoly:    trigonometric polynomials, the Dirichlet kernel and derivatives,
+               the FFT coefficient layout
 - certificate: interpolating dual certificate construction and verification
 - gram:        Gram-matrix calculus (T, weighted inverse, projector, correction)
-- specfun:     the logarithmic kernel E, Lambert W
+- specfun:     the logarithmic kernel E
 - qk_operator: the deviation operator in the Dirichlet basis, asymptotic
-               entries, structured matvec, truncation budgets
+               entries, structured matvec
 - spectrum:    Lanczos (ARPACK eigsh) with a-posteriori residual bounds
-- constants:   reproductions of the scalar constants used by the bounds
+- constants:   the printed scalar inputs and the constants, curve and
+               truncation budgets reproduced from them
 - bound_audit: closed-form spot checks of the inner-integral master bounds
 - budget:      the one memory budget and BudgetExceeded
 - cli:         batch front-end

@@ -239,13 +239,8 @@ def _cmd_spectrum(args, out) -> int:
     return 0
 
 
-# section size at which the truncation budget is reported
-_BUDGET_K_TARGET = 1e13
-
-
 def _cmd_constants(args, out) -> int:
     from . import constants as ct
-    from . import qk_operator as qk
 
     rep = ct.constants_report()
     report = {
@@ -257,7 +252,7 @@ def _cmd_constants(args, out) -> int:
         "lam": _num(rep.lam),
         "eps": _num(rep.eps),
         "fK_samples": [[_num(k), _num(v)] for k, v in rep.fK_samples],
-        "truncation_budget": qk.truncation_budget(_BUDGET_K_TARGET),
+        "truncation_budget": rep.truncation_budget,
     }
     _emit_json(report, out, "constants")
     if out is not None:

@@ -76,29 +76,15 @@ class _Factor:
     """P = I - V V* on -n..n through its d x |S| factor V, with the spectra
     of V's columns (one row per atom) at an FFT length >= 4n+1.
 
-    Coefficients sit at index k mod length. Every product below is a
-    Toeplitz product, whose outputs -n..n come from lags -3n..3n, or a
-    correlation of two vectors on -n..n, with lags -2n..2n; at length 4n+1
-    or more the circular wrap reaches none of the kept outputs (the 4K+1
-    note of qk_operator.AsymptoticOperator).
+    Coefficients sit at index k mod length (`trigpoly.to_grid`). Every
+    product below is a Toeplitz product, whose outputs -n..n come from lags
+    -3n..3n, or a correlation of two vectors on -n..n, with lags -2n..2n; at
+    length 4n+1 or more the circular wrap reaches none of the kept outputs
+    (the 4K+1 note of qk_operator.AsymptoticOperator).
     """
 
     V: np.ndarray
     spectra: np.ndarray
-
-
-def _to_grid(x: np.ndarray, length: int) -> np.ndarray:
-    """Rows of coefficients on -h..h placed at index k mod length."""
-    h = (x.shape[-1] - 1) // 2
-    buf = np.zeros(x.shape[:-1] + (length,), dtype=np.complex128)
-    buf[..., : h + 1] = x[..., h:]
-    buf[..., length - h :] = x[..., :h]
-    return buf
-
-
-def _from_grid(buf: np.ndarray, h: int) -> np.ndarray:
-    """Coefficients -h..h of rows laid out as in _to_grid."""
-    return np.concatenate([buf[..., buf.shape[-1] - h :], buf[..., : h + 1]], axis=-1)
 
 
 def _projector_factor(m: AtomicMeasure) -> _Factor:
@@ -111,7 +97,7 @@ def _projector_factor(m: AtomicMeasure) -> _Factor:
         if np.linalg.cond(G) > 1e12:
             raise SingularGram("atom Gram matrix U*U is numerically singular")
         V = solve_triangular(np.linalg.cholesky(G), V.conj().T, lower=True).conj().T
-    return _Factor(V, fft(_to_grid(V.T, next_fast_len(4 * m.n + 1))))
+    return _Factor(V, fft(tp.to_grid(V.T, next_fast_len(4 * m.n + 1))))
 
 
 def projector_PUperp(m: AtomicMeasure) -> np.ndarray:
@@ -136,13 +122,13 @@ def _t_ptp(f: _Factor, z: np.ndarray) -> np.ndarray:
     V, spectra = f.V, f.spectra
     n = (V.shape[0] - 1) // 2
     size, length = spectra.shape
-    zf = fft(_to_grid(z, length))
-    both = _from_grid(ifft(np.concatenate([zf * spectra, np.conj(zf) * spectra])), n)
+    zf = fft(tp.to_grid(z, length))
+    both = tp.from_grid(ifft(np.concatenate([zf * spectra, np.conj(zf) * spectra])), n)
     tv, tsv = both[:size], both[size:]
     C = V.T.conj() @ tv.T
-    rows = fft(_to_grid(np.concatenate([tsv - C.conj() @ V.T, tv]), length))
+    rows = fft(tp.to_grid(np.concatenate([tsv - C.conj() @ V.T, tv]), length))
     cross = spectra * np.conj(rows[:size]) + rows[size:] * np.conj(spectra)
-    return _weights(n) * z - _from_grid(ifft(np.sum(cross, axis=0)), 2 * n)
+    return _weights(n) * z - tp.from_grid(ifft(np.sum(cross, axis=0)), 2 * n)
 
 
 def op_A(m: AtomicMeasure, X: np.ndarray) -> tp.TrigPoly:
@@ -191,10 +177,10 @@ def p_err(c: Certificate, f: _Factor) -> tp.TrigPoly:
     p_err = conj(sum_j corr(v_j, v_j)) / dim - corr(eta, eta), one inverse
     FFT on f's grid; conjugating a correlation reverses its spectrum.
     """
-    eta = fft(_to_grid(eta_coeffs(c).coeffs, f.spectra.shape[1]))
+    eta = fft(tp.to_grid(eta_coeffs(c).coeffs, f.spectra.shape[1]))
     vv = np.sum(np.abs(f.spectra) ** 2, axis=0)
     spec = np.roll(vv[::-1], 1) / (2 * c.n + 1) - np.abs(eta) ** 2
-    return tp.TrigPoly(2 * c.n, _from_grid(ifft(spec), 2 * c.n))
+    return tp.TrigPoly(2 * c.n, tp.from_grid(ifft(spec), 2 * c.n))
 
 
 def _sigma_matrix(P: np.ndarray) -> np.ndarray:

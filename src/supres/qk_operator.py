@@ -254,53 +254,3 @@ def qk_finite_n(K: int, n: int) -> np.ndarray:
         out[:, j2] = 2.0 * np.real(D * s1) - np.abs(D) ** 2 * p0
     return out
 
-
-_BUDGET_THRESHOLDS = {
-    "B1": 1e-4,
-    "B2": 0.01,
-    "B3": 0.01,
-    "B4": 0.02,
-    "B5": 0.1,
-    "B6": 0.1,
-}
-
-
-def _budget_bounds(K_target: float) -> dict:
-    """The six tail bounds as functions of the split point K1."""
-    C1 = 2500.0
-    zeta2 = np.pi**2 / 6.0
-    logk = np.log(K_target)
-    grow = C1 + C1 * logk
-    return {
-        "B1": lambda K1: 4.0 * np.sqrt(zeta2) / np.pi**3 * 100.0 * grow / K1**2,
-        "B2": lambda K1: 16.0 / np.pi**3 * 100.0 * grow / K1**2,
-        "B3": lambda K1: 8.5e4 / K1,
-        "B4": lambda K1: 1.35e5 / K1,
-        "B5": lambda K1: 7.54e9 / K1,
-        "B6": lambda K1: 1.46e9 / K1,
-    }
-
-
-def truncation_budget(K_target: float) -> dict:
-    """Smallest power-of-two split K1 driving each tail bound under its
-    threshold, for a run truncated at K_target.
-
-    Doubling search, so each reported K1 is within a factor 2 of the exact
-    crossover.
-    """
-    bounds = _budget_bounds(K_target)
-    report = {"K_target": float(K_target), "bounds": {}, "feasible": True}
-    for name, fn in bounds.items():
-        thr = _BUDGET_THRESHOLDS[name]
-        K1 = 1.0
-        while fn(K1) > thr and K1 < 2.0**60:
-            K1 *= 2.0
-        ok = fn(K1) <= thr
-        report["bounds"][name] = {
-            "threshold": thr,
-            "K1": K1,
-            "value_at_K1": float(fn(K1)),
-            "met": bool(ok),
-        }
-        report["feasible"] = report["feasible"] and ok
-    return report

@@ -1,10 +1,11 @@
 """Trigonometric polynomials and the centered Dirichlet kernel.
 
 A polynomial of order n is stored as the dense coefficient array c_k,
-k = -n..n, so that p(theta) = sum_k c_k exp(2i pi k theta). `eval_grid`
-samples it on a uniform grid by one inverse FFT, whose length `fast_len`
-rounds up to a 5-smooth number; `eval` sums the series at arbitrary points
-and is kept as its oracle. The kernel is the centered one,
+k = -n..n, so that p(theta) = sum_k c_k exp(2i pi k theta). For FFTs the
+array is laid out with c_k at index k mod length (`to_grid`, `from_grid`).
+`eval_grid` samples p on a uniform grid by one inverse FFT, whose length
+`fast_len` rounds up to a 5-smooth number; `eval` sums the series at
+arbitrary points and is kept as its oracle. The kernel is the centered one,
 
     D(theta) = sin((2n+1) pi theta) / ((2n+1) sin(pi theta)),
 
@@ -60,20 +61,33 @@ def eval(p: TrigPoly, theta):
     return out
 
 
+def to_grid(x: np.ndarray, length: int) -> np.ndarray:
+    """Rows of coefficients on -h..h placed at index k mod length: c_0..c_h
+    at the front of each row, c_-h..c_-1 at the back. This is the layout
+    every FFT of the package reads and writes; length must exceed 2h so the
+    two ends do not overlap."""
+    h = (x.shape[-1] - 1) // 2
+    buf = np.zeros(x.shape[:-1] + (length,), dtype=np.complex128)
+    buf[..., : h + 1] = x[..., h:]
+    buf[..., length - h :] = x[..., :h]
+    return buf
+
+
+def from_grid(buf: np.ndarray, h: int) -> np.ndarray:
+    """Coefficients -h..h of rows laid out as in to_grid."""
+    return np.concatenate([buf[..., buf.shape[-1] - h :], buf[..., : h + 1]], axis=-1)
+
+
 def eval_grid(p: TrigPoly, G: int) -> np.ndarray:
     """Values p(g/G), g = 0..G-1, by one zero-padded inverse FFT in O(G log G).
 
-    The length-G buffer holds c_0..c_n at the front and c_-n..c_-1 at the
-    back; G must exceed 2n so the two ends do not overlap.
+    G must exceed 2n so that the to_grid layout holds the 2n+1 coefficients.
     """
     n = p.n
     if G <= 2 * n:
         raise ValueError(f"grid of {G} points cannot hold order {n} (needs > {2 * n})")
-    buf = np.zeros(G, dtype=np.complex128)
-    buf[: n + 1] = p.coeffs[n:]
-    buf[G - n :] = p.coeffs[:n]
     # "forward" puts the 1/G on the forward transform, so the inverse is the plain sum
-    return np.fft.ifft(buf, norm="forward")
+    return np.fft.ifft(to_grid(p.coeffs, G), norm="forward")
 
 
 def fast_len(m: int) -> int:

@@ -20,7 +20,8 @@ from supres import qk_operator as qk
 from supres.bound_audit import check_master_bounds
 from supres.certificate import (AtomicMeasure, eval_eta, solve_certificate,
                                 verify_bounded)
-from supres.constants import c1_bound, eta_star, k_bound_value
+from supres.constants import (_budget_bounds, c1_bound, eta_star, k_bound_value,
+                              truncation_budget)
 from supres.gram import (_projector_factor, assemble_and_verify, lambda_min_AAtilde,
                          norm_W, p_err)
 from supres.spectrum import dense_extremes, spectrum_report
@@ -206,9 +207,9 @@ def test_criterion_07_constants():
 
 
 def test_criterion_08_truncation_budgets():
-    budget = qk.truncation_budget(1e13)
+    budget = truncation_budget(1e13)
     assert budget["feasible"]
-    bounds = qk._budget_bounds(1e13)
+    bounds = _budget_bounds(1e13)
     printed = {"B1": 1e6, "B2": 1e6, "B3": 1e7, "B4": 1e7,
                "B5": 7.54e10, "B6": 1.46e10}
     for name, k1_printed in printed.items():

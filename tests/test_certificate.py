@@ -2,7 +2,7 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from supres import certificate as cert
 from supres import trigpoly as tp
@@ -349,6 +349,36 @@ class TestNeumannBounds:
             assert entry["measured"] <= entry["bound"] + 1e-12, name
         assert report["dev_UU"]["bound"] == pytest.approx(2 * np.log(2) / (257 * 0.4))
         assert report["bound_D2"]["bound"] == pytest.approx(9 * np.log(2) / (4 * 0.4 * 128))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    n=st.integers(min_value=16, max_value=2048),
+    seed=st.integers(min_value=0, max_value=2**31),
+    size=st.integers(min_value=1, max_value=12),
+    grid_mult=st.integers(min_value=4, max_value=12),
+)
+def test_certified_implies_bounded_off_the_windows(n, seed, size, grid_mult):
+    # the scan samples only the grid; check |eta| < 1 between its points,
+    # in the band 1/n .. 1/n + 3/G outside each atom's window (whose nearest
+    # grid points may lie inside the window) and at random points off every
+    # window
+    rng = np.random.default_rng(seed)
+    min_sep = 1.05 * (np.sqrt(3) + 9 / 4) * np.log(size) / n if size > 1 else 0.0
+    assume(min_sep * size < 0.9)
+    m = random_measure(rng, n, size, min_sep)
+    c = cert.solve_certificate(m)
+    if not cert.verify_bounded(c, grid_mult=grid_mult)["certified"]:
+        return
+    G = tp.fast_len(grid_mult * (2 * n + 1))
+    band = 1.0 / n + np.linspace(0.0, 3.0 / G, 25)
+    theta = np.concatenate([m.atoms[:, None] + band, m.atoms[:, None] - band]).ravel() % 1.0
+    dist = np.abs(theta[:, None] - m.atoms[None, :]) % 1.0
+    theta = theta[np.min(np.minimum(dist, 1.0 - dist), axis=1) >= 1.0 / n]
+    far = rng.uniform(0.0, 1.0, 2000)
+    dist = np.abs(far[:, None] - m.atoms[None, :]) % 1.0
+    far = far[np.min(np.minimum(dist, 1.0 - dist), axis=1) > 1.0 / n]
+    assert np.max(np.abs(cert.eval_eta(c, np.concatenate([theta, far])))) < 1.0
 
 
 @settings(max_examples=60, deadline=None)

@@ -15,7 +15,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from supres import cli
-from supres.qk_operator import qk_entry, truncation_budget
+from supres.constants import truncation_budget
+from supres.qk_operator import qk_entry
 from supres.spectrum import SpectrumReport
 
 

@@ -3,7 +3,6 @@ import math
 import pytest
 
 from supres import constants as co
-from supres import specfun as sf
 
 
 class TestC1Bound:
@@ -17,27 +16,6 @@ class TestC1Bound:
         kappa = (3.0 + 3.0 / 300.0) / 0.9
         for x in (small, large):
             assert x == pytest.approx(kappa * (152.0 + 76.0 * math.log(x)), rel=1e-6)
-
-    def test_no_log_term(self):
-        small, large = co.c1_bound(M2=0.0)
-        expect = (3.0 + 3.0 / 300.0) / 0.9 * 152.0
-        assert small == large == pytest.approx(expect, rel=1e-12)
-
-    def test_rejects_bad_parameters(self):
-        with pytest.raises(ValueError):
-            co.c1_bound(lam=0.0)
-        with pytest.raises(ValueError):
-            co.c1_bound(M1=-3.0)
-
-    def test_substitution_constants_of_scaled_variant(self):
-        # the heavier 24/0.9 scaling with the +3 shift on the linear constant
-        # produces the substitution triple whose magnitudes circulate with
-        # this equation: r1 ~ -2026.67, |r2| = 155/76 ~ 2.0395
-        sol = sf.solve_loglinear(1.0, -24.0 * 76.0 / 0.9, -24.0 * 155.0 / 0.9)
-        assert sol.r1 == pytest.approx(-2026.67, abs=0.01)
-        assert abs(sol.r2) == pytest.approx(2.0395, abs=1e-4)
-        assert sol.r1 * sol.r3 == pytest.approx(1.0, rel=1e-12)
-        assert sol.r3 == pytest.approx(-4.934e-4, abs=1e-6)
 
 
 class TestEtaStar:
@@ -92,3 +70,44 @@ class TestReport:
 
     def test_bitwise_reproducible(self):
         assert co.constants_report() == co.constants_report()
+
+    def test_carries_the_budget_at_the_target(self):
+        rep = co.constants_report()
+        assert co.K_TARGET == 1e13
+        assert rep.truncation_budget == co.truncation_budget(1e13)
+
+
+class TestBudget:
+    def test_default_thresholds_met(self):
+        rep = co.truncation_budget(1e13)
+        assert rep["feasible"]
+        k1 = {name: b["K1"] for name, b in rep["bounds"].items()}
+        assert k1 == {
+            "B1": 2.0**17,
+            "B2": 2.0**15,
+            "B3": 2.0**24,
+            "B4": 2.0**23,
+            "B5": 2.0**37,
+            "B6": 2.0**34,
+        }
+
+    def test_each_bound_met_within_factor_two(self):
+        rep = co.truncation_budget(1e13)
+        bounds = co._budget_bounds(1e13)
+        for name, b in rep["bounds"].items():
+            assert b["value_at_K1"] <= b["threshold"]
+            if b["K1"] > 1:
+                assert bounds[name](b["K1"] / 2.0) > b["threshold"]
+
+    def test_closed_form_spot_values(self):
+        bounds = co._budget_bounds(1e13)
+        assert bounds["B3"](1e7) <= 0.01
+        assert bounds["B4"](1e7) <= 0.02
+        assert bounds["B5"](7.54e10) <= 0.1
+        assert bounds["B6"](1.46e10) <= 0.1
+
+    def test_growth_with_target(self):
+        # the log K factor makes the quadratic bounds need a larger split
+        lo = co.truncation_budget(1e8)["bounds"]["B1"]["K1"]
+        hi = co.truncation_budget(1e13)["bounds"]["B1"]["K1"]
+        assert hi >= lo

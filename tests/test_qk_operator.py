@@ -227,38 +227,3 @@ class TestMatvec:
         assert np.max(np.abs(qk.matvec(op, x) - A @ x)) < 1e-11 * scale
         assert np.max(np.abs(qk.matvec_transpose(op, x) - A.T @ x)) < 1e-11 * scale
 
-
-class TestBudget:
-    def test_default_thresholds_met(self):
-        rep = qk.truncation_budget(1e13)
-        assert rep["feasible"]
-        k1 = {name: b["K1"] for name, b in rep["bounds"].items()}
-        assert k1 == {
-            "B1": 2.0**17,
-            "B2": 2.0**15,
-            "B3": 2.0**24,
-            "B4": 2.0**23,
-            "B5": 2.0**37,
-            "B6": 2.0**34,
-        }
-
-    def test_each_bound_met_within_factor_two(self):
-        rep = qk.truncation_budget(1e13)
-        bounds = qk._budget_bounds(1e13)
-        for name, b in rep["bounds"].items():
-            assert b["value_at_K1"] <= b["threshold"]
-            if b["K1"] > 1:
-                assert bounds[name](b["K1"] / 2.0) > b["threshold"]
-
-    def test_closed_form_spot_values(self):
-        bounds = qk._budget_bounds(1e13)
-        assert bounds["B3"](1e7) <= 0.01
-        assert bounds["B4"](1e7) <= 0.02
-        assert bounds["B5"](7.54e10) <= 0.1
-        assert bounds["B6"](1.46e10) <= 0.1
-
-    def test_growth_with_target(self):
-        # the log K factor makes the quadratic bounds need a larger split
-        lo = qk.truncation_budget(1e8)["bounds"]["B1"]["K1"]
-        hi = qk.truncation_budget(1e13)["bounds"]["B1"]["K1"]
-        assert hi >= lo

@@ -2,7 +2,6 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
 from supres import specfun as sf
@@ -94,74 +93,3 @@ class TestEKernel:
         np.testing.assert_array_equal(vec.real, vec.real[::-1])
         np.testing.assert_array_equal(vec.imag, -vec.imag[::-1])
 
-
-class TestLambert:
-    def test_special_points(self):
-        assert sf.lambert_w(0, 0.0) == 0.0
-        assert sf.lambert_w(0, math.e) == pytest.approx(1.0, abs=1e-14)
-        assert sf.lambert_w(-1, -1.0 / math.e) == pytest.approx(-1.0, abs=1e-7)
-        assert sf.lambert_w(0, -1.0 / math.e) == pytest.approx(-1.0, abs=1e-7)
-
-    def test_domain_errors(self):
-        with pytest.raises(sf.DomainError):
-            sf.lambert_w(0, -0.5)
-        with pytest.raises(sf.DomainError):
-            sf.lambert_w(-1, 0.1)
-        with pytest.raises(sf.DomainError):
-            sf.lambert_w(1, 2.0)
-
-    @settings(max_examples=200, deadline=None)
-    @given(x=st.floats(-1.0 / math.e + 1e-12, 1e6, allow_nan=False))
-    def test_branch0_defining_equation(self, x):
-        w = sf.lambert_w(0, x)
-        assert abs(w * math.exp(w) - x) <= 1e-12 * max(1.0, abs(x))
-
-    @settings(max_examples=200, deadline=None)
-    @given(x=st.floats(-1.0 / math.e + 1e-10, -1e-12, allow_nan=False))
-    def test_branchm1_defining_equation(self, x):
-        w = sf.lambert_w(-1, x)
-        assert w <= -1.0 + 1e-6
-        assert abs(w * math.exp(w) - x) <= 1e-12 * max(1.0, abs(x))
-
-    def test_branches_bracket_minus_one(self):
-        for x in (-0.05, -0.2, -0.3):
-            assert sf.lambert_w(0, x) > -1.0
-            assert sf.lambert_w(-1, x) < -1.0
-
-
-class TestSolveLoglinear:
-    def test_substitution_identity(self):
-        sol = sf.solve_loglinear(1.0, -24 * 76 / 0.9, -24 * 155 / 0.9)
-        # reference values for this instance (large negative r1, |r2| just
-        # over 2, tiny r3 with r1*r3 = 1 by construction)
-        assert sol.r1 == pytest.approx(-2026.666, abs=0.01)
-        assert abs(sol.r2) == pytest.approx(2.0395, abs=1e-3)
-        assert sol.r1 * sol.r3 == pytest.approx(1.0, abs=1e-12)
-        assert sol.r3 == pytest.approx(-4.934e-4, abs=1e-6)
-
-    @settings(max_examples=100, deadline=None)
-    @given(
-        a1=st.floats(0.1, 10),
-        a2=st.floats(-200, -0.5),
-        a3=st.floats(-500, -0.5),
-    )
-    def test_roots_satisfy_equation(self, a1, a2, a3):
-        try:
-            sol = sf.solve_loglinear(a1, a2, a3)
-        except sf.NoRealRoot:
-            return
-        for x in (sol.x0, sol.xm1):
-            if x is None:
-                continue
-            resid = a1 * x + a2 * math.log(x) + a3
-            assert abs(resid) <= 1e-6 * (abs(a1 * x) + abs(a3))
-
-    def test_linear_degenerate(self):
-        sol = sf.solve_loglinear(2.0, 0.0, -3.0)
-        assert sol.x0 == pytest.approx(1.5)
-        assert sol.xm1 is None
-
-    def test_no_real_root(self):
-        # a1 x + a2 log x + a3 with a minimum above zero
-        with pytest.raises(sf.NoRealRoot):
-            sf.solve_loglinear(1.0, -1.0, 10.0)

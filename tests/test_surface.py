@@ -1,11 +1,11 @@
-"""Every public function of the package has a caller inside it, or is on a
-short named list.
+"""Every public function and class of the package has a reference inside it,
+or is on a short named list.
 
-A public module-level function of src/supres that no code of the package
-uses (as a name, an attribute or an import) is surface that only the tests
-keep alive. Docstrings and comments do not count as uses. The allowed set
-below is exact: a new function without a caller fails here, and so does a
-listed one that gains a caller.
+A public module-level function or class of src/supres that no code of the
+package uses (as a name, an attribute or an import) is surface that only the
+tests keep alive. Docstrings and comments do not count as uses. The allowed
+sets below are exact: a new function or class without a reference fails
+here, and so does a listed one that gains a reference.
 """
 
 import ast
@@ -23,13 +23,17 @@ ALLOWED = {
     "certificate.coefficient_bounds", "certificate.neumann_bounds",
 }
 
+ALLOWED_CLASSES = set()
 
-def unreferenced_functions() -> set:
+
+def unreferenced(kind) -> set:
+    """Public module-level definitions of the given ast node type whose name
+    the package never uses."""
     defined, used = {}, set()
     for path in sorted(SRC.glob("*.py")):
         tree = ast.parse(path.read_text())
         for node in tree.body:
-            if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
+            if isinstance(node, kind) and not node.name.startswith("_"):
                 defined[f"{path.stem}.{node.name}"] = node.name
         for node in ast.walk(tree):
             if isinstance(node, ast.Name):
@@ -42,4 +46,8 @@ def unreferenced_functions() -> set:
 
 
 def test_functions_without_callers_are_the_listed_ones():
-    assert unreferenced_functions() == ALLOWED
+    assert unreferenced(ast.FunctionDef) == ALLOWED
+
+
+def test_classes_without_references_are_the_listed_ones():
+    assert unreferenced(ast.ClassDef) == ALLOWED_CLASSES

@@ -78,6 +78,16 @@ class TestEvalGrid:
         with pytest.raises(ValueError, match="needs > 10"):
             tp.eval_grid(p, 10)
 
+    @pytest.mark.parametrize("h, length", [(0, 1), (0, 4), (3, 7), (3, 16)])
+    def test_layout_round_trip(self, h, length):
+        # rows of coefficients -h..h, coefficient k at index k mod length
+        x = np.random.default_rng(h + length).normal(size=(2, 2 * h + 1)) + 0j
+        buf = tp.to_grid(x, length)
+        k = np.arange(-h, h + 1)
+        np.testing.assert_array_equal(buf[:, k % length], x)
+        assert np.count_nonzero(buf) == x.size
+        np.testing.assert_array_equal(tp.from_grid(buf, h), x)
+
 
 @settings(max_examples=100, deadline=None)
 @given(

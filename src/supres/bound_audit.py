@@ -39,8 +39,9 @@ _KERNEL_BYTES_PER_TERM = 33
 # index, the phase and its exponential (40.0 measured with getrusage at n = 2e6)
 _QUAD_BYTES_PER_TERM = 40
 
-# bytes per audited sample: its two report rows (1075 measured with getrusage
-# over 110000 and 220000 samples)
+# bytes per audited sample: its two report rows (718-720 measured with
+# getrusage over 110000 and 220000 samples at n = 4; budgeted at 1100, which
+# keeps the documented cap of about 900000 samples)
 _SAMPLE_BYTES = 1100
 
 _U = 2.0**-53  # unit roundoff of IEEE double precision
@@ -307,13 +308,29 @@ def _proposal(label: str, n: int, rng) -> tuple[float, float]:
     raise RuntimeError(f"proposal box for {label} failed at n={n}")
 
 
+# a violation is hard when the measured part exceeds HARD_FACTOR times its
+# bound; a violation within the factor is reported but does not fail the audit
+HARD_FACTOR = 2.0
+
+
 @dataclass(frozen=True)
 class AuditReport:
+    """The audit report. violations lists the violating samples, one row
+    (domain, s, theta, measured, bound) each; hard_violation_count counts
+    those beyond HARD_FACTOR times their bound. Margins are
+    (bound - measured)/bound over all samples, per_domain_min per part of a
+    subdomain ("D0+/Re", ...); eval_err_max is the largest rounding bound
+    of f_inner."""
+
     n: int
     samples: int
-    violations: tuple[dict, ...]
-    margin_stats: dict
+    violation_count: int
+    hard_violation_count: int
+    min_margin: float
+    mean_margin: float
+    per_domain_min: dict
     eval_err_max: float
+    violations: tuple[dict, ...]
 
 
 def check_master_bounds(n: int, sample_count: int = 110, seed=0) -> AuditReport:
@@ -334,37 +351,31 @@ def check_master_bounds(n: int, sample_count: int = 110, seed=0) -> AuditReport:
     per = sample_count // len(DOMAINS)
     check_budget(_SAMPLE_BYTES * per * len(DOMAINS), f"audit of {sample_count} samples")
     rng = np.random.default_rng(seed)
+    # rows (domain, s, theta, measured, bound, rounding bound)
     rows = []
     for label in DOMAINS:
         for _ in range(per):
             s, th = _proposal(label, n, rng)
             val, err = f_inner(s, th, n)
-            for part, measured, bound in (
-                ("Re", abs(val.real), bound_real(label, s, th, n)),
-                ("Im", abs(val.imag), bound_imag(label, s, th, n)),
-            ):
-                rows.append({
-                    "domain": f"{label}/{part}",
-                    "s": s,
-                    "theta": th,
-                    "measured": measured,
-                    "bound": bound,
-                    "eval_err": err,
-                })
-    rows.sort(key=lambda r: (r["domain"], r["s"], r["theta"]))
-    violations = tuple(r for r in rows if r["measured"] > r["bound"] + r["eval_err"])
-    margins = [(r["bound"] - r["measured"]) / r["bound"] for r in rows if r["bound"] > 0]
-    per_domain: dict[str, float] = {}
-    for r in rows:
-        if r["bound"] > 0:
-            m = (r["bound"] - r["measured"]) / r["bound"]
-            key = r["domain"]
-            per_domain[key] = min(per_domain.get(key, math.inf), m)
-    stats = {
-        "min_margin": min(margins),
-        "mean_margin": float(np.mean(margins)),
-        "per_domain_min": per_domain,
-    }
-    return AuditReport(n=n, samples=len(rows) // 2, violations=violations,
-                       margin_stats=stats,
-                       eval_err_max=max(r["eval_err"] for r in rows))
+            rows.append((f"{label}/Re", s, th, abs(val.real), bound_real(label, s, th, n), err))
+            rows.append((f"{label}/Im", s, th, abs(val.imag), bound_imag(label, s, th, n), err))
+    rows.sort(key=lambda r: r[:3])
+    keys = ("domain", "s", "theta", "measured", "bound")
+    violations = tuple(dict(zip(keys, r)) for r in rows if r[3] > r[4] + r[5])
+    margins, per_domain = [], {}
+    for domain, _, _, measured, bound, _ in rows:
+        if bound > 0:
+            margin = (bound - measured) / bound
+            margins.append(margin)
+            per_domain[domain] = min(per_domain.get(domain, math.inf), margin)
+    return AuditReport(
+        n=n,
+        samples=len(rows) // 2,
+        violation_count=len(violations),
+        hard_violation_count=sum(v["measured"] > HARD_FACTOR * v["bound"] for v in violations),
+        min_margin=min(margins),
+        mean_margin=float(np.mean(margins)),
+        per_domain_min=per_domain,
+        eval_err_max=max(r[5] for r in rows),
+        violations=violations,
+    )

@@ -4,9 +4,10 @@ Given an atomic measure with unit-modulus signs, build the trigonometric
 polynomial eta(theta) = sum_j a_j D(theta - tau_j) + b_j D'(theta - tau_j)
 (D the centered Dirichlet kernel of cutoff n) satisfying eta(tau_j) = sign_j
 and eta'(tau_j) = 0, then verify |eta| < 1 away from the atoms on a dense
-grid with a Lipschitz safety margin. The grid values come from one inverse
-FFT of eta's 2n+1 coefficients, O(n log n); `eval_eta` sums the kernels
-pointwise, O(|S|) per point, and serves the checks at the atoms.
+grid with a Lipschitz safety margin (`verify_bounded`, whose dict is the
+certify report). The grid values come from one inverse FFT of eta's 2n+1
+coefficients, O(n log n); `eval_eta` sums the kernels pointwise, O(|S|) per
+point, and serves the checks at the atoms.
 """
 
 from __future__ import annotations
@@ -176,31 +177,6 @@ def system_norm_bounds(m: AtomicMeasure) -> dict:
     return {"b0": b0, "b1": b1, "b2": b2, "operator_norm": max(b0 + b1, b1 + b2)}
 
 
-def coefficient_bounds(m: AtomicMeasure) -> dict:
-    """Bounds on the solved certificate coefficients.
-
-    a_bound = 1 + eps1 with eps1 the closed-form row-sum estimate in terms of
-    (|S|, n, separation). gamma_b_bound comes from the block elimination
-    b = -D2^{-1} D1 (D0 - D1 D2^{-1} D1)^{-1} v, whose infinity norms are
-    computed from the actual kernel matrices, so it holds by
-    submultiplicativity whenever the Schur complement is invertible.
-    """
-    logS = _log_s(m.size)
-    if logS == 0.0:
-        return {"eps1": 0.0, "a_bound": 1.0, "gamma_b_bound": 0.0}
-    r = logS / (m.separation * m.n)
-    if 9 * r / 4 >= 1.0:
-        return {"eps1": np.inf, "a_bound": np.inf, "gamma_b_bound": np.inf}
-    h = 1.0 / (1.0 - 9 * r / 4)
-    eps1 = r / 4 + 3 * r**2 * h
-
-    D0, D1, D2 = _kernel_blocks(m)
-    d2inv_d1 = np.linalg.solve(D2, D1)
-    schur_inv = np.linalg.inv(D0 - D1 @ d2inv_d1)
-    gb = _gamma(m.n) * np.linalg.norm(d2inv_d1, np.inf) * np.linalg.norm(schur_inv, np.inf)
-    return {"eps1": eps1, "a_bound": 1.0 + eps1, "gamma_b_bound": float(gb)}
-
-
 def solve_certificate(m: AtomicMeasure) -> Certificate:
     bounds = system_norm_bounds(m)
     if bounds["operator_norm"] >= 1.0:
@@ -221,9 +197,9 @@ def solve_certificate(m: AtomicMeasure) -> Certificate:
 
 
 def eval_eta(c: Certificate, theta, deriv_order: int = 0):
-    """Evaluate eta or one of its first two derivatives at theta (scalar or array)."""
-    if deriv_order not in (0, 1, 2):
-        raise ValueError("deriv_order must be 0, 1 or 2")
+    """Evaluate eta (deriv_order 0) or eta' (1) at theta (scalar or array)."""
+    if deriv_order not in (0, 1):
+        raise ValueError("deriv_order must be 0 or 1")
     th = np.atleast_1d(np.asarray(theta, dtype=float))
     out = np.zeros(th.shape, dtype=np.complex128)
     for tau, aj, bj in zip(c.measure.atoms, c.a, c.b):
@@ -275,8 +251,13 @@ def _off_atom_mask(atoms: np.ndarray, n: int, G: int) -> np.ndarray:
     return off
 
 
+# largest atom residual max_j |eta(tau_j) - sign_j| that certified accepts:
+# beyond it the solve has lost the interpolation the certificate rests on
+INTERP_TOL = 1e-6
+
+
 def verify_bounded(c: Certificate, grid_mult: int = 10) -> dict:
-    """Check |eta| < 1 away from the atoms.
+    """The certify report: check |eta| < 1 away from the atoms.
 
     Samples |eta| on G points, grid_mult*(2n+1) rounded up to a 5-smooth
     length (`trigpoly.fast_len`), by one zero-padded inverse FFT of its
@@ -284,33 +265,48 @@ def verify_bounded(c: Certificate, grid_mult: int = 10) -> dict:
     neighborhood of each atom (main lobe plus first sidelobe), and adds the
     crude Lipschitz slack pi*n*max|c_k|/grid_mult covering the gap between
     adjacent samples. The slack is at least max|eta'| times half the spacing
-    1/(grid_mult*(2n+1)), so it also covers the finer spacing 1/G. certified
-    is True when grid max + slack < 1.
+    1/(grid_mult*(2n+1)), so it also covers the finer spacing 1/G.
+
+    Keys: atom_count, n, separation and deviation_bound (the measure and its
+    `system_norm_bounds` operator norm); interp_err and deriv_err, the
+    largest |eta - sign| and |eta'| at the atoms; sup_off_atom and argmax,
+    the grid max off the atoms and its point (NaN when no grid point is off
+    the atoms); certified, True when grid max + slack < 1 and interp_err is
+    at most INTERP_TOL.
     Raises BudgetExceeded, before allocating, when the scan would exceed the
     memory budget.
     """
     if grid_mult < 4:
         raise ValueError("grid_mult must be at least 4")
-    n = c.n
+    m, n = c.measure, c.n
     G = tp.fast_len(grid_mult * (2 * n + 1))
     check_budget(_SCAN_BYTES_PER_POINT * G,
                  f"boundedness scan at n={n}, grid_mult={grid_mult}")
     p = eta_coeffs(c)
     vals = np.abs(tp.eval_grid(p, G))
-    off = _off_atom_mask(c.measure.atoms, n, G)
+    off = _off_atom_mask(m.atoms, n, G)
 
     max_c = float(np.max(np.abs(p.coeffs)))
     slack = np.pi * n * max_c / grid_mult
 
-    if not np.any(off):
-        return {"sup_off_atom": np.nan, "argmax": np.nan, "certified": False}
-    idx = int(np.argmax(np.where(off, vals, -np.inf)))
-    sup_off = float(vals[idx])
-    return {
-        "sup_off_atom": sup_off,
-        "argmax": idx / G,
-        "certified": bool(sup_off + slack < 1.0),
+    interp_err = float(np.max(np.abs(eval_eta(c, m.atoms) - m.signs)))
+    report = {
+        "atom_count": m.size,
+        "n": n,
+        "separation": m.separation,
+        "deviation_bound": system_norm_bounds(m)["operator_norm"],
+        "interp_err": interp_err,
+        "deriv_err": float(np.max(np.abs(eval_eta(c, m.atoms, deriv_order=1)))),
+        "sup_off_atom": np.nan,
+        "argmax": np.nan,
+        "certified": False,
     }
+    if np.any(off):
+        idx = int(np.argmax(np.where(off, vals, -np.inf)))
+        sup_off = float(vals[idx])
+        report.update(sup_off_atom=sup_off, argmax=idx / G,
+                      certified=bool(sup_off + slack < 1.0 and interp_err <= INTERP_TOL))
+    return report
 
 
 def neumann_bounds(m: AtomicMeasure) -> dict:

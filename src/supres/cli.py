@@ -1,14 +1,21 @@
 """Batch front-end for the toolkit.
 
-Subcommands: certify, gram, spectrum, constants, audit, qk-dump. Every
-subcommand prints a JSON report with sorted keys to stdout; --out DIR
-additionally writes the report and the fixed-schema CSV artifacts into DIR.
-Identical configuration and seed give byte-identical outputs.
+Subcommands: certify, gram, spectrum, constants, audit, qk-dump. Each
+handler checks its flags, calls the library, and prints the report the
+library returns (`certificate.verify_bounded`, `gram.assemble_and_verify`
+without its matrix, `spectrum.SpectrumReport`, `constants.ConstantsReport`,
+`bound_audit.AuditReport`) as JSON with sorted keys on stdout; `_plain`
+serializes it, and the only key the CLI adds is spectrum's sweep over
+K/4, K/2 and K. --out DIR additionally writes the report and the
+fixed-schema CSV artifacts into DIR. Identical configuration, including
+SUPRES_THREADS, and seed give byte-identical outputs.
 
-Exit status is 0 on success, 1 on input or usage errors, and 2 when a
-verification fails (positive semidefiniteness, the sigma_min > 1/2 condition,
-or certificate boundedness). Failures are emitted as one-line JSON objects on
-stderr, never as bare tracebacks.
+Exit status is 0 on success, 1 on input or usage errors, and 2 when the
+report's verdict fails (certify's certified, gram's verified, spectrum's
+condition_holds at any sweep size, an audit sample beyond
+bound_audit.HARD_FACTOR times its bound) or Lanczos does not converge.
+Failures are emitted as one-line JSON objects on stderr, never as bare
+tracebacks; `main` maps library exceptions to error kinds by class name.
 
 The scientific imports are deferred into the command handlers so that the
 SUPRES_THREADS environment variable can cap the BLAS and OpenMP pools before
@@ -16,6 +23,7 @@ numpy is first loaded.
 """
 
 import argparse
+import dataclasses
 import json
 import math
 import os
@@ -71,26 +79,40 @@ def _size(text: str) -> int:
     return value
 
 
-def _num(x):
-    """Plain Python float for JSON, with non-finite values mapped to null."""
-    x = float(x)
-    return x if math.isfinite(x) else None
+def _plain(x):
+    """A report as plain JSON values: dataclasses and dicts become objects,
+    tuples and lists arrays, numpy scalars Python numbers, and non-finite
+    floats null."""
+    if dataclasses.is_dataclass(x):
+        x = vars(x)
+    if isinstance(x, dict):
+        return {k: _plain(v) for k, v in x.items()}
+    if isinstance(x, (list, tuple)):
+        return [_plain(v) for v in x]
+    if hasattr(x, "item"):
+        x = x.item()
+    if isinstance(x, float) and not math.isfinite(x):
+        return None
+    return x
 
 
-def _emit_json(report: dict, out, name: str) -> None:
-    text = json.dumps(report, sort_keys=True, indent=2) + "\n"
+def _finish(name: str, report, out, ok: bool = True, failure: str = "") -> int:
+    """Print the report (and write it to out/name.json), then return the exit
+    code of its verdict ok."""
+    text = json.dumps(_plain(report), sort_keys=True, indent=2) + "\n"
     sys.stdout.write(text)
     if out is not None:
         (out / (name + ".json")).write_text(text)
+    if ok:
+        return 0
+    _error("verification_failed", failure)
+    return 2
 
 
 def _write_csv(path, header: str, rows) -> None:
-    path.write_text(header + "\n" + "".join(r + "\n" for r in rows))
-
-
-def _verify_failed(message: str) -> int:
-    _error("verification_failed", message)
-    return 2
+    """Rows of strings, ints and Python floats, unquoted; str of a float is
+    its shortest round-trip form."""
+    path.write_text(header + "\n" + "".join(",".join(map(str, r)) + "\n" for r in rows))
 
 
 def _load_measure(path: str):
@@ -103,91 +125,31 @@ def _load_measure(path: str):
         raise _CliError("io", f"cannot read measure file: {exc}")
     except json.JSONDecodeError as exc:
         raise _CliError("parse", f"measure file is not valid JSON: {exc}")
-    try:
-        return cert.measure_from_json(doc)
-    except ValueError as exc:
-        raise _CliError("measure", str(exc))
-
-
-def _solve(m):
-    from . import certificate as cert
-
-    try:
-        return cert.solve_certificate(m)
-    except cert.SeparationTooSmall as exc:
-        raise _CliError("separation_too_small", str(exc))
-    except cert.SingularSystem as exc:
-        raise _CliError("singular_system", str(exc))
+    return cert.measure_from_json(doc)
 
 
 def _cmd_certify(args, out) -> int:
     from . import certificate as cert
-    import numpy as np
 
     if args.grid_mult < 4:
         raise _CliError("usage", "--grid-mult must be at least 4")
-    m = _load_measure(args.measure)
-    c = _solve(m)
-    try:
-        vb = cert.verify_bounded(c, grid_mult=args.grid_mult)
-    except ValueError as exc:
-        raise _CliError("measure", str(exc))
-
-    atoms = c.measure.atoms
-    interp_err = float(np.max(np.abs(cert.eval_eta(c, atoms) - c.measure.signs)))
-    deriv_err = float(np.max(np.abs(cert.eval_eta(c, atoms, deriv_order=1))))
-    report = {
-        "atom_count": int(m.size),
-        "n": int(m.n),
-        "separation": _num(m.separation),
-        "deviation_bound": _num(cert.system_norm_bounds(m)["operator_norm"]),
-        "interp_err": interp_err,
-        "deriv_err": deriv_err,
-        "sup_off_atom": _num(vb["sup_off_atom"]),
-        "argmax": _num(vb["argmax"]),
-        "certified": bool(vb["certified"]),
-    }
-    _emit_json(report, out, "certify")
-    if not report["certified"] or interp_err > 1e-6:
-        return _verify_failed("certificate boundedness check failed")
-    return 0
+    c = cert.solve_certificate(_load_measure(args.measure))
+    report = cert.verify_bounded(c, grid_mult=args.grid_mult)
+    return _finish("certify", report, out, report["certified"],
+                   "certificate boundedness check failed")
 
 
 def _cmd_gram(args, out) -> int:
-    from . import gram
+    from . import certificate as cert, gram
 
-    m = _load_measure(args.measure)
-    c = _solve(m)
-    try:
-        res = gram.assemble_and_verify(c)
-    except ValueError as exc:
-        raise _CliError("measure", str(exc))
-    except (gram.SingularGram, gram.IllConditioned) as exc:
-        raise _CliError("gram_conditioning", str(exc))
-
-    psd_ok = res["min_eig"] >= -1e-9
-    defect_ok = res["sup_poly_err"] <= 1e-8
-    report = {
-        "atom_count": int(m.size),
-        "n": int(m.n),
-        "min_eig": _num(res["min_eig"]),
-        "rank_deficiency": int(res["rank_deficiency"]),
-        "sup_poly_err": _num(res["sup_poly_err"]),
-        "residual_rel": _num(res["residual_rel"]),
-        "cg_iters": int(res["cg_iters"]),
-        "psd_ok": bool(psd_ok),
-        "defect_ok": bool(defect_ok),
-        "verified": bool(psd_ok and defect_ok),
-    }
-    _emit_json(report, out, "gram")
-    if not report["verified"]:
-        return _verify_failed("Gram matrix failed the PSD or reconstruction check")
-    return 0
+    report = gram.assemble_and_verify(cert.solve_certificate(_load_measure(args.measure)))
+    del report["gram"]
+    return _finish("gram", report, out, report["verified"],
+                   "Gram matrix failed the PSD or reconstruction check")
 
 
 def _cmd_spectrum(args, out) -> int:
     from . import spectrum as sp
-    from .budget import BudgetExceeded
 
     if args.K < 4:
         raise _CliError("usage", "--K must be at least 4")
@@ -195,112 +157,40 @@ def _cmd_spectrum(args, out) -> int:
         raise _CliError("usage", f"--seed must be non-negative, got {args.seed}")
     if not (math.isfinite(args.tol) and args.tol > 0):
         raise _CliError("usage", f"--tol must be a positive finite number, got {args.tol!r}")
-    try:
-        sp.check_section_budget(args.K)
-    except BudgetExceeded as exc:
-        raise _CliError("usage", f"--K too large: {exc}")
+    sp.check_section_budget(args.K)  # before any sweep size is solved
     ks = sorted({max(4, args.K // 4), max(4, args.K // 2), args.K})
-    try:
-        reports = [sp.spectrum_report(k, tol=args.tol, seed=args.seed) for k in ks]
-    except sp.NonConvergence as exc:
-        raise _CliError("non_convergence", str(exc), code=2)
-
-    rep = reports[-1]
-    report = {
-        "K": int(rep.K),
-        "sigma_min": _num(rep.sigma_min),
-        "sigma_max": _num(rep.sigma_max),
-        "residual_min": _num(rep.residual_min),
-        "residual_max": _num(rep.residual_max),
-        "iters_min": int(rep.iters_min),
-        "iters_max": int(rep.iters_max),
-        "condition_holds": bool(rep.condition_holds),
-        "sweep": [
-            {
-                "K": int(r.K),
-                "sigma_min": _num(r.sigma_min),
-                "sigma_max": _num(r.sigma_max),
-                "condition_holds": bool(r.condition_holds),
-            }
-            for r in reports
-        ],
-    }
-    _emit_json(report, out, "spectrum")
+    reports = [sp.spectrum_report(k, tol=args.tol, seed=args.seed) for k in ks]
+    sweep = [{"K": r.K, "sigma_min": r.sigma_min, "sigma_max": r.sigma_max,
+              "condition_holds": r.condition_holds} for r in reports]
     if out is not None:
-        rows = [
-            f"{r.K},{float(r.sigma_min)!r},{float(r.sigma_max)!r},"
-            f"{float(r.residual_min)!r},{float(r.residual_max)!r}"
-            for r in reports
-        ]
-        _write_csv(out / "spectrum_sweep.csv",
-                   "K,sigma_min,sigma_max,res_min,res_max", rows)
-    if not all(r.condition_holds for r in reports):
-        return _verify_failed("sigma_min - residual <= 1/2 at some section size")
-    return 0
+        _write_csv(out / "spectrum_sweep.csv", "K,sigma_min,sigma_max,res_min,res_max",
+                   [(r.K, r.sigma_min, r.sigma_max, r.residual_min, r.residual_max)
+                    for r in reports])
+    return _finish("spectrum", {**vars(reports[-1]), "sweep": sweep}, out,
+                   all(r.condition_holds for r in reports),
+                   "sigma_min - residual <= 1/2 at some section size")
 
 
 def _cmd_constants(args, out) -> int:
     from . import constants as ct
 
     rep = ct.constants_report()
-    report = {
-        "C1_root_small": _num(rep.C1_root_small),
-        "C1_root_large": _num(rep.C1_root_large),
-        "eta_star": _num(rep.eta_star),
-        "M1ppp": int(rep.M1ppp),
-        "M2": int(rep.M2),
-        "lam": _num(rep.lam),
-        "eps": _num(rep.eps),
-        "fK_samples": [[_num(k), _num(v)] for k, v in rep.fK_samples],
-        "truncation_budget": rep.truncation_budget,
-    }
-    _emit_json(report, out, "constants")
     if out is not None:
-        rows = [f"{float(k)!r},{float(v)!r}" for k, v in rep.fK_samples]
-        _write_csv(out / "fk_curve.csv", "K,f_K", rows)
-    return 0
+        _write_csv(out / "fk_curve.csv", "K,f_K", rep.fK_samples)
+    return _finish("constants", rep, out)
 
 
 def _cmd_audit(args, out) -> int:
     from . import bound_audit as ba
 
-    try:
-        rep = ba.check_master_bounds(args.n, sample_count=args.samples, seed=args.seed)
-    except ValueError as exc:
-        raise _CliError("usage", str(exc))
-
-    hard = [v for v in rep.violations if v["measured"] > 2.0 * v["bound"]]
-    report = {
-        "n": int(rep.n),
-        "samples": int(rep.samples),
-        "violation_count": len(rep.violations),
-        "hard_violation_count": len(hard),
-        "min_margin": _num(rep.margin_stats["min_margin"]),
-        "mean_margin": _num(rep.margin_stats["mean_margin"]),
-        "eval_err_max": _num(rep.eval_err_max),
-        "per_domain_min": {k: _num(v) for k, v in rep.margin_stats["per_domain_min"].items()},
-        "violations": [
-            {
-                "domain": v["domain"],
-                "s": _num(v["s"]),
-                "theta": _num(v["theta"]),
-                "measured": _num(v["measured"]),
-                "bound": _num(v["bound"]),
-            }
-            for v in rep.violations
-        ],
-    }
-    _emit_json(report, out, "audit")
+    rep = ba.check_master_bounds(args.n, sample_count=args.samples, seed=args.seed)
     if out is not None:
-        rows = [
-            f"{v['domain']},{float(v['s'])!r},{float(v['theta'])!r},"
-            f"{float(v['measured'])!r},{float(v['bound'])!r}"
-            for v in rep.violations
-        ]
-        _write_csv(out / "audit_violations.csv", "domain,s,theta,measured,bound", rows)
-    if hard:
-        return _verify_failed(f"{len(hard)} sample(s) exceed a master bound by more than 2x")
-    return 0
+        _write_csv(out / "audit_violations.csv", "domain,s,theta,measured,bound",
+                   [v.values() for v in rep.violations])
+    hard = rep.hard_violation_count
+    return _finish("audit", rep, out, hard == 0,
+                   f"{hard} sample(s) exceed a master bound by more than "
+                   f"{ba.HARD_FACTOR:g}x")
 
 
 def _cmd_qk_dump(args, out) -> int:
@@ -318,8 +208,7 @@ def _cmd_qk_dump(args, out) -> int:
     text = "\n".join(lines) + "\n"
     if out is not None:
         (out / "qk_entries.csv").write_text(text)
-        _emit_json({"K": K, "rows": (2 * K + 1) ** 2, "file": "qk_entries.csv"},
-                   out, "qk_dump")
+        _finish("qk_dump", {"K": K, "rows": (2 * K + 1) ** 2, "file": "qk_entries.csv"}, out)
     else:
         sys.stdout.write(text)
     return 0
@@ -376,11 +265,22 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# library exceptions by class name, so that main imports no numerical module;
+# any other ValueError is a bad measure for --measure commands, else usage
+_LIBRARY_ERRORS = {
+    "SeparationTooSmall": ("separation_too_small", 1),
+    "SingularSystem": ("singular_system", 1),
+    "SingularGram": ("gram_conditioning", 1),
+    "IllConditioned": ("gram_conditioning", 1),
+    "NonConvergence": ("non_convergence", 2),
+}
+
+
 def main(argv=None) -> int:
+    args = None
     try:
         _cap_threads()
-        parser = _build_parser()
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
         out = None
         if getattr(args, "out", None):
             out = pathlib.Path(args.out)
@@ -392,8 +292,12 @@ def main(argv=None) -> int:
     except BrokenPipeError:
         return 1
     except Exception as exc:
-        _error(type(exc).__name__, str(exc))
-        return 1
+        name = type(exc).__name__
+        kind, code = _LIBRARY_ERRORS.get(name, (name, 1))
+        if isinstance(exc, ValueError) and name not in _LIBRARY_ERRORS:
+            kind = "measure" if getattr(args, "measure", None) else "usage"
+        _error(kind, str(exc))
+        return code
 
 
 if __name__ == "__main__":

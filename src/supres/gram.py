@@ -269,19 +269,31 @@ def x_corr(f: _Factor, perr: tp.TrigPoly) -> tuple[np.ndarray, int]:
     return (zeta + np.conj(zeta[::-1])) / 2, iters
 
 
-def assemble_and_verify(c: Certificate) -> dict:
-    """Build Q = P (I/dim + Toep(zeta)) P and check it reproduces 1 - |eta|^2.
+# verdict thresholds of the gram report: Q counts as positive semidefinite when
+# its smallest eigenvalue is at least MIN_EIG_FLOOR (eigvalsh rounding of the
+# |S| exact zeros, the atom directions P removes, stays far above it), and
+# psi* Q psi reproduces 1 - |eta|^2 when the l1 norm of the defect's
+# coefficients is at most SUP_POLY_ERR_TOL
+MIN_EIG_FLOOR = -1e-9
+SUP_POLY_ERR_TOL = 1e-8
 
-    Returns the Gram matrix together with its minimum eigenvalue, the count
-    of eigenvalues below 1e-8 times the spectral norm, sup_poly_err,
-    residual_rel and cg_iters. The defect is taken in coefficient form from
-    one fresh T(P Toep(zeta) P) with the final zeta: psi* Q psi - (1 - |eta|^2)
-    has coefficients conj(T(P Toep(zeta) P)) - p_err. sup_poly_err is their
-    l1 norm, which bounds the defect at every theta, not only on a grid;
-    residual_rel is their l2 norm over |p_err| (absolute if p_err is
-    numerically zero). Q itself is formed once, by a rank-2|S| update of
-    Toep(zeta), for its eigenvalues. Raises BudgetExceeded, before
-    allocating, past the memory budget.
+
+def assemble_and_verify(c: Certificate) -> dict:
+    """The gram report: build Q = P (I/dim + Toep(zeta)) P and check it
+    reproduces 1 - |eta|^2.
+
+    Returns the Gram matrix ("gram") together with atom_count, n, its
+    minimum eigenvalue, the count of eigenvalues below 1e-8 times the
+    spectral norm, sup_poly_err, residual_rel, cg_iters and the verdicts:
+    psd_ok (min_eig >= MIN_EIG_FLOOR), defect_ok (sup_poly_err <=
+    SUP_POLY_ERR_TOL) and verified (both). The defect is taken in
+    coefficient form from one fresh T(P Toep(zeta) P) with the final zeta:
+    psi* Q psi - (1 - |eta|^2) has coefficients conj(T(P Toep(zeta) P)) -
+    p_err. sup_poly_err is their l1 norm, which bounds the defect at every
+    theta, not only on a grid; residual_rel is their l2 norm over |p_err|
+    (absolute if p_err is numerically zero). Q itself is formed once, by a
+    rank-2|S| update of Toep(zeta), for its eigenvalues. Raises
+    BudgetExceeded, before allocating, past the memory budget.
     """
     n = c.n
     d = 2 * n + 1
@@ -310,12 +322,20 @@ def assemble_and_verify(c: Certificate) -> dict:
 
     eigs = np.linalg.eigvalsh(Q)
     spec_norm = float(np.max(np.abs(eigs)))
-    deficiency = int(np.sum(eigs < 1e-8 * spec_norm))
+    min_eig = float(eigs[0])
+    sup_err = float(np.sum(np.abs(defect)))
+    psd_ok = min_eig >= MIN_EIG_FLOOR
+    defect_ok = sup_err <= SUP_POLY_ERR_TOL
     return {
         "gram": Q,
-        "min_eig": float(eigs[0]),
-        "rank_deficiency": deficiency,
-        "sup_poly_err": float(np.sum(np.abs(defect))),
+        "atom_count": c.measure.size,
+        "n": n,
+        "min_eig": min_eig,
+        "rank_deficiency": int(np.sum(eigs < 1e-8 * spec_norm)),
+        "sup_poly_err": sup_err,
         "residual_rel": resid,
         "cg_iters": iters,
+        "psd_ok": psd_ok,
+        "defect_ok": defect_ok,
+        "verified": psd_ok and defect_ok,
     }

@@ -10,7 +10,7 @@ arbitrary points and is kept as its oracle. The kernel is the centered one,
     D(theta) = sin((2n+1) pi theta) / ((2n+1) sin(pi theta)),
 
 the interpolation building block, with closed-form derivatives of orders 0
-through 3 (stable near theta = 0 through a series switch).
+through 2 (stable near theta = 0 through a series switch).
 """
 
 from __future__ import annotations
@@ -118,7 +118,7 @@ def dirichlet_deriv(n: int, theta, order: int):
         Cutoff; the kernel has frequencies -n..n.
     theta : float or ndarray
         Evaluation points (any reals; the kernel is 1-periodic).
-    order : {0, 1, 2, 3}
+    order : {0, 1, 2}
 
     Returns
     -------
@@ -131,7 +131,6 @@ def dirichlet_deriv(n: int, theta, order: int):
 
         h'   = (cos(Nu)      - h g') / g
         h''  = (-N sin(Nu)   - h g'' - 2 h' g') / g
-        h''' = (-N^2 cos(Nu) - h g''' - 3 h'' g' - 3 h' g'') / g
 
     with g = sin u. The kernel value is h and the theta-derivative picks up
     a factor pi per order. Near u = 0 the quotients cancel catastrophically,
@@ -142,8 +141,8 @@ def dirichlet_deriv(n: int, theta, order: int):
     (and its derivatives) is used instead; at that radius the neglected u^6
     term is below 1e-12 of the leading scale for every order.
     """
-    if order not in (0, 1, 2, 3):
-        raise ValueError("order must be 0..3")
+    if order not in (0, 1, 2):
+        raise ValueError("order must be 0..2")
     N = 2 * n + 1
     th = np.asarray(theta, dtype=float)
     # reduce to [-1/2, 1/2): the kernel and all derivatives are 1-periodic
@@ -163,17 +162,15 @@ def dirichlet_deriv(n: int, theta, order: int):
     h0 = sN / (N * safe_g)
     h1 = (cN - h0 * g1) / safe_g
     h2 = (-N * sN - h0 * (-g) - 2.0 * h1 * g1) / safe_g
-    h3 = (-N * N * cN - h0 * (-g1) - 3.0 * h2 * g1 - 3.0 * h1 * (-g)) / safe_g
 
     a = float(N) ** 2 - 1.0
     b4 = (3.0 * N * N - 7.0) * a / 360.0
     t0 = 1.0 - (a / 6.0) * u**2 + b4 * u**4
     t1 = -(a / 3.0) * u + 4.0 * b4 * u**3
     t2 = -(a / 3.0) + 12.0 * b4 * u**2
-    t3 = 24.0 * b4 * u
 
-    direct = (h0, h1, h2, h3)[order]
-    series = (t0, t1, t2, t3)[order]
+    direct = (h0, h1, h2)[order]
+    series = (t0, t1, t2)[order]
     val = np.pi**order * np.where(small, series, direct)
     if np.isscalar(theta) or np.ndim(theta) == 0:
         return float(val)

@@ -154,7 +154,8 @@ class TestAudit:
         for n in (8, 16, 32):
             rep = ba.check_master_bounds(n, 44, seed=5)
             assert rep.violations == ()
-            assert rep.margin_stats["min_margin"] > 0.0
+            assert rep.violation_count == rep.hard_violation_count == 0
+            assert rep.min_margin > 0.0
 
     def test_modulus_below_bound_sum(self):
         rng = np.random.default_rng(8)
@@ -173,8 +174,8 @@ class TestAudit:
         rep = ba.check_master_bounds(8, 33, seed=1)
         assert rep.n == 8
         assert rep.samples == 33
-        assert "per_domain_min" in rep.margin_stats
-        assert len(rep.margin_stats["per_domain_min"]) == 2 * len(ba.DOMAINS)
+        assert len(rep.per_domain_min) == 2 * len(ba.DOMAINS)
+        assert rep.min_margin == min(rep.per_domain_min.values())
 
     def test_rejects_small_n(self):
         with pytest.raises(ValueError):

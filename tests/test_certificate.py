@@ -126,18 +126,6 @@ class TestSystem:
         np.testing.assert_allclose(cert.eval_eta(c, m.atoms), m.signs, atol=1e-9)
         assert np.max(np.abs(cert.eval_eta(c, m.atoms, 1))) <= 1e-7 * n**2
 
-    def test_coefficient_bounds_hold(self):
-        rng = np.random.default_rng(7)
-        for _ in range(20):
-            n = int(rng.integers(48, 256))
-            size = int(rng.integers(2, 5))
-            m = random_measure(rng, n, size, min_sep=4 * np.log(size + 1) / n)
-            c = cert.solve_certificate(m)
-            cb = cert.coefficient_bounds(m)
-            assert np.max(np.abs(c.a)) <= cb["a_bound"] + 1e-12
-            gamma = np.sqrt(4 * np.pi**2 * n * (n + 1) / 3)
-            assert gamma * np.max(np.abs(c.b)) <= cb["gamma_b_bound"] + 1e-12
-
 
 class TestEtaCoeffs:
     def test_matches_pointwise_evaluation(self):
@@ -208,6 +196,32 @@ class TestVerifyBounded:
         report = cert.verify_bounded(c)
         dist = min(abs(report["argmax"] - t) % 1.0 for t in m.atoms)
         assert min(dist, 1 - dist) > 1.0 / m.n
+
+    def test_report_carries_the_measure_and_atom_checks(self):
+        m = cert.AtomicMeasure(128, np.array([0.1, 0.5]), np.array([1.0, 1j]))
+        report = cert.verify_bounded(cert.solve_certificate(m))
+        assert (report["atom_count"], report["n"]) == (2, 128)
+        assert report["separation"] == m.separation
+        assert report["deviation_bound"] == cert.system_norm_bounds(m)["operator_norm"]
+        assert report["interp_err"] <= cert.INTERP_TOL
+        assert report["deriv_err"] <= 1e-7 * m.n**2
+
+    def test_atom_residual_above_tolerance_is_not_certified(self, monkeypatch):
+        # the grid scan alone would certify; only the residual at the atoms fails
+        m = cert.AtomicMeasure(128, np.array([0.1, 0.5]), np.array([1.0, 1j]))
+        c = cert.solve_certificate(m)
+        assert cert.verify_bounded(c)["certified"] is True
+        real_eval_eta = cert.eval_eta
+
+        def off_by(c, theta, deriv_order=0):
+            value = real_eval_eta(c, theta, deriv_order)
+            return value + 10 * cert.INTERP_TOL if deriv_order == 0 else value
+
+        monkeypatch.setattr(cert, "eval_eta", off_by)
+        report = cert.verify_bounded(c)
+        assert report["interp_err"] > cert.INTERP_TOL
+        assert report["sup_off_atom"] < 1.0
+        assert report["certified"] is False
 
     def test_small_grid_mult_rejected(self):
         m = cert.AtomicMeasure(16, np.array([0.5]), np.array([1.0 + 0j]))

@@ -3,6 +3,7 @@ schemas, fixed CSV layouts, machine-readable errors, and byte-level
 reproducibility of identical runs."""
 
 import contextlib
+import dataclasses
 import io
 import json
 import math
@@ -373,22 +374,77 @@ class TestAudit:
         assert json.loads(err)["error"] == "usage"
         assert "GB" in json.loads(err)["message"]
 
-    def test_hard_violation_exits_two(self, capsys, monkeypatch):
+    @staticmethod
+    def fake_hard_violation(monkeypatch):
         from supres.bound_audit import AuditReport
 
-        bad = {"domain": "D0+/Re", "s": 0.3, "theta": 0.1,
-               "measured": 5.0, "bound": 1.0, "eval_err": 1e-12}
+        bad = {"domain": "D0+/Re", "s": 0.3, "theta": 0.1, "measured": 5.0, "bound": 1.0}
         fake_report = AuditReport(
-            n=8, samples=1, violations=(bad,),
-            margin_stats={"min_margin": -4.0, "mean_margin": -4.0,
-                          "per_domain_min": {"D0+/Re": -4.0}},
-            eval_err_max=1e-12)
+            n=8, samples=1, violation_count=1, hard_violation_count=1,
+            min_margin=-4.0, mean_margin=-4.0, per_domain_min={"D0+/Re": -4.0},
+            eval_err_max=1e-12, violations=(bad,))
         monkeypatch.setattr("supres.bound_audit.check_master_bounds",
                             lambda *a, **k: fake_report)
+
+    def test_hard_violation_exits_two(self, capsys, monkeypatch):
+        self.fake_hard_violation(monkeypatch)
         code, out, err = run_cli(["audit", "--n", "8"], capsys)
         assert code == 2
         assert json.loads(err)["error"] == "verification_failed"
         assert json.loads(out)["hard_violation_count"] == 1
+
+    def test_violation_csv_rows(self, tmp_path, capsys, monkeypatch):
+        self.fake_hard_violation(monkeypatch)
+        out_dir = tmp_path / "audit"
+        code, _, _ = run_cli(["audit", "--n", "8", "--out", str(out_dir)], capsys)
+        assert code == 2
+        assert (out_dir / "audit_violations.csv").read_text() == \
+            "domain,s,theta,measured,bound\nD0+/Re,0.3,0.1,5.0,1.0\n"
+
+
+class TestReportIsTheLibraryValue:
+    """stdout is json.dumps of the library's report (gram without its
+    matrix): the CLI adds no key and changes no value."""
+
+    @staticmethod
+    def dumps(report) -> str:
+        if dataclasses.is_dataclass(report):
+            report = dataclasses.asdict(report)
+        return json.dumps(report, sort_keys=True, indent=2) + "\n"
+
+    def test_certify(self, tmp_path, capsys):
+        from supres import certificate as cert
+
+        path = write_measure(tmp_path, 128, [0.1, 0.5], [1.0, 1j])
+        code, out, _ = run_cli(["certify", "--measure", path, "--grid-mult", "6"], capsys)
+        assert code == 0
+        c = cert.solve_certificate(cert.AtomicMeasure(128, [0.1, 0.5], [1.0, 1j]))
+        assert out == self.dumps(cert.verify_bounded(c, grid_mult=6))
+
+    def test_gram(self, tmp_path, capsys):
+        from supres import certificate as cert, gram
+
+        path = write_measure(tmp_path, 64, [0.15, 0.6], [1.0, 1j])
+        code, out, _ = run_cli(["gram", "--measure", path], capsys)
+        assert code == 0
+        m = cert.AtomicMeasure(64, [0.15, 0.6], [1.0, 1j])
+        report = gram.assemble_and_verify(cert.solve_certificate(m))
+        del report["gram"]
+        assert out == self.dumps(report)
+
+    def test_constants(self, capsys):
+        from supres import constants
+
+        code, out, _ = run_cli(["constants"], capsys)
+        assert code == 0
+        assert out == self.dumps(constants.constants_report())
+
+    def test_audit(self, capsys):
+        from supres import bound_audit
+
+        code, out, _ = run_cli(["audit", "--n", "8", "--samples", "33", "--seed", "4"], capsys)
+        assert code == 0
+        assert out == self.dumps(bound_audit.check_master_bounds(8, 33, seed=4))
 
 
 class TestQkDump:

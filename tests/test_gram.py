@@ -496,6 +496,23 @@ class TestAssemble:
         assert np.max(pointwise) <= rep["sup_poly_err"] + 1e-12
         assert np.max(pointwise) > eps
 
+    def test_verdicts_follow_thresholds(self, monkeypatch):
+        c = solve_certificate(AtomicMeasure(64, (0.2, 0.6), (1.0, 1j)))
+        rep = assemble_and_verify(c)
+        assert (rep["atom_count"], rep["n"]) == (2, 64)
+        assert rep["min_eig"] >= gram.MIN_EIG_FLOOR
+        assert rep["sup_poly_err"] <= gram.SUP_POLY_ERR_TOL
+        assert rep["psd_ok"] is rep["defect_ok"] is rep["verified"] is True
+
+        monkeypatch.setattr(gram, "MIN_EIG_FLOOR", rep["min_eig"] + 1e-12)
+        bad = assemble_and_verify(c)
+        assert (bad["psd_ok"], bad["defect_ok"], bad["verified"]) == (False, True, False)
+
+        monkeypatch.setattr(gram, "MIN_EIG_FLOOR", rep["min_eig"] - 1e-12)
+        monkeypatch.setattr(gram, "SUP_POLY_ERR_TOL", rep["sup_poly_err"] / 2)
+        bad = assemble_and_verify(c)
+        assert (bad["psd_ok"], bad["defect_ok"], bad["verified"]) == (True, False, False)
+
 
 class TestLambdaMin:
     def test_empty_measure_is_one(self):

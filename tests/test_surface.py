@@ -19,8 +19,10 @@ ALLOWED = {
     "gram.quad_form_poly",
     "trigpoly.eval", "spectrum.dense_extremes",
     "qk_operator.qk_entry", "qk_operator.qk_finite_n", "bound_audit.f_inner_quad",
-    # measured-vs-analytic margins behind SeparationTooSmall, kept for reports
-    "certificate.coefficient_bounds", "certificate.neumann_bounds",
+    # the measured deviations of the interpolation system next to the bounds
+    # behind SeparationTooSmall, kept for a deviation_measured report field
+    # (ROADMAP item 5)
+    "certificate.neumann_bounds",
 }
 
 ALLOWED_CLASSES = set()

@@ -121,7 +121,6 @@ class TestDirichletDeriv:
             assert tp.dirichlet_deriv(n, 0.0, 2) == pytest.approx(
                 -4 * np.pi**2 * n * (n + 1) / 3, rel=1e-12
             )
-            assert tp.dirichlet_deriv(n, 0.0, 3) == 0.0
 
     def test_first_derivative_fd(self):
         # frozen finite-difference oracle setup: n=20, theta=0.3, step 1e-5
@@ -129,7 +128,7 @@ class TestDirichletDeriv:
         fd = (tp.dirichlet_deriv(20, 0.3 + h, 0) - tp.dirichlet_deriv(20, 0.3 - h, 0)) / (2 * h)
         assert tp.dirichlet_deriv(20, 0.3, 1) == pytest.approx(fd, rel=1e-6)
 
-    @pytest.mark.parametrize("order", [1, 2, 3])
+    @pytest.mark.parametrize("order", [1, 2])
     def test_higher_orders_fd(self, order):
         h = 1e-5
         for th in (0.11, 0.27, -0.4, 0.49):
@@ -145,7 +144,7 @@ class TestDirichletDeriv:
         d = centered_dirichlet(n)
         k = tp.freqs(d)
         th = np.linspace(-0.45, 0.45, 19)
-        for order in range(4):
+        for order in range(3):
             c = d.coeffs * (2j * np.pi * k) ** order
             direct = tp.eval(tp.TrigPoly(n, c), th)
             assert np.max(np.abs(tp.dirichlet_deriv(n, th, order) - direct.real)) < 1e-8 * (
@@ -153,7 +152,7 @@ class TestDirichletDeriv:
             ) ** order + 1e-12
 
     def test_periodic(self):
-        for order in range(4):
+        for order in range(3):
             a = tp.dirichlet_deriv(31, 0.2, order)
             b = tp.dirichlet_deriv(31, 1.2, order)
             assert a == pytest.approx(b, rel=1e-10, abs=1e-9)

@@ -111,9 +111,8 @@ class TestSystem:
     def test_interpolation_two_atoms(self):
         m = cert.AtomicMeasure(128, np.array([0.2, 0.6]), np.array([1.0, -1.0 + 0j]))
         c = cert.solve_certificate(m)
-        eta_at_atoms = cert.eval_eta(c, m.atoms)
+        eta_at_atoms, deriv = cert.eval_eta(c, m.atoms)
         np.testing.assert_allclose(eta_at_atoms, m.signs, atol=1e-10)
-        deriv = cert.eval_eta(c, m.atoms, deriv_order=1)
         np.testing.assert_allclose(deriv, 0.0, atol=1e-7 * m.n**2)
 
     @pytest.mark.parametrize("seed", range(10))
@@ -123,8 +122,9 @@ class TestSystem:
         size = int(rng.integers(1, 5))
         m = random_measure(rng, n, size, min_sep=4 * np.log(size + 1) / n)
         c = cert.solve_certificate(m)
-        np.testing.assert_allclose(cert.eval_eta(c, m.atoms), m.signs, atol=1e-9)
-        assert np.max(np.abs(cert.eval_eta(c, m.atoms, 1))) <= 1e-7 * n**2
+        eta, deta = cert.eval_eta(c, m.atoms)
+        np.testing.assert_allclose(eta, m.signs, atol=1e-9)
+        assert np.max(np.abs(deta)) <= 1e-7 * n**2
 
 
 class TestEtaCoeffs:
@@ -137,8 +137,15 @@ class TestEtaCoeffs:
             c = cert.solve_certificate(m)
             p = cert.eta_coeffs(c)
             theta = rng.uniform(0, 1, 40)
-            np.testing.assert_allclose(tp.eval(p, theta), cert.eval_eta(c, theta),
-                                       atol=1e-11)
+            eta, deta = cert.eval_eta(c, theta)
+            np.testing.assert_allclose(tp.eval(p, theta), eta, atol=1e-11)
+            # eta' against the coefficients 2 i pi k c_k, also at the atoms'
+            # shoulders, within 1e-2/n
+            near = (m.atoms[:, None] + rng.uniform(-1e-2, 1e-2, (size, 4)) / n).ravel()
+            dp = tp.TrigPoly(n, 2j * np.pi * tp.freqs(p) * p.coeffs)
+            for th, d in ((theta, deta), (near, cert.eval_eta(c, near)[1])):
+                np.testing.assert_allclose(tp.eval(dp, th), d, rtol=0,
+                                           atol=1e-12 * 2 * np.pi * n)
 
     @pytest.mark.parametrize("n, size", [(1, 1), (2, 2), (7, 3), (1448, 20), (16384, 32)])
     def test_blocked_tables_match_direct_sum(self, n, size):
@@ -213,9 +220,9 @@ class TestVerifyBounded:
         assert cert.verify_bounded(c)["certified"] is True
         real_eval_eta = cert.eval_eta
 
-        def off_by(c, theta, deriv_order=0):
-            value = real_eval_eta(c, theta, deriv_order)
-            return value + 10 * cert.INTERP_TOL if deriv_order == 0 else value
+        def off_by(c, theta):
+            eta, deta = real_eval_eta(c, theta)
+            return eta + 10 * cert.INTERP_TOL, deta
 
         monkeypatch.setattr(cert, "eval_eta", off_by)
         report = cert.verify_bounded(c)
@@ -242,7 +249,7 @@ def dense_verify_bounded(c, grid_mult=10):
     n = c.n
     G = tp.fast_len(grid_mult * (2 * n + 1))
     theta = np.arange(G) / G
-    vals = np.abs(cert.eval_eta(c, theta))
+    vals = np.abs(cert.eval_eta(c, theta)[0])
     off = dense_off_mask(c.measure.atoms, n, G)
     slack = np.pi * n * np.max(np.abs(cert.eta_coeffs(c).coeffs)) / grid_mult
     idx = np.argmax(np.where(off, vals, -np.inf))
@@ -264,7 +271,7 @@ class TestGridScan:
         grid = tp.eval_grid(p, G)
         idx = np.arange(G) if G < 2000 else rng.choice(G, 400, replace=False)
         theta = idx / G
-        np.testing.assert_allclose(grid[idx], cert.eval_eta(c, theta), rtol=0, atol=1e-11)
+        np.testing.assert_allclose(grid[idx], cert.eval_eta(c, theta)[0], rtol=0, atol=1e-11)
         np.testing.assert_allclose(grid[idx], tp.eval(p, theta), rtol=0, atol=1e-11)
 
     @pytest.mark.parametrize("atoms, n, G", [
@@ -392,7 +399,7 @@ def test_certified_implies_bounded_off_the_windows(n, seed, size, grid_mult):
     far = rng.uniform(0.0, 1.0, 2000)
     dist = np.abs(far[:, None] - m.atoms[None, :]) % 1.0
     far = far[np.min(np.minimum(dist, 1.0 - dist), axis=1) > 1.0 / n]
-    assert np.max(np.abs(cert.eval_eta(c, np.concatenate([theta, far])))) < 1.0
+    assert np.max(np.abs(cert.eval_eta(c, np.concatenate([theta, far]))[0])) < 1.0
 
 
 @settings(max_examples=60, deadline=None)
@@ -405,5 +412,6 @@ def test_interpolation_property(n, seed, size):
     rng = np.random.default_rng(seed)
     m = random_measure(rng, n, size, min_sep=4 * np.log(size + 1) / n)
     c = cert.solve_certificate(m)
-    np.testing.assert_allclose(cert.eval_eta(c, m.atoms), m.signs, atol=1e-9)
-    assert np.max(np.abs(cert.eval_eta(c, m.atoms, 1))) <= 1e-7 * n**2
+    eta, deta = cert.eval_eta(c, m.atoms)
+    np.testing.assert_allclose(eta, m.signs, atol=1e-9)
+    assert np.max(np.abs(deta)) <= 1e-7 * n**2

@@ -7,6 +7,7 @@ import dataclasses
 import io
 import json
 import math
+import os
 import subprocess
 import sys
 import tracemalloc
@@ -28,6 +29,14 @@ def run_cli(argv, capsys):
         code = exc.code
     cap = capsys.readouterr()
     return code, cap.out, cap.err
+
+
+def child_env(**extra):
+    """Environment for a child interpreter that imports this checkout's supres,
+    installed or not."""
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return dict(os.environ, PYTHONPATH=path, **extra)
 
 
 def write_measure(tmp_path, n, atoms, signs, name="measure.json"):
@@ -509,18 +518,15 @@ class TestProcessLevel:
     def test_module_entry_point(self):
         proc = subprocess.run(
             [sys.executable, "-m", "supres.cli", "constants"],
-            capture_output=True, text=True, timeout=120)
+            capture_output=True, text=True, timeout=120, env=child_env())
         assert proc.returncode == 0
         rep = json.loads(proc.stdout)
         assert rep["C1_root_large"] == pytest.approx(2496.7, abs=1.0)
 
     def test_thread_cap_env(self):
-        import os
-
-        env = dict(os.environ, SUPRES_THREADS="1")
         proc = subprocess.run(
             [sys.executable, "-m", "supres.cli", "spectrum", "--K", "8"],
-            capture_output=True, text=True, timeout=120, env=env)
+            capture_output=True, text=True, timeout=120, env=child_env(SUPRES_THREADS="1"))
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["condition_holds"] is True
 
@@ -531,7 +537,7 @@ class TestProcessLevel:
             [sys.executable, "-c",
              "import sys, supres.cli, supres.spectrum, supres.gram; "
              "print('scipy.signal' in sys.modules)"],
-            capture_output=True, text=True, timeout=120)
+            capture_output=True, text=True, timeout=120, env=child_env())
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "False"
 
@@ -544,17 +550,14 @@ class TestProcessLevel:
              "import sys; from supres import cli; "
              f"code = cli.main(['certify', '--measure', {path!r}]); "
              "print(code, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"],
-            capture_output=True, text=True, timeout=120)
+            capture_output=True, text=True, timeout=120, env=child_env())
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.splitlines()[-1] == "0 []"
 
     def test_invalid_thread_cap(self):
-        import os
-
-        env = dict(os.environ, SUPRES_THREADS="zero")
         proc = subprocess.run(
             [sys.executable, "-m", "supres.cli", "constants"],
-            capture_output=True, text=True, timeout=60, env=env)
+            capture_output=True, text=True, timeout=60, env=child_env(SUPRES_THREADS="zero"))
         assert proc.returncode == 1
         assert json.loads(proc.stderr)["error"] == "usage"
 

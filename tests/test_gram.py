@@ -492,7 +492,7 @@ class TestAssemble:
         assert rep["sup_poly_err"] == pytest.approx(want, rel=1e-6)
         theta = np.linspace(0.0, 1.0, 1001)
         pointwise = np.abs(tp.eval(quad_form_poly(rep["gram"]), theta).real
-                           - (1.0 - np.abs(eval_eta(c, theta)) ** 2))
+                           - (1.0 - np.abs(eval_eta(c, theta)[0]) ** 2))
         assert np.max(pointwise) <= rep["sup_poly_err"] + 1e-12
         assert np.max(pointwise) > eps
 

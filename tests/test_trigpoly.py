@@ -116,27 +116,26 @@ def test_parseval_on_grid(n, seed):
 class TestDirichletDeriv:
     def test_values_at_zero(self):
         for n in (5, 20, 128):
-            assert tp.dirichlet_deriv(n, 0.0, 0) == pytest.approx(1.0)
-            assert tp.dirichlet_deriv(n, 0.0, 1) == 0.0
-            assert tp.dirichlet_deriv(n, 0.0, 2) == pytest.approx(
-                -4 * np.pi**2 * n * (n + 1) / 3, rel=1e-12
-            )
+            D0, D1, D2 = tp.dirichlet_deriv(n, 0.0)
+            assert D0 == pytest.approx(1.0)
+            assert D1 == 0.0
+            assert D2 == pytest.approx(-4 * np.pi**2 * n * (n + 1) / 3, rel=1e-12)
 
     def test_first_derivative_fd(self):
         # frozen finite-difference oracle setup: n=20, theta=0.3, step 1e-5
         h = 1e-5
-        fd = (tp.dirichlet_deriv(20, 0.3 + h, 0) - tp.dirichlet_deriv(20, 0.3 - h, 0)) / (2 * h)
-        assert tp.dirichlet_deriv(20, 0.3, 1) == pytest.approx(fd, rel=1e-6)
+        fd = (tp.dirichlet_deriv(20, 0.3 + h)[0] - tp.dirichlet_deriv(20, 0.3 - h)[0]) / (2 * h)
+        assert tp.dirichlet_deriv(20, 0.3)[1] == pytest.approx(fd, rel=1e-6)
 
     @pytest.mark.parametrize("order", [1, 2])
     def test_higher_orders_fd(self, order):
         h = 1e-5
         for th in (0.11, 0.27, -0.4, 0.49):
             fd = (
-                tp.dirichlet_deriv(13, th + h, order - 1)
-                - tp.dirichlet_deriv(13, th - h, order - 1)
+                tp.dirichlet_deriv(13, th + h)[order - 1]
+                - tp.dirichlet_deriv(13, th - h)[order - 1]
             ) / (2 * h)
-            val = tp.dirichlet_deriv(13, th, order)
+            val = tp.dirichlet_deriv(13, th)[order]
             assert val == pytest.approx(fd, rel=1e-5, abs=1e-7)
 
     def test_matches_coefficient_sum(self):
@@ -144,17 +143,24 @@ class TestDirichletDeriv:
         d = centered_dirichlet(n)
         k = tp.freqs(d)
         th = np.linspace(-0.45, 0.45, 19)
-        for order in range(3):
+        for order, val in enumerate(tp.dirichlet_deriv(n, th)):
             c = d.coeffs * (2j * np.pi * k) ** order
             direct = tp.eval(tp.TrigPoly(n, c), th)
-            assert np.max(np.abs(tp.dirichlet_deriv(n, th, order) - direct.real)) < 1e-8 * (
-                2 * np.pi * n
-            ) ** order + 1e-12
+            assert np.max(np.abs(val - direct.real)) < 1e-8 * (2 * np.pi * n) ** order + 1e-12
+        # near the series switch at 5e-3/n, on both sides, where the closed-form
+        # quotients cancel
+        r = np.array([1.01e-4, 3e-4, 1e-3, 4e-3, 1e-2])
+        for n in (64, 1024, 16384):
+            d = centered_dirichlet(n)
+            k = tp.freqs(d)
+            th = np.concatenate([r, -r]) / n
+            for order, val in enumerate(tp.dirichlet_deriv(n, th)):
+                c = d.coeffs * (2j * np.pi * k) ** order
+                direct = tp.eval(tp.TrigPoly(n, c), th)
+                assert np.max(np.abs(val - direct.real)) < 1e-11 * (2 * np.pi * n) ** order
 
     def test_periodic(self):
-        for order in range(3):
-            a = tp.dirichlet_deriv(31, 0.2, order)
-            b = tp.dirichlet_deriv(31, 1.2, order)
+        for a, b in zip(tp.dirichlet_deriv(31, 0.2), tp.dirichlet_deriv(31, 1.2)):
             assert a == pytest.approx(b, rel=1e-10, abs=1e-9)
 
 

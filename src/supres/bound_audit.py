@@ -19,7 +19,6 @@ without altering its magnitude where the printed form is already positive.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import quad
@@ -313,36 +312,22 @@ def _proposal(label: str, n: int, rng) -> tuple[float, float]:
 HARD_FACTOR = 2.0
 
 
-@dataclass(frozen=True)
-class AuditReport:
-    """The audit report. violations lists the violating samples, one row
-    (domain, s, theta, measured, bound) each; hard_violation_count counts
-    those beyond HARD_FACTOR times their bound. Margins are
-    (bound - measured)/bound over all samples, per_domain_min per part of a
-    subdomain ("D0+/Re", ...); eval_err_max is the largest rounding bound
-    of f_inner."""
-
-    n: int
-    samples: int
-    violation_count: int
-    hard_violation_count: int
-    min_margin: float
-    mean_margin: float
-    per_domain_min: dict
-    eval_err_max: float
-    violations: tuple[dict, ...]
-
-
-def check_master_bounds(n: int, sample_count: int = 110, seed=0) -> AuditReport:
+def check_master_bounds(n: int, sample_count: int = 110, seed=0) -> dict:
     """Sample every subdomain and compare |Re F| and |Im F| to their bounds.
 
     The sample count is rounded down to a multiple of the eleven subdomains;
     a count below eleven raises ValueError, and so does one whose report
     rows would exceed the memory budget (BudgetExceeded). A sample is a
     violation when the measured part exceeds the bound by more than the
-    rounding bound of f_inner. Margins are reported as
-    (bound - measured)/bound, so 1 is maximal slack and negative numbers are
-    violations.
+    rounding bound of f_inner.
+
+    The report: n and samples; violations lists the violating samples, one
+    row (domain, s, theta, measured, bound) each, and violation_count counts
+    them; hard_violation_count counts those beyond HARD_FACTOR times their
+    bound. Margins are (bound - measured)/bound over all samples, so 1 is
+    maximal slack and negative numbers are violations: min_margin,
+    mean_margin, and per_domain_min per part of a subdomain ("D0+/Re",
+    ...). eval_err_max is the largest rounding bound of f_inner.
     """
     if n < 4:
         raise ValueError("need n >= 4")
@@ -361,21 +346,22 @@ def check_master_bounds(n: int, sample_count: int = 110, seed=0) -> AuditReport:
             rows.append((f"{label}/Im", s, th, abs(val.imag), bound_imag(label, s, th, n), err))
     rows.sort(key=lambda r: r[:3])
     keys = ("domain", "s", "theta", "measured", "bound")
-    violations = tuple(dict(zip(keys, r)) for r in rows if r[3] > r[4] + r[5])
+    violations = [dict(zip(keys, r)) for r in rows if r[3] > r[4] + r[5]]
     margins, per_domain = [], {}
     for domain, _, _, measured, bound, _ in rows:
         if bound > 0:
             margin = (bound - measured) / bound
             margins.append(margin)
             per_domain[domain] = min(per_domain.get(domain, math.inf), margin)
-    return AuditReport(
-        n=n,
-        samples=len(rows) // 2,
-        violation_count=len(violations),
-        hard_violation_count=sum(v["measured"] > HARD_FACTOR * v["bound"] for v in violations),
-        min_margin=min(margins),
-        mean_margin=float(np.mean(margins)),
-        per_domain_min=per_domain,
-        eval_err_max=max(r[5] for r in rows),
-        violations=violations,
-    )
+    return {
+        "n": n,
+        "samples": len(rows) // 2,
+        "violation_count": len(violations),
+        "hard_violation_count": sum(v["measured"] > HARD_FACTOR * v["bound"]
+                                    for v in violations),
+        "min_margin": min(margins),
+        "mean_margin": float(np.mean(margins)),
+        "per_domain_min": per_domain,
+        "eval_err_max": max(r[5] for r in rows),
+        "violations": violations,
+    }

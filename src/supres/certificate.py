@@ -317,7 +317,7 @@ def neumann_bounds(m: AtomicMeasure) -> dict:
     n = m.n
     S = m.size
     D0, D1, D2 = tp.dirichlet_deriv(n, m.atoms[:, None] - m.atoms)
-    g2 = _gamma(n) ** 2
+    g = _gamma(n)
     eye = np.eye(S)
 
     k = np.arange(-n, n + 1)
@@ -326,25 +326,19 @@ def neumann_bounds(m: AtomicMeasure) -> dict:
     dev_uu = float(np.linalg.norm(eye - gram, np.inf))
 
     meas_d0 = float(np.linalg.norm(D0 - eye, np.inf))
-    meas_d1 = float(np.linalg.norm(D1, np.inf)) / _gamma(n)
-    meas_d2 = float(np.linalg.norm(-D2 / g2 - eye, np.inf))
+    meas_d1 = float(np.linalg.norm(D1, np.inf)) / g
+    meas_d2 = float(np.linalg.norm(-D2 / g**2 - eye, np.inf))
 
     matrix, _ = build_system(m)
     meas_op = float(np.linalg.norm(np.eye(2 * S) - matrix, np.inf))
 
-    logS = _log_s(S)
-    if logS == 0.0:
-        dev_bound = b0 = b1 = b2 = op_bound = 0.0
-    else:
-        delta = m.separation
-        dev_bound = 2 * logS / ((2 * n + 1) * delta)
-        nb = system_norm_bounds(m)
-        b0, b1, b2, op_bound = nb["b0"], nb["b1"], nb["b2"], nb["operator_norm"]
-
+    # every bound is 0 for one atom: log|S| = 0, and the separation is inf
+    dev_bound = 2 * _log_s(S) / ((2 * n + 1) * m.separation)
+    nb = system_norm_bounds(m)
     return {
         "dev_UU": {"measured": dev_uu, "bound": dev_bound},
-        "bound_D0": {"measured": meas_d0, "bound": b0},
-        "bound_D1": {"measured": meas_d1, "bound": b1},
-        "bound_D2": {"measured": meas_d2, "bound": b2},
-        "operator_norm": {"measured": meas_op, "bound": op_bound},
+        "bound_D0": {"measured": meas_d0, "bound": nb["b0"]},
+        "bound_D1": {"measured": meas_d1, "bound": nb["b1"]},
+        "bound_D2": {"measured": meas_d2, "bound": nb["b2"]},
+        "operator_norm": {"measured": meas_op, "bound": nb["operator_norm"]},
     }

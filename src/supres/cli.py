@@ -1,12 +1,12 @@
 """Batch front-end for the toolkit.
 
 Subcommands: certify, gram, spectrum, constants, audit, qk-dump. Each
-handler checks its flags, calls the library, and prints the report the
+handler checks its flags, calls the library, and prints the dict the
 library returns (`certificate.verify_bounded`, `gram.assemble_and_verify`
-without its matrix, `spectrum.SpectrumReport`, `constants.ConstantsReport`,
-`bound_audit.AuditReport`) as JSON with sorted keys on stdout; `_plain`
-serializes it, and the only key the CLI adds is spectrum's sweep over
-K/4, K/2 and K. --out DIR additionally writes the report and the
+without its matrix, `spectrum.spectrum_report`, `constants.constants_report`,
+`bound_audit.check_master_bounds`) as JSON with sorted keys on stdout;
+`_plain` serializes it, and the only key the CLI adds is spectrum's sweep
+over K/4, K/2 and K. --out DIR additionally writes the report and the
 fixed-schema CSV artifacts into DIR. Identical configuration, including
 SUPRES_THREADS, and seed give byte-identical outputs.
 
@@ -14,6 +14,7 @@ Exit status is 0 on success, 1 on input or usage errors, and 2 when the
 report's verdict fails (certify's certified, gram's verified, spectrum's
 condition_holds at any sweep size, an audit sample beyond
 bound_audit.HARD_FACTOR times its bound) or Lanczos does not converge.
+An --out directory that cannot be created is an input error of kind io.
 Failures are emitted as one-line JSON objects on stderr, never as bare
 tracebacks; `main` maps library exceptions to error kinds by class name.
 
@@ -23,7 +24,6 @@ numpy is first loaded.
 """
 
 import argparse
-import dataclasses
 import json
 import math
 import os
@@ -80,11 +80,8 @@ def _size(text: str) -> int:
 
 
 def _plain(x):
-    """A report as plain JSON values: dataclasses and dicts become objects,
-    tuples and lists arrays, numpy scalars Python numbers, and non-finite
-    floats null."""
-    if dataclasses.is_dataclass(x):
-        x = vars(x)
+    """A report as plain JSON values: dicts become objects, tuples and lists
+    arrays, numpy scalars Python numbers, and non-finite floats null."""
     if isinstance(x, dict):
         return {k: _plain(v) for k, v in x.items()}
     if isinstance(x, (list, tuple)):
@@ -155,19 +152,17 @@ def _cmd_spectrum(args, out) -> int:
         raise _CliError("usage", "--K must be at least 4")
     if args.seed < 0:
         raise _CliError("usage", f"--seed must be non-negative, got {args.seed}")
-    if not (math.isfinite(args.tol) and args.tol > 0):
-        raise _CliError("usage", f"--tol must be a positive finite number, got {args.tol!r}")
     sp.check_section_budget(args.K)  # before any sweep size is solved
     ks = sorted({max(4, args.K // 4), max(4, args.K // 2), args.K})
-    reports = [sp.spectrum_report(k, tol=args.tol, seed=args.seed) for k in ks]
-    sweep = [{"K": r.K, "sigma_min": r.sigma_min, "sigma_max": r.sigma_max,
-              "condition_holds": r.condition_holds} for r in reports]
+    reports = [sp.spectrum_report(k, seed=args.seed) for k in ks]
+    sweep = [{key: r[key] for key in ("K", "sigma_min", "sigma_max", "condition_holds")}
+             for r in reports]
     if out is not None:
         _write_csv(out / "spectrum_sweep.csv", "K,sigma_min,sigma_max,res_min,res_max",
-                   [(r.K, r.sigma_min, r.sigma_max, r.residual_min, r.residual_max)
-                    for r in reports])
-    return _finish("spectrum", {**vars(reports[-1]), "sweep": sweep}, out,
-                   all(r.condition_holds for r in reports),
+                   [(r["K"], r["sigma_min"], r["sigma_max"], r["residual_min"],
+                     r["residual_max"]) for r in reports])
+    return _finish("spectrum", {**reports[-1], "sweep": sweep}, out,
+                   all(r["condition_holds"] for r in reports),
                    "sigma_min - residual <= 1/2 at some section size")
 
 
@@ -176,7 +171,7 @@ def _cmd_constants(args, out) -> int:
 
     rep = ct.constants_report()
     if out is not None:
-        _write_csv(out / "fk_curve.csv", "K,f_K", rep.fK_samples)
+        _write_csv(out / "fk_curve.csv", "K,f_K", rep["fK_samples"])
     return _finish("constants", rep, out)
 
 
@@ -186,8 +181,8 @@ def _cmd_audit(args, out) -> int:
     rep = ba.check_master_bounds(args.n, sample_count=args.samples, seed=args.seed)
     if out is not None:
         _write_csv(out / "audit_violations.csv", "domain,s,theta,measured,bound",
-                   [v.values() for v in rep.violations])
-    hard = rep.hard_violation_count
+                   [v.values() for v in rep["violations"]])
+    hard = rep["hard_violation_count"]
     return _finish("audit", rep, out, hard == 0,
                    f"{hard} sample(s) exceed a master bound by more than "
                    f"{ba.HARD_FACTOR:g}x")
@@ -236,9 +231,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("spectrum", help="certify extreme singular values of the section")
     p.add_argument("--K", type=_size, required=True, help="frequency cutoff of the section")
-    p.add_argument("--tol", type=float, default=1e-8,
-                   help="absolute residual target of the Lanczos (ARPACK eigsh) "
-                        "eigenpairs of M^T M")
     p.add_argument("--seed", type=int, default=0)
     add_out(p)
     p.set_defaults(func=_cmd_spectrum)
@@ -290,6 +282,9 @@ def main(argv=None) -> int:
         _error(exc.kind, str(exc))
         return exc.code
     except BrokenPipeError:
+        return 1
+    except OSError as exc:
+        _error("io", str(exc))
         return 1
     except Exception as exc:
         name = type(exc).__name__

@@ -10,7 +10,6 @@ below; the report bundles them with those inputs.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from scipy.special import lambertw
 
@@ -30,19 +29,6 @@ C1 = 2500.0
 ETA_CURVE = 0.112
 # truncation level at which the budget is reported
 K_TARGET = 1e13
-
-
-@dataclass(frozen=True)
-class ConstantsReport:
-    C1_root_small: float
-    C1_root_large: float
-    eta_star: float
-    fK_samples: tuple[tuple[float, float], ...]
-    M1ppp: int
-    M2: int
-    lam: float
-    eps: float
-    truncation_budget: dict
 
 
 def c1_bound() -> tuple[float, float]:
@@ -148,19 +134,21 @@ def truncation_budget(K_target: float) -> dict:
     return report
 
 
-def constants_report() -> ConstantsReport:
-    """Assemble the full constants reproduction; f(K) at 25 log-spaced
-    levels from 1e12 to 2e13."""
+def constants_report() -> dict:
+    """The full constants reproduction: both C1 fixed points (C1_root_small,
+    C1_root_large), eta_star at C1, fK_samples as (K, f(K)) at 25
+    log-spaced levels from 1e12 to 2e13, the printed inputs (M1ppp, M2,
+    lam, eps) and the truncation_budget at K_TARGET."""
     small, large = c1_bound()
     ks = [10.0 ** (12.0 + i * (math.log10(2e13) - 12.0) / 24) for i in range(25)]
-    return ConstantsReport(
-        C1_root_small=small,
-        C1_root_large=large,
-        eta_star=eta_star(C1),
-        fK_samples=tuple(k_bound_curve(ks)),
-        M1ppp=M1,
-        M2=M2,
-        lam=LAM,
-        eps=EPS,
-        truncation_budget=truncation_budget(K_TARGET),
-    )
+    return {
+        "C1_root_small": small,
+        "C1_root_large": large,
+        "eta_star": eta_star(C1),
+        "fK_samples": k_bound_curve(ks),
+        "M1ppp": M1,
+        "M2": M2,
+        "lam": LAM,
+        "eps": EPS,
+        "truncation_budget": truncation_budget(K_TARGET),
+    }

@@ -40,16 +40,15 @@ class Eigenpair:
     iters: int
 
 
-@dataclass(frozen=True)
-class SpectrumReport:
-    K: int
-    sigma_max: float
-    sigma_min: float
-    residual_max: float
-    residual_min: float
-    iters_max: int
-    iters_min: int
-    condition_holds: bool
+# ARPACK's stopping test is relative, ||r|| <= rtol |lam|, so it runs at
+# rtol = 0 (machine precision), which meets any absolute target above
+# eps |lam|; RESIDUAL_TOL is the absolute residual each returned Ritz pair of
+# M^T M must meet, else NonConvergence. It sets no computation: on the
+# section both ends converge to rounding within ARPACK's first 20-step cycle.
+RESIDUAL_TOL = 1e-8
+# cap on ARPACK's restart cycles, far above the one cycle the section takes;
+# it only ends a run that would otherwise not stop
+_MAX_RESTARTS = 20000
 
 
 def aposteriori_bound(apply: Callable, x: np.ndarray, lam: float) -> float:
@@ -61,19 +60,14 @@ def aposteriori_bound(apply: Callable, x: np.ndarray, lam: float) -> float:
     return float(np.linalg.norm(apply(x) - lam * x)) / nx
 
 
-def lanczos_extremes(apply: Callable, dim: int, tol: float = 1e-8,
-                     max_iter: int = 20000, seed=0) -> tuple[Eigenpair, Eigenpair]:
+def lanczos_extremes(apply: Callable, dim: int, seed=0) -> tuple[Eigenpair, Eigenpair]:
     """(bottom, top) eigenpairs of a real symmetric map from one Lanczos run.
 
-    ARPACK's stopping test is relative, ||r|| <= rtol |lam|, so it runs at
-    rtol = 0 (machine precision), which meets any absolute target above
-    eps |lam|; the residual of each returned Ritz vector is then checked
-    against tol. On the section this costs no extra products: ARPACK first
-    tests after a full 20-step Lanczos cycle, and both ends have converged
-    to rounding by then. max_iter caps ARPACK's restart cycles; iters, the
-    same for both pairs, counts applications of the map in the run, the two
-    residual checks included. Raises NonConvergence when ARPACK gives up or
-    a residual misses tol.
+    ARPACK runs at rtol = 0 for at most _MAX_RESTARTS restart cycles, and
+    the residual of each returned Ritz vector is checked against
+    RESIDUAL_TOL. iters, the same for both pairs, counts applications of
+    the map in the run, the two residual checks included. Raises
+    NonConvergence when ARPACK gives up or a residual misses RESIDUAL_TOL.
     """
     count = 0
 
@@ -85,15 +79,15 @@ def lanczos_extremes(apply: Callable, dim: int, tol: float = 1e-8,
     A = LinearOperator((dim, dim), matvec=counted, dtype=float)
     v0 = np.random.default_rng(seed).uniform(-1.0, 1.0, dim)
     try:
-        w, V = eigsh(A, k=2, which="BE", v0=v0, tol=0.0, maxiter=max_iter)
+        w, V = eigsh(A, k=2, which="BE", v0=v0, tol=0.0, maxiter=_MAX_RESTARTS)
     except ArpackNoConvergence as exc:
         raise NonConvergence(
             f"Lanczos did not converge after {count} products: {exc}") from exc
     ends = [(float(lam), x, aposteriori_bound(counted, x, lam)) for lam, x in zip(w, V.T)]
     for (_, _, res), end in zip(ends, ("bottom", "top")):
-        if not res <= tol:  # a NaN residual fails too
+        if not res <= RESIDUAL_TOL:  # a NaN residual fails too
             raise NonConvergence(
-                f"Lanczos {end} residual {res:.3e} above the target {tol:.3e} "
+                f"Lanczos {end} residual {res:.3e} above the target {RESIDUAL_TOL:.3e} "
                 f"after {count} products")
     bottom, top = (Eigenpair(lam, x, res, count) for lam, x, res in ends)
     return bottom, top
@@ -131,11 +125,14 @@ def check_section_budget(K: int) -> None:
     check_budget(_SECTION_BYTES_PER_K * K, f"spectrum section at K={K}")
 
 
-def spectrum_report(K: int, tol: float = 1e-8, seed=0,
-                    max_iter: int = 20000) -> SpectrumReport:
+def spectrum_report(K: int, seed=0) -> dict:
     """Build the section at K and estimate its extremal singular values.
 
-    Raises BudgetExceeded, before allocating, past the memory budget.
+    The report: K; sigma_max and sigma_min with residual_max and
+    residual_min, their a-posteriori errors on the singular-value scale;
+    iters_max and iters_min, the M^T M products of the Lanczos run; and
+    condition_holds, sigma_min - residual_min > 1/2. Raises BudgetExceeded,
+    before allocating, past the memory budget.
     """
     check_section_budget(K)
     op = qk.build_operator(K)
@@ -143,16 +140,16 @@ def spectrum_report(K: int, tol: float = 1e-8, seed=0,
     def squared(x):
         return qk.matvec_transpose(op, qk.matvec(op, x))
 
-    bottom, top = lanczos_extremes(squared, op.dim, tol, max_iter, seed)
+    bottom, top = lanczos_extremes(squared, op.dim, seed)
     sigma_max, res_max = _sigma_scale(top)
     sigma_min, res_min = _sigma_scale(bottom)
-    return SpectrumReport(
-        K=K,
-        sigma_max=sigma_max,
-        sigma_min=sigma_min,
-        residual_max=res_max,
-        residual_min=res_min,
-        iters_max=top.iters,
-        iters_min=bottom.iters,
-        condition_holds=bool(sigma_min - res_min > 0.5),
-    )
+    return {
+        "K": K,
+        "sigma_max": sigma_max,
+        "sigma_min": sigma_min,
+        "residual_max": res_max,
+        "residual_min": res_min,
+        "iters_max": top.iters,
+        "iters_min": bottom.iters,
+        "condition_holds": bool(sigma_min - res_min > 0.5),
+    }

@@ -171,24 +171,24 @@ def test_criterion_05_operator_routes_agree():
 def test_criterion_06_spectrum():
     t0 = time.perf_counter()
     rep40 = spectrum_report(40)
-    assert 0.50 <= rep40.sigma_min <= 0.75
-    assert 1.30 <= rep40.sigma_max <= 1.42
+    assert 0.50 <= rep40["sigma_min"] <= 0.75
+    assert 1.30 <= rep40["sigma_max"] <= 1.42
 
     mins = []
     for K in (40, 100, 200, 400):
         rep = spectrum_report(K) if K != 40 else rep40
         lo, hi = dense_extremes(K)
-        assert abs(rep.sigma_min - lo) <= rep.residual_min + 1e-12
-        assert abs(rep.sigma_max - hi) <= rep.residual_max + 1e-12
+        assert abs(rep["sigma_min"] - lo) <= rep["residual_min"] + 1e-12
+        assert abs(rep["sigma_max"] - hi) <= rep["residual_max"] + 1e-12
         if K != 40:
-            assert rep.condition_holds and rep.sigma_min > 0.5
-            mins.append(rep.sigma_min)
+            assert rep["condition_holds"] and rep["sigma_min"] > 0.5
+            mins.append(rep["sigma_min"])
     spread = (max(mins) - min(mins)) / min(mins)
     assert spread <= 0.05
     elapsed = time.perf_counter() - t0
     assert elapsed < 120.0
-    _line(6, f"sigma_min(40) {rep40.sigma_min:.4f}, sigma_max(40) "
-             f"{rep40.sigma_max:.4f}, spread over K in (100,200,400) "
+    _line(6, f"sigma_min(40) {rep40['sigma_min']:.4f}, sigma_max(40) "
+             f"{rep40['sigma_max']:.4f}, spread over K in (100,200,400) "
              f"{spread:.2e}, {elapsed:.1f}s")
 
 
@@ -229,8 +229,8 @@ def test_criterion_09_bound_audit():
     total, hard, soft = 0, [], []
     for n in (8, 16, 32):
         rep = check_master_bounds(n, sample_count=176, seed=0)
-        total += rep.samples
-        for v in rep.violations:
+        total += rep["samples"]
+        for v in rep["violations"]:
             (hard if v["measured"] > 2.0 * v["bound"] else soft).append((n, v))
     assert total >= 500
     for n, v in soft:

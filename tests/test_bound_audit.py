@@ -153,9 +153,9 @@ class TestAudit:
     def test_no_violations_small_run(self):
         for n in (8, 16, 32):
             rep = ba.check_master_bounds(n, 44, seed=5)
-            assert rep.violations == ()
-            assert rep.violation_count == rep.hard_violation_count == 0
-            assert rep.min_margin > 0.0
+            assert rep["violations"] == []
+            assert rep["violation_count"] == rep["hard_violation_count"] == 0
+            assert rep["min_margin"] > 0.0
 
     def test_modulus_below_bound_sum(self):
         rng = np.random.default_rng(8)
@@ -172,10 +172,10 @@ class TestAudit:
 
     def test_report_shape(self):
         rep = ba.check_master_bounds(8, 33, seed=1)
-        assert rep.n == 8
-        assert rep.samples == 33
-        assert len(rep.per_domain_min) == 2 * len(ba.DOMAINS)
-        assert rep.min_margin == min(rep.per_domain_min.values())
+        assert rep["n"] == 8
+        assert rep["samples"] == 33
+        assert len(rep["per_domain_min"]) == 2 * len(ba.DOMAINS)
+        assert rep["min_margin"] == min(rep["per_domain_min"].values())
 
     def test_rejects_small_n(self):
         with pytest.raises(ValueError):
@@ -187,7 +187,7 @@ class TestAudit:
             ba.check_master_bounds(8, count)
 
     def test_sample_count_rounds_down_to_subdomain_multiple(self):
-        assert ba.check_master_bounds(8, 50, seed=2).samples == 44
+        assert ba.check_master_bounds(8, 50, seed=2)["samples"] == 44
 
     def test_sample_rows_over_memory_budget_refused(self):
         with pytest.raises(BudgetExceeded, match="GB"):
@@ -198,4 +198,4 @@ class TestAudit:
         rng = np.random.default_rng(6)
         errs = [ba.f_inner(*ba._proposal(label, 16, rng), 16)[1]
                 for label in ba.DOMAINS for _ in range(2)]
-        assert rep.eval_err_max == max(errs)
+        assert rep["eval_err_max"] == max(errs)

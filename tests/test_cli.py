@@ -3,7 +3,6 @@ schemas, fixed CSV layouts, machine-readable errors, and byte-level
 reproducibility of identical runs."""
 
 import contextlib
-import dataclasses
 import io
 import json
 import math
@@ -19,7 +18,6 @@ from hypothesis import example, given, settings, strategies as st
 from supres import cli
 from supres.constants import truncation_budget
 from supres.qk_operator import qk_entry
-from supres.spectrum import SpectrumReport
 
 
 def run_cli(argv, capsys):
@@ -268,13 +266,6 @@ class TestSpectrum:
         assert code == 1
         assert json.loads(err)["error"] == "usage"
 
-    @pytest.mark.parametrize("tol", ["nan", "-1", "0", "inf"])
-    def test_bad_tolerance_is_usage_error(self, capsys, tol):
-        code, out, err = run_cli(["spectrum", "--K", "4", "--tol", tol], capsys)
-        assert code == 1
-        assert out == ""
-        assert json.loads(err)["error"] == "usage"
-
     def test_negative_seed_is_usage_error(self, capsys):
         code, out, err = run_cli(["spectrum", "--K", "40", "--seed", "-1"], capsys)
         assert code == 1
@@ -299,16 +290,17 @@ class TestSpectrum:
         assert "GB" in json.loads(err)["message"]
         assert peak < 1_000_000
 
-    def test_unreachable_tolerance_exits_two(self, capsys):
-        code, _, err = run_cli(["spectrum", "--K", "4", "--tol", "1e-30"], capsys)
+    def test_unreachable_tolerance_exits_two(self, capsys, monkeypatch):
+        monkeypatch.setattr("supres.spectrum.RESIDUAL_TOL", 1e-30)
+        code, _, err = run_cli(["spectrum", "--K", "4"], capsys)
         assert code == 2
         assert json.loads(err)["error"] == "non_convergence"
 
     def test_failed_condition_exits_two(self, capsys, monkeypatch):
-        def fake(K, tol=1e-8, seed=0, max_iter=20000):
-            return SpectrumReport(K=K, sigma_max=1.0, sigma_min=0.4,
-                                  residual_max=1e-9, residual_min=1e-9,
-                                  iters_max=1, iters_min=1, condition_holds=False)
+        def fake(K, seed=0):
+            return {"K": K, "sigma_max": 1.0, "sigma_min": 0.4,
+                    "residual_max": 1e-9, "residual_min": 1e-9,
+                    "iters_max": 1, "iters_min": 1, "condition_holds": False}
 
         monkeypatch.setattr("supres.spectrum.spectrum_report", fake)
         code, out, err = run_cli(["spectrum", "--K", "40"], capsys)
@@ -342,6 +334,16 @@ class TestConstants:
         first = lines[1].split(",")
         assert float(first[0]) == rep["fK_samples"][0][0]
         assert float(first[1]) == rep["fK_samples"][0][1]
+
+    @pytest.mark.parametrize("under", [False, True])
+    def test_out_path_that_cannot_be_created_is_io_error(self, tmp_path, capsys, under):
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        out_dir = blocker / "sub" if under else blocker
+        code, out, err = run_cli(["constants", "--out", str(out_dir)], capsys)
+        assert code == 1
+        assert out == ""
+        assert json.loads(err)["error"] == "io"
 
 
 class TestAudit:
@@ -385,13 +387,11 @@ class TestAudit:
 
     @staticmethod
     def fake_hard_violation(monkeypatch):
-        from supres.bound_audit import AuditReport
-
         bad = {"domain": "D0+/Re", "s": 0.3, "theta": 0.1, "measured": 5.0, "bound": 1.0}
-        fake_report = AuditReport(
-            n=8, samples=1, violation_count=1, hard_violation_count=1,
-            min_margin=-4.0, mean_margin=-4.0, per_domain_min={"D0+/Re": -4.0},
-            eval_err_max=1e-12, violations=(bad,))
+        fake_report = {
+            "n": 8, "samples": 1, "violation_count": 1, "hard_violation_count": 1,
+            "min_margin": -4.0, "mean_margin": -4.0, "per_domain_min": {"D0+/Re": -4.0},
+            "eval_err_max": 1e-12, "violations": [bad]}
         monkeypatch.setattr("supres.bound_audit.check_master_bounds",
                             lambda *a, **k: fake_report)
 
@@ -417,8 +417,6 @@ class TestReportIsTheLibraryValue:
 
     @staticmethod
     def dumps(report) -> str:
-        if dataclasses.is_dataclass(report):
-            report = dataclasses.asdict(report)
         return json.dumps(report, sort_keys=True, indent=2) + "\n"
 
     def test_certify(self, tmp_path, capsys):
@@ -454,6 +452,18 @@ class TestReportIsTheLibraryValue:
         code, out, _ = run_cli(["audit", "--n", "8", "--samples", "33", "--seed", "4"], capsys)
         assert code == 0
         assert out == self.dumps(bound_audit.check_master_bounds(8, 33, seed=4))
+
+    def test_spectrum(self, capsys):
+        from supres import spectrum
+
+        code, out, _ = run_cli(["spectrum", "--K", "40", "--seed", "3"], capsys)
+        assert code == 0
+        rep = json.loads(out)
+        sweep = rep.pop("sweep")
+        reports = [spectrum.spectrum_report(k, seed=3) for k in (10, 20, 40)]
+        assert self.dumps(rep) == self.dumps(reports[-1])
+        keys = ("K", "sigma_min", "sigma_max", "condition_holds")
+        assert sweep == [{key: r[key] for key in keys} for r in reports]
 
 
 class TestQkDump:

@@ -61,11 +61,11 @@ class TestKBoundCurve:
 class TestReport:
     def test_fields_and_invariants(self):
         rep = co.constants_report()
-        assert rep.C1_root_large > rep.C1_root_small > 0
-        assert 0.0 < rep.eta_star < 1.0
-        assert rep.M1ppp == 152 and rep.M2 == 76
-        assert rep.lam == 0.9
-        vals = [v for _, v in rep.fK_samples]
+        assert rep["C1_root_large"] > rep["C1_root_small"] > 0
+        assert 0.0 < rep["eta_star"] < 1.0
+        assert rep["M1ppp"] == 152 and rep["M2"] == 76
+        assert rep["lam"] == 0.9
+        vals = [v for _, v in rep["fK_samples"]]
         assert all(a > b for a, b in zip(vals, vals[1:]))
 
     def test_bitwise_reproducible(self):
@@ -74,7 +74,7 @@ class TestReport:
     def test_carries_the_budget_at_the_target(self):
         rep = co.constants_report()
         assert co.K_TARGET == 1e13
-        assert rep.truncation_budget == co.truncation_budget(1e13)
+        assert rep["truncation_budget"] == co.truncation_budget(1e13)
 
 
 class TestBudget:

@@ -1,3 +1,4 @@
+import math
 import time
 
 import numpy as np
@@ -203,19 +204,19 @@ class TestMatvec:
             qk.matvec(op, np.zeros(8))
 
     def test_near_linear_scaling(self):
-        def best_of(K):
-            op = qk.build_operator(K)
+        # both sizes alternate, so a burst of load on a shared host hits both
+        # rather than one; each keeps its best time
+        cases = []
+        for K in (2**16, 2**17):
             x = np.random.default_rng(0).standard_normal(2 * K + 1)
-            times = []
-            for _ in range(3):
+            cases.append((qk.build_operator(K), x))
+        best = [math.inf, math.inf]
+        for _ in range(9):
+            for i, (op, x) in enumerate(cases):
                 t0 = time.perf_counter()
                 qk.matvec(op, x)
-                times.append(time.perf_counter() - t0)
-            return min(times)
-
-        t16 = best_of(2**16)
-        t17 = best_of(2**17)
-        assert t17 / t16 < 2.5
+                best[i] = min(best[i], time.perf_counter() - t0)
+        assert best[1] / best[0] < 2.5
 
     @settings(max_examples=25, deadline=None)
     @given(st.integers(min_value=2, max_value=30), st.integers(min_value=0, max_value=2**31))

@@ -2,8 +2,8 @@
 
 Subcommands: certify, gram, spectrum, constants, audit, qk-dump. Each
 handler checks its flags, calls the library, and prints the dict the
-library returns (`certificate.verify_bounded`, `gram.assemble_and_verify`
-without its matrix, `spectrum.spectrum_report`, `constants.constants_report`,
+library returns (`certificate.verify_bounded`, `gram.assemble_and_verify`,
+`spectrum.spectrum_report`, `constants.constants_report`,
 `bound_audit.check_master_bounds`) as JSON with sorted keys on stdout;
 `_plain` serializes it, and the only key the CLI adds is spectrum's sweep
 over K/4, K/2 and K. --out DIR additionally writes the report and the
@@ -140,7 +140,6 @@ def _cmd_gram(args, out) -> int:
     from . import certificate as cert, gram
 
     report = gram.assemble_and_verify(cert.solve_certificate(_load_measure(args.measure)))
-    del report["gram"]
     return _finish("gram", report, out, report["verified"],
                    "Gram matrix failed the PSD or reconstruction check")
 

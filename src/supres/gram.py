@@ -8,8 +8,11 @@ of the diagonal-sum constraint by CG. CG applies z -> T(P Toep(z) P)
 matrix-free: with the spectra of V's |S| columns taken once per task, each
 step is a few batched FFTs, O(|S| n log n) (Toeplitz products and diagonal
 sums by FFT as in R. M. Gray, Toeplitz and Circulant Matrices: A Review,
-2006). The identity is checked in coefficient form, and the dense Q is
-formed once, by a rank-2|S| update of Toep(zeta), for its eigenvalues.
+2006). The identity is checked in coefficient form. Q is proved PSD from
+the symbol of Toep(zeta), a trigonometric polynomial sampled by one FFT
+(trigpoly.min_lower_bound), in O(n log n); only where that floor is not
+positive is the dense Q formed, by a rank-2|S| update of Toep(zeta), for
+its eigenvalues.
 
 The dense maps kept as test oracles are the diagonal summation T, its
 weighted right inverse T~*, the compressed maps A = T(P . P) and
@@ -228,11 +231,19 @@ _CG_RTOL = 1e-12
 _CG_ATOL = 1e-15
 _CG_MAXITER = 200
 
-# peak resident bytes per entry of the dim^2 Gram matrix: Q, one dim^2
-# temporary and eigvalsh's copy; 32.6..36.2 measured with getrusage in fresh
-# processes (peak minus the RSS before the assembly) at n = 512..2048,
-# |S| = 2..60
+# peak resident bytes per entry of the dim^2 Gram matrix on the dense route:
+# Q, one dim^2 temporary and eigvalsh's copy; 32.6..36.2 measured with
+# getrusage in fresh processes (peak minus the RSS before the assembly) at
+# n = 512..2048, |S| = 2..60
 _GRAM_BYTES_PER_ENTRY = 40
+# peak resident bytes per entry of |S| + _SYMBOL_ROWS rows of length L, the
+# factor's FFT length >= 4n+1, on the symbol route: per atom V, the spectra
+# and the _t_ptp temporaries, and rows of CG vectors and the symbol samples
+# (8L) for any |S|. Measured with getrusage in fresh processes (peak minus
+# the RSS before the assembly) at n = 4096..65536, |S| = 1..60: 78..139
+# bytes per entry per atom, and 459..480 bytes per L for the rest
+_SYMBOL_BYTES_PER_ENTRY = 140
+_SYMBOL_ROWS = 4
 
 
 def x_corr(f: _Factor, perr: tp.TrigPoly) -> tuple[np.ndarray, int]:
@@ -270,34 +281,70 @@ def x_corr(f: _Factor, perr: tp.TrigPoly) -> tuple[np.ndarray, int]:
 
 
 # verdict thresholds of the gram report: Q counts as positive semidefinite when
-# its smallest eigenvalue is at least MIN_EIG_FLOOR (eigvalsh rounding of the
-# |S| exact zeros, the atom directions P removes, stays far above it), and
-# psi* Q psi reproduces 1 - |eta|^2 when the l1 norm of the defect's
-# coefficients is at most SUP_POLY_ERR_TOL
+# the symbol floor proves it, or else when the dense Q's smallest eigenvalue is
+# at least MIN_EIG_FLOOR (eigvalsh rounding of the |S| exact zeros, the atom
+# directions P removes, stays far above it), and psi* Q psi reproduces
+# 1 - |eta|^2 when the l1 norm of the defect's coefficients is at most
+# SUP_POLY_ERR_TOL
 MIN_EIG_FLOOR = -1e-9
 SUP_POLY_ERR_TOL = 1e-8
 
 
-def assemble_and_verify(c: Certificate) -> dict:
-    """The gram report: build Q = P (I/dim + Toep(zeta)) P and check it
-    reproduces 1 - |eta|^2.
+def _dense_gram(f: _Factor, zeta: np.ndarray) -> np.ndarray:
+    """The dense Q = P (I/dim + Toep(zeta)) P for the projector factor f,
+    by a rank-2|S| update of Toep(zeta).
 
-    Returns the Gram matrix ("gram") together with atom_count, n, its
-    minimum eigenvalue, the count of eigenvalues below 1e-8 times the
-    spectral norm, sup_poly_err, residual_rel, cg_iters and the verdicts:
-    psd_ok (min_eig >= MIN_EIG_FLOOR), defect_ok (sup_poly_err <=
-    SUP_POLY_ERR_TOL) and verified (both). The defect is taken in
-    coefficient form from one fresh T(P Toep(zeta) P) with the final zeta:
-    psi* Q psi - (1 - |eta|^2) has coefficients conj(T(P Toep(zeta) P)) -
-    p_err. sup_poly_err is their l1 norm, which bounds the defect at every
-    theta, not only on a grid; residual_rel is their l2 norm over |p_err|
-    (absolute if p_err is numerically zero). Q itself is formed once, by a
-    rank-2|S| update of Toep(zeta), for its eigenvalues. Raises
-    BudgetExceeded, before allocating, past the memory budget.
+    P T P = T - (V M* + M V*) with M = T V - V C/2 and C = V* T V, since T
+    and C are Hermitian; V/(2 dim) in M adds the -V V*/dim of P/dim.
+    """
+    V = f.V
+    d = V.shape[0]
+    n = (d - 1) // 2
+    Q = toeplitz(zeta[2 * n :], zeta[2 * n :: -1])
+    TV = Q @ V
+    C = V.conj().T @ TV
+    M = TV - V @ ((C + C.conj().T) / 4) + V / (2 * d)
+    Q -= np.hstack([V, M]) @ np.hstack([M, V]).conj().T
+    Q.flat[:: d + 1] += 1.0 / d
+    Q += Q.conj().T
+    Q *= 0.5
+    return Q
+
+
+def assemble_and_verify(c: Certificate) -> dict:
+    """The gram report: solve for zeta, check that Q = P (I/dim + Toep(zeta)) P
+    reproduces 1 - |eta|^2, and prove Q positive semidefinite.
+
+    The defect is taken in coefficient form from one fresh T(P Toep(zeta) P)
+    with the final zeta: psi* Q psi - (1 - |eta|^2) has coefficients
+    conj(T(P Toep(zeta) P)) - p_err. sup_poly_err is their l1 norm, which
+    bounds the defect at every theta, not only on a grid; residual_rel is
+    their l2 norm over |p_err| (absolute if p_err is numerically zero).
+
+    PSD has two routes. Toep(zeta) is Hermitian Toeplitz, so its smallest
+    eigenvalue is at least the minimum of its symbol zeta^ (U. Grenander and
+    G. Szego, Toeplitz Forms and Their Applications, 1958), and
+    Q >= psd_floor P with psd_floor = 1/dim + a lower bound on min zeta^
+    (trigpoly.min_lower_bound). When psd_floor > 0 no dense Q is formed:
+    Q is PSD with the atom columns as its kernel, so rank_deficiency = |S|,
+    min_eig = 0.0 (Q psi(tau_j) = 0 exactly) and psd_rigorous is true.
+    Otherwise Q is formed densely (_dense_gram) for eigvalsh: min_eig is
+    its smallest eigenvalue, rank_deficiency the count below 1e-8 times the
+    spectral norm, psd_floor the estimate lambda_{|S|+1} and psd_rigorous
+    false.
+
+    Returns atom_count, n, min_eig, psd_floor, psd_rigorous,
+    rank_deficiency, sup_poly_err, residual_rel, cg_iters and the verdicts:
+    psd_ok (psd_rigorous, or min_eig >= MIN_EIG_FLOOR), defect_ok
+    (sup_poly_err <= SUP_POLY_ERR_TOL) and verified (both). Raises
+    BudgetExceeded, before allocating, past the memory budget of the
+    O(|S| n) arrays, and before the dense Q past its d^2 budget.
     """
     n = c.n
     d = 2 * n + 1
-    check_budget(_GRAM_BYTES_PER_ENTRY * d**2, f"Gram assembly at n={n}")
+    size = c.measure.size
+    check_budget(_SYMBOL_BYTES_PER_ENTRY * (size + _SYMBOL_ROWS) * next_fast_len(4 * n + 1),
+                 f"Gram assembly at n={n}")
     f = _projector_factor(c.measure)
     perr = p_err(c, f)
     zeta, iters = x_corr(f, perr)
@@ -308,30 +355,27 @@ def assemble_and_verify(c: Certificate) -> dict:
     if scale > 1e-13:
         resid /= scale
 
-    # P T P = T - (V M* + M V*) with M = T V - V C/2 and C = V* T V, since T
-    # and C are Hermitian; V/(2 dim) in M adds the -V V*/dim of P/dim
-    V = f.V
-    Q = toeplitz(zeta[2 * n :], zeta[2 * n :: -1])
-    TV = Q @ V
-    C = V.conj().T @ TV
-    M = TV - V @ ((C + C.conj().T) / 4) + V / (2 * d)
-    Q -= np.hstack([V, M]) @ np.hstack([M, V]).conj().T
-    Q.flat[:: d + 1] += 1.0 / d
-    Q += Q.conj().T
-    Q *= 0.5
-
-    eigs = np.linalg.eigvalsh(Q)
-    spec_norm = float(np.max(np.abs(eigs)))
-    min_eig = float(eigs[0])
+    lower = tp.min_lower_bound(tp.TrigPoly(2 * n, zeta))
+    # 1/d and the sum are rounded once each: take that much off again
+    floor = 1.0 / d + lower - 2.0**-51 * (1.0 / d + abs(lower))
+    rigorous = floor > 0
+    if rigorous:
+        min_eig, rank_def = 0.0, size
+    else:
+        check_budget(_GRAM_BYTES_PER_ENTRY * d**2, f"dense Gram matrix at n={n}")
+        eigs = np.linalg.eigvalsh(_dense_gram(f, zeta))
+        min_eig, floor = float(eigs[0]), float(eigs[size])
+        rank_def = int(np.sum(eigs < 1e-8 * float(np.max(np.abs(eigs)))))
     sup_err = float(np.sum(np.abs(defect)))
-    psd_ok = min_eig >= MIN_EIG_FLOOR
+    psd_ok = rigorous or min_eig >= MIN_EIG_FLOOR
     defect_ok = sup_err <= SUP_POLY_ERR_TOL
     return {
-        "gram": Q,
-        "atom_count": c.measure.size,
+        "atom_count": size,
         "n": n,
         "min_eig": min_eig,
-        "rank_deficiency": int(np.sum(eigs < 1e-8 * spec_norm)),
+        "psd_floor": floor,
+        "psd_rigorous": rigorous,
+        "rank_deficiency": rank_def,
         "sup_poly_err": sup_err,
         "residual_rel": resid,
         "cg_iters": iters,

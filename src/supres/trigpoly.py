@@ -5,7 +5,9 @@ k = -n..n, so that p(theta) = sum_k c_k exp(2i pi k theta). For FFTs the
 array is laid out with c_k at index k mod length (`to_grid`, `from_grid`).
 `eval_grid` samples p on a uniform grid by one inverse FFT, whose length
 `fast_len` rounds up to a 5-smooth number; `eval` sums the series at
-arbitrary points and is kept as its oracle. The kernel is the centered one,
+arbitrary points and is kept as its oracle. `min_lower_bound` turns one
+such sampling into a rigorous lower bound on a real polynomial's minimum.
+The kernel is the centered one,
 
     D(theta) = sin((2n+1) pi theta) / ((2n+1) sin(pi theta)),
 
@@ -108,6 +110,50 @@ def fast_len(m: int) -> int:
             p35 *= 3
         p5 *= 5
     return best
+
+
+def min_lower_bound(p: TrigPoly) -> float:
+    """A lower bound on min over theta of p(theta), for p real valued
+    (Hermitian coefficients, c_-k = conj(c_k)), from one FFT in O(n log n).
+
+    p is sampled by eval_grid on G = fast_len(8(2n+1)) points. Every theta
+    lies between neighbouring samples a and b = a + 1/G, where p is within
+    ||p''|| (theta - a)(b - theta)/2 <= ||p''||/(8 G^2) of the chord through
+    p(a) and p(b). Bernstein's inequality for degree n (A. Zygmund,
+    Trigonometric Series, ch. X), ||p''|| <= (2 pi n)^2 ||p||, makes that
+    r ||p|| with r = (pi n/G)^2/2 < 0.02. So
+
+        min p >= min_g p(g) - r ||p||,   ||p|| <= M/(1 - r),
+
+    with M the largest |sample| (the second from |p| <= M + r ||p||).
+
+    Rounding bound (Higham, Accuracy and Stability of Numerical Algorithms,
+    2nd ed., sections 3.1 and 24.1; u = 2^-53, gamma_k = ku/(1-ku)). The
+    bound is for p with exactly the coefficients given. Theorem 24.2 bounds
+    a radix-2 FFT by ||y^ - y||_2 <= eps ||y||_2 with eps = t e/(1 - t e),
+    e = mu + gamma_4 (sqrt 2 + mu), t stages and twiddle factors within mu.
+    numpy's FFT is mixed radix (2, 3, 4, 5 at these lengths); assume it is
+    within the theorem's bound with t doubled, t = 2 ceil(log2 G), and
+    twiddles within mu = c u, c = 4. Since ||y||_2 = sqrt(G) ||c||_2 bounds
+    every sample's error, each sample is within e0 = eps sqrt(G) ||c||_2 of
+    p(g), and M + e0 stands for M. Forming the Bernstein term and the final
+    difference takes at most twelve roundings of terms no larger than
+    M + e0 + the Bernstein term, so gamma_12 times that sum is subtracted
+    too. The second-order terms and the rounding of the error terms' own
+    arithmetic stay below a relative 2^-40; the subtracted terms carry a
+    factor 1 + 2^-20 for them.
+    """
+    G = fast_len(8 * (2 * p.n + 1))
+    vals = eval_grid(p, G)
+    lowest, top = float(np.min(vals.real)), float(np.max(np.abs(vals)))
+    u = 2.0**-53
+    t = 2 * (G - 1).bit_length()
+    e = 4 * u + 4 * u / (1 - 4 * u) * (np.sqrt(2) + 4 * u)
+    e0 = t * e / (1 - t * e) * np.sqrt(G) * float(np.linalg.norm(p.coeffs))
+    r = (np.pi * p.n / G) ** 2 / 2
+    bern = r * (top + e0) / (1 - r)
+    arith = 12 * u / (1 - 12 * u) * (top + e0 + bern)
+    return float(lowest - (1 + 2.0**-20) * (bern + e0 + arith))
 
 
 def dirichlet_deriv(n: int, theta):

@@ -201,6 +201,20 @@ class TestGram:
         assert rep["sup_poly_err"] <= 1e-8
         assert 0 < rep["cg_iters"] <= 200
 
+    def test_n_4096_is_proved_by_the_symbol_floor(self, tmp_path, capsys):
+        # past the dense route's d^2 memory cap: the symbol floor proves Q
+        # PSD from O(|S| n) arrays. residual_rel is not asserted: p_err is
+        # tiny here and the CG floor is absolute
+        path = write_measure(tmp_path, 4096, [0.3, 0.61], [1.0, 1j])
+        code, out, err = run_cli(["gram", "--measure", path], capsys)
+        assert code == 0, err
+        rep = json.loads(out)
+        assert rep["psd_rigorous"] is True
+        assert rep["verified"] is True
+        assert rep["min_eig"] == 0.0
+        assert rep["rank_deficiency"] == 2
+        assert 0 < rep["psd_floor"] <= 1 / 8193
+
     def test_separation_error_propagates(self, tmp_path, capsys):
         n = 64
         path = write_measure(tmp_path, n, [0.0, 1.0 / (2 * n)], [1.0, 1.0])
@@ -412,8 +426,8 @@ class TestAudit:
 
 
 class TestReportIsTheLibraryValue:
-    """stdout is json.dumps of the library's report (gram without its
-    matrix): the CLI adds no key and changes no value."""
+    """stdout is json.dumps of the library's report: the CLI adds no key and
+    changes no value."""
 
     @staticmethod
     def dumps(report) -> str:
@@ -435,9 +449,7 @@ class TestReportIsTheLibraryValue:
         code, out, _ = run_cli(["gram", "--measure", path], capsys)
         assert code == 0
         m = cert.AtomicMeasure(64, [0.15, 0.6], [1.0, 1j])
-        report = gram.assemble_and_verify(cert.solve_certificate(m))
-        del report["gram"]
-        assert out == self.dumps(report)
+        assert out == self.dumps(gram.assemble_and_verify(cert.solve_certificate(m)))
 
     def test_constants(self, capsys):
         from supres import constants

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import supres.budget as budget
 import supres.gram as gram
 import supres.trigpoly as tp
 from supres.certificate import (AtomicMeasure, Certificate, eta_coeffs, eval_eta,
@@ -11,6 +12,7 @@ from supres.certificate import (AtomicMeasure, Certificate, eta_coeffs, eval_eta
 from supres.gram import (
     IllConditioned,
     SingularGram,
+    _dense_gram,
     _projector_factor,
     _t_ptp,
     assemble_and_verify,
@@ -28,9 +30,30 @@ from supres.gram import (
 
 from test_certificate import random_measure
 
+# twelve atoms at n = 128 near the separation limit, alternating signs: here
+# 1 + d min zeta^ < 0, so the symbol floor cannot prove Q PSD, and the dense
+# route finds lambda_13(Q) near 0.705/d
+FALLBACK = AtomicMeasure(
+    128, (0.2266, 0.3078, 0.3901, 0.4722, 0.5542, 0.637, 0.7199, 0.8029, 0.8847,
+          0.9732, 0.0552, 0.1393), (1.0, -1.0) * 6)
+
 
 def well_separated(rng, n, size):
     return random_measure(rng, n, size, max(4 * np.log(size + 1) / n, 0.05))
+
+
+def cg_zeta(c):
+    """The Toeplitz coefficients of c's correction, through gram.x_corr (so a
+    monkeypatch of it applies), and the measure's projector factor."""
+    f = _projector_factor(c.measure)
+    zeta, _ = gram.x_corr(f, p_err(c, f))
+    return zeta, f
+
+
+def dense_gram(c):
+    """The dense Q of c's gram report, from the dense route's builder."""
+    zeta, f = cg_zeta(c)
+    return _dense_gram(f, zeta)
 
 
 def random_poly(rng, order):
@@ -394,8 +417,10 @@ class TestAssemble:
         c = solve_certificate(AtomicMeasure(128, (0.2, 0.6), (1.0, 1.0)))
         rep = assemble_and_verify(c)
         assert rep["sup_poly_err"] <= 1e-8
-        assert rep["min_eig"] >= -1e-9
-        assert is_hermitian(rep["gram"], 1e-12)
+        assert rep["psd_rigorous"] is True
+        assert rep["min_eig"] == 0.0
+        assert 0 < rep["psd_floor"] <= 1 / 257
+        assert is_hermitian(dense_gram(c), 1e-12)
         assert rep["residual_rel"] <= 1e-8
 
     def test_residual_matches_projected_form(self):
@@ -429,11 +454,19 @@ class TestAssemble:
 
     def test_memory_cap_admits_n_512(self):
         rep = assemble_and_verify(solve_certificate(AtomicMeasure(512, (0.3, 0.61), (1.0, 1j))))
-        assert rep["gram"].shape == (1025, 1025)
+        assert rep["psd_rigorous"] is True
         assert rep["rank_deficiency"] == 2
         assert rep["sup_poly_err"] <= 1e-8
+
+    def test_dense_route_over_memory_cap_refused(self, monkeypatch):
+        # the d^2 budget applies only where the symbol floor fails: with the
+        # cap just below the dense Q of the fallback measure, its report is
+        # refused, and a measure the floor proves still passes
+        monkeypatch.setattr(budget, "CAP_BYTES", gram._GRAM_BYTES_PER_ENTRY * 257**2 - 1)
         with pytest.raises(ValueError, match="GB"):
-            assemble_and_verify(solve_certificate(AtomicMeasure(4096, (0.3,), (1.0,))))
+            assemble_and_verify(solve_certificate(FALLBACK))
+        rep = assemble_and_verify(solve_certificate(AtomicMeasure(128, (0.2, 0.6), (1.0, 1.0))))
+        assert rep["verified"] is True
 
     def test_cg_iteration_count(self):
         # one atom: p_err is rounding noise below the CG floor, so CG stops
@@ -448,8 +481,7 @@ class TestAssemble:
 
     def test_atoms_in_kernel(self):
         m = AtomicMeasure(64, (0.3, 0.75), (1.0, 1.0))
-        rep = assemble_and_verify(solve_certificate(m))
-        Q = rep["gram"]
+        Q = dense_gram(solve_certificate(m))
         k = np.arange(-m.n, m.n + 1)
         for t in m.atoms:
             psi = np.exp(2j * np.pi * k * t)
@@ -491,27 +523,96 @@ class TestAssemble:
         want = np.sum(np.abs(op_A(m, toep(delta)).coeffs))
         assert rep["sup_poly_err"] == pytest.approx(want, rel=1e-6)
         theta = np.linspace(0.0, 1.0, 1001)
-        pointwise = np.abs(tp.eval(quad_form_poly(rep["gram"]), theta).real
+        pointwise = np.abs(tp.eval(quad_form_poly(dense_gram(c)), theta).real
                            - (1.0 - np.abs(eval_eta(c, theta)[0]) ** 2))
         assert np.max(pointwise) <= rep["sup_poly_err"] + 1e-12
         assert np.max(pointwise) > eps
 
     def test_verdicts_follow_thresholds(self, monkeypatch):
+        # MIN_EIG_FLOOR judges only the dense route's eigenvalue estimate; a
+        # proof by the symbol floor does not depend on it
         c = solve_certificate(AtomicMeasure(64, (0.2, 0.6), (1.0, 1j)))
         rep = assemble_and_verify(c)
         assert (rep["atom_count"], rep["n"]) == (2, 64)
-        assert rep["min_eig"] >= gram.MIN_EIG_FLOOR
+        assert rep["psd_rigorous"] is True
         assert rep["sup_poly_err"] <= gram.SUP_POLY_ERR_TOL
         assert rep["psd_ok"] is rep["defect_ok"] is rep["verified"] is True
+        fb = solve_certificate(FALLBACK)
+        dense = assemble_and_verify(fb)
+        assert dense["psd_rigorous"] is False
+        assert dense["min_eig"] >= gram.MIN_EIG_FLOOR
+        assert dense["psd_ok"] is dense["defect_ok"] is dense["verified"] is True
 
-        monkeypatch.setattr(gram, "MIN_EIG_FLOOR", rep["min_eig"] + 1e-12)
-        bad = assemble_and_verify(c)
+        monkeypatch.setattr(gram, "MIN_EIG_FLOOR", dense["min_eig"] + 1e-12)
+        bad = assemble_and_verify(fb)
         assert (bad["psd_ok"], bad["defect_ok"], bad["verified"]) == (False, True, False)
+        assert assemble_and_verify(c)["verified"] is True
 
-        monkeypatch.setattr(gram, "MIN_EIG_FLOOR", rep["min_eig"] - 1e-12)
+        monkeypatch.setattr(gram, "MIN_EIG_FLOOR", dense["min_eig"] - 1e-12)
         monkeypatch.setattr(gram, "SUP_POLY_ERR_TOL", rep["sup_poly_err"] / 2)
         bad = assemble_and_verify(c)
         assert (bad["psd_ok"], bad["defect_ok"], bad["verified"]) == (True, False, False)
+
+
+def separation_limit(n, size):
+    """Separation below which solve_certificate raises SeparationTooSmall."""
+    return (np.sqrt(3) + 9 / 4) * np.log(size) / n
+
+
+def near_limit_measure(rng, n, size):
+    """Random measure whose separation is drawn log-uniformly between 1.05
+    times the SeparationTooSmall limit and even spacing (scaled by 0.999,
+    which random_measure needs to leave room for its slack)."""
+    if size == 1:
+        return random_measure(rng, n, 1, 0.0)
+    lo, hi = 1.05 * separation_limit(n, size), 0.999 / size
+    return random_measure(rng, n, size, np.exp(rng.uniform(np.log(lo), np.log(hi))))
+
+
+class TestSymbolFloor:
+    def test_fallback_measure_takes_dense_route(self):
+        c = solve_certificate(FALLBACK)
+        zeta, _ = cg_zeta(c)
+        symbol = tp.TrigPoly(2 * c.n, zeta)
+        # the floor fails because the symbol itself dips below -1/d, not
+        # because its lower bound is loose
+        assert 257 * tp.eval_grid(symbol, 64 * tp.fast_len(8 * 513)).real.min() < -1
+        rep = assemble_and_verify(c)
+        assert rep["psd_rigorous"] is False
+        assert rep["verified"] is True
+        assert rep["rank_deficiency"] == 12
+        eigs = np.linalg.eigvalsh(dense_gram(c))
+        assert rep["min_eig"] == eigs[0]
+        assert rep["psd_floor"] == eigs[12]
+        assert 0.69 < 257 * rep["psd_floor"] < 0.72
+
+    def test_floor_below_cg_symbol_minimum(self):
+        # the lower bound on min zeta^ for the zeta CG returns, against zeta^
+        # on a 64x finer grid, at measures on both routes
+        rng = np.random.default_rng(71)
+        measures = [FALLBACK, AtomicMeasure(128, (0.2, 0.6), (1.0, 1.0))]
+        measures += [near_limit_measure(rng, n, size) for n, size in ((32, 2), (96, 5), (160, 8))]
+        for m in measures:
+            zeta, _ = cg_zeta(solve_certificate(m))
+            symbol = tp.TrigPoly(2 * m.n, zeta)
+            fine = tp.eval_grid(symbol, 64 * tp.fast_len(8 * (4 * m.n + 1))).real.min()
+            assert tp.min_lower_bound(symbol) <= fine
+
+    def test_floor_below_dense_oracle_on_random_measures(self):
+        # seeded property test: psd_floor never exceeds lambda_{|S|+1} of the
+        # dense Q, and a positive floor leaves exactly the |S| atom directions
+        # in the oracle's numerical kernel
+        rng = np.random.default_rng(20)
+        for _ in range(60):
+            n = int(rng.integers(16, 161))
+            fits = [s for s in range(1, 9) if s * 1.05 * separation_limit(n, s) < 0.999]
+            size = int(rng.choice(fits))
+            c = solve_certificate(near_limit_measure(rng, n, size))
+            rep = assemble_and_verify(c)
+            eigs = np.linalg.eigvalsh(dense_gram(c))
+            assert rep["psd_floor"] <= eigs[size] + 1e-12, (n, size)
+            if rep["psd_floor"] > 0:
+                assert np.sum(eigs < 1e-8 * np.max(np.abs(eigs))) == size, (n, size)
 
 
 class TestLambdaMin:

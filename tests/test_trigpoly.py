@@ -164,6 +164,56 @@ class TestDirichletDeriv:
             assert a == pytest.approx(b, rel=1e-10, abs=1e-9)
 
 
+def hermitian_poly(rng, n, decay=0.0):
+    """Random real-valued p of order n: c_-k = conj(c_k), |c_k| ~ (1+|k|)^-decay."""
+    c = random_poly(rng, n).coeffs * (1.0 + np.abs(np.arange(-n, n + 1))) ** -decay
+    return tp.TrigPoly(n, (c + np.conj(c[::-1])) / 2)
+
+
+def fine_min(p):
+    """Minimum of p on a grid 64 times finer than min_lower_bound's."""
+    return float(np.min(tp.eval_grid(p, 64 * tp.fast_len(8 * (2 * p.n + 1))).real))
+
+
+class TestMinLowerBound:
+    @pytest.mark.parametrize("n", [0, 1, 2, 7, 40, 300, 1024])
+    @pytest.mark.parametrize("decay", [0.0, 1.0, 2.0])
+    def test_below_fine_grid_minimum(self, n, decay):
+        # sound: never above the symbol's minimum on a 64x finer grid; and
+        # within the Bernstein term r/(1 - r) < 0.02 of the largest value
+        rng = np.random.default_rng(1000 * n + int(decay))
+        for _ in range(5):
+            p = hermitian_poly(rng, n, decay)
+            low, top = fine_min(p), float(np.max(np.abs(tp.eval_grid(p, 16 * n + 8))))
+            bound = tp.min_lower_bound(p)
+            assert bound <= low
+            assert bound >= low - 0.02 * top
+
+    def test_constant(self):
+        assert tp.min_lower_bound(tp.TrigPoly(0, [0.25])) == pytest.approx(0.25, rel=1e-14)
+        assert tp.min_lower_bound(tp.TrigPoly(0, [0.25])) <= 0.25
+
+    @pytest.mark.parametrize("n", [1, 5, 64, 513])
+    def test_top_frequency_cosine(self, n):
+        # cos(2 pi n theta) bends fastest of all order-n polynomials of its
+        # norm, so the Bernstein term is met with equality in its second
+        # derivative; its minimum -1 must still be covered
+        c = np.zeros(2 * n + 1)
+        c[0] = c[-1] = 0.5
+        bound = tp.min_lower_bound(tp.TrigPoly(n, c))
+        assert -1.02 <= bound <= -1.0
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(min_value=0, max_value=200),
+       seed=st.integers(min_value=0, max_value=2**32 - 1),
+       shift=st.floats(min_value=-3.0, max_value=3.0))
+def test_min_lower_bound_property(n, seed, shift):
+    p = hermitian_poly(np.random.default_rng(seed), n, decay=1.0)
+    p = tp.TrigPoly(n, p.coeffs + shift * (np.arange(-n, n + 1) == 0))
+    assert tp.min_lower_bound(p) <= fine_min(p)
+
+
 def test_bad_coeff_length():
     with pytest.raises(ValueError):
         tp.TrigPoly(3, np.ones(6))

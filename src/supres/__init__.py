@@ -5,7 +5,8 @@ Submodules:
 - trigpoly:    trigonometric polynomials, the Dirichlet kernel and derivatives,
                the FFT coefficient layout
 - certificate: interpolating dual certificate construction and verification
-- gram:        Gram-matrix calculus (T, weighted inverse, projector, correction)
+- gram:        the Gram certificate: projector factor, CG correction, identity
+               check and PSD proof by the symbol floor
 - specfun:     the logarithmic kernel E
 - qk_operator: the deviation operator in the Dirichlet basis, asymptotic
                entries, structured matvec

@@ -108,7 +108,8 @@ def f_inner_quad(s: float, theta: float, n: int) -> tuple[complex, float]:
     """Test oracle: F(s; theta) by adaptive quadrature, with its absolute-error
     estimate (the sum of the real and imaginary parts' estimates). Raises
     BudgetExceeded when one evaluation of the n+1 kernel terms would exceed
-    the memory budget."""
+    the memory budget. Kept here, unlike the oracles in tests/oracles.py,
+    because perfbench's tracer wraps the module-level quad it uses."""
     if not 0.0 <= theta <= 0.5:
         raise ValueError("theta must lie in [0, 1/2]")
     check_budget(_QUAD_BYTES_PER_TERM * (n + 1), f"audit kernel at n={n}")

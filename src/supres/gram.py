@@ -4,22 +4,16 @@ The central identity is 1 - |eta(theta)|^2 = psi*(theta) Q psi(theta) with
 psi the vector of Fourier exponentials and Q = P (I/dim + Toep(zeta)) P.
 Here P = I - V V* projects onto the orthogonal complement of the atom
 columns, and zeta, 4n+1 Toeplitz coefficients, is the minimum-norm solution
-of the diagonal-sum constraint by CG. CG applies z -> T(P Toep(z) P)
-matrix-free: with the spectra of V's |S| columns taken once per task, each
-step is a few batched FFTs, O(|S| n log n) (Toeplitz products and diagonal
-sums by FFT as in R. M. Gray, Toeplitz and Circulant Matrices: A Review,
-2006). The identity is checked in coefficient form. Q is proved PSD from
-the symbol of Toep(zeta), a trigonometric polynomial sampled by one FFT
+of the diagonal-sum constraint by CG. CG applies z -> T(P Toep(z) P),
+with T the sum along diagonals, matrix-free: with the spectra of V's |S|
+columns taken once per task, each step is a few batched FFTs,
+O(|S| n log n) (Toeplitz products and diagonal sums by FFT as in R. M.
+Gray, Toeplitz and Circulant Matrices: A Review, 2006). The identity is
+checked in coefficient form. Q is proved PSD from the symbol of
+Toep(zeta), a trigonometric polynomial sampled by one FFT
 (trigpoly.min_lower_bound), in O(n log n); only where that floor is not
 positive is the dense Q formed, by a rank-2|S| update of Toep(zeta), for
 its eigenvalues.
-
-The dense maps kept as test oracles are the diagonal summation T, its
-weighted right inverse T~*, the compressed maps A = T(P . P) and
-A~* = P T~*(.) P, and the weighted coefficient norm attached to T~*. Their
-matrices are plain square complex arrays; the certificate-side ones are
-indexed by the frequencies -n..n, and since diagonal sums do not depend on
-where a range starts, T and T~* take and give square arrays of any size.
 """
 
 from __future__ import annotations
@@ -27,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.fft import fft, fft2, ifft, ifft2, next_fast_len
+from scipy.fft import fft, ifft, next_fast_len
 from scipy.linalg import solve_triangular, toeplitz
 from scipy.sparse.linalg import LinearOperator, cg
 
@@ -42,36 +36,6 @@ class SingularGram(ArithmeticError):
 
 class IllConditioned(ArithmeticError):
     """The normal equations are too ill conditioned to trust the correction."""
-
-
-def op_T(H: np.ndarray) -> tp.TrigPoly:
-    """Sum the diagonals: p_s = sum over k-l = s of H[k,l], order dim-1."""
-    d = H.shape[0]
-    coeffs = np.array([np.trace(H, offset=-s) for s in range(-(d - 1), d)])
-    return tp.TrigPoly(d - 1, coeffs)
-
-
-def op_Ttilde_star(p: tp.TrigPoly) -> np.ndarray:
-    """Weighted Toeplitz lift with entries p_{k-l}/(dim - |k-l|), dim = order+1.
-
-    Right inverse of op_T. Hermitian exactly when p has Hermitian
-    coefficients.
-    """
-    d = p.n + 1
-    idx = np.arange(d)
-    s = idx[:, None] - idx[None, :]
-    return p.coeffs[s + p.n] / (d - np.abs(s))
-
-
-def norm_W(p: tp.TrigPoly) -> float:
-    """Test oracle: the weighted coefficient norm sqrt(sum |p_k|^2 / (n+1-|k|)).
-
-    TestXCorr::test_frobenius_bound_chain checks ||X_corr||_F against
-    norm_W(p_err) / sqrt(lambda_min_AAtilde), and acceptance criterion 3
-    bounds norm_W(p_err) by 1/n.
-    """
-    w = p.n + 1 - np.abs(tp.freqs(p))
-    return float(np.sqrt(np.sum(np.abs(p.coeffs) ** 2 / w)))
 
 
 @dataclass(frozen=True)
@@ -103,17 +67,6 @@ def _projector_factor(m: AtomicMeasure) -> _Factor:
     return _Factor(V, fft(tp.to_grid(V.T, next_fast_len(4 * m.n + 1))))
 
 
-def projector_PUperp(m: AtomicMeasure) -> np.ndarray:
-    """Orthogonal projector onto the complement of span{psi(tau_j)}, on -n..n.
-
-    The dense I - V V* of the factor the Gram task uses; only the test
-    oracles op_A, op_Atilde_star and lambda_min_AAtilde form it.
-    """
-    V = _projector_factor(m).V
-    P = np.eye(V.shape[0]) - V @ V.conj().T
-    return (P + P.conj().T) / 2
-
-
 def _t_ptp(f: _Factor, z: np.ndarray) -> np.ndarray:
     """T(P Toep(z) P) for coefficients z on -2n..2n, by FFT.
 
@@ -134,44 +87,6 @@ def _t_ptp(f: _Factor, z: np.ndarray) -> np.ndarray:
     return _weights(n) * z - tp.from_grid(ifft(np.sum(cross, axis=0)), 2 * n)
 
 
-def op_A(m: AtomicMeasure, X: np.ndarray) -> tp.TrigPoly:
-    """Test oracle: A(X) = T(P X P) with P the atom-complement projector.
-
-    The TestXCorr residuals are measured through it, TestFFTOperator checks
-    the matrix-free T(P Toep(z) P) against it, TestOpA checks the 2-D FFT
-    matrix of lambda_min_AAtilde against it column by column, and
-    TestFiniteN::test_matches_toeplitz_composition composes it with A~*.
-    """
-    P = projector_PUperp(m)
-    return op_T(P @ X @ P)
-
-
-def op_Atilde_star(m: AtomicMeasure, p: tp.TrigPoly) -> np.ndarray:
-    """Test oracle: A~*(p) = P T~*(p) P on the certificate-side range -n..n.
-
-    TestOpA and TestFiniteN::test_matches_toeplitz_composition compose it
-    with op_A. No symmetrization: the output is Hermitian exactly when p
-    is, and the exact right-inverse property at |S|=0 needs the raw product.
-    """
-    if p.n != 2 * m.n:
-        raise ValueError("p must have order 2n to match the -n..n Gram dimension")
-    P = projector_PUperp(m)
-    return P @ op_Ttilde_star(p) @ P
-
-
-def quad_form_poly(H: np.ndarray) -> tp.TrigPoly:
-    """Test oracle: coefficients of theta -> psi*(theta) H psi(theta) for
-    Hermitian H.
-
-    The pairing psi* H psi produces sum_s T(H)_s e^{-2 pi i s theta}, so the
-    standard-orientation coefficients are the conjugates of T(H); the
-    resulting polynomial is real valued but in general not even.
-    TestAssemble checks the dense Q's pointwise defect against the
-    coefficient-form sup_poly_err through it.
-    """
-    return tp.TrigPoly(H.shape[0] - 1, np.conj(op_T(H).coeffs))
-
-
 def p_err(c: Certificate, f: _Factor) -> tp.TrigPoly:
     """Residual polynomial (1 - |eta|^2) - psi* P psi / dim, order 2n, for
     the projector factor f of the measure.
@@ -186,43 +101,10 @@ def p_err(c: Certificate, f: _Factor) -> tp.TrigPoly:
     return tp.TrigPoly(2 * c.n, tp.from_grid(ifft(spec), 2 * c.n))
 
 
-def _sigma_matrix(P: np.ndarray) -> np.ndarray:
-    """Dense matrix S[s',s] = T(P E_s P)_{s'} of the unweighted part of A A~*.
-
-    S[s',s] = sum_{k,u} P[k,u] P[u-s, k-s'], a 2-D correlation of P with its
-    transpose, computed as a 2-D FFT convolution zero-padded past 2d-1 per
-    axis so the circular product is the linear one. Hermitian positive
-    semidefinite; the full operator A A~* acting on coefficients is
-    S diag(1/w), similar to the Hermitian pencil w^{-1/2} S w^{-1/2}.
-    """
-    full = 2 * P.shape[0] - 1
-    shape = (next_fast_len(full),) * 2
-    S = ifft2(fft2(P, shape) * fft2(P.T[::-1, ::-1], shape))[:full, :full]
-    S = (S + S.conj().T) / 2
-    return S
-
-
 def _weights(n: int) -> np.ndarray:
     d = 2 * n + 1
     s = np.arange(-(d - 1), d)
     return d - np.abs(s)
-
-
-def lambda_min_AAtilde(m: AtomicMeasure) -> float:
-    """Test oracle: smallest eigenvalue of A A~* off its 2|S|-dimensional
-    analytic kernel, by a dense eigvalsh of w^{-1/2} S w^{-1/2}.
-
-    TestXCorr::test_frobenius_bound_chain, TestLambdaMin and acceptance
-    criterion 4 use it. Each
-    atom contributes two kernel vectors: w_s e^{2 pi i s tau_j} and
-    s w_s e^{2 pi i s tau_j}. Their lifts under T~* are psi psi* and the
-    commutator-like (D psi) psi* - psi (D psi)*, both annihilated by the
-    outer projectors, so the 2|S| smallest eigenvalues are discarded by
-    count.
-    """
-    rw = 1.0 / np.sqrt(_weights(m.n))
-    sym = rw[:, None] * _sigma_matrix(projector_PUperp(m)) * rw[None, :]
-    return float(np.linalg.eigvalsh(sym)[2 * m.size])
 
 
 # CG on a matrix of condition ~1.5 on its range; the absolute floor sits above

@@ -9,11 +9,11 @@ one fixed cosine-integral kernel R at two lags. That structure gives an
 O(K log K) matvec for the stabilized section I - Q + P, where P projects
 onto the span of the first coordinate and one explicit alternating vector.
 
-Entries are available through two independent routes: qk_entry assembles
-the printed special-function cases one scalar at a time, while qk_dense
-reconstructs the whole matrix from the precomputed kernel. The two must
-agree to 1e-12; tests enforce that, and the finite-n matrix qk_finite_n
-provides the convergence arbiter.
+qk_dense reconstructs the whole matrix from the precomputed kernel. The
+tests check it against two independent routes in tests/oracles.py: qk_entry
+assembles the printed special-function cases one scalar at a time (they
+must agree to 1e-12), and the finite-n matrix qk_finite_n is the
+convergence arbiter.
 """
 
 from __future__ import annotations
@@ -25,50 +25,6 @@ from scipy.fft import irfft, next_fast_len, rfft
 
 from . import specfun as sf
 from .budget import check_budget
-
-
-def dirichlet_limit(ell: int) -> complex:
-    """Pointwise limit of the one-sided Dirichlet average at integer lags.
-
-    Equals (e^{i pi l} - 1)/(i pi l) with value 1 at l = 0; exactly zero at
-    even nonzero integers, computed by parity so the sparsity is exact.
-    """
-    if ell == 0:
-        return 1.0 + 0j
-    if ell % 2 == 0:
-        return 0.0 + 0j
-    return 2j / (np.pi * ell)
-
-
-def qk_p0_term(l1: int, l2: int) -> float:
-    """The |D|^2 p(0) subtraction: nonzero only on the center column."""
-    if l2 != 0:
-        return 0.0
-    return float(abs(dirichlet_limit(l1)) ** 2)
-
-
-def qk_entry(K: int, l1: int, l2: int) -> complex:
-    """Test oracle: closed-form limit entry at (l1, l2), assembled case by
-    case; TestDense::test_matches_entry_route checks qk_dense against it.
-
-    Cases: the l1 = 0 row is e0^T; even l1 != 0 vanishes through the
-    Dirichlet prefactor; otherwise the entry is 2 Re(D S1) minus the
-    center-column subtraction, with S1 built from four E-kernel values.
-    """
-    if abs(l1) > K or abs(l2) > K:
-        raise ValueError("indices must satisfy |l1|, |l2| <= K")
-    if l1 == 0:
-        return complex(1.0 if l2 == 0 else 0.0)
-    D = dirichlet_limit(l1)
-    if D == 0:
-        return 0.0 + 0j
-    sgn_l2 = -1.0 if l2 % 2 else 1.0
-    sgn_l12 = -1.0 if (l1 + l2) % 2 else 1.0
-    s1 = (
-        sgn_l2 * (sf.e_kernel(l2) - sf.e_kernel(l2 - l1))
-        + sgn_l12 * (sf.e_kernel(l1 - l2) - sf.e_kernel(-l2))
-    ) / (2j * np.pi * l1)
-    return complex(2.0 * np.real(D * s1) - qk_p0_term(l1, l2))
 
 
 @dataclass(frozen=True)
@@ -218,39 +174,3 @@ def qk_dense(K: int) -> np.ndarray:
     Q[K, :] = 0.0
     Q[K, K] = 1.0
     return Q
-
-
-def qk_finite_n(K: int, n: int) -> np.ndarray:
-    """Test oracle: the finite-n matrix, the one-atom operator applied to
-    translated Dirichlet kernels, sampled at l1/(2n+1);
-    TestFiniteN::test_converges_to_limit checks qk_dense against it.
-
-    Entry [l1, l2] is 2 Re(D(theta) S1(theta)) - |D(theta)|^2 p(0) at
-    theta = l1/(2n+1), where p is the Dirichlet kernel centered at
-    l2/(2n+1), D is the one-sided exponential average of degree n, and S1
-    collects the window sums of the weighted Toeplitz lift of p against the
-    all-ones vector.
-    """
-    if n < 4 * K:
-        raise ValueError("need n >= 4K for the sampling grid to stay local")
-    ells = np.arange(-K, K + 1)
-    thetas = ells / (2 * n + 1.0)
-    k = np.arange(0, n + 1)
-    z = np.exp(2j * np.pi * thetas)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        geo = (z ** (n + 1) - 1.0) / (z - 1.0) / (n + 1)
-    D = np.where(ells == 0, 1.0 + 0j, geo)
-    phi = np.exp(-2j * np.pi * np.outer(thetas, k))
-    s = np.arange(-n, n + 1)
-    w = (n + 1.0) - np.abs(s)
-    out = np.zeros((2 * K + 1, 2 * K + 1))
-    for j2, l2 in enumerate(ells):
-        beta = l2 / (2 * n + 1.0)
-        ct = np.exp(-2j * np.pi * s * beta) / (2 * n + 1.0) / w
-        pref = np.concatenate(([0.0 + 0j], np.cumsum(ct)))
-        hu = pref[k + n + 1] - pref[k]
-        s1 = phi @ np.conj(hu)
-        p0 = 1.0 if l2 == 0 else 0.0
-        out[:, j2] = 2.0 * np.real(D * s1) - np.abs(D) ** 2 * p0
-    return out
-

@@ -107,7 +107,8 @@ def _sigma_scale(pair: Eigenpair) -> tuple[float, float]:
 def dense_extremes(K: int) -> tuple[float, float]:
     """Test oracle: (sigma_min, sigma_max) of the dense section by a full
     SVD, for oracle-scale K; the spectrum tests check the Lanczos estimates
-    against it."""
+    against it. Kept here, unlike the oracles in tests/oracles.py, because
+    perfbench's worker checks spectrum-sweep reports against it."""
     op = qk.build_operator(K)
     A = np.eye(op.dim) - qk.qk_dense(K) + op.pinf.matrix()
     svals = np.linalg.svd(A, compute_uv=False)

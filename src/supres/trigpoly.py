@@ -4,8 +4,7 @@ A polynomial of order n is stored as the dense coefficient array c_k,
 k = -n..n, so that p(theta) = sum_k c_k exp(2i pi k theta). For FFTs the
 array is laid out with c_k at index k mod length (`to_grid`, `from_grid`).
 `eval_grid` samples p on a uniform grid by one inverse FFT, whose length
-`fast_len` rounds up to a 5-smooth number; `eval` sums the series at
-arbitrary points and is kept as its oracle. `min_lower_bound` turns one
+`fast_len` rounds up to a 5-smooth number. `min_lower_bound` turns one
 such sampling into a rigorous lower bound on a real polynomial's minimum.
 The kernel is the centered one,
 
@@ -37,31 +36,6 @@ class TrigPoly:
                 f"order {self.n} needs {2 * self.n + 1} coefficients, got {c.shape}"
             )
         object.__setattr__(self, "coeffs", c)
-
-
-def freqs(p: TrigPoly) -> np.ndarray:
-    return np.arange(-p.n, p.n + 1)
-
-
-def eval(p: TrigPoly, theta):
-    """Evaluate p at theta (scalar or array). Periodic with period 1.
-
-    Test oracle: the direct sum at arbitrary points, against which
-    TestEvalGrid::test_matches_pointwise checks `eval_grid`.
-    """
-    th = np.asarray(theta, dtype=float)
-    k = freqs(p)
-    # outer-product evaluation; chunk large grids to keep the phase matrix small
-    flat = np.atleast_1d(th).ravel()
-    out = np.empty(flat.shape, dtype=np.complex128)
-    step = max(1, 2_000_000 // (2 * p.n + 1))
-    for i in range(0, flat.size, step):
-        block = flat[i : i + step]
-        out[i : i + step] = np.exp(2j * np.pi * np.outer(block, k)) @ p.coeffs
-    out = out.reshape(np.shape(th))
-    if np.isscalar(theta) or np.ndim(theta) == 0:
-        return complex(out)
-    return out
 
 
 def to_grid(x: np.ndarray, length: int) -> np.ndarray:

@@ -22,9 +22,10 @@ from supres.certificate import (AtomicMeasure, eval_eta, solve_certificate,
                                 verify_bounded)
 from supres.constants import (_budget_bounds, c1_bound, eta_star, k_bound_value,
                               truncation_budget)
-from supres.gram import (_projector_factor, assemble_and_verify, lambda_min_AAtilde,
-                         norm_W, p_err)
+from supres.gram import _projector_factor, assemble_and_verify, p_err
 from supres.spectrum import dense_extremes, spectrum_report
+
+from oracles import dirichlet_limit, lambda_min_AAtilde, norm_W, qk_finite_n
 
 _BATCH = []
 
@@ -134,7 +135,7 @@ def _entry_by_quadrature(l1, l2):
                   epsabs=1e-11, epsrel=1e-11, limit=200)[0]
         s1 += 0.5 * (re + 1j * im)
 
-    d = qk.dirichlet_limit(l1)
+    d = dirichlet_limit(l1)
     val = 2.0 * (d * s1).real
     if l2 == 0:
         val -= abs(d) ** 2
@@ -161,7 +162,7 @@ def test_criterion_05_operator_routes_agree():
     assert gap_mv <= 1e-11
 
     dense20 = qk.qk_dense(20)
-    gaps = [float(np.max(np.abs(qk.qk_finite_n(20, n) - dense20)))
+    gaps = [float(np.max(np.abs(qk_finite_n(20, n) - dense20)))
             for n in (500, 1000, 2000)]
     assert gaps[0] > gaps[1] > gaps[2]
     _line(5, f"quadrature gap {worst_entry:.2e}, matvec gap {gap_mv:.2e}, "

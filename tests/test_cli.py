@@ -17,7 +17,8 @@ from hypothesis import example, given, settings, strategies as st
 
 from supres import cli
 from supres.constants import truncation_budget
-from supres.qk_operator import qk_entry
+
+from oracles import qk_entry
 
 
 def run_cli(argv, capsys):

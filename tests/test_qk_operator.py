@@ -7,11 +7,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from supres import gram
 from supres import qk_operator as qk
 from supres import trigpoly as tp
 from supres.budget import BudgetExceeded
 from supres.certificate import AtomicMeasure
+
+from oracles import (dirichlet_limit, eval_direct, op_A, op_Atilde_star, qk_entry,
+                     qk_finite_n, qk_p0_term)
 
 
 def e_by_quadrature(c):
@@ -22,58 +24,58 @@ def e_by_quadrature(c):
 
 class TestEntry:
     def test_origin_is_one(self):
-        assert qk.qk_entry(8, 0, 0) == 1.0 + 0j
+        assert qk_entry(8, 0, 0) == 1.0 + 0j
 
     def test_center_row_is_e0(self):
         for l2 in range(-8, 9):
             expect = 1.0 if l2 == 0 else 0.0
-            assert qk.qk_entry(8, 0, l2) == expect
+            assert qk_entry(8, 0, l2) == expect
 
     def test_spot_values(self):
-        assert qk.qk_entry(8, 1, 0).real == pytest.approx(0.262737031, abs=1e-9)
-        assert qk.qk_entry(8, 1, 3).real == pytest.approx(0.150881120769, abs=1e-11)
-        assert qk.qk_entry(8, 3, 1).real == pytest.approx(-0.035546883, abs=1e-9)
-        assert qk.qk_entry(8, -1, 2).real == pytest.approx(0.150881120769, abs=1e-11)
+        assert qk_entry(8, 1, 0).real == pytest.approx(0.262737031, abs=1e-9)
+        assert qk_entry(8, 1, 3).real == pytest.approx(0.150881120769, abs=1e-11)
+        assert qk_entry(8, 3, 1).real == pytest.approx(-0.035546883, abs=1e-9)
+        assert qk_entry(8, -1, 2).real == pytest.approx(0.150881120769, abs=1e-11)
 
     def test_entries_are_real(self):
         rng = np.random.default_rng(3)
         for _ in range(40):
             l1, l2 = rng.integers(-10, 11, size=2)
-            assert qk.qk_entry(10, int(l1), int(l2)).imag == 0.0
+            assert qk_entry(10, int(l1), int(l2)).imag == 0.0
 
     def test_even_rows_vanish_exactly(self):
         rng = np.random.default_rng(11)
         for _ in range(50):
             l1 = 2 * int(rng.integers(1, 10)) * int(rng.choice([-1, 1]))
             l2 = int(rng.integers(-20, 21))
-            assert qk.qk_entry(20, l1, l2) == 0.0 + 0j
+            assert qk_entry(20, l1, l2) == 0.0 + 0j
 
     def test_p0_term_only_on_center_column(self):
         for l1 in range(-6, 7):
             for l2 in range(-6, 7):
-                part = qk.qk_p0_term(l1, l2)
+                part = qk_p0_term(l1, l2)
                 if l2 != 0:
                     assert part == 0.0
-        assert qk.qk_p0_term(1, 0) == pytest.approx(4.0 / np.pi**2)
-        assert qk.qk_p0_term(2, 0) == 0.0
+        assert qk_p0_term(1, 0) == pytest.approx(4.0 / np.pi**2)
+        assert qk_p0_term(2, 0) == 0.0
 
     def test_out_of_range_rejected(self):
         with pytest.raises(ValueError):
-            qk.qk_entry(5, 6, 0)
+            qk_entry(5, 6, 0)
         with pytest.raises(ValueError):
-            qk.qk_entry(5, 0, -6)
+            qk_entry(5, 0, -6)
 
     def test_against_quadrature(self):
         # rebuild the (1, 3) entry from adaptive quadrature of the defining
         # integrals instead of the cosine-integral shortcut
         l1, l2 = 1, 3
-        D = qk.dirichlet_limit(l1)
+        D = dirichlet_limit(l1)
         s1 = (
             (-1.0) ** l2 * (e_by_quadrature(l2) - e_by_quadrature(l2 - l1))
             + (-1.0) ** (l1 + l2) * (e_by_quadrature(l1 - l2) - e_by_quadrature(-l2))
         ) / (2j * np.pi * l1)
         val = 2.0 * np.real(D * s1)
-        assert val == pytest.approx(qk.qk_entry(8, l1, l2).real, abs=1e-8)
+        assert val == pytest.approx(qk_entry(8, l1, l2).real, abs=1e-8)
 
 
 class TestDense:
@@ -83,7 +85,7 @@ class TestDense:
         for i1, l1 in enumerate(range(-K, K + 1)):
             for i2, l2 in enumerate(range(-K, K + 1)):
                 assert Q[i1, i2] == pytest.approx(
-                    qk.qk_entry(K, l1, l2).real, abs=1e-12
+                    qk_entry(K, l1, l2).real, abs=1e-12
                 )
 
     def test_central_symmetry(self):
@@ -99,17 +101,17 @@ class TestDense:
 class TestFiniteN:
     def test_requires_fine_grid(self):
         with pytest.raises(ValueError):
-            qk.qk_finite_n(10, 39)
+            qk_finite_n(10, 39)
 
     def test_center_row_exact_at_finite_n(self):
-        M = qk.qk_finite_n(6, 64)
+        M = qk_finite_n(6, 64)
         e0 = np.zeros(13)
         e0[6] = 1.0
         assert np.max(np.abs(M[6, :] - e0)) < 1e-12
 
     def test_converges_to_limit(self):
         Q = qk.qk_dense(8)
-        errs = [np.max(np.abs(qk.qk_finite_n(8, n) - Q)) for n in (256, 512, 1024)]
+        errs = [np.max(np.abs(qk_finite_n(8, n) - Q)) for n in (256, 512, 1024)]
         assert errs[0] > errs[1] > errs[2]
         assert errs[2] < 6e-4
 
@@ -120,14 +122,14 @@ class TestFiniteN:
         # 65-dimensional space as the one-sided degree-64 construction)
         K, n = 8, 64
         m = AtomicMeasure(32, (0.0,), (1.0 + 0j,))
-        M = qk.qk_finite_n(K, n)
+        M = qk_finite_n(K, n)
         d = 2 * n + 1
         s = np.arange(-n, n + 1)
         thetas = np.arange(-K, K + 1) / d
         for l2 in (-5, 0, 3):
             p = tp.TrigPoly(n, np.exp(-2j * np.pi * s * (l2 / d)) / d)
-            q = gram.op_A(m, gram.op_Atilde_star(m, p))
-            direct = tp.eval(p, thetas).real - tp.eval(q, thetas).real
+            q = op_A(m, op_Atilde_star(m, p))
+            direct = eval_direct(p, thetas).real - eval_direct(q, thetas).real
             assert np.max(np.abs(M[:, l2 + K] - direct)) < 1e-12
 
 

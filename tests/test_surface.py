@@ -6,22 +6,24 @@ package uses (as a name, an attribute or an import) is surface that only the
 tests keep alive. Docstrings and comments do not count as uses. The allowed
 sets below are exact: a new function or class without a reference fails
 here, and so does a listed one that gains a reference.
+
+The independent references the tests check the package against live in
+tests/oracles.py, not in the package; each public one there must be called
+by some test module, so none of them outlives its last test.
 """
 
 import ast
 import pathlib
 
-SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "supres"
+TESTS = pathlib.Path(__file__).resolve().parent
+SRC = TESTS.parent / "src" / "supres"
 
 ALLOWED = {
-    # independent oracles that the fast paths are checked against
-    "gram.op_A", "gram.op_Atilde_star", "gram.norm_W", "gram.lambda_min_AAtilde",
-    "gram.quad_form_poly",
-    "trigpoly.eval", "spectrum.dense_extremes",
-    "qk_operator.qk_entry", "qk_operator.qk_finite_n", "bound_audit.f_inner_quad",
-    # the measured deviations of the interpolation system next to the bounds
-    # behind SeparationTooSmall, kept for a deviation_measured report field
-    # (ROADMAP item 5)
+    # perfbench's worker imports it for the spectrum-sweep correctness check
+    "spectrum.dense_extremes",
+    # uses bound_audit's module-level quad, which perfbench's tracer reads
+    "bound_audit.f_inner_quad",
+    # kept for a deviation_measured report field (ROADMAP item 5)
     "certificate.neumann_bounds",
 }
 
@@ -53,3 +55,15 @@ def test_functions_without_callers_are_the_listed_ones():
 
 def test_classes_without_references_are_the_listed_ones():
     assert unreferenced(ast.ClassDef) == ALLOWED_CLASSES
+
+
+def test_every_oracle_is_called_by_a_test():
+    defined = {node.name for node in ast.parse((TESTS / "oracles.py").read_text()).body
+               if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")}
+    called = set()
+    for path in TESTS.glob("test_*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call):
+                f = node.func
+                called.add(f.id if isinstance(f, ast.Name) else getattr(f, "attr", None))
+    assert defined - called == set()

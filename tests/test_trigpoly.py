@@ -4,6 +4,8 @@ from hypothesis import given, settings, strategies as st
 
 from supres import trigpoly as tp
 
+from oracles import eval_direct, eval_grid_longdouble, freqs
+
 
 def random_poly(rng, n):
     c = rng.normal(size=2 * n + 1) + 1j * rng.normal(size=2 * n + 1)
@@ -19,17 +21,17 @@ class TestEval:
     def test_constant(self):
         p = tp.TrigPoly(0, [1.0])
         for th in (0.0, 0.3, 0.77):
-            assert tp.eval(p, th) == pytest.approx(1.0)
+            assert eval_direct(p, th) == pytest.approx(1.0)
 
     def test_centered_dirichlet_peak(self):
         d = centered_dirichlet(17)
-        assert tp.eval(d, 0.0) == pytest.approx(1.0, abs=1e-14)
+        assert eval_direct(d, 0.0) == pytest.approx(1.0, abs=1e-14)
 
     def test_centered_dirichlet_grid_zeros(self):
         n = 17
         d = centered_dirichlet(n)
         for k in (1, 2, 5, -3, n):
-            assert abs(tp.eval(d, k / (2 * n + 1))) < 1e-13
+            assert abs(eval_direct(d, k / (2 * n + 1))) < 1e-13
 
     def test_one_sided_modulus(self):
         n = 9
@@ -39,15 +41,15 @@ class TestEval:
         d = tp.TrigPoly(n, c)
         th = np.linspace(0.01, 0.49, 37)
         expected = np.abs(np.sin((n + 1) * np.pi * th) / ((n + 1) * np.sin(np.pi * th)))
-        assert np.max(np.abs(np.abs(tp.eval(d, th)) - expected)) < 1e-12
+        assert np.max(np.abs(np.abs(eval_direct(d, th)) - expected)) < 1e-12
 
     def test_array_matches_scalar(self):
         rng = np.random.default_rng(3)
         p = random_poly(rng, 11)
         th = rng.uniform(0, 1, 9)
-        arr = tp.eval(p, th)
+        arr = eval_direct(p, th)
         for i, t in enumerate(th):
-            assert arr[i] == pytest.approx(tp.eval(p, float(t)), abs=1e-13)
+            assert arr[i] == pytest.approx(eval_direct(p, float(t)), abs=1e-13)
 
 
 class TestEvalGrid:
@@ -55,7 +57,7 @@ class TestEvalGrid:
                                       (64, 129), (64, 1000), (64, 1290)])
     def test_matches_pointwise(self, n, G):
         p = random_poly(np.random.default_rng(n + G), n)
-        np.testing.assert_allclose(tp.eval_grid(p, G), tp.eval(p, np.arange(G) / G),
+        np.testing.assert_allclose(tp.eval_grid(p, G), eval_direct(p, np.arange(G) / G),
                                    rtol=0, atol=1e-11)
 
     def test_fast_len_is_next_five_smooth(self):
@@ -99,7 +101,7 @@ def test_periodicity(n, theta, seed):
     rng = np.random.default_rng(seed)
     p = random_poly(rng, n)
     l1 = np.sum(np.abs(p.coeffs))
-    assert abs(tp.eval(p, theta) - tp.eval(p, theta + 1.0)) <= 1e-12 * max(l1, 1.0)
+    assert abs(eval_direct(p, theta) - eval_direct(p, theta + 1.0)) <= 1e-12 * max(l1, 1.0)
 
 
 @settings(max_examples=50, deadline=None)
@@ -108,7 +110,7 @@ def test_parseval_on_grid(n, seed):
     rng = np.random.default_rng(seed)
     p = random_poly(rng, n)
     grid = np.arange(2 * n + 1) / (2 * n + 1)
-    mean_sq = np.mean(np.abs(tp.eval(p, grid)) ** 2)
+    mean_sq = np.mean(np.abs(eval_direct(p, grid)) ** 2)
     total = np.sum(np.abs(p.coeffs) ** 2)
     assert mean_sq == pytest.approx(total, rel=1e-10)
 
@@ -141,22 +143,22 @@ class TestDirichletDeriv:
     def test_matches_coefficient_sum(self):
         n = 15
         d = centered_dirichlet(n)
-        k = tp.freqs(d)
+        k = freqs(d)
         th = np.linspace(-0.45, 0.45, 19)
         for order, val in enumerate(tp.dirichlet_deriv(n, th)):
             c = d.coeffs * (2j * np.pi * k) ** order
-            direct = tp.eval(tp.TrigPoly(n, c), th)
+            direct = eval_direct(tp.TrigPoly(n, c), th)
             assert np.max(np.abs(val - direct.real)) < 1e-8 * (2 * np.pi * n) ** order + 1e-12
         # near the series switch at 5e-3/n, on both sides, where the closed-form
         # quotients cancel
         r = np.array([1.01e-4, 3e-4, 1e-3, 4e-3, 1e-2])
         for n in (64, 1024, 16384):
             d = centered_dirichlet(n)
-            k = tp.freqs(d)
+            k = freqs(d)
             th = np.concatenate([r, -r]) / n
             for order, val in enumerate(tp.dirichlet_deriv(n, th)):
                 c = d.coeffs * (2j * np.pi * k) ** order
-                direct = tp.eval(tp.TrigPoly(n, c), th)
+                direct = eval_direct(tp.TrigPoly(n, c), th)
                 assert np.max(np.abs(val - direct.real)) < 1e-11 * (2 * np.pi * n) ** order
 
     def test_periodic(self):
@@ -202,6 +204,28 @@ class TestMinLowerBound:
         c[0] = c[-1] = 0.5
         bound = tp.min_lower_bound(tp.TrigPoly(n, c))
         assert -1.02 <= bound <= -1.0
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).eps > 2.0**-60,
+                    reason="needs an extended-precision long double")
+def test_fft_rounding_within_assumed_bound():
+    # min_lower_bound assumes numpy's mixed-radix FFT meets Higham's radix-2
+    # bound ||y^ - y||_2 <= eps ||y||_2 = e0 with t = 2 ceil(log2 G) stages and
+    # twiddles within mu = 4u; check it against a long-double direct sum on
+    # its own grid sizes G = fast_len(8(2n+1)), which take radices 2, 3 and 5
+    u = 2.0**-53
+    e = 4 * u + 4 * u / (1 - 4 * u) * (np.sqrt(2) + 4 * u)
+    rng = np.random.default_rng(16)
+    radices = set()
+    for n in range(101):
+        p = hermitian_poly(rng, n)
+        G = tp.fast_len(8 * (2 * n + 1))
+        t = 2 * (G - 1).bit_length()
+        e0 = t * e / (1 - t * e) * np.sqrt(G) * np.linalg.norm(p.coeffs)
+        err = tp.eval_grid(p, G) - eval_grid_longdouble(p, G)
+        assert float(np.sqrt(np.sum(np.abs(err) ** 2))) <= e0, n
+        radices |= {q for q in (2, 3, 5) if G % q == 0}
+    assert radices == {2, 3, 5}
 
 
 @settings(max_examples=60, deadline=None)

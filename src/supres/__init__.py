@@ -3,7 +3,7 @@
 Submodules:
 
 - trigpoly:    trigonometric polynomials, the Dirichlet kernel and derivatives,
-               the FFT coefficient layout
+               the FFT coefficient layout and its one length rule
 - certificate: interpolating dual certificate construction and verification
 - gram:        the Gram certificate: projector factor, CG correction, identity
                check and PSD proof by the symbol floor

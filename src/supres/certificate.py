@@ -6,9 +6,9 @@ polynomial eta(theta) = sum_j a_j D(theta - tau_j) + b_j D'(theta - tau_j)
 and eta'(tau_j) = 0, then verify |eta| < 1 away from the atoms on a dense
 grid with a Lipschitz safety margin (`verify_bounded`, whose dict is the
 certify report). The grid values come from one inverse FFT of eta's 2n+1
-coefficients, O(n log n); `eval_eta` sums the kernels pointwise, O(|S|) per
-point, and gives eta and eta' together, from one kernel pass per atom, for
-the checks at the atoms.
+coefficients, O(n log n); the checks at the atoms read eta and eta' there
+from the residual of the solved interpolation system, whose rows are those
+values, so they take no kernel evaluation beyond the system's own.
 """
 
 from __future__ import annotations
@@ -127,7 +127,10 @@ class Certificate:
     measure: AtomicMeasure
     a: np.ndarray
     b: np.ndarray
-    n: int
+
+    @property
+    def n(self) -> int:
+        return self.measure.n
 
 
 def _gamma(n: int) -> float:
@@ -189,21 +192,7 @@ def solve_certificate(m: AtomicMeasure) -> Certificate:
         raise SingularSystem("non-finite solution")
     S = m.size
     g = _gamma(m.n)
-    return Certificate(measure=m, a=sol[:S], b=sol[S:] / g, n=m.n)
-
-
-def eval_eta(c: Certificate, theta):
-    """(eta, eta') at theta, two complex arrays of theta's shape."""
-    th = np.asarray(theta, dtype=float)
-    eta = np.zeros(th.shape, dtype=np.complex128)
-    deta = np.zeros(th.shape, dtype=np.complex128)
-    for tau, aj, bj in zip(c.measure.atoms, c.a, c.b):
-        D0, D1, D2 = tp.dirichlet_deriv(c.n, th - tau)
-        eta += aj * D0
-        eta += bj * D1
-        deta += aj * D1
-        deta += bj * D2
-    return eta, deta
+    return Certificate(measure=m, a=sol[:S], b=sol[S:] / g)
 
 
 def eta_coeffs(c: Certificate) -> tp.TrigPoly:
@@ -265,10 +254,11 @@ def verify_bounded(c: Certificate, grid_mult: int = 10) -> dict:
 
     Keys: atom_count, n, separation and deviation_bound (the measure and its
     `system_norm_bounds` operator norm); interp_err and deriv_err, the
-    largest |eta - sign| and |eta'| at the atoms; sup_off_atom and argmax,
-    the grid max off the atoms and its point (NaN when no grid point is off
-    the atoms); certified, True when grid max + slack < 1 and interp_err is
-    at most INTERP_TOL.
+    largest |eta - sign| and |eta'| at the atoms, from the residual of
+    `build_system` at (a, gamma b), whose rows are eta(tau_j) - sign_j and
+    -eta'(tau_j)/gamma; sup_off_atom and argmax, the grid max off the atoms
+    and its point (NaN when no grid point is off the atoms); certified, True
+    when grid max + slack < 1 and interp_err is at most INTERP_TOL.
     Raises BudgetExceeded, before allocating, when the scan would exceed the
     memory budget.
     """
@@ -285,15 +275,17 @@ def verify_bounded(c: Certificate, grid_mult: int = 10) -> dict:
     max_c = float(np.max(np.abs(p.coeffs)))
     slack = np.pi * n * max_c / grid_mult
 
-    eta, deta = eval_eta(c, m.atoms)
-    interp_err = float(np.max(np.abs(eta - m.signs)))
+    g = _gamma(n)
+    matrix, rhs = build_system(m)
+    r = np.abs(matrix @ np.concatenate([c.a, g * c.b]) - rhs)
+    interp_err = float(np.max(r[: m.size]))
     report = {
         "atom_count": m.size,
         "n": n,
         "separation": m.separation,
         "deviation_bound": system_norm_bounds(m)["operator_norm"],
         "interp_err": interp_err,
-        "deriv_err": float(np.max(np.abs(deta))),
+        "deriv_err": g * float(np.max(r[m.size :])),
         "sup_off_atom": np.nan,
         "argmax": np.nan,
         "certified": False,

@@ -8,7 +8,8 @@ of the diagonal-sum constraint by CG. CG applies z -> T(P Toep(z) P),
 with T the sum along diagonals, matrix-free: with the spectra of V's |S|
 columns taken once per task, each step is a few batched FFTs,
 O(|S| n log n) (Toeplitz products and diagonal sums by FFT as in R. M.
-Gray, Toeplitz and Circulant Matrices: A Review, 2006). The identity is
+Gray, Toeplitz and Circulant Matrices: A Review, 2006). They are numpy's,
+at the one length trigpoly.fast_len(4n+1) (`_factor_len`). The identity is
 checked in coefficient form. Q is proved PSD from the symbol of
 Toep(zeta), a trigonometric polynomial sampled by one FFT
 (trigpoly.min_lower_bound), in O(n log n); only where that floor is not
@@ -21,7 +22,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.fft import fft, ifft, next_fast_len
 from scipy.linalg import solve_triangular, toeplitz
 from scipy.sparse.linalg import LinearOperator, cg
 
@@ -38,10 +38,15 @@ class IllConditioned(ArithmeticError):
     """The normal equations are too ill conditioned to trust the correction."""
 
 
+def _factor_len(n: int) -> int:
+    """4n+1 rounded up by trigpoly.fast_len: the length of every Gram FFT."""
+    return tp.fast_len(4 * n + 1)
+
+
 @dataclass(frozen=True)
 class _Factor:
-    """P = I - V V* on -n..n through its d x |S| factor V, with the spectra
-    of V's columns (one row per atom) at an FFT length >= 4n+1.
+    """P = I - V V* on -n..n through its d x |S| factor V, with the numpy
+    FFT spectra of V's columns (one row per atom) at _factor_len(n) >= 4n+1.
 
     Coefficients sit at index k mod length (`trigpoly.to_grid`). Every
     product below is a Toeplitz product, whose outputs -n..n come from lags
@@ -64,7 +69,7 @@ def _projector_factor(m: AtomicMeasure) -> _Factor:
         if np.linalg.cond(G) > 1e12:
             raise SingularGram("atom Gram matrix U*U is numerically singular")
         V = solve_triangular(np.linalg.cholesky(G), V.conj().T, lower=True).conj().T
-    return _Factor(V, fft(tp.to_grid(V.T, next_fast_len(4 * m.n + 1))))
+    return _Factor(V, np.fft.fft(tp.to_grid(V.T, _factor_len(m.n))))
 
 
 def _t_ptp(f: _Factor, z: np.ndarray) -> np.ndarray:
@@ -78,13 +83,13 @@ def _t_ptp(f: _Factor, z: np.ndarray) -> np.ndarray:
     V, spectra = f.V, f.spectra
     n = (V.shape[0] - 1) // 2
     size, length = spectra.shape
-    zf = fft(tp.to_grid(z, length))
-    both = tp.from_grid(ifft(np.concatenate([zf * spectra, np.conj(zf) * spectra])), n)
+    zf = np.fft.fft(tp.to_grid(z, length))
+    both = tp.from_grid(np.fft.ifft(np.concatenate([zf * spectra, np.conj(zf) * spectra])), n)
     tv, tsv = both[:size], both[size:]
     C = V.T.conj() @ tv.T
-    rows = fft(tp.to_grid(np.concatenate([tsv - C.conj() @ V.T, tv]), length))
+    rows = np.fft.fft(tp.to_grid(np.concatenate([tsv - C.conj() @ V.T, tv]), length))
     cross = spectra * np.conj(rows[:size]) + rows[size:] * np.conj(spectra)
-    return _weights(n) * z - tp.from_grid(ifft(np.sum(cross, axis=0)), 2 * n)
+    return _weights(n) * z - tp.from_grid(np.fft.ifft(np.sum(cross, axis=0)), 2 * n)
 
 
 def p_err(c: Certificate, f: _Factor) -> tp.TrigPoly:
@@ -95,10 +100,10 @@ def p_err(c: Certificate, f: _Factor) -> tp.TrigPoly:
     p_err = conj(sum_j corr(v_j, v_j)) / dim - corr(eta, eta), one inverse
     FFT on f's grid; conjugating a correlation reverses its spectrum.
     """
-    eta = fft(tp.to_grid(eta_coeffs(c).coeffs, f.spectra.shape[1]))
+    eta = np.fft.fft(tp.to_grid(eta_coeffs(c).coeffs, f.spectra.shape[1]))
     vv = np.sum(np.abs(f.spectra) ** 2, axis=0)
     spec = np.roll(vv[::-1], 1) / (2 * c.n + 1) - np.abs(eta) ** 2
-    return tp.TrigPoly(2 * c.n, tp.from_grid(ifft(spec), 2 * c.n))
+    return tp.TrigPoly(2 * c.n, tp.from_grid(np.fft.ifft(spec), 2 * c.n))
 
 
 def _weights(n: int) -> np.ndarray:
@@ -225,7 +230,7 @@ def assemble_and_verify(c: Certificate) -> dict:
     n = c.n
     d = 2 * n + 1
     size = c.measure.size
-    check_budget(_SYMBOL_BYTES_PER_ENTRY * (size + _SYMBOL_ROWS) * next_fast_len(4 * n + 1),
+    check_budget(_SYMBOL_BYTES_PER_ENTRY * (size + _SYMBOL_ROWS) * _factor_len(n),
                  f"Gram assembly at n={n}")
     f = _projector_factor(c.measure)
     perr = p_err(c, f)

@@ -21,9 +21,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.fft import irfft, next_fast_len, rfft
 
 from . import specfun as sf
+from . import trigpoly as tp
 from .budget import check_budget
 
 
@@ -68,9 +68,10 @@ class AsymptoticOperator:
 
     r_kernel holds R at lags -2K..2K; prefactor is the row scaling
     4/(pi l1)^2 on odd l1 and zero elsewhere, which realizes the even-row
-    sparsity without branching; signs alternates (-1)^l. r_hat is the real
-    FFT of r_kernel at length fft_len >= 4K+1: the full linear convolution
-    with a length-(2K+1) vector spans lags 0..6K, and at that length the
+    sparsity without branching; signs alternates (-1)^l. r_hat is numpy's
+    real FFT of r_kernel at length fft_len = trigpoly.fast_len(4K+1), the
+    package's one length rule. The full linear convolution with a
+    length-(2K+1) vector spans lags 0..6K, and at any length >= 4K+1 the
     circular wrap leaves the lags 2K..4K the matvec keeps untouched.
     """
 
@@ -99,9 +100,9 @@ def build_operator(K: int) -> AsymptoticOperator:
     odd = ells % 2 != 0
     prefactor[odd] = 4.0 / (np.pi * ells[odd]) ** 2
     signs = np.where(ells % 2 == 0, 1.0, -1.0)
-    fft_len = next_fast_len(4 * K + 1, real=True)
+    fft_len = tp.fast_len(4 * K + 1)
     return AsymptoticOperator(K, r_kernel, prefactor, signs, build_pinf(K),
-                              fft_len, rfft(r_kernel, fft_len))
+                              fft_len, np.fft.rfft(r_kernel, fft_len))
 
 
 def _conv_r(op: AsymptoticOperator, v: np.ndarray) -> np.ndarray:
@@ -110,7 +111,7 @@ def _conv_r(op: AsymptoticOperator, v: np.ndarray) -> np.ndarray:
     if np.iscomplexobj(v):
         return _conv_r(op, v.real) + 1j * _conv_r(op, v.imag)
     K = op.K
-    return irfft(rfft(v, op.fft_len) * op.r_hat, op.fft_len)[2 * K : 4 * K + 1]
+    return np.fft.irfft(np.fft.rfft(v, op.fft_len) * op.r_hat, op.fft_len)[2 * K : 4 * K + 1]
 
 
 def _q_apply(op: AsymptoticOperator, x: np.ndarray) -> np.ndarray:

@@ -3,9 +3,10 @@
 A polynomial of order n is stored as the dense coefficient array c_k,
 k = -n..n, so that p(theta) = sum_k c_k exp(2i pi k theta). For FFTs the
 array is laid out with c_k at index k mod length (`to_grid`, `from_grid`).
-`eval_grid` samples p on a uniform grid by one inverse FFT, whose length
-`fast_len` rounds up to a 5-smooth number. `min_lower_bound` turns one
-such sampling into a rigorous lower bound on a real polynomial's minimum.
+`eval_grid` samples p on a uniform grid by one inverse FFT, at a 5-smooth
+length from `fast_len`, the length rule of every FFT in the package (all
+numpy's). `min_lower_bound` turns one such sampling into a rigorous lower
+bound on a real polynomial's minimum.
 The kernel is the centered one,
 
     D(theta) = sin((2n+1) pi theta) / ((2n+1) sin(pi theta)),
@@ -70,10 +71,10 @@ def eval_grid(p: TrigPoly, G: int) -> np.ndarray:
 def fast_len(m: int) -> int:
     """Smallest 2^a 3^b 5^c >= m, m >= 1.
 
-    numpy's FFT runs these lengths by its mixed-radix kernels; a length with
-    a large prime factor falls back to Bluestein's algorithm, several times
-    slower and with longer scratch arrays. Pure Python, so that the certify
-    path does not pay for importing scipy.fft.
+    The package's one FFT length rule: every transform in supres is numpy's
+    at such a length, run by its mixed-radix kernels (radices 2 to 5, the
+    case min_lower_bound's rounding assumption covers). A large prime factor
+    would fall back to Bluestein's algorithm, several times slower.
     """
     best = 1 << (m - 1).bit_length()
     p5 = 1

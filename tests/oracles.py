@@ -3,12 +3,13 @@
 Each function here is a direct or dense computation of something the package
 computes by FFT, by a structured operator or in closed form: the direct sum
 of a trigonometric polynomial (in double and in extended precision), the
+certificate eta and eta' summed over the atoms' kernels pointwise, the
 dense Gram-side maps T, T~*, A = T(P . P), A~* = P T~*(.) P with their
 projector and weighted norm, the dense matrix of A A~*, and the one-atom
 limit entries of qk_operator case by case and at finite n. No code of the
 package calls them; tests import them from here. Of the package they use
-only the polynomial type, the E kernel and two private helpers of gram: the
-projector factor V and the diagonal weights.
+only the polynomial type, the Dirichlet and E kernels and two private
+helpers of gram: the projector factor V and the diagonal weights.
 
 Two oracles stay in the package because the benchmark under perfbench/
 reaches them: spectrum.dense_extremes (its worker checks spectrum-sweep
@@ -23,7 +24,7 @@ from scipy.fft import fft2, ifft2, next_fast_len
 
 from supres import specfun as sf
 from supres import trigpoly as tp
-from supres.certificate import AtomicMeasure
+from supres.certificate import AtomicMeasure, Certificate
 from supres.gram import _projector_factor, _weights
 
 
@@ -64,6 +65,23 @@ def eval_grid_longdouble(p: tp.TrigPoly, G: int) -> np.ndarray:
     angle = 8 * np.arctan(np.longdouble(1)) * np.arange(G, dtype=np.longdouble) / G
     roots = np.cos(angle) + 1j * np.sin(angle)
     return roots[np.outer(np.arange(G), freqs(p)) % G] @ p.coeffs.astype(np.clongdouble)
+
+
+def eval_eta(c: Certificate, theta):
+    """(eta, eta') at theta, two complex arrays of theta's shape, as the sum
+    of a_j D + b_j D' and a_j D' + b_j D'' over the atoms, O(|S|) per point:
+    the pointwise reference for `eta_coeffs` and the atom checks of
+    `verify_bounded`."""
+    th = np.asarray(theta, dtype=float)
+    eta = np.zeros(th.shape, dtype=np.complex128)
+    deta = np.zeros(th.shape, dtype=np.complex128)
+    for tau, aj, bj in zip(c.measure.atoms, c.a, c.b):
+        D0, D1, D2 = tp.dirichlet_deriv(c.n, th - tau)
+        eta += aj * D0
+        eta += bj * D1
+        deta += aj * D1
+        deta += bj * D2
+    return eta, deta
 
 
 def op_T(H: np.ndarray) -> tp.TrigPoly:

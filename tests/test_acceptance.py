@@ -18,14 +18,13 @@ from scipy.integrate import quad
 
 from supres import qk_operator as qk
 from supres.bound_audit import check_master_bounds
-from supres.certificate import (AtomicMeasure, eval_eta, solve_certificate,
-                                verify_bounded)
+from supres.certificate import AtomicMeasure, solve_certificate, verify_bounded
 from supres.constants import (_budget_bounds, c1_bound, eta_star, k_bound_value,
                               truncation_budget)
 from supres.gram import _projector_factor, assemble_and_verify, p_err
 from supres.spectrum import dense_extremes, spectrum_report
 
-from oracles import dirichlet_limit, lambda_min_AAtilde, norm_W, qk_finite_n
+from oracles import dirichlet_limit, eval_eta, lambda_min_AAtilde, norm_W, qk_finite_n
 
 _BATCH = []
 

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -7,7 +8,7 @@ from hypothesis import assume, given, settings, strategies as st
 from supres import certificate as cert
 from supres import trigpoly as tp
 
-from oracles import eval_direct, freqs
+from oracles import eval_direct, eval_eta, freqs
 
 
 def random_measure(rng, n, size, min_sep):
@@ -113,7 +114,7 @@ class TestSystem:
     def test_interpolation_two_atoms(self):
         m = cert.AtomicMeasure(128, np.array([0.2, 0.6]), np.array([1.0, -1.0 + 0j]))
         c = cert.solve_certificate(m)
-        eta_at_atoms, deriv = cert.eval_eta(c, m.atoms)
+        eta_at_atoms, deriv = eval_eta(c, m.atoms)
         np.testing.assert_allclose(eta_at_atoms, m.signs, atol=1e-10)
         np.testing.assert_allclose(deriv, 0.0, atol=1e-7 * m.n**2)
 
@@ -124,7 +125,7 @@ class TestSystem:
         size = int(rng.integers(1, 5))
         m = random_measure(rng, n, size, min_sep=4 * np.log(size + 1) / n)
         c = cert.solve_certificate(m)
-        eta, deta = cert.eval_eta(c, m.atoms)
+        eta, deta = eval_eta(c, m.atoms)
         np.testing.assert_allclose(eta, m.signs, atol=1e-9)
         assert np.max(np.abs(deta)) <= 1e-7 * n**2
 
@@ -139,13 +140,13 @@ class TestEtaCoeffs:
             c = cert.solve_certificate(m)
             p = cert.eta_coeffs(c)
             theta = rng.uniform(0, 1, 40)
-            eta, deta = cert.eval_eta(c, theta)
+            eta, deta = eval_eta(c, theta)
             np.testing.assert_allclose(eval_direct(p, theta), eta, atol=1e-11)
             # eta' against the coefficients 2 i pi k c_k, also at the atoms'
             # shoulders, within 1e-2/n
             near = (m.atoms[:, None] + rng.uniform(-1e-2, 1e-2, (size, 4)) / n).ravel()
             dp = tp.TrigPoly(n, 2j * np.pi * freqs(p) * p.coeffs)
-            for th, d in ((theta, deta), (near, cert.eval_eta(c, near)[1])):
+            for th, d in ((theta, deta), (near, eval_eta(c, near)[1])):
                 np.testing.assert_allclose(eval_direct(dp, th), d, rtol=0,
                                            atol=1e-12 * 2 * np.pi * n)
 
@@ -162,7 +163,7 @@ class TestEtaCoeffs:
         k = np.arange(-n, n + 1)
         phases = np.exp(-2j * np.pi * np.outer(k, atoms))
         want = (phases @ a + 2j * np.pi * k * (phases @ b)) / (2 * n + 1)
-        got = cert.eta_coeffs(cert.Certificate(m, a, b, n)).coeffs
+        got = cert.eta_coeffs(cert.Certificate(m, a, b)).coeffs
         scale = np.sum(np.abs(a) + 2 * np.pi * n * np.abs(b)) / (2 * n + 1)
         eps = np.finfo(float).eps
         bound = 8 * eps * 2 * np.pi * (n + np.sqrt(2 * n + 1)) * scale
@@ -215,18 +216,30 @@ class TestVerifyBounded:
         assert report["interp_err"] <= cert.INTERP_TOL
         assert report["deriv_err"] <= 1e-7 * m.n**2
 
-    def test_atom_residual_above_tolerance_is_not_certified(self, monkeypatch):
+    @pytest.mark.parametrize("n, size, min_sep", [(128, 2, 0.3), (1024, 8, 0.006)])
+    def test_atom_checks_match_pointwise_sum(self, n, size, min_sep):
+        # the residual of the solved system against eta, eta' summed at the
+        # atoms: at rounding level for the solution, and to 1e-9 relative
+        # once perturbed coefficients lift both checks far above rounding
+        rng = np.random.default_rng(n)
+        m = random_measure(rng, n, size, min_sep=min_sep)
+        c = cert.solve_certificate(m)
+        bumped = dataclasses.replace(c, a=c.a + 1e-6 * rng.normal(size=size),
+                                     b=c.b + 1e-6 / n * rng.normal(size=size))
+        for c, rel, tol in ((c, 0.0, 1e-15), (bumped, 1e-9, 0.0)):
+            report = cert.verify_bounded(c)
+            eta, deta = eval_eta(c, m.atoms)
+            np.testing.assert_allclose(report["interp_err"], np.max(np.abs(eta - m.signs)),
+                                       rtol=rel, atol=tol)
+            np.testing.assert_allclose(report["deriv_err"], np.max(np.abs(deta)),
+                                       rtol=rel, atol=tol * n**2)
+
+    def test_atom_residual_above_tolerance_is_not_certified(self):
         # the grid scan alone would certify; only the residual at the atoms fails
         m = cert.AtomicMeasure(128, np.array([0.1, 0.5]), np.array([1.0, 1j]))
         c = cert.solve_certificate(m)
         assert cert.verify_bounded(c)["certified"] is True
-        real_eval_eta = cert.eval_eta
-
-        def off_by(c, theta):
-            eta, deta = real_eval_eta(c, theta)
-            return eta + 10 * cert.INTERP_TOL, deta
-
-        monkeypatch.setattr(cert, "eval_eta", off_by)
+        c = dataclasses.replace(c, a=c.a + 10 * cert.INTERP_TOL)
         report = cert.verify_bounded(c)
         assert report["interp_err"] > cert.INTERP_TOL
         assert report["sup_off_atom"] < 1.0
@@ -251,7 +264,7 @@ def dense_verify_bounded(c, grid_mult=10):
     n = c.n
     G = tp.fast_len(grid_mult * (2 * n + 1))
     theta = np.arange(G) / G
-    vals = np.abs(cert.eval_eta(c, theta)[0])
+    vals = np.abs(eval_eta(c, theta)[0])
     off = dense_off_mask(c.measure.atoms, n, G)
     slack = np.pi * n * np.max(np.abs(cert.eta_coeffs(c).coeffs)) / grid_mult
     idx = np.argmax(np.where(off, vals, -np.inf))
@@ -273,7 +286,7 @@ class TestGridScan:
         grid = tp.eval_grid(p, G)
         idx = np.arange(G) if G < 2000 else rng.choice(G, 400, replace=False)
         theta = idx / G
-        np.testing.assert_allclose(grid[idx], cert.eval_eta(c, theta)[0], rtol=0, atol=1e-11)
+        np.testing.assert_allclose(grid[idx], eval_eta(c, theta)[0], rtol=0, atol=1e-11)
         np.testing.assert_allclose(grid[idx], eval_direct(p, theta), rtol=0, atol=1e-11)
 
     @pytest.mark.parametrize("atoms, n, G", [
@@ -401,7 +414,7 @@ def test_certified_implies_bounded_off_the_windows(n, seed, size, grid_mult):
     far = rng.uniform(0.0, 1.0, 2000)
     dist = np.abs(far[:, None] - m.atoms[None, :]) % 1.0
     far = far[np.min(np.minimum(dist, 1.0 - dist), axis=1) > 1.0 / n]
-    assert np.max(np.abs(cert.eval_eta(c, np.concatenate([theta, far]))[0])) < 1.0
+    assert np.max(np.abs(eval_eta(c, np.concatenate([theta, far]))[0])) < 1.0
 
 
 @settings(max_examples=60, deadline=None)
@@ -414,6 +427,6 @@ def test_interpolation_property(n, seed, size):
     rng = np.random.default_rng(seed)
     m = random_measure(rng, n, size, min_sep=4 * np.log(size + 1) / n)
     c = cert.solve_certificate(m)
-    eta, deta = cert.eval_eta(c, m.atoms)
+    eta, deta = eval_eta(c, m.atoms)
     np.testing.assert_allclose(eta, m.signs, atol=1e-9)
     assert np.max(np.abs(deta)) <= 1e-7 * n**2

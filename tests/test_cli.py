@@ -553,16 +553,23 @@ class TestProcessLevel:
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["condition_holds"] is True
 
-    def test_no_signal_processing_import(self):
+    def test_no_signal_processing_import(self, tmp_path):
         # importing scipy.signal costs about a second of start-up, and no
-        # command needs it
+        # command needs it; gram and spectrum transform with numpy.fft, so
+        # running them loads no scipy.fft either
+        path = write_measure(tmp_path, 16, [0.1, 0.6], [1.0, -1.0])
         proc = subprocess.run(
             [sys.executable, "-c",
              "import sys, supres.cli, supres.spectrum, supres.gram; "
-             "print('scipy.signal' in sys.modules)"],
+             "print('scipy.signal' in sys.modules); "
+             f"codes = supres.cli.main(['gram', '--measure', {path!r}]), "
+             "supres.cli.main(['spectrum', '--K', '8']); "
+             "print(codes, 'scipy.fft' in sys.modules)"],
             capture_output=True, text=True, timeout=120, env=child_env())
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.strip() == "False"
+        lines = proc.stdout.splitlines()
+        assert lines[0] == "False"
+        assert lines[-1] == "(0, 0) False"
 
     def test_certify_imports_no_scipy(self, tmp_path):
         # the certify path needs numpy only; importing scipy would add to

@@ -7,8 +7,8 @@ from hypothesis import given, settings, strategies as st
 import supres.budget as budget
 import supres.gram as gram
 import supres.trigpoly as tp
-from supres.certificate import (AtomicMeasure, Certificate, eta_coeffs, eval_eta,
-                               solve_certificate, system_norm_bounds)
+from supres.certificate import (AtomicMeasure, Certificate, eta_coeffs, solve_certificate,
+                               system_norm_bounds)
 from supres.gram import (
     IllConditioned,
     SingularGram,
@@ -24,6 +24,7 @@ from supres.gram import (
 from oracles import (
     _sigma_matrix,
     eval_direct,
+    eval_eta,
     freqs,
     lambda_min_AAtilde,
     norm_W,
@@ -299,7 +300,7 @@ class TestFFTOperator:
             want = op_A(m, toep(z)).coeffs
             np.testing.assert_allclose(_t_ptp(f, z), want, rtol=0,
                                        atol=1e-13 * float(np.max(np.abs(want))))
-        c = Certificate(m, rng.normal(size=size), rng.normal(size=size) / n, n)
+        c = Certificate(m, rng.normal(size=size), rng.normal(size=size) / n)
         e = eta_coeffs(c).coeffs
         want = -np.convolve(e, np.conj(e)[::-1]) - np.conj(op_T(P).coeffs) / (2 * n + 1)
         want[2 * n] += 1.0
@@ -317,7 +318,7 @@ class TestFFTOperator:
 class TestPErr:
     def test_empty_measure_zero(self):
         m = AtomicMeasure(16, (), ())
-        c = Certificate(m, np.zeros(0), np.zeros(0), 16)
+        c = Certificate(m, np.zeros(0), np.zeros(0))
         assert np.max(np.abs(perr_of(c).coeffs)) < 1e-12
 
     def test_vanishes_at_atoms(self):

@@ -212,19 +212,20 @@ def test_fft_rounding_within_assumed_bound():
     # min_lower_bound assumes numpy's mixed-radix FFT meets Higham's radix-2
     # bound ||y^ - y||_2 <= eps ||y||_2 = e0 with t = 2 ceil(log2 G) stages and
     # twiddles within mu = 4u; check it against a long-double direct sum on
-    # its own grid sizes G = fast_len(8(2n+1)), which take radices 2, 3 and 5
+    # its own grid sizes G = fast_len(8(2n+1)) and on gram's factor lengths
+    # fast_len(4n+1), which together take radices 2, 3 and 5
     u = 2.0**-53
     e = 4 * u + 4 * u / (1 - 4 * u) * (np.sqrt(2) + 4 * u)
     rng = np.random.default_rng(16)
     radices = set()
     for n in range(101):
         p = hermitian_poly(rng, n)
-        G = tp.fast_len(8 * (2 * n + 1))
-        t = 2 * (G - 1).bit_length()
-        e0 = t * e / (1 - t * e) * np.sqrt(G) * np.linalg.norm(p.coeffs)
-        err = tp.eval_grid(p, G) - eval_grid_longdouble(p, G)
-        assert float(np.sqrt(np.sum(np.abs(err) ** 2))) <= e0, n
-        radices |= {q for q in (2, 3, 5) if G % q == 0}
+        for G in (tp.fast_len(8 * (2 * n + 1)), tp.fast_len(4 * n + 1)):
+            t = 2 * (G - 1).bit_length()
+            e0 = t * e / (1 - t * e) * np.sqrt(G) * np.linalg.norm(p.coeffs)
+            err = tp.eval_grid(p, G) - eval_grid_longdouble(p, G)
+            assert float(np.sqrt(np.sum(np.abs(err) ** 2))) <= e0, (n, G)
+            radices |= {q for q in (2, 3, 5) if G % q == 0}
     assert radices == {2, 3, 5}
 
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -122,11 +122,15 @@ def _is_real(x) -> bool:
 
 @dataclass(frozen=True)
 class Certificate:
-    """Solved certificate coefficients for a measure."""
+    """Solved certificate coefficients for a measure, with the interpolation
+    system (matrix, rhs) of `build_system` they solve, which verify_bounded
+    reads its atom checks from; None for coefficients given directly, whose
+    check then builds the system."""
 
     measure: AtomicMeasure
     a: np.ndarray
     b: np.ndarray
+    system: tuple | None = field(default=None, repr=False, compare=False)
 
     @property
     def n(self) -> int:
@@ -192,7 +196,7 @@ def solve_certificate(m: AtomicMeasure) -> Certificate:
         raise SingularSystem("non-finite solution")
     S = m.size
     g = _gamma(m.n)
-    return Certificate(measure=m, a=sol[:S], b=sol[S:] / g)
+    return Certificate(measure=m, a=sol[:S], b=sol[S:] / g, system=(matrix, rhs))
 
 
 def eta_coeffs(c: Certificate) -> tp.TrigPoly:
@@ -256,9 +260,10 @@ def verify_bounded(c: Certificate, grid_mult: int = 10) -> dict:
     `system_norm_bounds` operator norm); interp_err and deriv_err, the
     largest |eta - sign| and |eta'| at the atoms, from the residual of
     `build_system` at (a, gamma b), whose rows are eta(tau_j) - sign_j and
-    -eta'(tau_j)/gamma; sup_off_atom and argmax, the grid max off the atoms
-    and its point (NaN when no grid point is off the atoms); certified, True
-    when grid max + slack < 1 and interp_err is at most INTERP_TOL.
+    -eta'(tau_j)/gamma (the system the solve formed, kept on c);
+    sup_off_atom and argmax, the grid max off the atoms and its point (NaN
+    when no grid point is off the atoms); certified, True when grid max +
+    slack < 1 and interp_err is at most INTERP_TOL.
     Raises BudgetExceeded, before allocating, when the scan would exceed the
     memory budget.
     """
@@ -276,7 +281,7 @@ def verify_bounded(c: Certificate, grid_mult: int = 10) -> dict:
     slack = np.pi * n * max_c / grid_mult
 
     g = _gamma(n)
-    matrix, rhs = build_system(m)
+    matrix, rhs = c.system or build_system(m)
     r = np.abs(matrix @ np.concatenate([c.a, g * c.b]) - rhs)
     interp_err = float(np.max(r[: m.size]))
     report = {

@@ -6,10 +6,11 @@ Here P = I - V V* projects onto the orthogonal complement of the atom
 columns, and zeta, 4n+1 Toeplitz coefficients, is the minimum-norm solution
 of the diagonal-sum constraint by CG. CG applies z -> T(P Toep(z) P),
 with T the sum along diagonals, matrix-free: with the spectra of V's |S|
-columns taken once per task, each step is a few batched FFTs,
-O(|S| n log n) (Toeplitz products and diagonal sums by FFT as in R. M.
-Gray, Toeplitz and Circulant Matrices: A Review, 2006). They are numpy's,
-at the one length trigpoly.fast_len(4n+1) (`_factor_len`). The identity is
+columns taken once per task, and every iterate Hermitian-symmetric, each
+step is 2|S| + 2 FFTs in work arrays reused across steps, O(|S| n log n)
+(Toeplitz products and diagonal sums by FFT as in R. M. Gray, Toeplitz
+and Circulant Matrices: A Review, 2006). They are numpy's, at the one
+length trigpoly.fast_len(4n+1) (`_factor_len`). The identity is
 checked in coefficient form. Q is proved PSD from the symbol of
 Toep(zeta), a trigonometric polynomial sampled by one FFT
 (trigpoly.min_lower_bound), in O(n log n); only where that floor is not
@@ -72,24 +73,43 @@ def _projector_factor(m: AtomicMeasure) -> _Factor:
     return _Factor(V, np.fft.fft(tp.to_grid(V.T, _factor_len(m.n))))
 
 
-def _t_ptp(f: _Factor, z: np.ndarray) -> np.ndarray:
-    """T(P Toep(z) P) for coefficients z on -2n..2n, by FFT.
+def _step_work(f: _Factor) -> tuple[np.ndarray, np.ndarray]:
+    """_t_ptp's work arrays for f: V's conjugate, and two |S| x length
+    arrays that every step overwrites."""
+    return f.V.conj(), np.empty((2,) + f.spectra.shape, dtype=np.complex128)
 
-    Expanding P = I - V V* gives w z - sum_j [corr(v_j, Toep(z)* v_j - (V C*)_j)
-    + corr(Toep(z) v_j, v_j)] with C = V* Toep(z) V and w the diagonal
-    lengths. Toep(z)* is Toep of conj(z_{-s}), whose spectrum at this
-    layout is the conjugate of z's.
+
+def _t_ptp(f: _Factor, z: np.ndarray, work: tuple) -> np.ndarray:
+    """T(P Toep(z) P) for Hermitian coefficients z on -2n..2n, by 2|S| + 2
+    FFTs in the arrays of work = _step_work(f), which x_corr passes to
+    every CG step.
+
+    z is symmetrised first, z <- (z + conj(z_{-s}))/2, which leaves CG's
+    iterates unchanged up to rounding (x_corr). Then Toep(z) is Hermitian
+    and its spectrum zf real. Expanding P = I - V V* gives w z - sum_j
+    [corr(v_j, Toep(z) v_j - (V C*)_j) + corr(Toep(z) v_j, v_j)] with
+    C = V* Toep(z) V and w the diagonal lengths. One inverse batch gives
+    the rows Toep(z) v_j, one forward batch their spectra F_j, and the
+    spectra of the rows of V C* are conj(C) times V's cached spectra s_j.
+    The result is Hermitian, so its spectrum is real:
+    Re sum_j conj(s_j) (2 F_j - (conj(C) s)_j). tests/oracles.t_ptp is the
+    general step, for any complex z, in 4|S| + 2 FFTs.
     """
-    V, spectra = f.V, f.spectra
-    n = (V.shape[0] - 1) // 2
-    size, length = spectra.shape
-    zf = np.fft.fft(tp.to_grid(z, length))
-    both = tp.from_grid(np.fft.ifft(np.concatenate([zf * spectra, np.conj(zf) * spectra])), n)
-    tv, tsv = both[:size], both[size:]
-    C = V.T.conj() @ tv.T
-    rows = np.fft.fft(tp.to_grid(np.concatenate([tsv - C.conj() @ V.T, tv]), length))
-    cross = spectra * np.conj(rows[:size]) + rows[size:] * np.conj(spectra)
-    return _weights(n) * z - tp.from_grid(np.fft.ifft(np.sum(cross, axis=0)), 2 * n)
+    Vc, (rows, vcs) = work
+    spectra = f.spectra
+    n = (f.V.shape[0] - 1) // 2
+    length = spectra.shape[1]
+    z = (z + np.conj(z[::-1])) / 2
+    np.multiply(spectra, np.fft.fft(tp.to_grid(z, length)).real, out=rows)
+    np.fft.ifft(rows, out=rows)
+    # C^T, from the rows' coefficients -n..-1 and 0..n
+    CT = rows[:, length - n :] @ Vc[:n] + rows[:, : n + 1] @ Vc[n:]
+    rows[:, n + 1 : length - n] = 0
+    np.fft.fft(rows, out=rows)
+    np.matmul(CT.conj().T / 2, spectra, out=vcs)
+    rows -= vcs
+    spec = 2 * np.vecdot(spectra, rows, axis=0).real
+    return _weights(n) * z - tp.from_grid(np.fft.ifft(spec), 2 * n)
 
 
 def p_err(c: Certificate, f: _Factor) -> tp.TrigPoly:
@@ -125,12 +145,13 @@ _CG_MAXITER = 200
 _GRAM_BYTES_PER_ENTRY = 40
 # peak resident bytes per entry of |S| + _SYMBOL_ROWS rows of length L, the
 # factor's FFT length >= 4n+1, on the symbol route: per atom V, the spectra
-# and the _t_ptp temporaries, and rows of CG vectors and the symbol samples
+# and _t_ptp's work arrays, and rows of CG vectors and the symbol samples
 # (8L) for any |S|. Measured with getrusage in fresh processes (peak minus
-# the RSS before the assembly) at n = 4096..65536, |S| = 1..60: 78..139
-# bytes per entry per atom, and 459..480 bytes per L for the rest
-_SYMBOL_BYTES_PER_ENTRY = 140
-_SYMBOL_ROWS = 4
+# the RSS before the assembly) at n = 4096..65536, |S| = 1..60: 52..80.3
+# bytes per entry; per atom 49..69 bytes per entry, and 558..717 bytes per
+# L for the rest
+_SYMBOL_BYTES_PER_ENTRY = 85
+_SYMBOL_ROWS = 8
 
 
 def x_corr(f: _Factor, perr: tp.TrigPoly) -> tuple[np.ndarray, int]:
@@ -143,16 +164,22 @@ def x_corr(f: _Factor, perr: tp.TrigPoly) -> tuple[np.ndarray, int]:
     scipy's CG, started from zero, on w^{-1/2} S w^{-1/2} y = w^{-1/2}
     conj(perr), where S z = T(P Toep(z) P) is applied by FFT. S is PSD and
     its kernel, two directions per atom, is orthogonal to perr, which has
-    double zeros at the atoms, so CG returns the minimum-norm solution. zeta
-    is returned Hermitian-symmetrized, so Toep(zeta) is Hermitian. Raises
-    IllConditioned if CG does not converge.
+    double zeros at the atoms, so CG returns the minimum-norm solution.
+    conj(perr) is Hermitian-symmetric, perr being real, and S and w commute
+    with z -> conj(z_{-s}), so every CG iterate is Hermitian-symmetric:
+    _t_ptp symmetrises its input, which moves the iterates only by
+    rounding, and takes the Hermitian step (tests/oracles.t_ptp is the
+    general one). zeta is returned Hermitian-symmetrized, exactly in floating
+    point, so Toep(zeta) is Hermitian. Raises IllConditioned if CG does not
+    converge.
     """
     n = (f.V.shape[0] - 1) // 2
     if perr.n != 2 * n:
         raise ValueError("perr must have order 2n")
     rw = 1.0 / np.sqrt(_weights(n))
+    work = _step_work(f)
     op = LinearOperator((4 * n + 1,) * 2, dtype=np.complex128,
-                        matvec=lambda y: rw * _t_ptp(f, rw * np.ravel(y)))
+                        matvec=lambda y: rw * _t_ptp(f, rw * np.ravel(y), work))
     iters = 0
 
     def count(_):
@@ -203,7 +230,8 @@ def assemble_and_verify(c: Certificate) -> dict:
     reproduces 1 - |eta|^2, and prove Q positive semidefinite.
 
     The defect is taken in coefficient form from one fresh T(P Toep(zeta) P)
-    with the final zeta: psi* Q psi - (1 - |eta|^2) has coefficients
+    with the final zeta, by the Hermitian step, whose symmetrisation leaves
+    that zeta unchanged: psi* Q psi - (1 - |eta|^2) has coefficients
     conj(T(P Toep(zeta) P)) - p_err. sup_poly_err is their l1 norm, which
     bounds the defect at every theta, not only on a grid; residual_rel is
     their l2 norm over |p_err| (absolute if p_err is numerically zero).
@@ -236,7 +264,7 @@ def assemble_and_verify(c: Certificate) -> dict:
     perr = p_err(c, f)
     zeta, iters = x_corr(f, perr)
 
-    defect = np.conj(_t_ptp(f, zeta)) - perr.coeffs
+    defect = np.conj(_t_ptp(f, zeta, _step_work(f))) - perr.coeffs
     resid = float(np.linalg.norm(defect))
     scale = float(np.linalg.norm(perr.coeffs))
     if scale > 1e-13:

@@ -5,7 +5,8 @@ computes by FFT, by a structured operator or in closed form: the direct sum
 of a trigonometric polynomial (in double and in extended precision), the
 certificate eta and eta' summed over the atoms' kernels pointwise, the
 dense Gram-side maps T, T~*, A = T(P . P), A~* = P T~*(.) P with their
-projector and weighted norm, the dense matrix of A A~*, and the one-atom
+projector and weighted norm, the general FFT step of A(Toep(z)) for any
+complex z, the dense matrix of A A~*, and the one-atom
 limit entries of qk_operator case by case and at finite n. No code of the
 package calls them; tests import them from here. Of the package they use
 only the polynomial type, the Dirichlet and E kernels and two private
@@ -148,6 +149,29 @@ def op_Atilde_star(m: AtomicMeasure, p: tp.TrigPoly) -> np.ndarray:
         raise ValueError("p must have order 2n to match the -n..n Gram dimension")
     P = projector_PUperp(m)
     return P @ op_Ttilde_star(p) @ P
+
+
+def t_ptp(f, z: np.ndarray) -> np.ndarray:
+    """T(P Toep(z) P) for any complex coefficients z on -2n..2n, by FFT:
+    the general step gram._t_ptp specialises to Hermitian z.
+
+    Expanding P = I - V V* gives w z - sum_j [corr(v_j, Toep(z)* v_j - (V C*)_j)
+    + corr(Toep(z) v_j, v_j)] with C = V* Toep(z) V and w the diagonal
+    lengths. Toep(z)* is Toep of conj(z_{-s}), whose spectrum at this
+    layout is the conjugate of z's. TestFFTOperator checks it against op_A
+    on complex z, and TestXCorr runs x_corr on it in place of the package
+    step.
+    """
+    V, spectra = f.V, f.spectra
+    n = (V.shape[0] - 1) // 2
+    size, length = spectra.shape
+    zf = np.fft.fft(tp.to_grid(z, length))
+    both = tp.from_grid(np.fft.ifft(np.concatenate([zf * spectra, np.conj(zf) * spectra])), n)
+    tv, tsv = both[:size], both[size:]
+    C = V.T.conj() @ tv.T
+    rows = np.fft.fft(tp.to_grid(np.concatenate([tsv - C.conj() @ V.T, tv]), length))
+    cross = spectra * np.conj(rows[:size]) + rows[size:] * np.conj(spectra)
+    return _weights(n) * z - tp.from_grid(np.fft.ifft(np.sum(cross, axis=0)), 2 * n)
 
 
 def quad_form_poly(H: np.ndarray) -> tp.TrigPoly:

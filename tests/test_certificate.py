@@ -245,6 +245,26 @@ class TestVerifyBounded:
         assert report["sup_off_atom"] < 1.0
         assert report["certified"] is False
 
+    def test_check_reuses_the_solved_system(self, monkeypatch):
+        # solve and check evaluate the Dirichlet kernels once between them;
+        # coefficients given without the system get the same report
+        m = cert.AtomicMeasure(256, np.array([0.1, 0.4, 0.75]), np.array([1.0, 1j, -1.0]))
+        calls = 0
+        kernels = tp.dirichlet_deriv
+
+        def counted(*args):
+            nonlocal calls
+            calls += 1
+            return kernels(*args)
+
+        monkeypatch.setattr(tp, "dirichlet_deriv", counted)
+        c = cert.solve_certificate(m)
+        report = cert.verify_bounded(c)
+        assert calls == 1
+        bare = cert.Certificate(m, c.a, c.b)
+        assert json.dumps(cert.verify_bounded(bare)) == json.dumps(report)
+        assert calls == 2
+
     def test_small_grid_mult_rejected(self):
         m = cert.AtomicMeasure(16, np.array([0.5]), np.array([1.0 + 0j]))
         c = cert.solve_certificate(m)

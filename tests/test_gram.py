@@ -14,6 +14,7 @@ from supres.gram import (
     SingularGram,
     _dense_gram,
     _projector_factor,
+    _step_work,
     _t_ptp,
     _weights,
     assemble_and_verify,
@@ -34,6 +35,7 @@ from oracles import (
     op_Ttilde_star,
     projector_PUperp,
     quad_form_poly,
+    t_ptp,
 )
 from test_certificate import random_measure
 
@@ -287,8 +289,9 @@ class TestFFTOperator:
     @pytest.mark.parametrize("n, size", [(1, 0), (1, 1), (9, 2), (16, 5), (48, 0),
                                          (48, 1), (48, 2), (48, 5), (33, 5)])
     def test_matches_dense_oracle(self, n, size):
-        # T(P Toep(z) P) by FFT against op_A on the dense Toeplitz matrix,
-        # for random complex and Hermitian z, and p_err by FFT against
+        # T(P Toep(z) P) by FFT against op_A on the dense Toeplitz matrix:
+        # the general step of the oracles for random complex z, the
+        # package's Hermitian step for Hermitian z; and p_err by FFT against
         # (1 - |eta|^2) by np.convolve minus conj(op_T(P)) / dim
         rng = np.random.default_rng(100 * n + size)
         spread = (np.arange(size) + rng.uniform(-0.1, 0.1, size)) / max(size, 1)
@@ -296,15 +299,38 @@ class TestFFTOperator:
         m = AtomicMeasure(n, tuple(atoms), (1.0,) * size)
         f = _projector_factor(m)
         P = projector_PUperp(m)
-        for z in (random_poly(rng, 2 * n).coeffs, hermitian_poly(rng, 2 * n).coeffs):
+        z, zh = random_poly(rng, 2 * n).coeffs, hermitian_poly(rng, 2 * n).coeffs
+        for got, z in ((t_ptp(f, z), z), (_t_ptp(f, zh, _step_work(f)), zh)):
             want = op_A(m, toep(z)).coeffs
-            np.testing.assert_allclose(_t_ptp(f, z), want, rtol=0,
+            np.testing.assert_allclose(got, want, rtol=0,
                                        atol=1e-13 * float(np.max(np.abs(want))))
         c = Certificate(m, rng.normal(size=size), rng.normal(size=size) / n)
         e = eta_coeffs(c).coeffs
         want = -np.convolve(e, np.conj(e)[::-1]) - np.conj(op_T(P).coeffs) / (2 * n + 1)
         want[2 * n] += 1.0
         np.testing.assert_allclose(p_err(c, f).coeffs, want, rtol=0, atol=1e-12 * n)
+
+    @pytest.mark.parametrize("size", [0, 1, 5, 12])
+    def test_step_takes_2s_plus_2_ffts(self, monkeypatch, size):
+        # one Hermitian step transforms z, then one inverse and one forward
+        # batch of |S| rows, then the summed spectrum: 2|S| + 2 FFTs, where
+        # the general step takes 4|S| + 2
+        rng = np.random.default_rng(size)
+        m = AtomicMeasure(96, tuple((0.3 + np.arange(size) / 12) % 1), (1.0,) * size)
+        f = _projector_factor(m)
+        count = 0
+
+        def counting(transform):
+            def counted(a, *args, **kwargs):
+                nonlocal count
+                count += np.size(a) // np.shape(a)[-1]
+                return transform(a, *args, **kwargs)
+            return counted
+
+        for name in ("fft", "ifft"):
+            monkeypatch.setattr(np.fft, name, counting(getattr(np.fft, name)))
+        _t_ptp(f, hermitian_poly(rng, 2 * m.n).coeffs, _step_work(f))
+        assert count == 2 * size + 2
 
     def test_factor_spans_projector_complement(self):
         m = well_separated(np.random.default_rng(7), 40, 4)
@@ -375,6 +401,25 @@ class TestXCorr:
                         x_corr_dense(m, pe), want, rtol=0,
                         atol=1e-10 * float(np.max(np.abs(want))) + 1e-15,
                         err_msg=f"n={n}, |S|={size}")
+
+    def test_hermitian_step_matches_general_step(self, monkeypatch):
+        # x_corr on the package's Hermitian step and on the oracles' general
+        # step: the same iteration count and zeta up to rounding
+        rng = np.random.default_rng(18)
+        measures = [well_separated(rng, n, size) for n, size in
+                    ((16, 1), (16, 2), (32, 3), (64, 5), (128, 8), (256, 12))]
+        measures += [FALLBACK, AtomicMeasure(512, (0.3, 0.61), (1.0, 1j))]
+        cases = []
+        for m in measures:
+            f = _projector_factor(m)
+            cases.append((m, f, p_err(solve_certificate(m), f)))
+        fast = [x_corr(f, pe) for _, f, pe in cases]
+        monkeypatch.setattr(gram, "_t_ptp", lambda f, z, work: t_ptp(f, z))
+        for (m, f, pe), (zeta, iters) in zip(cases, fast):
+            want, want_iters = x_corr(f, pe)
+            assert iters == want_iters, f"n={m.n}, |S|={m.size}"
+            assert np.max(np.abs(zeta - want)) <= 1e-12 * np.max(np.abs(want)), \
+                f"n={m.n}, |S|={m.size}"
 
     def test_rhs_off_the_range_raises(self):
         # a component along the analytic kernel leaves A(X) = conj(perr) with

@@ -31,7 +31,7 @@ class SingularSystem(ArithmeticError):
     """The interpolation system could not be factorized."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AtomicMeasure:
     """Atoms tau_j in [0,1) with unit-modulus complex signs, at cutoff n, and
     their least wrap-around distance, separation (inf for one atom)."""
@@ -39,7 +39,7 @@ class AtomicMeasure:
     n: int
     atoms: np.ndarray
     signs: np.ndarray
-    separation: float = field(init=False, repr=False, compare=False)
+    separation: float = field(init=False, repr=False)
 
     def __post_init__(self):
         atoms = np.atleast_1d(np.asarray(self.atoms, dtype=float))
@@ -115,7 +115,7 @@ def _is_real(x) -> bool:
     return isinstance(x, (int, float)) and not isinstance(x, bool)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Certificate:
     """Solved certificate coefficients for a measure, with the interpolation
     system (matrix, rhs) of `build_system` they solve, which verify_bounded
@@ -125,7 +125,7 @@ class Certificate:
     measure: AtomicMeasure
     a: np.ndarray
     b: np.ndarray
-    system: tuple | None = field(default=None, repr=False, compare=False)
+    system: tuple | None = field(default=None, repr=False)
 
     @property
     def n(self) -> int:
@@ -296,41 +296,3 @@ def verify_bounded(c: Certificate, grid_mult: int = 10) -> dict:
         report.update(sup_off_atom=sup_off, argmax=idx / G,
                       certified=bool(sup_off + slack < 1.0 and interp_err <= INTERP_TOL))
     return report
-
-
-def neumann_bounds(m: AtomicMeasure) -> dict:
-    """Measured deviations of the interpolation system from the identity, next
-    to their closed-form counterparts.
-
-    Every entry is {"measured": x, "bound": y} with x computed from the
-    actual kernel matrices (induced infinity norms) and y the analytic
-    row-sum bound in terms of (|S|, n, separation).
-    """
-    n = m.n
-    S = m.size
-    D0, D1, D2 = tp.dirichlet_deriv(n, m.atoms[:, None] - m.atoms)
-    g = _gamma(n)
-    eye = np.eye(S)
-
-    k = np.arange(-n, n + 1)
-    U = np.exp(2j * np.pi * np.outer(k, m.atoms))
-    gram = U.conj().T @ U / (2 * n + 1)
-    dev_uu = float(np.linalg.norm(eye - gram, np.inf))
-
-    meas_d0 = float(np.linalg.norm(D0 - eye, np.inf))
-    meas_d1 = float(np.linalg.norm(D1, np.inf)) / g
-    meas_d2 = float(np.linalg.norm(-D2 / g**2 - eye, np.inf))
-
-    matrix, _ = build_system(m)
-    meas_op = float(np.linalg.norm(np.eye(2 * S) - matrix, np.inf))
-
-    # every bound is 0 for one atom: log|S| = 0, and the separation is inf
-    dev_bound = 2 * _log_s(S) / ((2 * n + 1) * m.separation)
-    nb = system_norm_bounds(m)
-    return {
-        "dev_UU": {"measured": dev_uu, "bound": dev_bound},
-        "bound_D0": {"measured": meas_d0, "bound": nb["b0"]},
-        "bound_D1": {"measured": meas_d1, "bound": nb["b1"]},
-        "bound_D2": {"measured": meas_d2, "bound": nb["b2"]},
-        "operator_norm": {"measured": meas_op, "bound": nb["operator_norm"]},
-    }

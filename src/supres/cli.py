@@ -182,12 +182,11 @@ def _cmd_qk_dump(args, out) -> int:
     from . import qk_operator as qk
 
     K = args.K
-    Q = qk.qk_dense(K)
+    # Q is real: the im column is always 0.0, and + 0.0 turns -0.0 into 0.0
     lines = ["l1,l2,re,im"]
-    for i in range(2 * K + 1):
-        for j in range(2 * K + 1):
-            z = complex(Q[i, j])
-            lines.append(f"{i - K},{j - K},{z.real + 0.0!r},{z.imag + 0.0!r}")
+    for i, row in enumerate(qk.qk_dense(K).tolist()):
+        for j, re in enumerate(row):
+            lines.append(f"{i - K},{j - K},{re + 0.0!r},0.0")
     text = "\n".join(lines) + "\n"
     if out is not None:
         (out / "qk_entries.csv").write_text(text)

@@ -44,7 +44,7 @@ def _factor_len(n: int) -> int:
     return tp.fast_len(4 * n + 1)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class _Factor:
     """P = I - V V* on -n..n through its d x |S| factor V, with the numpy
     FFT spectra of V's columns (one row per atom) at _factor_len(n) >= 4n+1.

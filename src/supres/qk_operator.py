@@ -7,7 +7,8 @@ Q is real, its row l1 = 0 is the first coordinate vector, rows with even
 l1 != 0 vanish identically, and every remaining entry is a difference of
 one fixed cosine-integral kernel R at two lags. That structure gives an
 O(K log K) matvec for the stabilized section I - Q + P, where P projects
-onto the span of the first coordinate and one explicit alternating vector.
+onto the span of the first coordinate and one explicit alternating vector
+w, which is all the operator stores of P.
 
 qk_dense reconstructs the whole matrix from the precomputed kernel. The
 tests check it against two independent routes in tests/oracles.py: qk_entry
@@ -27,44 +28,9 @@ from . import trigpoly as tp
 from .budget import check_budget
 
 
-@dataclass(frozen=True)
-class ProjectorPinf:
-    """Rank-two projector onto the first coordinate and the alternating vector.
-
-    w is unit norm with w(0) = 0 and w(k) proportional to (-1)^k / k, so the
-    two ranges are orthogonal and P = e0 e0^T + w w^T is itself a projector.
-    """
-
-    K: int
-    w: np.ndarray
-
-    @property
-    def dim(self) -> int:
-        return 2 * self.K + 1
-
-    def apply(self, x: np.ndarray) -> np.ndarray:
-        y = self.w * np.dot(self.w, x)
-        y[self.K] += x[self.K]
-        return y
-
-    def matrix(self) -> np.ndarray:
-        e0 = np.zeros(self.dim)
-        e0[self.K] = 1.0
-        return np.outer(e0, e0) + np.outer(self.w, self.w)
-
-
-def build_pinf(K: int) -> ProjectorPinf:
-    ells = np.arange(-K, K + 1)
-    w = np.zeros(2 * K + 1)
-    nz = ells != 0
-    w[nz] = np.where(ells[nz] % 2 == 0, 1.0, -1.0) / ells[nz]
-    w /= np.linalg.norm(w)
-    return ProjectorPinf(K, w)
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AsymptoticOperator:
-    """The section I - Q + P held as kernels, prefactors, and the projector.
+    """The section I - Q + P held as kernels, prefactors, and P's vector w.
 
     r_kernel holds R at lags -2K..2K; prefactor is the row scaling
     4/(pi l1)^2 on odd l1 and zero elsewhere, which realizes the even-row
@@ -73,13 +39,17 @@ class AsymptoticOperator:
     package's one length rule. The full linear convolution with a
     length-(2K+1) vector spans lags 0..6K, and at any length >= 4K+1 the
     circular wrap leaves the lags 2K..4K the matvec keeps untouched.
+
+    w is unit norm with w(0) = 0 and w(l) proportional to (-1)^l / l, so it
+    is orthogonal to the first coordinate e0 and P = e0 e0^T + w w^T is the
+    rank-two projector onto their span.
     """
 
     K: int
     r_kernel: np.ndarray
     prefactor: np.ndarray
     signs: np.ndarray
-    pinf: ProjectorPinf
+    w: np.ndarray
     fft_len: int
     r_hat: np.ndarray
 
@@ -101,8 +71,12 @@ def build_operator(K: int) -> AsymptoticOperator:
     prefactor[odd] = 4.0 / (np.pi * ells[odd]) ** 2
     signs = np.where(ells % 2 == 0, 1.0, -1.0)
     fft_len = tp.fast_len(4 * K + 1)
-    return AsymptoticOperator(K, r_kernel, prefactor, signs, build_pinf(K),
-                              fft_len, np.fft.rfft(r_kernel, fft_len))
+    r_hat = np.fft.rfft(r_kernel, fft_len)
+    w = np.zeros(2 * K + 1)
+    nz = ells != 0
+    w[nz] = signs[nz] / ells[nz]
+    w /= np.linalg.norm(w)
+    return AsymptoticOperator(K, r_kernel, prefactor, signs, w, fft_len, r_hat)
 
 
 def _conv_r(op: AsymptoticOperator, v: np.ndarray) -> np.ndarray:
@@ -114,42 +88,40 @@ def _conv_r(op: AsymptoticOperator, v: np.ndarray) -> np.ndarray:
     return np.fft.irfft(np.fft.rfft(v, op.fft_len) * op.r_hat, op.fft_len)[2 * K : 4 * K + 1]
 
 
-def _q_apply(op: AsymptoticOperator, x: np.ndarray) -> np.ndarray:
-    """y = Q x through one circular convolution with the R kernel."""
-    K = op.K
-    z = op.signs * x
-    alpha = np.dot(op.r_kernel[K : 3 * K + 1], z)
-    conv = _conv_r(op, z)
-    y = op.prefactor * (alpha - conv - x[K])
-    y[K] = x[K]
-    return y
-
-
-def _q_apply_transpose(op: AsymptoticOperator, x: np.ndarray) -> np.ndarray:
-    """y = Q^T x; Q is real, so this is also the adjoint."""
-    K = op.K
-    v = op.prefactor * x
-    s = np.sum(v)
-    conv = _conv_r(op, v)
-    y = op.signs * (op.r_kernel[K : 3 * K + 1] * s - conv)
-    y[K] += x[K] - s
+def _project(op: AsymptoticOperator, x: np.ndarray) -> np.ndarray:
+    """P x = w (w . x) + x[K] e0; P is symmetric, so both products add it."""
+    y = op.w * np.dot(op.w, x)
+    y[op.K] += x[op.K]
     return y
 
 
 def matvec(op: AsymptoticOperator, x: np.ndarray) -> np.ndarray:
-    """(I - Q + P) x in O(K log K)."""
+    """(I - Q + P) x in O(K log K); Q x takes one convolution with R."""
     x = np.asarray(x)
     if x.shape != (op.dim,):
         raise ValueError("vector length must be 2K+1")
-    return x - _q_apply(op, x) + op.pinf.apply(x)
+    K = op.K
+    z = op.signs * x
+    alpha = np.dot(op.r_kernel[K : 3 * K + 1], z)
+    conv = _conv_r(op, z)
+    qx = op.prefactor * (alpha - conv - x[K])
+    qx[K] = x[K]
+    return x - qx + _project(op, x)
 
 
 def matvec_transpose(op: AsymptoticOperator, x: np.ndarray) -> np.ndarray:
-    """(I - Q + P)^T x; P is symmetric, Q transposes through the kernel."""
+    """(I - Q + P)^T x in O(K log K); Q^T x takes one convolution with R,
+    and since Q is real this is also the adjoint."""
     x = np.asarray(x)
     if x.shape != (op.dim,):
         raise ValueError("vector length must be 2K+1")
-    return x - _q_apply_transpose(op, x) + op.pinf.apply(x)
+    K = op.K
+    v = op.prefactor * x
+    s = np.sum(v)
+    conv = _conv_r(op, v)
+    qtx = op.signs * (op.r_kernel[K : 3 * K + 1] * s - conv)
+    qtx[K] += x[K] - s
+    return x - qtx + _project(op, x)
 
 
 def qk_dense(K: int) -> np.ndarray:

@@ -33,7 +33,7 @@ class NonConvergence(RuntimeError):
     """Lanczos gave up, or a Ritz pair missed the residual target."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Eigenpair:
     value: float
     vector: np.ndarray
@@ -111,7 +111,9 @@ def dense_extremes(K: int) -> tuple[float, float]:
     against it. Kept here, unlike the oracles in tests/oracles.py, because
     perfbench's worker checks spectrum-sweep reports against it."""
     op = qk.build_operator(K)
-    A = np.eye(op.dim) - qk.qk_dense(K) + op.pinf.matrix()
+    P = np.outer(op.w, op.w)
+    P[K, K] = 1.0
+    A = np.eye(op.dim) - qk.qk_dense(K) + P
     svals = np.linalg.svd(A, compute_uv=False)
     return float(svals[-1]), float(svals[0])
 

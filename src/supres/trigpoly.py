@@ -6,7 +6,8 @@ array is laid out with c_k at index k mod length (`to_grid`, `from_grid`).
 `eval_grid` samples p on a uniform grid by one inverse FFT, at a 5-smooth
 length from `fast_len`, the length rule of every FFT in the package (all
 numpy's). `min_lower_bound` turns one such sampling into a rigorous lower
-bound on a real polynomial's minimum.
+bound on a real polynomial's minimum; `fft_error_bound` is the sampling's
+rounding term in that bound.
 The kernel is the centered one,
 
     D(theta) = sin((2n+1) pi theta) / ((2n+1) sin(pi theta)),
@@ -23,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TrigPoly:
     """Dense trigonometric polynomial: coeffs[k + n] is the frequency-k coefficient."""
 
@@ -73,7 +74,7 @@ def fast_len(m: int) -> int:
 
     The package's one FFT length rule: every transform in supres is numpy's
     at such a length, run by its mixed-radix kernels (radices 2 to 5, the
-    case min_lower_bound's rounding assumption covers). A large prime factor
+    case fft_error_bound's rounding assumption covers). A large prime factor
     would fall back to Bluestein's algorithm, several times slower.
     """
     best = 1 << (m - 1).bit_length()
@@ -85,6 +86,25 @@ def fast_len(m: int) -> int:
             p35 *= 3
         p5 *= 5
     return best
+
+
+def fft_error_bound(G: int, norm2: float) -> float:
+    """e0, the bound on every sample's rounding error when eval_grid samples
+    a polynomial with coefficient 2-norm norm2 on G points.
+
+    Higham (Accuracy and Stability of Numerical Algorithms, 2nd ed.,
+    sections 3.1 and 24.1; u = 2^-53, gamma_k = ku/(1-ku)), Theorem 24.2,
+    bounds a radix-2 FFT by ||y^ - y||_2 <= eps ||y||_2 with
+    eps = t e/(1 - t e), e = mu + gamma_4 (sqrt 2 + mu), t stages and
+    twiddle factors within mu. numpy's FFT is mixed radix (2, 3, 4, 5 at
+    fast_len lengths); assume it is within the theorem's bound with t
+    doubled, t = 2 ceil(log2 G), and twiddles within mu = c u, c = 4. Since
+    ||y||_2 = sqrt(G) norm2 bounds every sample's error, e0 = eps sqrt(G) norm2.
+    """
+    u = 2.0**-53
+    t = 2 * (G - 1).bit_length()
+    e = 4 * u + 4 * u / (1 - 4 * u) * (np.sqrt(2) + 4 * u)
+    return t * e / (1 - t * e) * np.sqrt(G) * norm2
 
 
 def min_lower_bound(p: TrigPoly) -> float:
@@ -102,17 +122,10 @@ def min_lower_bound(p: TrigPoly) -> float:
 
     with M the largest |sample| (the second from |p| <= M + r ||p||).
 
-    Rounding bound (Higham, Accuracy and Stability of Numerical Algorithms,
-    2nd ed., sections 3.1 and 24.1; u = 2^-53, gamma_k = ku/(1-ku)). The
-    bound is for p with exactly the coefficients given. Theorem 24.2 bounds
-    a radix-2 FFT by ||y^ - y||_2 <= eps ||y||_2 with eps = t e/(1 - t e),
-    e = mu + gamma_4 (sqrt 2 + mu), t stages and twiddle factors within mu.
-    numpy's FFT is mixed radix (2, 3, 4, 5 at these lengths); assume it is
-    within the theorem's bound with t doubled, t = 2 ceil(log2 G), and
-    twiddles within mu = c u, c = 4. Since ||y||_2 = sqrt(G) ||c||_2 bounds
-    every sample's error, each sample is within e0 = eps sqrt(G) ||c||_2 of
-    p(g), and M + e0 stands for M. Forming the Bernstein term and the final
-    difference takes at most twelve roundings of terms no larger than
+    Rounding bound (u = 2^-53, gamma_k = ku/(1-ku)), for p with exactly the
+    coefficients given: each sample is within e0 = fft_error_bound(G, ||c||_2)
+    of p(g), and M + e0 stands for M. Forming the Bernstein term and the
+    final difference takes at most twelve roundings of terms no larger than
     M + e0 + the Bernstein term, so gamma_12 times that sum is subtracted
     too. The second-order terms and the rounding of the error terms' own
     arithmetic stay below a relative 2^-40; the subtracted terms carry a
@@ -121,10 +134,15 @@ def min_lower_bound(p: TrigPoly) -> float:
     G = fast_len(8 * (2 * p.n + 1))
     vals = eval_grid(p, G)
     lowest, top = float(np.min(vals.real)), float(np.max(np.abs(vals)))
+    # norm squares the coefficients, which under- or overflow outside
+    # 1e-150..1e150; rescale there
+    with np.errstate(over="ignore"):
+        norm2 = float(np.linalg.norm(p.coeffs))
+    if not 1e-150 < norm2 < 1e150:
+        big = float(np.max(np.abs(p.coeffs)))
+        norm2 = big * float(np.linalg.norm(p.coeffs / big)) if big else 0.0
+    e0 = fft_error_bound(G, norm2)
     u = 2.0**-53
-    t = 2 * (G - 1).bit_length()
-    e = 4 * u + 4 * u / (1 - 4 * u) * (np.sqrt(2) + 4 * u)
-    e0 = t * e / (1 - t * e) * np.sqrt(G) * float(np.linalg.norm(p.coeffs))
     r = (np.pi * p.n / G) ** 2 / 2
     bern = r * (top + e0) / (1 - r)
     arith = 12 * u / (1 - 12 * u) * (top + e0 + bern)

@@ -6,11 +6,15 @@ of a trigonometric polynomial (in double and in extended precision), the
 certificate eta and eta' summed over the atoms' kernels pointwise, the
 dense Gram-side maps T, T~*, A = T(P . P), A~* = P T~*(.) P with their
 projector and weighted norm, the general FFT step of A(Toep(z)) for any
-complex z, the dense matrix of A A~*, and the one-atom
-limit entries of qk_operator case by case and at finite n. No code of the
-package calls them; tests import them from here. Of the package they use
-only the polynomial type, the Dirichlet and E kernels and two private
-helpers of gram: the projector factor V and the diagonal weights.
+complex z, the dense matrix of A A~*, the one-atom limit entries of
+qk_operator case by case and at finite n, the dense section I - Q + P with
+its projector built from the closed form of w, and the measured deviations
+of the interpolation system from the identity (neumann_bounds). No code of
+the package calls them; tests import them from here. Of the package they use
+only the polynomial type, the Dirichlet and E kernels, the interpolation
+system and its closed-form bounds, the dense Q (itself checked against the
+entry and finite-n routes here) and two private helpers of gram: the
+projector factor V and the diagonal weights.
 
 Two oracles stay in the package because the benchmark under perfbench/
 reaches them: spectrum.dense_extremes (its worker checks spectrum-sweep
@@ -20,13 +24,16 @@ bound_audit.quad).
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 from scipy.fft import fft2, ifft2, next_fast_len
 
 from supres import specfun as sf
 from supres import trigpoly as tp
-from supres.certificate import AtomicMeasure, Certificate
+from supres.certificate import AtomicMeasure, Certificate, build_system, system_norm_bounds
 from supres.gram import _projector_factor, _weights
+from supres.qk_operator import qk_dense
 
 
 def freqs(p: tp.TrigPoly) -> np.ndarray:
@@ -83,6 +90,48 @@ def eval_eta(c: Certificate, theta):
         deta += aj * D1
         deta += bj * D2
     return eta, deta
+
+
+def neumann_bounds(m: AtomicMeasure) -> dict:
+    """Measured deviations of the interpolation system from the identity, next
+    to their closed-form counterparts; TestNeumannBounds checks the measured
+    values against the bounds.
+
+    Every entry is {"measured": x, "bound": y} with x computed from the
+    dense kernel matrices (induced infinity norms) and y the analytic
+    row-sum bound in terms of (|S|, n, separation): system_norm_bounds for
+    the system and its three blocks, 2 log|S| / ((2n+1) separation) for the
+    frame deviation.
+    """
+    n = m.n
+    S = m.size
+    D0, D1, D2 = tp.dirichlet_deriv(n, m.atoms[:, None] - m.atoms)
+    # sqrt of |D''(0)|: build_system's scale of the derivative unknowns
+    g = math.sqrt(4 * math.pi**2 * n * (n + 1) / 3)
+    eye = np.eye(S)
+
+    k = np.arange(-n, n + 1)
+    U = np.exp(2j * np.pi * np.outer(k, m.atoms))
+    gram = U.conj().T @ U / (2 * n + 1)
+    dev_uu = float(np.linalg.norm(eye - gram, np.inf))
+
+    meas_d0 = float(np.linalg.norm(D0 - eye, np.inf))
+    meas_d1 = float(np.linalg.norm(D1, np.inf)) / g
+    meas_d2 = float(np.linalg.norm(-D2 / g**2 - eye, np.inf))
+
+    matrix, _ = build_system(m)
+    meas_op = float(np.linalg.norm(np.eye(2 * S) - matrix, np.inf))
+
+    # every bound is 0 for one atom: log|S| = 0, and the separation is inf
+    dev_bound = 2 * math.log(S) / ((2 * n + 1) * m.separation) if S > 1 else 0.0
+    nb = system_norm_bounds(m)
+    return {
+        "dev_UU": {"measured": dev_uu, "bound": dev_bound},
+        "bound_D0": {"measured": meas_d0, "bound": nb["b0"]},
+        "bound_D1": {"measured": meas_d1, "bound": nb["b1"]},
+        "bound_D2": {"measured": meas_d2, "bound": nb["b2"]},
+        "operator_norm": {"measured": meas_op, "bound": nb["operator_norm"]},
+    }
 
 
 def op_T(H: np.ndarray) -> tp.TrigPoly:
@@ -296,3 +345,24 @@ def qk_finite_n(K: int, n: int) -> np.ndarray:
         p0 = 1.0 if l2 == 0 else 0.0
         out[:, j2] = 2.0 * np.real(D * s1) - np.abs(D) ** 2 * p0
     return out
+
+
+def alternating_vector(K: int) -> np.ndarray:
+    """The projector's vector w on -K..K from its closed form, entry by entry
+    in Python floats: w(0) = 0 and w(l) = (-1)^l / (l c), where
+    c^2 = 2 sum_{k=1..K} 1/k^2 makes it unit norm.
+    TestProjector::test_vector_shape checks build_operator(K).w against it.
+    """
+    c = math.sqrt(2 * math.fsum(1.0 / k**2 for k in range(1, K + 1)))
+    return np.array([(-1.0) ** ell / (ell * c) if ell else 0.0 for ell in range(-K, K + 1)])
+
+
+def section_dense(K: int) -> np.ndarray:
+    """The dense section I - Q + P on -K..K, with Q = qk_dense(K) and
+    P = e0 e0^T + w w^T built from alternating_vector. TestMatvec and
+    acceptance criterion 5 check both products of qk_operator against it.
+    """
+    w = alternating_vector(K)
+    P = np.outer(w, w)
+    P[K, K] = 1.0
+    return np.eye(2 * K + 1) - qk_dense(K) + P

@@ -8,7 +8,7 @@ from hypothesis import assume, given, settings, strategies as st
 from supres import certificate as cert
 from supres import trigpoly as tp
 
-from oracles import eval_direct, eval_eta, freqs
+from oracles import eval_direct, eval_eta, freqs, neumann_bounds
 
 
 def random_measure(rng, n, size, min_sep):
@@ -57,6 +57,13 @@ class TestAtomicMeasure:
     def test_single_atom_separation_is_inf(self):
         m = cert.AtomicMeasure(8, np.array([0.3]), np.array([1j]))
         assert m.separation == np.inf
+
+    def test_equality_is_identity(self):
+        # numpy array fields: a field-by-field == would raise, and hash too
+        m = cert.AtomicMeasure(8, [0.1, 0.5], [1, 1])
+        assert m == m
+        assert (m == cert.AtomicMeasure(8, [0.1, 0.5], [1, 1])) is False
+        assert m in {m}
 
     def test_from_json(self):
         doc = {
@@ -373,14 +380,14 @@ class TestGridScan:
 class TestNeumannBounds:
     def test_report_shape(self):
         m = cert.AtomicMeasure(64, np.array([0.2, 0.7]), np.ones(2, complex))
-        report = cert.neumann_bounds(m)
+        report = neumann_bounds(m)
         assert set(report) == {"dev_UU", "bound_D0", "bound_D1", "bound_D2", "operator_norm"}
         for entry in report.values():
             assert set(entry) == {"measured", "bound"}
 
     def test_single_atom_deviations_vanish(self):
         m = cert.AtomicMeasure(32, np.array([0.4]), np.array([1.0 + 0j]))
-        report = cert.neumann_bounds(m)
+        report = neumann_bounds(m)
         for entry in report.values():
             assert entry["measured"] <= 1e-12
             assert entry["bound"] == 0.0
@@ -395,12 +402,12 @@ class TestNeumannBounds:
             n_floor = int(np.ceil(6 * size * np.log(size + 1)))
             n = int(rng.integers(max(32, n_floor), 300))
             m = random_measure(rng, n, size, min_sep=4 * np.log(size + 1) / n)
-            entry = cert.neumann_bounds(m)["dev_UU"]
+            entry = neumann_bounds(m)["dev_UU"]
             assert entry["measured"] <= entry["bound"] + 1e-12, (n, size)
 
     def test_well_separated_pair_within_all_bounds(self):
         m = cert.AtomicMeasure(128, np.array([0.2, 0.6]), np.ones(2, complex))
-        report = cert.neumann_bounds(m)
+        report = neumann_bounds(m)
         for name, entry in report.items():
             assert entry["measured"] <= entry["bound"] + 1e-12, name
         assert report["dev_UU"]["bound"] == pytest.approx(2 * np.log(2) / (257 * 0.4))

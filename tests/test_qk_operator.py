@@ -12,8 +12,8 @@ from supres import trigpoly as tp
 from supres.budget import BudgetExceeded
 from supres.certificate import AtomicMeasure
 
-from oracles import (dirichlet_limit, eval_direct, op_A, op_Atilde_star, qk_entry,
-                     qk_finite_n, qk_p0_term)
+from oracles import (alternating_vector, dirichlet_limit, eval_direct, op_A, op_Atilde_star,
+                     qk_entry, qk_finite_n, qk_p0_term, section_dense)
 
 
 def e_by_quadrature(c):
@@ -135,40 +135,36 @@ class TestFiniteN:
 
 class TestProjector:
     def test_algebra(self):
-        p = qk.build_pinf(50)
-        M = p.matrix()
+        w = qk.build_operator(50).w
+        M = np.outer(w, w)
+        M[50, 50] = 1.0
         assert np.max(np.abs(M @ M - M)) < 1e-14
         assert np.array_equal(M, M.T)
         assert np.sum(np.linalg.eigvalsh(M) > 0.5) == 2
 
     def test_vector_shape(self):
-        p = qk.build_pinf(20)
-        assert p.w[20] == 0.0
-        assert np.linalg.norm(p.w) == pytest.approx(1.0, abs=1e-14)
+        w = qk.build_operator(20).w
+        assert w[20] == 0.0
+        assert np.linalg.norm(w) == pytest.approx(1.0, abs=1e-14)
         # entries fall off like 1/k with alternating sign
-        assert p.w[21] < 0 < p.w[22]
-        assert p.w[21] == pytest.approx(3.0 * p.w[23], rel=1e-12)
-        assert p.w[19] == pytest.approx(-p.w[21], rel=1e-12)
+        assert w[21] < 0 < w[22]
+        assert w[21] == pytest.approx(3.0 * w[23], rel=1e-12)
+        assert w[19] == pytest.approx(-w[21], rel=1e-12)
+        assert np.max(np.abs(w - alternating_vector(20))) < 1e-15
 
     def test_fixes_e0(self):
-        p = qk.build_pinf(15)
+        op = qk.build_operator(15)
         e0 = np.zeros(31)
         e0[15] = 1.0
-        assert np.max(np.abs(p.apply(e0) - e0)) < 1e-15
-        assert np.linalg.norm(p.apply(p.w) - p.w) < 1e-14
-
-    def test_sign_flip_invariance(self):
-        # the projector matrix is unchanged when w flips sign
-        p = qk.build_pinf(12)
-        flipped = qk.ProjectorPinf(12, -p.w)
-        assert np.max(np.abs(p.matrix() - flipped.matrix())) < 1e-16
+        assert np.max(np.abs(qk._project(op, e0) - e0)) < 1e-15
+        assert np.linalg.norm(qk._project(op, op.w) - op.w) < 1e-14
 
 
 class TestMatvec:
     def test_against_dense(self):
         K = 200
         op = qk.build_operator(K)
-        A = np.eye(2 * K + 1) - qk.qk_dense(K) + op.pinf.matrix()
+        A = section_dense(K)
         rng = np.random.default_rng(7)
         x = rng.standard_normal(2 * K + 1)
         assert np.max(np.abs(qk.matvec(op, x) - A @ x)) < 1e-11
@@ -181,7 +177,7 @@ class TestMatvec:
     @pytest.mark.parametrize("kind", ["real", "complex"])
     def test_cached_kernel_against_dense(self, K, kind):
         op = qk.build_operator(K)
-        A = np.eye(2 * K + 1) - qk.qk_dense(K) + op.pinf.matrix()
+        A = section_dense(K)
         rng = np.random.default_rng(K)
         x = rng.standard_normal(2 * K + 1)
         if kind == "complex":
@@ -224,7 +220,7 @@ class TestMatvec:
     @given(st.integers(min_value=2, max_value=30), st.integers(min_value=0, max_value=2**31))
     def test_matvec_matches_dense_property(self, K, seed):
         op = qk.build_operator(K)
-        A = np.eye(2 * K + 1) - qk.qk_dense(K) + op.pinf.matrix()
+        A = section_dense(K)
         x = np.random.default_rng(seed).standard_normal(2 * K + 1)
         scale = max(1.0, float(np.max(np.abs(A @ x))))
         assert np.max(np.abs(qk.matvec(op, x) - A @ x)) < 1e-11 * scale

@@ -10,6 +10,11 @@ here, and so does a listed one that gains a reference.
 The independent references the tests check the package against live in
 tests/oracles.py, not in the package; each public one there must be called
 by some test module, so none of them outlives its last test.
+
+Every dataclass of the package passes eq=False: they hold numpy arrays, and
+the generated field-by-field __eq__ would raise on them ("truth value of an
+array ... is ambiguous") and leave the objects unhashable. Identity is the
+equality they keep.
 """
 
 import ast
@@ -23,8 +28,6 @@ ALLOWED = {
     "spectrum.dense_extremes",
     # uses bound_audit's module-level quad, which perfbench's tracer reads
     "bound_audit.f_inner_quad",
-    # kept for a deviation_measured report field (ROADMAP item 5)
-    "certificate.neumann_bounds",
 }
 
 ALLOWED_CLASSES = set()
@@ -67,3 +70,19 @@ def test_every_oracle_is_called_by_a_test():
                 f = node.func
                 called.add(f.id if isinstance(f, ast.Name) else getattr(f, "attr", None))
     assert defined - called == set()
+
+
+def test_every_dataclass_compares_by_identity():
+    checked, plain = [], []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            for dec in getattr(node, "decorator_list", []):
+                target = dec.func if isinstance(dec, ast.Call) else dec
+                if getattr(target, "id", getattr(target, "attr", None)) != "dataclass":
+                    continue
+                eq = {k.arg: k.value for k in getattr(dec, "keywords", [])}.get("eq")
+                name = f"{path.stem}.{node.name}"
+                checked.append(name)
+                if not (isinstance(eq, ast.Constant) and eq.value is False):
+                    plain.append(name)
+    assert checked and plain == []

@@ -195,6 +195,15 @@ class TestMinLowerBound:
         assert tp.min_lower_bound(tp.TrigPoly(0, [0.25])) == pytest.approx(0.25, rel=1e-14)
         assert tp.min_lower_bound(tp.TrigPoly(0, [0.25])) <= 0.25
 
+    @pytest.mark.parametrize("c0", [1.0, -1.0, 3.7e-9, -2.5e6, 1e100, -7e-100, 1e200, -7e-200])
+    def test_constant_loses_the_fft_term(self, c0):
+        # at order 0 the Bernstein term is 0, so what min_lower_bound takes
+        # off the constant is the FFT rounding term plus the arithmetic term,
+        # and no less than the FFT term alone; at 1e200 and 7e-200 the
+        # squares inside the coefficient norm over- and underflow
+        p = tp.TrigPoly(0, [c0])
+        assert c0 - tp.min_lower_bound(p) >= tp.fft_error_bound(tp.fast_len(8), abs(c0))
+
     @pytest.mark.parametrize("n", [1, 5, 64, 513])
     def test_top_frequency_cosine(self, n):
         # cos(2 pi n theta) bends fastest of all order-n polynomials of its
@@ -209,20 +218,17 @@ class TestMinLowerBound:
 @pytest.mark.skipif(np.finfo(np.longdouble).eps > 2.0**-60,
                     reason="needs an extended-precision long double")
 def test_fft_rounding_within_assumed_bound():
-    # min_lower_bound assumes numpy's mixed-radix FFT meets Higham's radix-2
+    # fft_error_bound assumes numpy's mixed-radix FFT meets Higham's radix-2
     # bound ||y^ - y||_2 <= eps ||y||_2 = e0 with t = 2 ceil(log2 G) stages and
     # twiddles within mu = 4u; check it against a long-double direct sum on
-    # its own grid sizes G = fast_len(8(2n+1)) and on gram's factor lengths
-    # fast_len(4n+1), which together take radices 2, 3 and 5
-    u = 2.0**-53
-    e = 4 * u + 4 * u / (1 - 4 * u) * (np.sqrt(2) + 4 * u)
+    # min_lower_bound's grid sizes G = fast_len(8(2n+1)) and on gram's factor
+    # lengths fast_len(4n+1), which together take radices 2, 3 and 5
     rng = np.random.default_rng(16)
     radices = set()
     for n in range(101):
         p = hermitian_poly(rng, n)
         for G in (tp.fast_len(8 * (2 * n + 1)), tp.fast_len(4 * n + 1)):
-            t = 2 * (G - 1).bit_length()
-            e0 = t * e / (1 - t * e) * np.sqrt(G) * np.linalg.norm(p.coeffs)
+            e0 = tp.fft_error_bound(G, float(np.linalg.norm(p.coeffs)))
             err = tp.eval_grid(p, G) - eval_grid_longdouble(p, G)
             assert float(np.sqrt(np.sum(np.abs(err) ** 2))) <= e0, (n, G)
             radices |= {q for q in (2, 3, 5) if G % q == 0}

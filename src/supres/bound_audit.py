@@ -14,6 +14,14 @@ own subdomain (the small-theta branches reuse an expression derived for
 s < 0 on s > 0, where theta - s flips sign), and several log ratios pass
 through 1. Wrapping the terms keeps every formula positive on its domain
 without altering its magnitude where the printed form is already positive.
+
+The D4- bound on |Im F| is kept as transcribed, and fails at large n. At
+s -> 0-, theta = 1/2, f_inner's a is -1/4 and e^{2 pi i j a} sin(pi j/2) is
+-i for odd j, 0 for even j: Im F = (1/pi) sum_{odd j <= n+1} 1/j, which
+grows like ln(n)/(2 pi). Unlike every other line, D4- multiplies its log
+sum (about ln n) by the c-term, whose 1/(-s + 1/n) ~ n/(1 + n|s|) makes its
+log coefficient (1/2 + 1/pi)/(8(1 + n|s|)) <= 0.102 < 1/(2 pi). From n ~
+2500 it fails: 7 soft D4-/Im violations at n = 4096 (110 samples, seed 0).
 """
 
 from __future__ import annotations
@@ -233,7 +241,6 @@ def bound_imag(label: str, s: float, theta: float, n: int) -> float:
                 + 2.0 * math.log(2.0)
                 + c * (4.0 + abs(1.0 / s) + abs(1.0 / (1.0 + s - theta))))
     if label == "D4-":
-        # the c-term multiplies the log sum here, unlike every other line
         return (math.pi * (n + 1) / (4.0 * n)
                 + c * (abs(1.0 / (1.0 + s - theta)) + abs(1.0 / (-s + 1.0 / n)) + 4.0)
                 * abs(math.log(0.5 / (1.0 + s - theta)) + math.log(0.5 / (-s + 1.0 / n))))

@@ -154,10 +154,6 @@ def build_system(m: AtomicMeasure):
     return matrix, rhs
 
 
-def _log_s(size: int) -> float:
-    return float(np.log(size)) if size > 1 else 0.0
-
-
 def system_norm_bounds(m: AtomicMeasure) -> dict:
     """Row-sum (Gershgorin) bounds on the deviation of the system from the identity.
 
@@ -165,9 +161,9 @@ def system_norm_bounds(m: AtomicMeasure) -> dict:
     whole system's deviation and must stay below 1 for a safe Neumann-series
     inversion argument.
     """
-    logS = _log_s(m.size)
-    if logS == 0.0:
+    if m.size < 2:
         return {"b0": 0.0, "b1": 0.0, "b2": 0.0, "operator_norm": 0.0}
+    logS = float(np.log(m.size))
     delta_n = m.separation * m.n
     b0 = logS / (4 * delta_n)
     b1 = np.sqrt(3) * logS / delta_n
@@ -194,8 +190,9 @@ def solve_certificate(m: AtomicMeasure) -> Certificate:
     return Certificate(measure=m, a=sol[:S], b=sol[S:] / g, system=(matrix, rhs))
 
 
-def eta_coeffs(c: Certificate) -> tp.TrigPoly:
-    """Coefficient array of eta: c_k = (1/(2n+1)) sum_j (a_j + 2 i pi k b_j) e^{-2 i pi k tau_j}.
+def eta_coeffs(c: Certificate) -> np.ndarray:
+    """Coefficient array of eta on -n..n, the 2n+1 values
+    c_k = (1/(2n+1)) sum_j (a_j + 2 i pi k b_j) e^{-2 i pi k tau_j}.
 
     Writing k = (qB - n) + r with B = ceil(sqrt(2n+1)) and 0 <= r < B splits
     each exponential into e^{-2 i pi (qB - n) tau} e^{-2 i pi r tau}, so both
@@ -210,7 +207,7 @@ def eta_coeffs(c: Certificate) -> tp.TrigPoly:
     fine = np.exp(-2j * np.pi * np.outer(np.arange(B), tau))
     sa, sb = (np.vstack([coarse * c.a, coarse * c.b]) @ fine.T).reshape(2, -1)[:, :d]
     k = np.arange(-n, n + 1)
-    return tp.TrigPoly(n, (sa + 2j * np.pi * k * sb) / d)
+    return (sa + 2j * np.pi * k * sb) / d
 
 
 # peak resident bytes per grid point of the 5-smooth scan: 51.3..53.8
@@ -268,11 +265,11 @@ def verify_bounded(c: Certificate, grid_mult: int = 10) -> dict:
     G = tp.fast_len(grid_mult * (2 * n + 1))
     check_budget(_SCAN_BYTES_PER_POINT * G,
                  f"boundedness scan at n={n}, grid_mult={grid_mult}")
-    p = eta_coeffs(c)
-    vals = np.abs(tp.eval_grid(p, G))
+    coeffs = eta_coeffs(c)
+    vals = np.abs(tp.eval_grid(coeffs, G))
     off = _off_atom_mask(m.atoms, n, G)
 
-    max_c = float(np.max(np.abs(p.coeffs)))
+    max_c = float(np.max(np.abs(coeffs)))
     slack = np.pi * n * max_c / grid_mult
 
     g = _gamma(n)

@@ -112,18 +112,18 @@ def _t_ptp(f: _Factor, z: np.ndarray, work: tuple) -> np.ndarray:
     return _weights(n) * z - tp.from_grid(np.fft.ifft(spec), 2 * n)
 
 
-def p_err(c: Certificate, f: _Factor) -> tp.TrigPoly:
-    """Residual polynomial (1 - |eta|^2) - psi* P psi / dim, order 2n, for
-    the projector factor f of the measure.
+def p_err(c: Certificate, f: _Factor) -> np.ndarray:
+    """Coefficients on -2n..2n of the residual (1 - |eta|^2) - psi* P psi / dim,
+    for the projector factor f of the measure.
 
     With T(P) = dim delta_0 - sum_j corr(v_j, v_j) the constants cancel and
     p_err = conj(sum_j corr(v_j, v_j)) / dim - corr(eta, eta), one inverse
     FFT on f's grid; conjugating a correlation reverses its spectrum.
     """
-    eta = np.fft.fft(tp.to_grid(eta_coeffs(c).coeffs, f.spectra.shape[1]))
+    eta = np.fft.fft(tp.to_grid(eta_coeffs(c), f.spectra.shape[1]))
     vv = np.sum(np.abs(f.spectra) ** 2, axis=0)
     spec = np.roll(vv[::-1], 1) / (2 * c.n + 1) - np.abs(eta) ** 2
-    return tp.TrigPoly(2 * c.n, tp.from_grid(np.fft.ifft(spec), 2 * c.n))
+    return tp.from_grid(np.fft.ifft(spec), 2 * c.n)
 
 
 def _weights(n: int) -> np.ndarray:
@@ -154,10 +154,10 @@ _SYMBOL_BYTES_PER_ENTRY = 85
 _SYMBOL_ROWS = 8
 
 
-def x_corr(f: _Factor, perr: tp.TrigPoly) -> tuple[np.ndarray, int]:
+def x_corr(f: _Factor, perr: np.ndarray) -> tuple[np.ndarray, int]:
     """Toeplitz coefficients zeta, on -2n..2n, of the minimum-norm correction
-    X = P Toep(zeta) P whose quadratic form psi* X psi equals perr, and the
-    CG iteration count; f is the measure's projector factor.
+    X = P Toep(zeta) P whose quadratic form psi* X psi has the coefficients
+    perr on -2n..2n, and the CG iteration count; f is the projector factor.
 
     Since psi* X psi(theta) = sum_s T(X)_s e^{-2 pi i s theta}, the constraint
     in T-coefficients is A(X) = conj(perr). zeta = w^{-1/2} y, with y from
@@ -174,7 +174,7 @@ def x_corr(f: _Factor, perr: tp.TrigPoly) -> tuple[np.ndarray, int]:
     converge.
     """
     n = (f.V.shape[0] - 1) // 2
-    if perr.n != 2 * n:
+    if perr.shape != (4 * n + 1,):
         raise ValueError("perr must have order 2n")
     rw = 1.0 / np.sqrt(_weights(n))
     work = _step_work(f)
@@ -186,7 +186,7 @@ def x_corr(f: _Factor, perr: tp.TrigPoly) -> tuple[np.ndarray, int]:
         nonlocal iters
         iters += 1
 
-    y, info = cg(op, rw * np.conj(perr.coeffs), rtol=_CG_RTOL, atol=_CG_ATOL,
+    y, info = cg(op, rw * np.conj(perr), rtol=_CG_RTOL, atol=_CG_ATOL,
                  maxiter=_CG_MAXITER, callback=count)
     if info != 0:
         raise IllConditioned(f"conjugate gradients did not converge in {_CG_MAXITER} iterations")
@@ -240,9 +240,11 @@ def assemble_and_verify(c: Certificate) -> dict:
     eigenvalue is at least the minimum of its symbol zeta^ (U. Grenander and
     G. Szego, Toeplitz Forms and Their Applications, 1958), and
     Q >= psd_floor P with psd_floor = 1/dim + a lower bound on min zeta^
-    (trigpoly.min_lower_bound). When psd_floor > 0 no dense Q is formed:
-    Q is PSD with the atom columns as its kernel, so rank_deficiency = |S|,
-    min_eig = 0.0 (Q psi(tau_j) = 0 exactly) and psd_rigorous is true.
+    (trigpoly.min_lower_bound). psd_floor > 0 makes M = I/dim + Toep(zeta)
+    positive definite, so x* Q x = (Px)* M (Px) vanishes only where Px = 0:
+    the kernel of Q is exactly span psi(tau_j), and rank Q = dim - |S|, the
+    abstract's rank statement. Then no dense Q is formed: rank_deficiency =
+    |S|, min_eig = 0.0 (Q psi(tau_j) = 0 exactly) and psd_rigorous is true.
     Otherwise Q is formed densely (_dense_gram) for eigvalsh: min_eig is
     its smallest eigenvalue, rank_deficiency the count below 1e-8 times the
     spectral norm, psd_floor the estimate lambda_{|S|+1} and psd_rigorous
@@ -264,13 +266,13 @@ def assemble_and_verify(c: Certificate) -> dict:
     perr = p_err(c, f)
     zeta, iters = x_corr(f, perr)
 
-    defect = np.conj(_t_ptp(f, zeta, _step_work(f))) - perr.coeffs
+    defect = np.conj(_t_ptp(f, zeta, _step_work(f))) - perr
     resid = float(np.linalg.norm(defect))
-    scale = float(np.linalg.norm(perr.coeffs))
+    scale = float(np.linalg.norm(perr))
     if scale > 1e-13:
         resid /= scale
 
-    lower = tp.min_lower_bound(tp.TrigPoly(2 * n, zeta))
+    lower = tp.min_lower_bound(zeta)
     # 1/d and the sum are rounded once each: take that much off again
     floor = 1.0 / d + lower - 2.0**-51 * (1.0 / d + abs(lower))
     rigorous = floor > 0

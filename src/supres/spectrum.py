@@ -124,11 +124,6 @@ def dense_extremes(K: int) -> tuple[float, float]:
 _SECTION_BYTES_PER_K = 900
 
 
-def _check_section_budget(K: int) -> None:
-    """Raise BudgetExceeded when a section at K would exceed the memory budget."""
-    check_budget(_SECTION_BYTES_PER_K * K, f"spectrum section at K={K}")
-
-
 def spectrum_report(K: int, seed=0) -> dict:
     """Build the section at K and estimate its extremal singular values.
 
@@ -138,7 +133,7 @@ def spectrum_report(K: int, seed=0) -> dict:
     condition_holds, sigma_min - residual_min > 1/2. Raises BudgetExceeded,
     before allocating, past the memory budget.
     """
-    _check_section_budget(K)
+    check_budget(_SECTION_BYTES_PER_K * K, f"spectrum section at K={K}")
     op = qk.build_operator(K)
 
     def squared(x):
@@ -165,7 +160,7 @@ def sweep_report(K: int, seed=0) -> dict:
     largest size, is checked before any size is solved."""
     if K < 4:
         raise ValueError(f"section size K must be at least 4, got {K}")
-    _check_section_budget(K)
+    check_budget(_SECTION_BYTES_PER_K * K, f"spectrum section at K={K}")
     reports = [spectrum_report(k, seed=seed)
                for k in sorted({max(4, K // 4), max(4, K // 2), K})]
     return {**reports[-1], "sweep": reports}

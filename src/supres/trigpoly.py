@@ -1,8 +1,10 @@
 """Trigonometric polynomials and the centered Dirichlet kernel.
 
-A polynomial of order n is stored as the dense coefficient array c_k,
-k = -n..n, so that p(theta) = sum_k c_k exp(2i pi k theta). For FFTs the
-array is laid out with c_k at index k mod length (`to_grid`, `from_grid`).
+A polynomial of order n is its dense coefficient array c_k, k = -n..n, so
+that p(theta) = sum_k c_k exp(2i pi k theta): every function here takes
+that array and reads n as (len(c) - 1)/2. For FFTs the array is laid out
+with c_k at index k mod length (`to_grid`, `from_grid`); to_grid checks the
+layout's two conditions, an odd row length and a length above 2n.
 `eval_grid` samples p on a uniform grid by one inverse FFT, at a 5-smooth
 length from `fast_len`, the length rule of every FFT in the package (all
 numpy's). `min_lower_bound` turns one such sampling into a rigorous lower
@@ -19,33 +21,20 @@ is within 1e-12 of its scale (2 pi n)^m.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
-
-
-@dataclass(frozen=True, eq=False)
-class TrigPoly:
-    """Dense trigonometric polynomial: coeffs[k + n] is the frequency-k coefficient."""
-
-    n: int
-    coeffs: np.ndarray
-
-    def __post_init__(self):
-        c = np.asarray(self.coeffs, dtype=np.complex128)
-        if c.shape != (2 * self.n + 1,):
-            raise ValueError(
-                f"order {self.n} needs {2 * self.n + 1} coefficients, got {c.shape}"
-            )
-        object.__setattr__(self, "coeffs", c)
 
 
 def to_grid(x: np.ndarray, length: int) -> np.ndarray:
     """Rows of coefficients on -h..h placed at index k mod length: c_0..c_h
     at the front of each row, c_-h..c_-1 at the back. This is the layout
-    every FFT of the package reads and writes; length must exceed 2h so the
-    two ends do not overlap."""
+    every FFT of the package reads and writes. Raises ValueError unless the
+    rows have odd length 2h+1 and length exceeds 2h, so the two ends do not
+    overlap."""
+    if x.shape[-1] % 2 != 1:
+        raise ValueError(f"coefficient rows need odd length 2h+1, got {x.shape[-1]}")
     h = (x.shape[-1] - 1) // 2
+    if length <= 2 * h:
+        raise ValueError(f"grid of {length} points cannot hold order {h} (needs > {2 * h})")
     buf = np.zeros(x.shape[:-1] + (length,), dtype=np.complex128)
     buf[..., : h + 1] = x[..., h:]
     buf[..., length - h :] = x[..., :h]
@@ -57,16 +46,12 @@ def from_grid(buf: np.ndarray, h: int) -> np.ndarray:
     return np.concatenate([buf[..., buf.shape[-1] - h :], buf[..., : h + 1]], axis=-1)
 
 
-def eval_grid(p: TrigPoly, G: int) -> np.ndarray:
-    """Values p(g/G), g = 0..G-1, by one zero-padded inverse FFT in O(G log G).
-
-    G must exceed 2n so that the to_grid layout holds the 2n+1 coefficients.
-    """
-    n = p.n
-    if G <= 2 * n:
-        raise ValueError(f"grid of {G} points cannot hold order {n} (needs > {2 * n})")
+def eval_grid(c: np.ndarray, G: int) -> np.ndarray:
+    """Values p(g/G), g = 0..G-1, of the polynomial with coefficients c on
+    -n..n, by one zero-padded inverse FFT in O(G log G); to_grid checks
+    that c has odd length and that G exceeds 2n."""
     # "forward" puts the 1/G on the forward transform, so the inverse is the plain sum
-    return np.fft.ifft(to_grid(p.coeffs, G), norm="forward")
+    return np.fft.ifft(to_grid(c, G), norm="forward")
 
 
 def fast_len(m: int) -> int:
@@ -107,9 +92,10 @@ def fft_error_bound(G: int, norm2: float) -> float:
     return t * e / (1 - t * e) * np.sqrt(G) * norm2
 
 
-def min_lower_bound(p: TrigPoly) -> float:
-    """A lower bound on min over theta of p(theta), for p real valued
-    (Hermitian coefficients, c_-k = conj(c_k)), from one FFT in O(n log n).
+def min_lower_bound(c: np.ndarray) -> float:
+    """A lower bound on min over theta of p(theta), for the real-valued p
+    with Hermitian coefficients c on -n..n (c_-k = conj(c_k), n =
+    (len(c) - 1)/2), from one FFT in O(n log n).
 
     p is sampled by eval_grid on G = fast_len(8(2n+1)) points. Every theta
     lies between neighbouring samples a and b = a + 1/G, where p is within
@@ -131,19 +117,20 @@ def min_lower_bound(p: TrigPoly) -> float:
     arithmetic stay below a relative 2^-40; the subtracted terms carry a
     factor 1 + 2^-20 for them.
     """
-    G = fast_len(8 * (2 * p.n + 1))
-    vals = eval_grid(p, G)
+    n = (len(c) - 1) // 2
+    G = fast_len(8 * (2 * n + 1))
+    vals = eval_grid(c, G)
     lowest, top = float(np.min(vals.real)), float(np.max(np.abs(vals)))
     # norm squares the coefficients, which under- or overflow outside
     # 1e-150..1e150; rescale there
     with np.errstate(over="ignore"):
-        norm2 = float(np.linalg.norm(p.coeffs))
+        norm2 = float(np.linalg.norm(c))
     if not 1e-150 < norm2 < 1e150:
-        big = float(np.max(np.abs(p.coeffs)))
-        norm2 = big * float(np.linalg.norm(p.coeffs / big)) if big else 0.0
+        big = float(np.max(np.abs(c)))
+        norm2 = big * float(np.linalg.norm(c / big)) if big else 0.0
     e0 = fft_error_bound(G, norm2)
     u = 2.0**-53
-    r = (np.pi * p.n / G) ** 2 / 2
+    r = (np.pi * n / G) ** 2 / 2
     bern = r * (top + e0) / (1 - r)
     arith = 12 * u / (1 - 12 * u) * (top + e0 + bern)
     return float(lowest - (1 + 2.0**-20) * (bern + e0 + arith))

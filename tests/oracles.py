@@ -9,9 +9,10 @@ projector and weighted norm, the general FFT step of A(Toep(z)) for any
 complex z, the dense matrix of A A~*, the one-atom limit entries of
 qk_operator case by case and at finite n, the dense section I - Q + P with
 its projector built from the closed form of w, and the measured deviations
-of the interpolation system from the identity (neumann_bounds). No code of
+of the interpolation system from the identity (neumann_bounds). A
+polynomial is its coefficient array on -n..n, as in the package. No code of
 the package calls them; tests import them from here. Of the package they use
-only the polynomial type, the Dirichlet and E kernels, the interpolation
+only the Dirichlet and E kernels, the coefficient layout, the interpolation
 system and its closed-form bounds, the dense Q (itself checked against the
 entry and finite-n routes here) and two private helpers of gram: the
 projector factor V and the diagonal weights.
@@ -36,34 +37,37 @@ from supres.gram import _projector_factor, _weights
 from supres.qk_operator import qk_dense
 
 
-def freqs(p: tp.TrigPoly) -> np.ndarray:
-    return np.arange(-p.n, p.n + 1)
+def freqs(c: np.ndarray) -> np.ndarray:
+    """The frequencies -n..n of a coefficient array of length 2n+1."""
+    n = (len(c) - 1) // 2
+    return np.arange(-n, n + 1)
 
 
-def eval_direct(p: tp.TrigPoly, theta):
-    """Evaluate p at theta (scalar or array). Periodic with period 1.
+def eval_direct(c: np.ndarray, theta):
+    """Evaluate the polynomial with coefficients c at theta (scalar or
+    array). Periodic with period 1.
 
     The direct sum at arbitrary points, against which
     TestEvalGrid::test_matches_pointwise checks `eval_grid`.
     """
     th = np.asarray(theta, dtype=float)
-    k = freqs(p)
+    k = freqs(c)
     # outer-product evaluation; chunk large grids to keep the phase matrix small
     flat = np.atleast_1d(th).ravel()
     out = np.empty(flat.shape, dtype=np.complex128)
-    step = max(1, 2_000_000 // (2 * p.n + 1))
+    step = max(1, 2_000_000 // len(c))
     for i in range(0, flat.size, step):
         block = flat[i : i + step]
-        out[i : i + step] = np.exp(2j * np.pi * np.outer(block, k)) @ p.coeffs
+        out[i : i + step] = np.exp(2j * np.pi * np.outer(block, k)) @ c
     out = out.reshape(np.shape(th))
     if np.isscalar(theta) or np.ndim(theta) == 0:
         return complex(out)
     return out
 
 
-def eval_grid_longdouble(p: tp.TrigPoly, G: int) -> np.ndarray:
-    """Values p(g/G), g = 0..G-1, as np.clongdouble, by the direct sum in
-    extended precision: the reference for the rounding error of `eval_grid`.
+def eval_grid_longdouble(c: np.ndarray, G: int) -> np.ndarray:
+    """Values p(g/G), g = 0..G-1, of the polynomial with coefficients c, as
+    np.clongdouble, by the direct sum in extended precision: the reference for the rounding error of `eval_grid`.
 
     The phase index k g mod G is formed exactly in integers and picks one of
     the G roots of unity, so the phases carry only the long-double rounding
@@ -72,7 +76,7 @@ def eval_grid_longdouble(p: tp.TrigPoly, G: int) -> np.ndarray:
     """
     angle = 8 * np.arctan(np.longdouble(1)) * np.arange(G, dtype=np.longdouble) / G
     roots = np.cos(angle) + 1j * np.sin(angle)
-    return roots[np.outer(np.arange(G), freqs(p)) % G] @ p.coeffs.astype(np.clongdouble)
+    return roots[np.outer(np.arange(G), freqs(c)) % G] @ c.astype(np.clongdouble)
 
 
 def eval_eta(c: Certificate, theta):
@@ -134,34 +138,34 @@ def neumann_bounds(m: AtomicMeasure) -> dict:
     }
 
 
-def op_T(H: np.ndarray) -> tp.TrigPoly:
-    """Sum the diagonals: p_s = sum over k-l = s of H[k,l], order dim-1."""
+def op_T(H: np.ndarray) -> np.ndarray:
+    """Sum the diagonals: p_s = sum over k-l = s of H[k,l], on -(dim-1)..dim-1."""
     d = H.shape[0]
-    coeffs = np.array([np.trace(H, offset=-s) for s in range(-(d - 1), d)])
-    return tp.TrigPoly(d - 1, coeffs)
+    return np.array([np.trace(H, offset=-s) for s in range(-(d - 1), d)])
 
 
-def op_Ttilde_star(p: tp.TrigPoly) -> np.ndarray:
-    """Weighted Toeplitz lift with entries p_{k-l}/(dim - |k-l|), dim = order+1.
+def op_Ttilde_star(p: np.ndarray) -> np.ndarray:
+    """Weighted Toeplitz lift with entries p_{k-l}/(dim - |k-l|), dim = order+1,
+    of the coefficients p on -order..order.
 
     Right inverse of op_T. Hermitian exactly when p has Hermitian
     coefficients.
     """
-    d = p.n + 1
+    d = (len(p) + 1) // 2
     idx = np.arange(d)
     s = idx[:, None] - idx[None, :]
-    return p.coeffs[s + p.n] / (d - np.abs(s))
+    return p[s + d - 1] / (d - np.abs(s))
 
 
-def norm_W(p: tp.TrigPoly) -> float:
+def norm_W(p: np.ndarray) -> float:
     """The weighted coefficient norm sqrt(sum |p_k|^2 / (n+1-|k|)).
 
     TestXCorr::test_frobenius_bound_chain checks ||X_corr||_F against
     norm_W(p_err) / sqrt(lambda_min_AAtilde), and acceptance criterion 3
     bounds norm_W(p_err) by 1/n.
     """
-    w = p.n + 1 - np.abs(freqs(p))
-    return float(np.sqrt(np.sum(np.abs(p.coeffs) ** 2 / w)))
+    w = (len(p) + 1) // 2 - np.abs(freqs(p))
+    return float(np.sqrt(np.sum(np.abs(p) ** 2 / w)))
 
 
 def projector_PUperp(m: AtomicMeasure) -> np.ndarray:
@@ -175,7 +179,7 @@ def projector_PUperp(m: AtomicMeasure) -> np.ndarray:
     return (P + P.conj().T) / 2
 
 
-def op_A(m: AtomicMeasure, X: np.ndarray) -> tp.TrigPoly:
+def op_A(m: AtomicMeasure, X: np.ndarray) -> np.ndarray:
     """A(X) = T(P X P) with P the atom-complement projector.
 
     The TestXCorr residuals are measured through it, TestFFTOperator checks
@@ -187,14 +191,14 @@ def op_A(m: AtomicMeasure, X: np.ndarray) -> tp.TrigPoly:
     return op_T(P @ X @ P)
 
 
-def op_Atilde_star(m: AtomicMeasure, p: tp.TrigPoly) -> np.ndarray:
+def op_Atilde_star(m: AtomicMeasure, p: np.ndarray) -> np.ndarray:
     """A~*(p) = P T~*(p) P on the certificate-side range -n..n.
 
     TestOpA and TestFiniteN::test_matches_toeplitz_composition compose it
     with op_A. No symmetrization: the output is Hermitian exactly when p
     is, and the exact right-inverse property at |S|=0 needs the raw product.
     """
-    if p.n != 2 * m.n:
+    if p.shape != (4 * m.n + 1,):
         raise ValueError("p must have order 2n to match the -n..n Gram dimension")
     P = projector_PUperp(m)
     return P @ op_Ttilde_star(p) @ P
@@ -223,7 +227,7 @@ def t_ptp(f, z: np.ndarray) -> np.ndarray:
     return _weights(n) * z - tp.from_grid(np.fft.ifft(np.sum(cross, axis=0)), 2 * n)
 
 
-def quad_form_poly(H: np.ndarray) -> tp.TrigPoly:
+def quad_form_poly(H: np.ndarray) -> np.ndarray:
     """Coefficients of theta -> psi*(theta) H psi(theta) for Hermitian H.
 
     The pairing psi* H psi produces sum_s T(H)_s e^{-2 pi i s theta}, so the
@@ -232,7 +236,7 @@ def quad_form_poly(H: np.ndarray) -> tp.TrigPoly:
     TestAssemble checks the dense Q's pointwise defect against the
     coefficient-form sup_poly_err through it.
     """
-    return tp.TrigPoly(H.shape[0] - 1, np.conj(op_T(H).coeffs))
+    return np.conj(op_T(H))
 
 
 def _sigma_matrix(P: np.ndarray) -> np.ndarray:

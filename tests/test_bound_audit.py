@@ -1,8 +1,11 @@
+import json
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
 from supres import bound_audit as ba
+from supres import cli
 from supres.budget import BudgetExceeded
 
 
@@ -156,6 +159,21 @@ class TestAudit:
             assert rep["violations"] == []
             assert rep["violation_count"] == rep["hard_violation_count"] == 0
             assert rep["min_margin"] > 0.0
+
+    def test_d4_minus_imag_bound_fails_at_paper_scale(self, capsys):
+        # the transcribed D4-/Im bound grows more slowly in n than Im F near
+        # theta = 1/2, s = 0 (module docstring): none fails at n = 1024; at
+        # n = 4096 seven D4-/Im samples do, every one below HARD_FACTOR times
+        # its bound, so the audit command still exits 0
+        assert ba.check_master_bounds(1024, 110, seed=0)["violation_count"] == 0
+        rep = ba.check_master_bounds(4096, 110, seed=0)
+        assert rep["violation_count"] == 7
+        assert {v["domain"] for v in rep["violations"]} == {"D4-/Im"}
+        assert rep["hard_violation_count"] == 0
+        assert rep["per_domain_min"]["D4-/Im"] == pytest.approx(-0.033, abs=5e-4)
+        assert min(m for d, m in rep["per_domain_min"].items() if d != "D4-/Im") > 0
+        assert cli.main(["audit", "--n", "4096"]) == 0
+        assert json.loads(capsys.readouterr().out)["violation_count"] == 7
 
     def test_modulus_below_bound_sum(self):
         rng = np.random.default_rng(8)

@@ -7,8 +7,8 @@ from hypothesis import given, settings, strategies as st
 import supres.budget as budget
 import supres.gram as gram
 import supres.trigpoly as tp
-from supres.certificate import (AtomicMeasure, Certificate, eta_coeffs, solve_certificate,
-                               system_norm_bounds)
+from supres.certificate import (AtomicMeasure, Certificate, SeparationTooSmall, build_system,
+                               eta_coeffs, solve_certificate, system_norm_bounds)
 from supres.gram import (
     IllConditioned,
     SingularGram,
@@ -38,6 +38,7 @@ from oracles import (
     t_ptp,
 )
 from test_certificate import random_measure
+from test_trigpoly import hermitian_poly, random_poly
 
 # twelve atoms at n = 128 near the separation limit, alternating signs: here
 # 1 + d min zeta^ < 0, so the symbol floor cannot prove Q PSD, and the dense
@@ -63,16 +64,6 @@ def dense_gram(c):
     """The dense Q of c's gram report, from the dense route's builder."""
     zeta, f = cg_zeta(c)
     return _dense_gram(f, zeta)
-
-
-def random_poly(rng, order):
-    c = rng.normal(size=2 * order + 1) + 1j * rng.normal(size=2 * order + 1)
-    return tp.TrigPoly(order, c)
-
-
-def hermitian_poly(rng, order):
-    p = random_poly(rng, order)
-    return tp.TrigPoly(order, (p.coeffs + np.conj(p.coeffs[::-1])) / 2)
 
 
 def perr_of(c):
@@ -101,8 +92,8 @@ def is_hermitian(H, tol=1e-12):
 
 def residual_rel(m, X, pe):
     """|A(X) - conj(p_err)| / |p_err|, absolute when p_err is numerically zero."""
-    r = np.linalg.norm(op_A(m, X).coeffs - np.conj(pe.coeffs))
-    scale = np.linalg.norm(pe.coeffs)
+    r = np.linalg.norm(op_A(m, X) - np.conj(pe))
+    scale = np.linalg.norm(pe)
     return r / scale if scale > 1e-13 else r
 
 
@@ -110,7 +101,7 @@ def kernel_poly(n, tau):
     """Order-2n polynomial whose conjugate coefficients w_s e^{2 pi i s tau}
     span one analytic-kernel direction of A A~* for an atom at tau."""
     s = np.arange(-2 * n, 2 * n + 1)
-    return tp.TrigPoly(2 * n, (2 * n + 1 - np.abs(s)) * np.exp(-2j * np.pi * s * tau))
+    return (2 * n + 1 - np.abs(s)) * np.exp(-2j * np.pi * s * tau)
 
 
 def dense_x_corr(m, pe):
@@ -120,7 +111,7 @@ def dense_x_corr(m, pe):
     rw = 1 / np.sqrt(_weights(m.n))
     lam, V = np.linalg.eigh(rw[:, None] * _sigma_matrix(P) * rw[None, :])
     inv = np.where(lam > 1e-8 * lam[-1], 1 / lam, 0.0)
-    zeta = rw * (V @ (inv * (V.conj().T @ (rw * np.conj(pe.coeffs)))))
+    zeta = rw * (V @ (inv * (V.conj().T @ (rw * np.conj(pe)))))
     return P @ toep(zeta) @ P
 
 
@@ -128,8 +119,8 @@ class TestOpT:
     def test_identity_matrix(self):
         d = 8
         p = op_T(np.eye(d, dtype=complex))
-        assert p.coeffs[p.n] == d
-        off = np.delete(p.coeffs, p.n)
+        assert p[d - 1] == d
+        off = np.delete(p, d - 1)
         assert np.all(off == 0)
 
     def test_rank_one_outer_product(self):
@@ -139,14 +130,14 @@ class TestOpT:
         p = op_T(np.outer(psi, psi.conj()))
         s = freqs(p)
         expected = (n + 1 - np.abs(s)) * np.exp(2j * np.pi * s * tau)
-        np.testing.assert_allclose(p.coeffs, expected, atol=1e-12)
+        np.testing.assert_allclose(p, expected, atol=1e-12)
 
     def test_right_inverse_roundtrip(self):
         rng = np.random.default_rng(11)
         for _ in range(20):
             p = random_poly(rng, int(rng.integers(1, 40)))
             back = op_T(op_Ttilde_star(p))
-            np.testing.assert_allclose(back.coeffs, p.coeffs, atol=1e-12)
+            np.testing.assert_allclose(back, p, atol=1e-12)
 
 
 class TestOpTtildeStar:
@@ -154,15 +145,14 @@ class TestOpTtildeStar:
         n = 9
         c = np.zeros(2 * n + 1, dtype=complex)
         c[n] = n + 1
-        M = op_Ttilde_star(tp.TrigPoly(n, c))
+        M = op_Ttilde_star(c)
         np.testing.assert_allclose(M, np.eye(n + 1), atol=1e-14)
 
     def test_hermitian_iff_hermitian_coeffs(self):
         rng = np.random.default_rng(3)
         assert is_hermitian(op_Ttilde_star(hermitian_poly(rng, 12)))
-        skew = random_poly(rng, 12)
-        skew = tp.TrigPoly(12, skew.coeffs + 1.0)  # break symmetry decisively
-        if np.allclose(skew.coeffs, np.conj(skew.coeffs[::-1])):
+        skew = random_poly(rng, 12) + 1.0  # break symmetry decisively
+        if np.allclose(skew, np.conj(skew[::-1])):
             pytest.skip("rng produced Hermitian input")
         assert not is_hermitian(op_Ttilde_star(skew))
 
@@ -172,13 +162,13 @@ class TestNormW:
         n = 15
         c = np.zeros(2 * n + 1, dtype=complex)
         c[n] = 1.0
-        assert norm_W(tp.TrigPoly(n, c)) == pytest.approx(1 / np.sqrt(n + 1))
+        assert norm_W(c) == pytest.approx(1 / np.sqrt(n + 1))
 
     def test_top_frequency(self):
         n = 15
         c = np.zeros(2 * n + 1, dtype=complex)
         c[-1] = 1.0
-        assert norm_W(tp.TrigPoly(n, c)) == pytest.approx(1.0)
+        assert norm_W(c) == pytest.approx(1.0)
 
     def test_perr_small_for_well_separated_pair(self):
         c = solve_certificate(AtomicMeasure(256, (0.2, 0.6), (1.0, 1.0)))
@@ -242,7 +232,7 @@ class TestOpA:
         m = AtomicMeasure(10, (), ())
         p = random_poly(rng, 20)
         back = op_A(m, op_Atilde_star(m, p))
-        np.testing.assert_allclose(back.coeffs, p.coeffs, atol=1e-12)
+        np.testing.assert_allclose(back, p, atol=1e-12)
 
     def test_linearity(self):
         rng = np.random.default_rng(22)
@@ -251,13 +241,13 @@ class TestOpA:
         X = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
         Y = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
         np.testing.assert_allclose(
-            op_A(m, X + Y).coeffs, op_A(m, X).coeffs + op_A(m, Y).coeffs, atol=1e-12
+            op_A(m, X + Y), op_A(m, X) + op_A(m, Y), atol=1e-12
         )
 
     def test_dims_must_match(self):
         m = AtomicMeasure(8, (0.5,), (1.0,))
         with pytest.raises(ValueError):
-            op_Atilde_star(m, tp.TrigPoly(8, np.zeros(17, dtype=complex)))
+            op_Atilde_star(m, np.zeros(17, dtype=complex))
 
     def test_composition_hermitian_psd_dense(self):
         # Dense matrix of A A~* on coefficient space at n=32, via the
@@ -281,7 +271,7 @@ class TestOpA:
         for j in range(dim):
             e = np.zeros(dim, dtype=complex)
             e[j] = 1.0
-            cols[:, j] = op_A(m, op_Atilde_star(m, tp.TrigPoly(2 * n, e))).coeffs
+            cols[:, j] = op_A(m, op_Atilde_star(m, e))
         np.testing.assert_allclose(S / w[None, :], cols, atol=1e-12)
 
 
@@ -299,16 +289,16 @@ class TestFFTOperator:
         m = AtomicMeasure(n, tuple(atoms), (1.0,) * size)
         f = _projector_factor(m)
         P = projector_PUperp(m)
-        z, zh = random_poly(rng, 2 * n).coeffs, hermitian_poly(rng, 2 * n).coeffs
+        z, zh = random_poly(rng, 2 * n), hermitian_poly(rng, 2 * n)
         for got, z in ((t_ptp(f, z), z), (_t_ptp(f, zh, _step_work(f)), zh)):
-            want = op_A(m, toep(z)).coeffs
+            want = op_A(m, toep(z))
             np.testing.assert_allclose(got, want, rtol=0,
                                        atol=1e-13 * float(np.max(np.abs(want))))
         c = Certificate(m, rng.normal(size=size), rng.normal(size=size) / n)
-        e = eta_coeffs(c).coeffs
-        want = -np.convolve(e, np.conj(e)[::-1]) - np.conj(op_T(P).coeffs) / (2 * n + 1)
+        e = eta_coeffs(c)
+        want = -np.convolve(e, np.conj(e)[::-1]) - np.conj(op_T(P)) / (2 * n + 1)
         want[2 * n] += 1.0
-        np.testing.assert_allclose(p_err(c, f).coeffs, want, rtol=0, atol=1e-12 * n)
+        np.testing.assert_allclose(p_err(c, f), want, rtol=0, atol=1e-12 * n)
 
     @pytest.mark.parametrize("size", [0, 1, 5, 12])
     def test_step_takes_2s_plus_2_ffts(self, monkeypatch, size):
@@ -329,7 +319,7 @@ class TestFFTOperator:
 
         for name in ("fft", "ifft"):
             monkeypatch.setattr(np.fft, name, counting(getattr(np.fft, name)))
-        _t_ptp(f, hermitian_poly(rng, 2 * m.n).coeffs, _step_work(f))
+        _t_ptp(f, hermitian_poly(rng, 2 * m.n), _step_work(f))
         assert count == 2 * size + 2
 
     def test_factor_spans_projector_complement(self):
@@ -345,7 +335,7 @@ class TestPErr:
     def test_empty_measure_zero(self):
         m = AtomicMeasure(16, (), ())
         c = Certificate(m, np.zeros(0), np.zeros(0))
-        assert np.max(np.abs(perr_of(c).coeffs)) < 1e-12
+        assert np.max(np.abs(perr_of(c))) < 1e-12
 
     def test_vanishes_at_atoms(self):
         rng = np.random.default_rng(31)
@@ -364,13 +354,13 @@ class TestPErr:
     def test_single_atom_identically_zero(self):
         # One atom: psi* P psi / dim collapses to 1 - |D|^2 = 1 - |eta|^2
         c = solve_certificate(AtomicMeasure(32, (0.27,), (1.0,)))
-        assert np.max(np.abs(perr_of(c).coeffs)) < 1e-14
+        assert np.max(np.abs(perr_of(c))) < 1e-14
 
 
 class TestXCorr:
     def test_zero_input_zero_output(self):
         m = AtomicMeasure(16, (0.4,), (1.0,))
-        X = x_corr_dense(m, tp.TrigPoly(32, np.zeros(65, dtype=complex)))
+        X = x_corr_dense(m, np.zeros(65, dtype=complex))
         assert np.max(np.abs(X)) < 1e-14
 
     def test_residual_two_atoms(self):
@@ -392,7 +382,7 @@ class TestXCorr:
                 m = AtomicMeasure(n, tuple(atoms), tuple(np.exp(2j * np.pi * rng.uniform(size=size))))
                 Y = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
                 Y = Y + Y.conj().T
-                targets = [tp.TrigPoly(2 * n, np.conj(op_A(m, Y).coeffs))]
+                targets = [np.conj(op_A(m, Y))]
                 if system_norm_bounds(m)["operator_norm"] < 1:
                     targets.append(perr_of(solve_certificate(m)))
                 for pe in targets:
@@ -427,7 +417,7 @@ class TestXCorr:
         # return an X
         m = AtomicMeasure(32, (0.2, 0.6), (1.0, 1.0))
         pe = perr_of(solve_certificate(m))
-        off = tp.TrigPoly(2 * m.n, pe.coeffs + 1e-3 * kernel_poly(m.n, m.atoms[0]).coeffs)
+        off = pe + 1e-3 * kernel_poly(m.n, m.atoms[0])
         with pytest.raises(IllConditioned, match="did not converge"):
             x_corr(_projector_factor(m), off)
 
@@ -455,7 +445,7 @@ class TestXCorr:
     def test_order_must_match(self):
         m = AtomicMeasure(16, (0.4,), (1.0,))
         with pytest.raises(ValueError):
-            x_corr(_projector_factor(m), tp.TrigPoly(16, np.zeros(33, dtype=complex)))
+            x_corr(_projector_factor(m), np.zeros(33, dtype=complex))
 
 
 class TestAssemble:
@@ -566,7 +556,7 @@ class TestAssemble:
         c = solve_certificate(m)
         rep = assemble_and_verify(c)
         assert rep["sup_poly_err"] > 1e-8
-        want = np.sum(np.abs(op_A(m, toep(delta)).coeffs))
+        want = np.sum(np.abs(op_A(m, toep(delta))))
         assert rep["sup_poly_err"] == pytest.approx(want, rel=1e-6)
         theta = np.linspace(0.0, 1.0, 1001)
         pointwise = np.abs(eval_direct(quad_form_poly(dense_gram(c)), theta).real
@@ -619,10 +609,9 @@ class TestSymbolFloor:
     def test_fallback_measure_takes_dense_route(self):
         c = solve_certificate(FALLBACK)
         zeta, _ = cg_zeta(c)
-        symbol = tp.TrigPoly(2 * c.n, zeta)
         # the floor fails because the symbol itself dips below -1/d, not
         # because its lower bound is loose
-        assert 257 * tp.eval_grid(symbol, 64 * tp.fast_len(8 * 513)).real.min() < -1
+        assert 257 * tp.eval_grid(zeta, 64 * tp.fast_len(8 * 513)).real.min() < -1
         rep = assemble_and_verify(c)
         assert rep["psd_rigorous"] is False
         assert rep["verified"] is True
@@ -640,9 +629,29 @@ class TestSymbolFloor:
         measures += [near_limit_measure(rng, n, size) for n, size in ((32, 2), (96, 5), (160, 8))]
         for m in measures:
             zeta, _ = cg_zeta(solve_certificate(m))
-            symbol = tp.TrigPoly(2 * m.n, zeta)
-            fine = tp.eval_grid(symbol, 64 * tp.fast_len(8 * (4 * m.n + 1))).real.min()
-            assert tp.min_lower_bound(symbol) <= fine
+            fine = tp.eval_grid(zeta, 64 * tp.fast_len(8 * (4 * m.n + 1))).real.min()
+            assert tp.min_lower_bound(zeta) <= fine
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_rank_statement_below_the_separation_guard(self, seed):
+        # 16 equispaced atoms 4/n apart at n = 256, where the guard asks for
+        # 11/n: solved directly, the symbol floor still proves Q PSD, so its
+        # kernel is exactly the atom columns and rank Q = d - |S|
+        n, size = 256, 16
+        rng = np.random.default_rng(seed)
+        atoms = (rng.uniform() + 4 * np.arange(size) / n) % 1
+        m = AtomicMeasure(n, atoms, np.exp(2j * np.pi * rng.uniform(0, 1, size)))
+        with pytest.raises(SeparationTooSmall):
+            solve_certificate(m)
+        matrix, rhs = build_system(m)
+        sol = np.linalg.solve(matrix, rhs)
+        c = Certificate(m, sol[:size], sol[size:] / np.sqrt(4 * np.pi**2 * n * (n + 1) / 3),
+                        system=(matrix, rhs))
+        rep = assemble_and_verify(c)
+        assert rep["psd_rigorous"] is True
+        assert rep["verified"] is True
+        assert rep["rank_deficiency"] == size
+        assert (2 * n + 1) * rep["psd_floor"] > 0
 
     def test_floor_below_dense_oracle_on_random_measures(self):
         # seeded property test: psd_floor never exceeds lambda_{|S|+1} of the
@@ -692,7 +701,7 @@ class TestLambdaMin:
 def test_t_ttilde_identity_property(order, seed):
     p = random_poly(np.random.default_rng(seed), order)
     back = op_T(op_Ttilde_star(p))
-    assert np.max(np.abs(back.coeffs - p.coeffs)) < 1e-12 * max(1.0, np.max(np.abs(p.coeffs)))
+    assert np.max(np.abs(back - p)) < 1e-12 * max(1.0, np.max(np.abs(p)))
 
 
 @settings(max_examples=15, deadline=None)

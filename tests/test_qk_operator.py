@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from supres import qk_operator as qk
-from supres import trigpoly as tp
 from supres.budget import BudgetExceeded
 from supres.certificate import AtomicMeasure
 
@@ -127,7 +126,7 @@ class TestFiniteN:
         s = np.arange(-n, n + 1)
         thetas = np.arange(-K, K + 1) / d
         for l2 in (-5, 0, 3):
-            p = tp.TrigPoly(n, np.exp(-2j * np.pi * s * (l2 / d)) / d)
+            p = np.exp(-2j * np.pi * s * (l2 / d)) / d
             q = op_A(m, op_Atilde_star(m, p))
             direct = eval_direct(p, thetas).real - eval_direct(q, thetas).real
             assert np.max(np.abs(M[:, l2 + K] - direct)) < 1e-12

@@ -8,18 +8,24 @@ from oracles import eval_direct, eval_grid_longdouble, freqs
 
 
 def random_poly(rng, n):
-    c = rng.normal(size=2 * n + 1) + 1j * rng.normal(size=2 * n + 1)
-    return tp.TrigPoly(n, c)
+    """Random complex coefficients on -n..n."""
+    return rng.normal(size=2 * n + 1) + 1j * rng.normal(size=2 * n + 1)
+
+
+def hermitian_poly(rng, n, decay=0.0):
+    """Random real-valued p of order n: c_-k = conj(c_k), |c_k| ~ (1+|k|)^-decay."""
+    c = random_poly(rng, n) * (1.0 + np.abs(np.arange(-n, n + 1))) ** -decay
+    return (c + np.conj(c[::-1])) / 2
 
 
 def centered_dirichlet(n):
     """The centered kernel: coefficient 1/(2n+1) at every frequency -n..n."""
-    return tp.TrigPoly(n, np.full(2 * n + 1, 1.0 / (2 * n + 1)))
+    return np.full(2 * n + 1, 1.0 / (2 * n + 1), dtype=complex)
 
 
 class TestEval:
     def test_constant(self):
-        p = tp.TrigPoly(0, [1.0])
+        p = np.array([1.0 + 0j])
         for th in (0.0, 0.3, 0.77):
             assert eval_direct(p, th) == pytest.approx(1.0)
 
@@ -36,12 +42,11 @@ class TestEval:
     def test_one_sided_modulus(self):
         n = 9
         # one-sided kernel: 1/(n+1) at frequencies 0..n, zero below
-        c = np.zeros(2 * n + 1)
+        c = np.zeros(2 * n + 1, dtype=complex)
         c[n:] = 1.0 / (n + 1)
-        d = tp.TrigPoly(n, c)
         th = np.linspace(0.01, 0.49, 37)
         expected = np.abs(np.sin((n + 1) * np.pi * th) / ((n + 1) * np.sin(np.pi * th)))
-        assert np.max(np.abs(np.abs(eval_direct(d, th)) - expected)) < 1e-12
+        assert np.max(np.abs(np.abs(eval_direct(c, th)) - expected)) < 1e-12
 
     def test_array_matches_scalar(self):
         rng = np.random.default_rng(3)
@@ -100,7 +105,7 @@ class TestEvalGrid:
 def test_periodicity(n, theta, seed):
     rng = np.random.default_rng(seed)
     p = random_poly(rng, n)
-    l1 = np.sum(np.abs(p.coeffs))
+    l1 = np.sum(np.abs(p))
     assert abs(eval_direct(p, theta) - eval_direct(p, theta + 1.0)) <= 1e-12 * max(l1, 1.0)
 
 
@@ -111,7 +116,7 @@ def test_parseval_on_grid(n, seed):
     p = random_poly(rng, n)
     grid = np.arange(2 * n + 1) / (2 * n + 1)
     mean_sq = np.mean(np.abs(eval_direct(p, grid)) ** 2)
-    total = np.sum(np.abs(p.coeffs) ** 2)
+    total = np.sum(np.abs(p) ** 2)
     assert mean_sq == pytest.approx(total, rel=1e-10)
 
 
@@ -146,8 +151,7 @@ class TestDirichletDeriv:
         k = freqs(d)
         th = np.linspace(-0.45, 0.45, 19)
         for order, val in enumerate(tp.dirichlet_deriv(n, th)):
-            c = d.coeffs * (2j * np.pi * k) ** order
-            direct = eval_direct(tp.TrigPoly(n, c), th)
+            direct = eval_direct(d * (2j * np.pi * k) ** order, th)
             assert np.max(np.abs(val - direct.real)) < 1e-8 * (2 * np.pi * n) ** order + 1e-12
         # near the series switch at 5e-3/n, on both sides, where the closed-form
         # quotients cancel
@@ -157,8 +161,7 @@ class TestDirichletDeriv:
             k = freqs(d)
             th = np.concatenate([r, -r]) / n
             for order, val in enumerate(tp.dirichlet_deriv(n, th)):
-                c = d.coeffs * (2j * np.pi * k) ** order
-                direct = eval_direct(tp.TrigPoly(n, c), th)
+                direct = eval_direct(d * (2j * np.pi * k) ** order, th)
                 assert np.max(np.abs(val - direct.real)) < 1e-11 * (2 * np.pi * n) ** order
 
     def test_periodic(self):
@@ -166,15 +169,9 @@ class TestDirichletDeriv:
             assert a == pytest.approx(b, rel=1e-10, abs=1e-9)
 
 
-def hermitian_poly(rng, n, decay=0.0):
-    """Random real-valued p of order n: c_-k = conj(c_k), |c_k| ~ (1+|k|)^-decay."""
-    c = random_poly(rng, n).coeffs * (1.0 + np.abs(np.arange(-n, n + 1))) ** -decay
-    return tp.TrigPoly(n, (c + np.conj(c[::-1])) / 2)
-
-
 def fine_min(p):
     """Minimum of p on a grid 64 times finer than min_lower_bound's."""
-    return float(np.min(tp.eval_grid(p, 64 * tp.fast_len(8 * (2 * p.n + 1))).real))
+    return float(np.min(tp.eval_grid(p, 64 * tp.fast_len(8 * len(p))).real))
 
 
 class TestMinLowerBound:
@@ -192,8 +189,8 @@ class TestMinLowerBound:
             assert bound >= low - 0.02 * top
 
     def test_constant(self):
-        assert tp.min_lower_bound(tp.TrigPoly(0, [0.25])) == pytest.approx(0.25, rel=1e-14)
-        assert tp.min_lower_bound(tp.TrigPoly(0, [0.25])) <= 0.25
+        assert tp.min_lower_bound(np.array([0.25 + 0j])) == pytest.approx(0.25, rel=1e-14)
+        assert tp.min_lower_bound(np.array([0.25 + 0j])) <= 0.25
 
     @pytest.mark.parametrize("c0", [1.0, -1.0, 3.7e-9, -2.5e6, 1e100, -7e-100, 1e200, -7e-200])
     def test_constant_loses_the_fft_term(self, c0):
@@ -201,7 +198,7 @@ class TestMinLowerBound:
         # off the constant is the FFT rounding term plus the arithmetic term,
         # and no less than the FFT term alone; at 1e200 and 7e-200 the
         # squares inside the coefficient norm over- and underflow
-        p = tp.TrigPoly(0, [c0])
+        p = np.array([c0 + 0j])
         assert c0 - tp.min_lower_bound(p) >= tp.fft_error_bound(tp.fast_len(8), abs(c0))
 
     @pytest.mark.parametrize("n", [1, 5, 64, 513])
@@ -209,9 +206,9 @@ class TestMinLowerBound:
         # cos(2 pi n theta) bends fastest of all order-n polynomials of its
         # norm, so the Bernstein term is met with equality in its second
         # derivative; its minimum -1 must still be covered
-        c = np.zeros(2 * n + 1)
+        c = np.zeros(2 * n + 1, dtype=complex)
         c[0] = c[-1] = 0.5
-        bound = tp.min_lower_bound(tp.TrigPoly(n, c))
+        bound = tp.min_lower_bound(c)
         assert -1.02 <= bound <= -1.0
 
 
@@ -228,10 +225,45 @@ def test_fft_rounding_within_assumed_bound():
     for n in range(101):
         p = hermitian_poly(rng, n)
         for G in (tp.fast_len(8 * (2 * n + 1)), tp.fast_len(4 * n + 1)):
-            e0 = tp.fft_error_bound(G, float(np.linalg.norm(p.coeffs)))
+            e0 = tp.fft_error_bound(G, float(np.linalg.norm(p)))
             err = tp.eval_grid(p, G) - eval_grid_longdouble(p, G)
             assert float(np.sqrt(np.sum(np.abs(err) ** 2))) <= e0, (n, G)
             radices |= {q for q in (2, 3, 5) if G % q == 0}
+    assert radices == {2, 3, 5}
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).eps > 2.0**-60,
+                    reason="needs an extended-precision long double")
+def test_real_fft_rounding_within_assumed_bound():
+    # the same assumption at qk_operator's real transforms, lengths
+    # L = fast_len(4K+1): rfft of a real vector of the kernel's length 4K+1
+    # within fft_error_bound(L, ||v||_2), and irfft of a half spectrum within
+    # fft_error_bound(L, ||Y_full||_2)/L, Y_full its Hermitian extension,
+    # each against a long-double DFT
+    rng = np.random.default_rng(8)
+    radices = set()
+    for K in range(1, 101):
+        L = tp.fast_len(4 * K + 1)
+        angle = 8 * np.arctan(np.longdouble(1)) * np.arange(L, dtype=np.longdouble) / L
+        roots = np.cos(angle) + 1j * np.sin(angle)
+        half = np.arange(L // 2 + 1)
+
+        v = rng.normal(size=4 * K + 1)
+        want = np.conj(roots[np.outer(half, np.arange(v.size)) % L]) @ v.astype(np.longdouble)
+        err = np.fft.rfft(v, L) - want
+        bound = tp.fft_error_bound(L, float(np.linalg.norm(v)))
+        assert float(np.sqrt(np.sum(np.abs(err) ** 2))) <= bound, ("rfft", K, L)
+
+        Y = rng.normal(size=half.size) + 1j * rng.normal(size=half.size)
+        Y[0] = Y[0].real
+        if L % 2 == 0:
+            Y[-1] = Y[-1].real
+        full = np.concatenate([Y, np.conj(Y[1 : (L + 1) // 2][::-1])])
+        want = (roots[np.outer(np.arange(L), np.arange(L)) % L] @ full.astype(np.clongdouble)).real / L
+        err = np.fft.irfft(Y, L) - want
+        bound = tp.fft_error_bound(L, float(np.linalg.norm(full))) / L
+        assert float(np.sqrt(np.sum(err**2))) <= bound, ("irfft", K, L)
+        radices |= {q for q in (2, 3, 5) if L % q == 0}
     assert radices == {2, 3, 5}
 
 
@@ -241,10 +273,14 @@ def test_fft_rounding_within_assumed_bound():
        shift=st.floats(min_value=-3.0, max_value=3.0))
 def test_min_lower_bound_property(n, seed, shift):
     p = hermitian_poly(np.random.default_rng(seed), n, decay=1.0)
-    p = tp.TrigPoly(n, p.coeffs + shift * (np.arange(-n, n + 1) == 0))
+    p = p + shift * (np.arange(-n, n + 1) == 0)
     assert tp.min_lower_bound(p) <= fine_min(p)
 
 
 def test_bad_coeff_length():
-    with pytest.raises(ValueError):
-        tp.TrigPoly(3, np.ones(6))
+    # an even-length row has no centre coefficient: to_grid, and so every
+    # FFT of the package, refuses it
+    with pytest.raises(ValueError, match="odd length"):
+        tp.to_grid(np.ones(6), 16)
+    with pytest.raises(ValueError, match="odd length"):
+        tp.eval_grid(np.ones(6), 16)

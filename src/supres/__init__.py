@@ -7,7 +7,7 @@ Submodules:
 - certificate: interpolating dual certificate construction and verification
 - gram:        the Gram certificate: projector factor, CG correction, identity
                check and PSD proof by the symbol floor
-- specfun:     the logarithmic kernel E
+- specfun:     the cosine-integral kernel R of the limit operator
 - qk_operator: the deviation operator in the Dirichlet basis, asymptotic
                entries, structured matvec
 - spectrum:    Lanczos (ARPACK eigsh), residual bounds, the K/4, K/2, K sweep

@@ -149,7 +149,7 @@ def build_system(m: AtomicMeasure):
     g = _gamma(m.n)
     top = np.hstack([D0, D1 / g])
     bot = np.hstack([-D1 / g, -D2 / g**2])
-    matrix = np.vstack([top, bot]).astype(np.complex128)
+    matrix = np.vstack([top, bot])
     rhs = np.concatenate([m.signs, np.zeros(m.size, dtype=np.complex128)])
     return matrix, rhs
 

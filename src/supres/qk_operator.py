@@ -5,16 +5,16 @@ the basis of translated Dirichlet kernels and sampled on the grid
 l/(2n+1), converges entrywise to a closed-form limit matrix Q as n grows.
 Q is real, its row l1 = 0 is the first coordinate vector, rows with even
 l1 != 0 vanish identically, and every remaining entry is a difference of
-one fixed cosine-integral kernel R at two lags. That structure gives an
-O(K log K) matvec for the stabilized section I - Q + P, where P projects
-onto the span of the first coordinate and one explicit alternating vector
-w, which is all the operator stores of P.
+one fixed cosine-integral kernel R (specfun.r_kernel) at two lags. That
+structure gives an O(K log K) matvec for the stabilized section
+I - Q + P, where P projects onto the span of the first coordinate and one
+explicit alternating vector w, which is all the operator stores of P.
 
 qk_dense reconstructs the whole matrix from the precomputed kernel. The
 tests check it against two independent routes in tests/oracles.py: qk_entry
-assembles the printed special-function cases one scalar at a time (they
-must agree to 1e-12), and the finite-n matrix qk_finite_n is the
-convergence arbiter.
+assembles the printed cases one scalar at a time from its own complex
+kernel E, whose real part is R (they must agree to 1e-12), and the
+finite-n matrix qk_finite_n is the convergence arbiter.
 """
 
 from __future__ import annotations
@@ -62,10 +62,7 @@ def build_operator(K: int) -> AsymptoticOperator:
     if K < 1:
         raise ValueError("K must be at least 1")
     ells = np.arange(-K, K + 1)
-    # R = Re E is real and even: Ci(pi|m|) - gamma - ln(pi|m|), R(0) = 0.
-    # Contiguous copy: the strided .real view sums in another order in the
-    # matvec's dot products, and the last bits of the reports would move.
-    r_kernel = np.ascontiguousarray(sf.e_kernel(np.arange(-2 * K, 2 * K + 1)).real)
+    r_kernel = sf.r_kernel(np.arange(-2 * K, 2 * K + 1))
     prefactor = np.zeros(2 * K + 1)
     odd = ells % 2 != 0
     prefactor[odd] = 4.0 / (np.pi * ells[odd]) ** 2

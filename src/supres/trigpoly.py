@@ -7,9 +7,9 @@ with c_k at index k mod length (`to_grid`, `from_grid`); to_grid checks the
 layout's two conditions, an odd row length and a length above 2n.
 `eval_grid` samples p on a uniform grid by one inverse FFT, at a 5-smooth
 length from `fast_len`, the length rule of every FFT in the package (all
-numpy's). `min_lower_bound` turns one such sampling into a rigorous lower
-bound on a real polynomial's minimum; `fft_error_bound` is the sampling's
-rounding term in that bound.
+numpy's). `min_lower_bound` turns one such sampling of a real polynomial,
+by an inverse real FFT, into a rigorous lower bound on its minimum;
+`fft_error_bound` is the sampling's rounding term in that bound.
 The kernel is the centered one,
 
     D(theta) = sin((2n+1) pi theta) / ((2n+1) sin(pi theta)),
@@ -74,8 +74,8 @@ def fast_len(m: int) -> int:
 
 
 def fft_error_bound(G: int, norm2: float) -> float:
-    """e0, the bound on every sample's rounding error when eval_grid samples
-    a polynomial with coefficient 2-norm norm2 on G points.
+    """e0, the bound on every sample's rounding error when eval_grid or
+    min_lower_bound samples a polynomial of coefficient 2-norm norm2 on G points.
 
     Higham (Accuracy and Stability of Numerical Algorithms, 2nd ed.,
     sections 3.1 and 24.1; u = 2^-53, gamma_k = ku/(1-ku)), Theorem 24.2,
@@ -93,16 +93,16 @@ def fft_error_bound(G: int, norm2: float) -> float:
 
 
 def min_lower_bound(c: np.ndarray) -> float:
-    """A lower bound on min over theta of p(theta), for the real-valued p
-    with Hermitian coefficients c on -n..n (c_-k = conj(c_k), n =
-    (len(c) - 1)/2), from one FFT in O(n log n).
+    """A lower bound on min over theta of the real-valued p with Hermitian
+    coefficients c on -n..n, from one FFT in O(n log n). Raises ValueError
+    unless c is one odd-length row with c_-k == conj(c_k), Im c_0 == 0.
 
-    p is sampled by eval_grid on G = fast_len(8(2n+1)) points. Every theta
-    lies between neighbouring samples a and b = a + 1/G, where p is within
-    ||p''|| (theta - a)(b - theta)/2 <= ||p''||/(8 G^2) of the chord through
-    p(a) and p(b). Bernstein's inequality for degree n (A. Zygmund,
-    Trigonometric Series, ch. X), ||p''|| <= (2 pi n)^2 ||p||, makes that
-    r ||p|| with r = (pi n/G)^2/2 < 0.02. So
+    p is sampled on G = fast_len(8(2n+1)) points by one inverse real FFT of
+    c_0..c_n. Every theta lies between neighbouring samples a and b = a + 1/G,
+    where p is within ||p''|| (theta - a)(b - theta)/2 <= ||p''||/(8 G^2) of
+    the chord through p(a) and p(b). Bernstein's inequality for degree n (A.
+    Zygmund, Trigonometric Series, ch. X), ||p''|| <= (2 pi n)^2 ||p||, makes
+    that r ||p|| with r = (pi n/G)^2/2 < 0.02. So
 
         min p >= min_g p(g) - r ||p||,   ||p|| <= M/(1 - r),
 
@@ -117,10 +117,12 @@ def min_lower_bound(c: np.ndarray) -> float:
     arithmetic stay below a relative 2^-40; the subtracted terms carry a
     factor 1 + 2^-20 for them.
     """
+    if c.ndim != 1 or len(c) % 2 != 1 or np.any(c[::-1] != np.conj(c)):
+        raise ValueError("need one odd-length row of Hermitian coefficients, c_-k == conj(c_k)")
     n = (len(c) - 1) // 2
     G = fast_len(8 * (2 * n + 1))
-    vals = eval_grid(c, G)
-    lowest, top = float(np.min(vals.real)), float(np.max(np.abs(vals)))
+    vals = np.fft.irfft(c[n:], G, norm="forward")
+    lowest, top = float(np.min(vals)), float(np.max(np.abs(vals)))
     # norm squares the coefficients, which under- or overflow outside
     # 1e-150..1e150; rescale there
     with np.errstate(over="ignore"):

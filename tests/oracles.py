@@ -8,14 +8,15 @@ dense Gram-side maps T, T~*, A = T(P . P), A~* = P T~*(.) P with their
 projector and weighted norm, the general FFT step of A(Toep(z)) for any
 complex z, the dense matrix of A A~*, the one-atom limit entries of
 qk_operator case by case and at finite n, the dense section I - Q + P with
-its projector built from the closed form of w, and the measured deviations
-of the interpolation system from the identity (neumann_bounds). A
-polynomial is its coefficient array on -n..n, as in the package. No code of
-the package calls them; tests import them from here. Of the package they use
-only the Dirichlet and E kernels, the coefficient layout, the interpolation
-system and its closed-form bounds, the dense Q (itself checked against the
-entry and finite-n routes here) and two private helpers of gram: the
-projector factor V and the diagonal weights.
+its projector built from the closed form of w, the printed complex kernel
+E of those entries, and the measured deviations of the interpolation system
+from the identity (neumann_bounds). A polynomial is its coefficient array
+on -n..n, as in the package. No code of the package calls them; tests
+import them from here. Of the package they use only the Dirichlet kernel,
+the coefficient layout, the interpolation system and its closed-form
+bounds, the dense Q (itself checked against the entry and finite-n routes
+here) and two private helpers of gram: the projector factor V and the
+diagonal weights.
 
 Two oracles stay in the package because the benchmark under perfbench/
 reaches them: spectrum.dense_extremes (its worker checks spectrum-sweep
@@ -29,8 +30,8 @@ import math
 
 import numpy as np
 from scipy.fft import fft2, ifft2, next_fast_len
+from scipy.special import sici
 
-from supres import specfun as sf
 from supres import trigpoly as tp
 from supres.certificate import AtomicMeasure, Certificate, build_system, system_norm_bounds
 from supres.gram import _projector_factor, _weights
@@ -292,6 +293,18 @@ def qk_p0_term(l1: int, l2: int) -> float:
     return float(abs(dirichlet_limit(l1)) ** 2)
 
 
+def e_kernel(c: float) -> complex:
+    """E(c) = integral over (0, 1] of (e^{i pi c u} - 1)/u du, E(0) = 0, in
+    the printed closed form Ci(pi|c|) - gamma - ln(pi|c|) + i sgn(c) Si(pi|c|),
+    one scalar at a time from scipy's sici: qk_entry's kernel, independent of
+    specfun.r_kernel, which is its real part."""
+    if c == 0:
+        return 0j
+    a = math.pi * abs(c)
+    si, ci = sici(a)
+    return complex(ci - np.euler_gamma - math.log(a), math.copysign(si, c))
+
+
 def qk_entry(K: int, l1: int, l2: int) -> complex:
     """Closed-form limit entry at (l1, l2), assembled case by case;
     TestDense::test_matches_entry_route checks qk_dense against it.
@@ -310,8 +323,8 @@ def qk_entry(K: int, l1: int, l2: int) -> complex:
     sgn_l2 = -1.0 if l2 % 2 else 1.0
     sgn_l12 = -1.0 if (l1 + l2) % 2 else 1.0
     s1 = (
-        sgn_l2 * (sf.e_kernel(l2) - sf.e_kernel(l2 - l1))
-        + sgn_l12 * (sf.e_kernel(l1 - l2) - sf.e_kernel(-l2))
+        sgn_l2 * (e_kernel(l2) - e_kernel(l2 - l1))
+        + sgn_l12 * (e_kernel(l1 - l2) - e_kernel(-l2))
     ) / (2j * np.pi * l1)
     return complex(2.0 * np.real(D * s1) - qk_p0_term(l1, l2))
 

@@ -6,6 +6,8 @@ from scipy.integrate import quad
 
 from supres import specfun as sf
 
+from oracles import e_kernel
+
 
 # reference values, frozen from adaptive quadrature of the defining integrals
 SI_CI_REFERENCE = {
@@ -16,38 +18,38 @@ SI_CI_REFERENCE = {
 }
 
 
-def si_ci(x):
-    """(Si(x), Ci(x)) for x > 0 read off the kernel: with c = x/pi,
-    Re E(c) = Ci(x) - gamma - ln(x) and Im E(c) = Si(x)."""
-    e = sf.e_kernel(np.asarray(x) / math.pi)
-    return e.imag, e.real + sf.EULER_GAMMA + np.log(x)
+def ci(x):
+    """Ci(x) for x > 0 read off the package kernel: R(x/pi) = Ci(x) - gamma - ln(x)."""
+    return sf.r_kernel(np.asarray(x) / math.pi) + sf.EULER_GAMMA + np.log(x)
+
+
+def si(x: float) -> float:
+    """Si(x) for x > 0 read off the oracle's complex kernel: Im E(x/pi) = Si(x)."""
+    return e_kernel(x / math.pi).imag
 
 
 class TestSiCi:
     def test_si_zero(self):
-        assert sf.e_kernel(0.0) == 0
+        assert sf.r_kernel(0.0) == 0
+        assert e_kernel(0.0) == 0
 
     def test_si_limit(self):
-        s, _ = si_ci(1e6)
-        assert abs(s - math.pi / 2) <= 2e-6
+        assert abs(si(1e6) - math.pi / 2) <= 2e-6
 
     @pytest.mark.parametrize("x", sorted(SI_CI_REFERENCE))
     def test_frozen_values(self, x):
         s_ref, c_ref = SI_CI_REFERENCE[x]
-        s, c = si_ci(x)
-        assert s == pytest.approx(s_ref, abs=1e-11)
-        assert c == pytest.approx(c_ref, abs=1e-11)
+        assert si(x) == pytest.approx(s_ref, abs=1e-11)
+        assert float(ci(x)) == pytest.approx(c_ref, abs=1e-11)
 
     def test_negative_argument_conjugates(self):
         # Si is odd and Ci enters through |c|, so E(-c) = conj(E(c))
-        cs = np.array([0.5, 1.0, 7.0, 40.0]) / math.pi
-        np.testing.assert_array_equal(sf.e_kernel(-cs), np.conj(sf.e_kernel(cs)))
+        for c in np.array([0.5, 1.0, 7.0, 40.0]) / math.pi:
+            assert e_kernel(-c) == np.conj(e_kernel(c))
 
     def test_vectorized(self):
         xs = np.array([0.5, 1.0, 7.0])
-        s, c = si_ci(xs)
-        assert np.allclose(s, [si_ci(float(v))[0] for v in xs])
-        assert np.allclose(c, [si_ci(float(v))[1] for v in xs])
+        np.testing.assert_array_equal(ci(xs), [ci(float(v)) for v in xs])
 
     def test_against_quadrature_sweep(self):
         # 200 log-spaced points; Si and Ci built up by piecewise smooth
@@ -64,32 +66,31 @@ class TestSiCi:
             si_acc += inc_s
             ci_acc += inc_c
             prev = x
-            s, c = si_ci(float(x))
-            assert abs(s - si_acc) < 1e-9
+            assert abs(si(float(x)) - si_acc) < 1e-9
             ci_expected = sf.EULER_GAMMA + math.log(x) + ci_acc
-            assert abs(c - ci_expected) < 1e-9
+            assert abs(float(ci(float(x))) - ci_expected) < 1e-9
 
 
 class TestEKernel:
     @pytest.mark.parametrize("c", [-7.0, -1.0, 0.0, 0.5, 3.0, 40.0])
     def test_against_quadrature(self, c):
-        # real and imaginary parts of integral_0^1 (e^{i pi c u} - 1)/u du
+        # R against integral_0^1 (cos(pi c u) - 1)/u du, and the oracle's E
+        # against that and integral_0^1 sin(pi c u)/u du, its imaginary part
         re, _ = quad(lambda u: (math.cos(math.pi * c * u) - 1.0) / u, 0.0, 1.0,
                      limit=400, epsabs=1e-13, epsrel=1e-13)
         im, _ = quad(lambda u: math.sin(math.pi * c * u) / u, 0.0, 1.0,
                      limit=400, epsabs=1e-13, epsrel=1e-13)
-        got = sf.e_kernel(c)
+        assert float(sf.r_kernel(c)) == pytest.approx(re, abs=1e-11)
+        got = e_kernel(c)
         assert isinstance(got, complex)
         assert got.real == pytest.approx(re, abs=1e-11)
         assert got.imag == pytest.approx(im, abs=1e-11)
 
     def test_vectorized_matches_scalar(self):
         cs = np.arange(-50, 51)
-        vec = sf.e_kernel(cs)
-        assert vec.shape == cs.shape
+        vec = sf.r_kernel(cs)
+        assert vec.shape == cs.shape and vec.dtype == np.float64
         assert vec[50] == 0
-        np.testing.assert_array_equal(vec, [sf.e_kernel(c) for c in cs])
-        # real part even, imaginary part odd
-        np.testing.assert_array_equal(vec.real, vec.real[::-1])
-        np.testing.assert_array_equal(vec.imag, -vec.imag[::-1])
-
+        np.testing.assert_array_equal(vec, [sf.r_kernel(c) for c in cs])
+        # R is even
+        np.testing.assert_array_equal(vec, vec[::-1])

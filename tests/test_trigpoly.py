@@ -211,6 +211,31 @@ class TestMinLowerBound:
         bound = tp.min_lower_bound(c)
         assert -1.02 <= bound <= -1.0
 
+    def test_refuses_more_than_one_row(self):
+        # three rows of cos(2 pi 10 theta): the order is read off the row
+        # length, so a stack of rows would get its Bernstein term for the
+        # wrong order
+        c = np.zeros(21, dtype=complex)
+        c[0] = c[-1] = 0.5
+        with pytest.raises(ValueError, match="one odd-length row"):
+            tp.min_lower_bound(np.tile(c, (3, 1)))
+
+    def test_refuses_even_length(self):
+        with pytest.raises(ValueError, match="one odd-length row"):
+            tp.min_lower_bound(np.ones(6, dtype=complex))
+
+    def test_refuses_non_hermitian(self):
+        c = hermitian_poly(np.random.default_rng(3), 4)
+        c[5] += 1e-12
+        with pytest.raises(ValueError, match="Hermitian"):
+            tp.min_lower_bound(c)
+
+    def test_refuses_imaginary_constant(self):
+        c = hermitian_poly(np.random.default_rng(4), 4)
+        c[4] += 1e-12j
+        with pytest.raises(ValueError, match="Hermitian"):
+            tp.min_lower_bound(c)
+
 
 @pytest.mark.skipif(np.finfo(np.longdouble).eps > 2.0**-60,
                     reason="needs an extended-precision long double")
@@ -230,6 +255,21 @@ def test_fft_rounding_within_assumed_bound():
             assert float(np.sqrt(np.sum(np.abs(err) ** 2))) <= e0, (n, G)
             radices |= {q for q in (2, 3, 5) if G % q == 0}
     assert radices == {2, 3, 5}
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).eps > 2.0**-60,
+                    reason="needs an extended-precision long double")
+def test_min_lower_bound_sampling_within_assumed_bound():
+    # the same assumption at min_lower_bound's own transform: the inverse real
+    # FFT of c_0..c_n on G = fast_len(8(2n+1)) points, against the long-double
+    # direct sum, within fft_error_bound(G, ||p||_2)
+    rng = np.random.default_rng(16)
+    for n in range(101):
+        p = hermitian_poly(rng, n)
+        G = tp.fast_len(8 * (2 * n + 1))
+        e0 = tp.fft_error_bound(G, float(np.linalg.norm(p)))
+        err = np.fft.irfft(p[n:], G, norm="forward") - eval_grid_longdouble(p, G)
+        assert float(np.sqrt(np.sum(np.abs(err) ** 2))) <= e0, (n, G)
 
 
 @pytest.mark.skipif(np.finfo(np.longdouble).eps > 2.0**-60,

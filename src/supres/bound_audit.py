@@ -31,6 +31,7 @@ import math
 import numpy as np
 from scipy.integrate import quad
 
+from . import trigpoly as tp
 from .budget import check_budget
 
 DOMAINS = ("D0+", "D1+", "D2+", "D3+", "D4+",
@@ -51,15 +52,9 @@ _QUAD_BYTES_PER_TERM = 40
 # keeps the documented cap of about 900000 samples)
 _SAMPLE_BYTES = 1100
 
-_U = 2.0**-53  # unit roundoff of IEEE double precision
-
 # assumed accuracy of np.sin and np.cos: within 2 ulps of the exact value, so
-# a relative error of at most 4u
+# a relative error of at most 4U
 _C_F = 4
-
-
-def _gamma(k: int) -> float:
-    return k * _U / (1.0 - k * _U)
 
 
 def f_inner(s: float, theta: float, n: int) -> tuple[complex, float]:
@@ -69,27 +64,27 @@ def f_inner(s: float, theta: float, n: int) -> tuple[complex, float]:
     F = -sum_{j=1}^{m} e^{2 pi i j a} sin(pi j theta)/(pi j), with a = s - theta/2
     and m = n + 1. The sine form has no cancellation as theta -> 0.
 
-    Rounding bound (Higham, Accuracy and Stability of Numerical Algorithms,
-    2nd ed., section 3.1; u = 2^-53, gamma_k = ku/(1-ku)). Assume np.sin and
-    np.cos are within 2 ulps, i.e. a relative error of at most c u with c = 4,
-    and that nothing underflows (theta and |a| are 0 or above 2^-1000).
+    Rounding bound, in the floating-point model of trigpoly.U and
+    trigpoly.gamma. Assume np.sin and np.cos are within 2 ulps, i.e. a
+    relative error of at most c U with c = 4, and that nothing underflows
+    (theta and |a| are 0 or above 2^-1000).
     With y_j = 2 pi j a, z_j = pi j theta and q_j = sin(z_j)/(pi j), the
     code forms
       - y^_j = fl(fl(2 pi^ a^) j) from a^ = fl(s - theta/2) and pi^ = fl(pi):
         four roundings, so |y^_j - y_j| <= gamma_4 |y_j|; cos and sin are
         1-Lipschitz, so e^_j = cos y^_j + i sin y^_j has
-        |e^_j - e_j| <= gamma_4 2 pi j |a| + c u;
+        |e^_j - e_j| <= gamma_4 2 pi j |a| + c U;
       - z^_j = fl(fl(pi^ theta) j): |z^_j - z_j| <= gamma_3 z_j;
-      - q^_j = fl(fl(sin z^_j) / fl(pi^ j)): the sine adds c u, the quotient
+      - q^_j = fl(fl(sin z^_j) / fl(pi^ j)): the sine adds c U, the quotient
         three more roundings, so |q^_j - q_j| <= gamma_3 theta
-        + (c u + gamma_3)|q^_j| to first order;
+        + (c U + gamma_3)|q^_j| to first order;
       - the two dot products of cos y^ and sin y^ with q^, in any order:
         an error of gamma_m sum_j |e^_j q^_j| in modulus (each part is
         within gamma_m of its own absolute sum, and the two absolute sums
         form a vector of length at most sum_j |e^_j q^_j|).
     Summing |e^_j - e_j||q^_j| + |q^_j - q_j| + the dot-product error gives
       |F^ - F| <= gamma_4 2 pi |a| sum_j j |q^_j| + m gamma_3 theta
-                  + (2 c u + gamma_3 + gamma_m) sum_j |q^_j|.
+                  + (2 c U + gamma_3 + gamma_m) sum_j |q^_j|.
     The second-order terms and the rounding of evaluating this sum in
     floating point stay below a relative 2^-21 while m <= 2^30, which the
     memory budget ensures; the returned bound carries a factor 1 + 2^-20
@@ -106,9 +101,9 @@ def f_inner(s: float, theta: float, n: int) -> tuple[complex, float]:
     y = 2.0 * np.pi * a * j
     value = -complex(np.dot(np.cos(y), q), np.dot(np.sin(y), q))
     np.abs(q, out=q)
-    bound = (_gamma(4) * 2.0 * np.pi * abs(a) * np.dot(j, q)
-             + (n + 1) * _gamma(3) * theta
-             + (2 * _C_F * _U + _gamma(3) + _gamma(n + 1)) * q.sum())
+    bound = (tp.gamma(4) * 2.0 * np.pi * abs(a) * np.dot(j, q)
+             + (n + 1) * tp.gamma(3) * theta
+             + (2 * _C_F * tp.U + tp.gamma(3) + tp.gamma(n + 1)) * q.sum())
     return value, float((1.0 + 2.0**-20) * bound)
 
 

@@ -13,7 +13,6 @@ values, so they take no kernel evaluation beyond the system's own.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -33,8 +32,9 @@ class SingularSystem(ArithmeticError):
 
 @dataclass(frozen=True, eq=False)
 class AtomicMeasure:
-    """Atoms tau_j in [0,1) with unit-modulus complex signs, at cutoff n, and
-    their least wrap-around distance, separation (inf for one atom)."""
+    """At least one atom tau_j in [0,1), with unit-modulus complex signs, at
+    cutoff n, and their least wrap-around distance, separation (inf for one
+    atom)."""
 
     n: int
     atoms: np.ndarray
@@ -44,6 +44,8 @@ class AtomicMeasure:
     def __post_init__(self):
         atoms = np.atleast_1d(np.asarray(self.atoms, dtype=float))
         signs = np.atleast_1d(np.asarray(self.signs, dtype=np.complex128))
+        if atoms.size == 0:
+            raise ValueError("atoms must be a non-empty list")
         if self.n < 1:
             raise ValueError("cutoff n must be a positive integer")
         # past 2^53 the frequencies are no longer exact float64 integers
@@ -54,11 +56,9 @@ class AtomicMeasure:
         # NaN compares False, so it would slip past every range check below
         if not (np.all(np.isfinite(atoms)) and np.all(np.isfinite(signs))):
             raise ValueError("atom positions and signs must be finite")
-        # the empty measure is legal (the projector handles it); measure
-        # documents and the certificate solver require at least one atom
         if np.any((atoms < 0) | (atoms >= 1)):
             raise ValueError("atom positions must lie in [0, 1)")
-        if atoms.size and np.max(np.abs(np.abs(signs) - 1.0)) > 1e-12:
+        if np.max(np.abs(np.abs(signs) - 1.0)) > 1e-12:
             raise ValueError("signs must have unit modulus")
         # min over pairs of min(d, 1 - d): rounding is monotone, so the least d
         # is a sorted neighbours' gap and the least 1 - d is at last - first
@@ -81,10 +81,8 @@ class AtomicMeasure:
 def measure_from_json(doc) -> AtomicMeasure:
     """Build a measure from {"n": int, "atoms": [{"position": p, "sign": [re, im]}]}.
 
-    The atom list must be non-empty; a malformed document raises ValueError.
+    doc is the parsed document; a malformed one raises ValueError.
     """
-    if isinstance(doc, (str, bytes)):
-        doc = json.loads(doc)
     try:
         n = doc["n"]
         atoms = doc["atoms"]
@@ -92,7 +90,7 @@ def measure_from_json(doc) -> AtomicMeasure:
         raw_signs = [a["sign"] for a in atoms]
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed measure document: {exc}") from exc
-    if not isinstance(atoms, list) or not atoms:
+    if not isinstance(atoms, list):
         raise ValueError("atoms must be a non-empty list")
     if isinstance(n, float) and n.is_integer():
         n = int(n)
@@ -143,8 +141,6 @@ def build_system(m: AtomicMeasure):
     Block form [[D0, D1/g], [-D1/g, -D2/g^2]] with g = sqrt(|D''(0)|); the
     single-atom case reduces to the identity. Right-hand side is (signs, 0).
     """
-    if m.size == 0:
-        raise ValueError("need at least one atom to build the interpolation system")
     D0, D1, D2 = tp.dirichlet_deriv(m.n, m.atoms[:, None] - m.atoms)
     g = _gamma(m.n)
     top = np.hstack([D0, D1 / g])
@@ -159,10 +155,9 @@ def system_norm_bounds(m: AtomicMeasure) -> dict:
 
     Keys b0, b1, b2 bound the three kernel blocks; operator_norm bounds the
     whole system's deviation and must stay below 1 for a safe Neumann-series
-    inversion argument.
+    inversion argument. One atom gives 0.0 for all four: log 1 = 0 over
+    an infinite separation.
     """
-    if m.size < 2:
-        return {"b0": 0.0, "b1": 0.0, "b2": 0.0, "operator_norm": 0.0}
     logS = float(np.log(m.size))
     delta_n = m.separation * m.n
     b0 = logS / (4 * delta_n)

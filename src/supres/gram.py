@@ -65,11 +65,10 @@ def _projector_factor(m: AtomicMeasure) -> _Factor:
     factor G = U*U = L L*, so that V V* = U G^{-1} U*."""
     k = np.arange(-m.n, m.n + 1)
     V = np.exp(2j * np.pi * np.outer(k, m.atoms))
-    if m.size:
-        G = V.conj().T @ V
-        if np.linalg.cond(G) > 1e12:
-            raise SingularGram("atom Gram matrix U*U is numerically singular")
-        V = solve_triangular(np.linalg.cholesky(G), V.conj().T, lower=True).conj().T
+    G = V.conj().T @ V
+    if np.linalg.cond(G) > 1e12:
+        raise SingularGram("atom Gram matrix U*U is numerically singular")
+    V = solve_triangular(np.linalg.cholesky(G), V.conj().T, lower=True).conj().T
     return _Factor(V, np.fft.fft(tp.to_grid(V.T, _factor_len(m.n))))
 
 
@@ -146,12 +145,12 @@ _GRAM_BYTES_PER_ENTRY = 40
 # peak resident bytes per entry of |S| + _SYMBOL_ROWS rows of length L, the
 # factor's FFT length >= 4n+1, on the symbol route: per atom V, the spectra
 # and _t_ptp's work arrays, and rows of CG vectors and the symbol samples
-# (8L) for any |S|. Measured with getrusage in fresh processes (peak minus
-# the RSS before the assembly) at n = 4096..65536, |S| = 1..60: 52..80.3
-# bytes per entry; per atom 49..69 bytes per entry, and 558..717 bytes per
-# L for the rest
-_SYMBOL_BYTES_PER_ENTRY = 85
-_SYMBOL_ROWS = 8
+# for any |S|. Measured with getrusage in fresh processes (peak minus the
+# RSS before the assembly) at n = 2^12..2^18, |S| = 1..60: 339..4654 bytes
+# per L, 41..69.5 per entry; per atom 63..72 bytes per L, and 259..429
+# bytes per L for the rest (the most at n = 2^12)
+_SYMBOL_BYTES_PER_ENTRY = 72
+_SYMBOL_ROWS = 7
 
 
 def x_corr(f: _Factor, perr: np.ndarray) -> tuple[np.ndarray, int]:
@@ -274,7 +273,7 @@ def assemble_and_verify(c: Certificate) -> dict:
 
     lower = tp.min_lower_bound(zeta)
     # 1/d and the sum are rounded once each: take that much off again
-    floor = 1.0 / d + lower - 2.0**-51 * (1.0 / d + abs(lower))
+    floor = 1.0 / d + lower - 4 * tp.U * (1.0 / d + abs(lower))
     rigorous = floor > 0
     if rigorous:
         min_eig, rank_def = 0.0, size

@@ -10,6 +10,8 @@ length from `fast_len`, the length rule of every FFT in the package (all
 numpy's). `min_lower_bound` turns one such sampling of a real polynomial,
 by an inverse real FFT, into a rigorous lower bound on its minimum;
 `fft_error_bound` is the sampling's rounding term in that bound.
+`U` and `gamma` are the package's one floating-point model, which every
+a-priori rounding bound in it rests on.
 The kernel is the centered one,
 
     D(theta) = sin((2n+1) pi theta) / ((2n+1) sin(pi theta)),
@@ -22,6 +24,17 @@ is within 1e-12 of its scale (2 pi n)^m.
 from __future__ import annotations
 
 import numpy as np
+
+# the floating-point model (N. J. Higham, Accuracy and Stability of Numerical
+# Algorithms, 2nd ed., section 3.1): every basic operation on doubles is
+# exact times 1 + delta with |delta| <= U, the unit roundoff
+U = 2.0**-53
+
+
+def gamma(k: int) -> float:
+    """gamma_k = kU/(1 - kU), the bound |theta_k| <= gamma_k on the relative
+    error of k roundings (Higham, Lemma 3.1); kU < 1."""
+    return k * U / (1 - k * U)
 
 
 def to_grid(x: np.ndarray, length: int) -> np.ndarray:
@@ -77,18 +90,16 @@ def fft_error_bound(G: int, norm2: float) -> float:
     """e0, the bound on every sample's rounding error when eval_grid or
     min_lower_bound samples a polynomial of coefficient 2-norm norm2 on G points.
 
-    Higham (Accuracy and Stability of Numerical Algorithms, 2nd ed.,
-    sections 3.1 and 24.1; u = 2^-53, gamma_k = ku/(1-ku)), Theorem 24.2,
+    In the model of U and gamma, Higham's Theorem 24.2 (section 24.1)
     bounds a radix-2 FFT by ||y^ - y||_2 <= eps ||y||_2 with
     eps = t e/(1 - t e), e = mu + gamma_4 (sqrt 2 + mu), t stages and
     twiddle factors within mu. numpy's FFT is mixed radix (2, 3, 4, 5 at
     fast_len lengths); assume it is within the theorem's bound with t
-    doubled, t = 2 ceil(log2 G), and twiddles within mu = c u, c = 4. Since
+    doubled, t = 2 ceil(log2 G), and twiddles within mu = c U, c = 4. Since
     ||y||_2 = sqrt(G) norm2 bounds every sample's error, e0 = eps sqrt(G) norm2.
     """
-    u = 2.0**-53
     t = 2 * (G - 1).bit_length()
-    e = 4 * u + 4 * u / (1 - 4 * u) * (np.sqrt(2) + 4 * u)
+    e = 4 * U + gamma(4) * (np.sqrt(2) + 4 * U)
     return t * e / (1 - t * e) * np.sqrt(G) * norm2
 
 
@@ -108,7 +119,7 @@ def min_lower_bound(c: np.ndarray) -> float:
 
     with M the largest |sample| (the second from |p| <= M + r ||p||).
 
-    Rounding bound (u = 2^-53, gamma_k = ku/(1-ku)), for p with exactly the
+    Rounding bound (in the model of U and gamma), for p with exactly the
     coefficients given: each sample is within e0 = fft_error_bound(G, ||c||_2)
     of p(g), and M + e0 stands for M. Forming the Bernstein term and the
     final difference takes at most twelve roundings of terms no larger than
@@ -131,10 +142,9 @@ def min_lower_bound(c: np.ndarray) -> float:
         big = float(np.max(np.abs(c)))
         norm2 = big * float(np.linalg.norm(c / big)) if big else 0.0
     e0 = fft_error_bound(G, norm2)
-    u = 2.0**-53
     r = (np.pi * n / G) ** 2 / 2
     bern = r * (top + e0) / (1 - r)
-    arith = 12 * u / (1 - 12 * u) * (top + e0 + bern)
+    arith = gamma(12) * (top + e0 + bern)
     return float(lowest - (1 + 2.0**-20) * (bern + e0 + arith))
 
 

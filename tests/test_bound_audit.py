@@ -27,6 +27,12 @@ class TestFInner:
         assert v.real == pytest.approx(0.044934138663, abs=1e-9)
         assert v.imag == pytest.approx(-0.059268817679, abs=1e-9)
 
+    def test_rounding_bound_frozen(self):
+        # exact floats, so that a change to the model U, gamma moves them
+        got = [ba.f_inner(s, theta, n)[1]
+               for s, theta, n in ((0.1, 0.25, 16), (-0.3, 0.01, 1000), (0.0, 0.5, 4096))]
+        assert got == [3.930748593750282e-15, 2.93513288377637e-13, 1.833270782468255e-12]
+
     def test_against_closed_form(self):
         rng = np.random.default_rng(9)
         for _ in range(25):

@@ -73,10 +73,20 @@ class TestAtomicMeasure:
                 {"position": 0.7, "sign": [0.0, -1.0]},
             ],
         }
-        m = cert.measure_from_json(json.dumps(doc))
+        m = cert.measure_from_json(doc)
         assert m.n == 16
         np.testing.assert_allclose(m.atoms, [0.2, 0.7])
         np.testing.assert_allclose(m.signs, [1.0, -1j])
+
+    def test_from_json_text_is_malformed(self):
+        # the caller parses the document; JSON text is not one
+        text = json.dumps({"n": 16, "atoms": [{"position": 0.2, "sign": [1.0, 0.0]}]})
+        with pytest.raises(ValueError, match="malformed measure document"):
+            cert.measure_from_json(text)
+
+    def test_needs_an_atom(self):
+        with pytest.raises(ValueError, match="non-empty"):
+            cert.AtomicMeasure(16, (), ())
 
     def test_from_json_malformed(self):
         with pytest.raises(ValueError, match="malformed"):

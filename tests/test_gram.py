@@ -176,10 +176,6 @@ class TestNormW:
 
 
 class TestProjector:
-    def test_empty_measure_identity(self):
-        P = projector_PUperp(AtomicMeasure(16, (), ()))
-        np.testing.assert_array_equal(P, np.eye(33))
-
     def test_projector_algebra(self):
         m = well_separated(np.random.default_rng(5), 96, 3)
         P = projector_PUperp(m)
@@ -227,13 +223,6 @@ class TestQuadForm:
 
 
 class TestOpA:
-    def test_empty_measure_roundtrip(self):
-        rng = np.random.default_rng(21)
-        m = AtomicMeasure(10, (), ())
-        p = random_poly(rng, 20)
-        back = op_A(m, op_Atilde_star(m, p))
-        np.testing.assert_allclose(back, p, atol=1e-12)
-
     def test_linearity(self):
         rng = np.random.default_rng(22)
         m = well_separated(rng, 24, 2)
@@ -276,15 +265,15 @@ class TestOpA:
 
 
 class TestFFTOperator:
-    @pytest.mark.parametrize("n, size", [(1, 0), (1, 1), (9, 2), (16, 5), (48, 0),
-                                         (48, 1), (48, 2), (48, 5), (33, 5)])
+    @pytest.mark.parametrize("n, size", [(1, 1), (9, 2), (16, 5), (48, 1), (48, 2),
+                                         (48, 5), (33, 5)])
     def test_matches_dense_oracle(self, n, size):
         # T(P Toep(z) P) by FFT against op_A on the dense Toeplitz matrix:
         # the general step of the oracles for random complex z, the
         # package's Hermitian step for Hermitian z; and p_err by FFT against
         # (1 - |eta|^2) by np.convolve minus conj(op_T(P)) / dim
         rng = np.random.default_rng(100 * n + size)
-        spread = (np.arange(size) + rng.uniform(-0.1, 0.1, size)) / max(size, 1)
+        spread = (np.arange(size) + rng.uniform(-0.1, 0.1, size)) / size
         atoms = (rng.uniform() + spread) % 1
         m = AtomicMeasure(n, tuple(atoms), (1.0,) * size)
         f = _projector_factor(m)
@@ -300,7 +289,7 @@ class TestFFTOperator:
         want[2 * n] += 1.0
         np.testing.assert_allclose(p_err(c, f), want, rtol=0, atol=1e-12 * n)
 
-    @pytest.mark.parametrize("size", [0, 1, 5, 12])
+    @pytest.mark.parametrize("size", [1, 5, 12])
     def test_step_takes_2s_plus_2_ffts(self, monkeypatch, size):
         # one Hermitian step transforms z, then one inverse and one forward
         # batch of |S| rows, then the summed spectrum: 2|S| + 2 FFTs, where
@@ -332,11 +321,6 @@ class TestFFTOperator:
 
 
 class TestPErr:
-    def test_empty_measure_zero(self):
-        m = AtomicMeasure(16, (), ())
-        c = Certificate(m, np.zeros(0), np.zeros(0))
-        assert np.max(np.abs(perr_of(c))) < 1e-12
-
     def test_vanishes_at_atoms(self):
         rng = np.random.default_rng(31)
         for _ in range(5):
@@ -459,6 +443,16 @@ class TestAssemble:
         assert is_hermitian(dense_gram(c), 1e-12)
         assert rep["residual_rel"] <= 1e-8
 
+    def test_floor_gives_up_its_two_roundings(self):
+        # psd_floor is 1/d + min_lower_bound(zeta) less the two roundings of
+        # that sum, 2U each, so it sits strictly below the rounded sum, and
+        # here, where |lower| < 1/(2d), within 8U of it
+        c = solve_certificate(AtomicMeasure(128, (0.2, 0.6), (1.0, 1.0)))
+        lower = tp.min_lower_bound(cg_zeta(c)[0])
+        floor = assemble_and_verify(c)["psd_floor"]
+        assert 0 < floor < 1 / 257 + lower
+        assert floor >= (1 / 257 + lower) * (1 - 8 * tp.U)
+
     def test_residual_matches_projected_form(self):
         # residual_rel comes from the FFT operator T(P Toep(zeta) P); it must
         # equal the residual of the dense oracle op_A on the lifted correction
@@ -487,6 +481,19 @@ class TestAssemble:
         finally:
             tracemalloc.stop()
         assert peak < 1_000_000
+
+    def test_symbol_budget_covers_measured_peaks(self):
+        # peak minus the RSS before the assembly, getrusage in fresh
+        # processes, one thread: the fit admits n = 2^18 with four atoms
+        # (831 MB) but not with eight (1134 MB)
+        def need(n, size):
+            return gram._SYMBOL_BYTES_PER_ENTRY * (size + gram._SYMBOL_ROWS) * gram._factor_len(n)
+
+        for n, size, peak in ((2**12, 60, 78532608), (2**16, 60, 1086902272),
+                              (2**18, 1, 355495936), (2**18, 4, 532967424),
+                              (2**18, 8, 802488320)):
+            assert need(n, size) >= peak, (n, size)
+        assert need(2**18, 4) <= budget.CAP_BYTES < need(2**18, 8)
 
     def test_memory_cap_admits_n_512(self):
         rep = assemble_and_verify(solve_certificate(AtomicMeasure(512, (0.3, 0.61), (1.0, 1j))))
@@ -671,9 +678,6 @@ class TestSymbolFloor:
 
 
 class TestLambdaMin:
-    def test_empty_measure_is_one(self):
-        assert lambda_min_AAtilde(AtomicMeasure(16, (), ())) == pytest.approx(1.0, abs=1e-10)
-
     def test_single_atom_value(self):
         val = lambda_min_AAtilde(AtomicMeasure(64, (0.5,), (1.0,)))
         assert val >= 0.1

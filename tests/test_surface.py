@@ -15,9 +15,13 @@ Every dataclass of the package passes eq=False: they hold numpy arrays, and
 the generated field-by-field __eq__ would raise on them ("truth value of an
 array ... is ambiguous") and leave the objects unhashable. Identity is the
 equality they keep.
+
+The floating-point model, the unit roundoff trigpoly.U and trigpoly.gamma,
+has one home: no other module spells a power of two at or below 2^-50.
 """
 
 import ast
+import math
 import pathlib
 
 TESTS = pathlib.Path(__file__).resolve().parent
@@ -86,3 +90,20 @@ def test_every_dataclass_compares_by_identity():
                 if not (isinstance(eq, ast.Constant) and eq.value is False):
                     plain.append(name)
     assert checked and plain == []
+
+
+def _tiny_power_of_two(node) -> bool:
+    """node is the literal 2**-k, or a float equal to 2^-k, with k >= 50."""
+    if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Pow):
+        base, exp = node.left, node.right
+        return (isinstance(base, ast.Constant) and base.value == 2
+                and isinstance(exp, ast.UnaryOp) and isinstance(exp.op, ast.USub)
+                and isinstance(exp.operand, ast.Constant) and exp.operand.value >= 50)
+    return (isinstance(node, ast.Constant) and isinstance(node.value, float)
+            and 0 < node.value <= 2.0**-50 and math.frexp(node.value)[0] == 0.5)
+
+
+def test_unit_roundoff_is_spelled_once_in_trigpoly():
+    found = [path.stem for path in sorted(SRC.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text())) if _tiny_power_of_two(node)]
+    assert found == ["trigpoly"]

@@ -237,6 +237,13 @@ class TestMinLowerBound:
             tp.min_lower_bound(c)
 
 
+def test_fft_error_bound_frozen():
+    # exact floats, so that a change to the model U, gamma moves them
+    got = [tp.fft_error_bound(G, 1.0) for G in (8, 1000, 2**20, 3**13)]
+    assert got == [1.8194584838083753e-14, 6.780721420057147e-13,
+                   4.3914288878535436e-11, 5.685692297893622e-11]
+
+
 @pytest.mark.skipif(np.finfo(np.longdouble).eps > 2.0**-60,
                     reason="needs an extended-precision long double")
 def test_fft_rounding_within_assumed_bound():

@@ -5,10 +5,12 @@ polynomial eta(theta) = sum_j a_j D(theta - tau_j) + b_j D'(theta - tau_j)
 (D the centered Dirichlet kernel of cutoff n) satisfying eta(tau_j) = sign_j
 and eta'(tau_j) = 0, then verify |eta| < 1 away from the atoms on a dense
 grid with a Lipschitz safety margin (`verify_bounded`, whose dict is the
-certify report). The grid values come from one inverse FFT of eta's 2n+1
-coefficients, O(n log n); the checks at the atoms read eta and eta' there
-from the residual of the solved interpolation system, whose rows are those
-values, so they take no kernel evaluation beyond the system's own.
+certify report). The grid values come from eta's 2n+1 coefficients by
+trigpoly.phases, grid_mult inverse FFTs of length fast_len(2n+1): O(n log n)
+time per phase and O(n) memory for any grid_mult; the checks at the atoms
+read eta and eta' there from the residual of the solved interpolation
+system, whose rows are those values, so they take no kernel evaluation
+beyond the system's own.
 """
 
 from __future__ import annotations
@@ -205,26 +207,26 @@ def eta_coeffs(c: Certificate) -> np.ndarray:
     return (sa + 2j * np.pi * k * sb) / d
 
 
-# peak resident bytes per grid point of the 5-smooth scan: 51.3..53.8
-# measured with getrusage in fresh processes (peak minus the RSS before the
-# scan) at n = 5*10^4..8*10^5
-_SCAN_BYTES_PER_POINT = 56
+# peak resident bytes per point of one phase of the scan, L = fast_len(2n+1):
+# eta's coefficients, the twiddled row and its step, one phase's samples and
+# their moduli; 128..207 measured with getrusage in fresh processes (peak
+# minus the RSS before the scan) at n = 2^12..2^21, the most at n = 2^12
+_SCAN_BYTES_PER_L = 210
 
 
-def _off_atom_mask(atoms: np.ndarray, n: int, G: int) -> np.ndarray:
-    """True at the grid points g/G whose wrap-around distance to every atom
-    exceeds 1/n.
+def _near_atoms(atoms: np.ndarray, n: int, L: int, m: int, r: int) -> np.ndarray:
+    """The indices j of phase r, the grid points g = j m + r of G = m L,
+    whose wrap-around distance g/G to some atom is at most 1/n.
 
-    Only the indices within ceil(G/n)+1 of an atom can be that close, so the
-    exact distance test runs on those windows alone, O(|S| G/n) work.
+    Only the j within ceil(L/n) + 2 of floor(tau L) can be that close, so
+    the exact distance test runs on those windows alone, O(|S| L/n) work
+    and memory per phase.
     """
-    r = -(-G // n) + 1
-    idx = (np.floor(atoms * G).astype(np.int64)[:, None] + np.arange(-r, r + 1)) % G
-    dist = np.abs(idx / G - atoms[:, None]) % 1.0
+    w = -(-L // n) + 2
+    j = (np.floor(atoms * L).astype(np.int64)[:, None] + np.arange(-w, w + 1)) % L
+    dist = np.abs((j * m + r) / (m * L) - atoms[:, None]) % 1.0
     dist = np.minimum(dist, 1.0 - dist)
-    off = np.ones(G, dtype=bool)
-    off[idx[dist <= 1.0 / n]] = False
-    return off
+    return j[dist <= 1.0 / n]
 
 
 # largest atom residual max_j |eta(tau_j) - sign_j| that certified accepts:
@@ -235,13 +237,15 @@ INTERP_TOL = 1e-6
 def verify_bounded(c: Certificate, grid_mult: int = 10) -> dict:
     """The certify report: check |eta| < 1 away from the atoms.
 
-    Samples |eta| on G points, grid_mult*(2n+1) rounded up to a 5-smooth
-    length (`trigpoly.fast_len`), by one zero-padded inverse FFT of its
-    coefficients (O(n log n), `trigpoly.eval_grid`), excludes a radius-1/n
-    neighborhood of each atom (main lobe plus first sidelobe), and adds the
-    crude Lipschitz slack pi*n*max|c_k|/grid_mult covering the gap between
-    adjacent samples. The slack is at least max|eta'| times half the spacing
-    1/(grid_mult*(2n+1)), so it also covers the finer spacing 1/G.
+    Samples |eta| on G = grid_mult L points, L = fast_len(2n+1) (the
+    5-smooth length rule of `trigpoly.fast_len`), by the grid_mult phases of
+    `trigpoly.phases`, one inverse FFT of length L each, keeping per phase
+    only the largest |eta| off the atoms and its point. It excludes a
+    radius-1/n neighborhood of each atom (main lobe plus first sidelobe), and
+    adds the crude Lipschitz slack pi*n*max|c_k|/grid_mult covering the gap
+    between adjacent samples. The slack is at least max|eta'| times half
+    the spacing 1/(grid_mult*(2n+1)), so it also covers the finer spacing
+    1/G, G >= grid_mult*(2n+1).
 
     Keys: atom_count, n, separation and deviation_bound (the measure and its
     `system_norm_bounds` operator norm); interp_err and deriv_err, the
@@ -252,20 +256,24 @@ def verify_bounded(c: Certificate, grid_mult: int = 10) -> dict:
     when no grid point is off the atoms); certified, True when grid max +
     slack < 1 and interp_err is at most INTERP_TOL.
     Raises BudgetExceeded, before allocating, when the scan would exceed the
-    memory budget.
+    memory budget, _SCAN_BYTES_PER_L per point of one phase: grid_mult
+    costs time, not memory.
     """
     if grid_mult < 4:
         raise ValueError("grid_mult must be at least 4")
     m, n = c.measure, c.n
-    G = tp.fast_len(grid_mult * (2 * n + 1))
-    check_budget(_SCAN_BYTES_PER_POINT * G,
-                 f"boundedness scan at n={n}, grid_mult={grid_mult}")
+    L = tp.fast_len(2 * n + 1)
+    check_budget(_SCAN_BYTES_PER_L * L, f"boundedness scan at n={n}")
     coeffs = eta_coeffs(c)
-    vals = np.abs(tp.eval_grid(coeffs, G))
-    off = _off_atom_mask(m.atoms, n, G)
-
     max_c = float(np.max(np.abs(coeffs)))
     slack = np.pi * n * max_c / grid_mult
+    sup_off, best = -np.inf, 0
+    for r, vals in enumerate(tp.phases(coeffs, grid_mult)):
+        vals = np.abs(vals)
+        vals[_near_atoms(m.atoms, n, L, grid_mult, r)] = -np.inf
+        j = int(vals.argmax())
+        if vals[j] > sup_off:
+            sup_off, best = float(vals[j]), j * grid_mult + r
 
     g = _gamma(n)
     matrix, rhs = c.system or build_system(m)
@@ -282,9 +290,7 @@ def verify_bounded(c: Certificate, grid_mult: int = 10) -> dict:
         "argmax": np.nan,
         "certified": False,
     }
-    if np.any(off):
-        idx = int(np.argmax(np.where(off, vals, -np.inf)))
-        sup_off = float(vals[idx])
-        report.update(sup_off_atom=sup_off, argmax=idx / G,
+    if sup_off > -np.inf:
+        report.update(sup_off_atom=sup_off, argmax=best / (grid_mult * L),
                       certified=bool(sup_off + slack < 1.0 and interp_err <= INTERP_TOL))
     return report

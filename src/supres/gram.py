@@ -12,10 +12,10 @@ step is 2|S| + 2 FFTs in work arrays reused across steps, O(|S| n log n)
 and Circulant Matrices: A Review, 2006). They are numpy's, at the one
 length trigpoly.fast_len(4n+1) (`_factor_len`). The identity is
 checked in coefficient form. Q is proved PSD from the symbol of
-Toep(zeta), a trigonometric polynomial sampled by one FFT
-(trigpoly.min_lower_bound), in O(n log n); only where that floor is not
-positive is the dense Q formed, by a rank-2|S| update of Toep(zeta), for
-its eigenvalues.
+Toep(zeta), a trigonometric polynomial sampled by eight real FFTs at that
+same length (trigpoly.min_lower_bound), in O(n log n); only where that
+floor is not positive is the dense Q formed, by a rank-2|S| update of
+Toep(zeta), for its eigenvalues.
 """
 
 from __future__ import annotations
@@ -144,13 +144,13 @@ _CG_MAXITER = 200
 _GRAM_BYTES_PER_ENTRY = 40
 # peak resident bytes per entry of |S| + _SYMBOL_ROWS rows of length L, the
 # factor's FFT length >= 4n+1, on the symbol route: per atom V, the spectra
-# and _t_ptp's work arrays, and rows of CG vectors and the symbol samples
-# for any |S|. Measured with getrusage in fresh processes (peak minus the
-# RSS before the assembly) at n = 2^12..2^18, |S| = 1..60: 339..4654 bytes
-# per L, 41..69.5 per entry; per atom 63..72 bytes per L, and 259..429
-# bytes per L for the rest (the most at n = 2^12)
+# and _t_ptp's work arrays, and rows of CG vectors and the symbol floor's
+# phases for any |S|. Measured with getrusage in fresh processes (peak minus
+# the RSS before the assembly) at n = 2^12..2^18, |S| = 1..60: 204..4650
+# bytes per L, 41..70.5 per entry; per atom about 71 bytes per L, and
+# about 400 bytes per L for the rest at n = 2^12, the most
 _SYMBOL_BYTES_PER_ENTRY = 72
-_SYMBOL_ROWS = 7
+_SYMBOL_ROWS = 6
 
 
 def x_corr(f: _Factor, perr: np.ndarray) -> tuple[np.ndarray, int]:

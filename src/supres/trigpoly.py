@@ -5,11 +5,13 @@ that p(theta) = sum_k c_k exp(2i pi k theta): every function here takes
 that array and reads n as (len(c) - 1)/2. For FFTs the array is laid out
 with c_k at index k mod length (`to_grid`, `from_grid`); to_grid checks the
 layout's two conditions, an odd row length and a length above 2n.
-`eval_grid` samples p on a uniform grid by one inverse FFT, at a 5-smooth
-length from `fast_len`, the length rule of every FFT in the package (all
-numpy's). `min_lower_bound` turns one such sampling of a real polynomial,
-by an inverse real FFT, into a rigorous lower bound on its minimum;
-`fft_error_bound` is the sampling's rounding term in that bound.
+`phases` is the package's one sampler of p on a uniform grid: G = m L
+points, L = fast_len(2n+1) from `fast_len`, the length rule of every FFT in
+the package (all numpy's), as m inverse FFTs of length L, one phase at a
+time, so its callers keep O(L) memory however fine the grid.
+`min_lower_bound` turns such a sampling of a real polynomial, by inverse
+real FFTs, into a rigorous lower bound on its minimum; `fft_error_bound`
+and `TWIDDLE_EPS` are the sampling's rounding terms in that bound.
 `U` and `gamma` are the package's one floating-point model, which every
 a-priori rounding bound in it rests on.
 The kernel is the centered one,
@@ -59,14 +61,6 @@ def from_grid(buf: np.ndarray, h: int) -> np.ndarray:
     return np.concatenate([buf[..., buf.shape[-1] - h :], buf[..., : h + 1]], axis=-1)
 
 
-def eval_grid(c: np.ndarray, G: int) -> np.ndarray:
-    """Values p(g/G), g = 0..G-1, of the polynomial with coefficients c on
-    -n..n, by one zero-padded inverse FFT in O(G log G); to_grid checks
-    that c has odd length and that G exceeds 2n."""
-    # "forward" puts the 1/G on the forward transform, so the inverse is the plain sum
-    return np.fft.ifft(to_grid(c, G), norm="forward")
-
-
 def fast_len(m: int) -> int:
     """Smallest 2^a 3^b 5^c >= m, m >= 1.
 
@@ -86,54 +80,111 @@ def fast_len(m: int) -> int:
     return best
 
 
-def fft_error_bound(G: int, norm2: float) -> float:
-    """e0, the bound on every sample's rounding error when eval_grid or
-    min_lower_bound samples a polynomial of coefficient 2-norm norm2 on G points.
+def fft_error_bound(L: int, norm2: float) -> float:
+    """e0, the bound on every sample's rounding error when one inverse FFT
+    of length L (a phase of `phases`) samples a polynomial of coefficient
+    2-norm norm2.
 
     In the model of U and gamma, Higham's Theorem 24.2 (section 24.1)
     bounds a radix-2 FFT by ||y^ - y||_2 <= eps ||y||_2 with
     eps = t e/(1 - t e), e = mu + gamma_4 (sqrt 2 + mu), t stages and
     twiddle factors within mu. numpy's FFT is mixed radix (2, 3, 4, 5 at
     fast_len lengths); assume it is within the theorem's bound with t
-    doubled, t = 2 ceil(log2 G), and twiddles within mu = c U, c = 4. Since
-    ||y||_2 = sqrt(G) norm2 bounds every sample's error, e0 = eps sqrt(G) norm2.
+    doubled, t = 2 ceil(log2 L), and twiddles within mu = c U, c = 4. Since
+    ||y||_2 = sqrt(L) norm2 bounds every sample's error, e0 = eps sqrt(L) norm2.
+
+    A phase r > 0 transforms the twiddled coefficients, which differ from
+    the exact c_k e^{2 pi i k r/G} by at most r TWIDDLE_EPS |c_k|; an
+    error d in the coefficients moves each sample by at most ||d||_1. So
+    m phases sample p on G = m L points with every sample within
+    fft_error_bound(L, ||c||_2) + (m - 1) TWIDDLE_EPS ||c||_1 of p, to
+    first order (the twiddled norm exceeds ||c||_2 by a relative
+    (m - 1) TWIDDLE_EPS at most).
     """
-    t = 2 * (G - 1).bit_length()
+    t = 2 * (L - 1).bit_length()
     e = 4 * U + gamma(4) * (np.sqrt(2) + 4 * U)
-    return t * e / (1 - t * e) * np.sqrt(G) * norm2
+    return t * e / (1 - t * e) * np.sqrt(L) * norm2
+
+
+# drift per phase of the twiddled coefficients in `phases`, relative to
+# |c_k|: step_k = exp(2 pi i k/G) is within pi gamma_3 (three roundings of
+# its angle, which is below pi) + sqrt(2) U (cos and sin each within an ulp)
+# of the exact root, and each phase's complex multiply adds sqrt(2) gamma_2
+# (Higham, Lemma 3.5); so phase r's coefficient is within r TWIDDLE_EPS |c_k|
+# of c_k e^{2 pi i k r/G}, to first order
+TWIDDLE_EPS = np.pi * gamma(3) + np.sqrt(2) * (U + gamma(2))
+
+
+def phases(c: np.ndarray, m: int, real: bool = False):
+    """The values of the polynomial with coefficients c on -h..h at the
+    G = m L points g/G, L = fast_len(2h+1), one phase at a time: for
+    r = 0..m-1, yields the L values p((j m + r)/G), j = 0..L-1. Callers
+    keep running reductions only, so a sampling takes O(L) memory however
+    large m is, and O(m L log L) time.
+
+    Phase r is one inverse FFT of length L, since
+    p(j/L + r/G) = sum_k c_k e^{2 pi i k r/G} e^{2 pi i k j/L}. The twiddled
+    coefficients advance by one complex multiply per phase, by
+    step_k = exp(2 pi i k/G) computed once (their drift: TWIDDLE_EPS). With
+    real=True, p must be real-valued (c Hermitian, which the caller checks);
+    then each twiddled row is Hermitian too, and a phase is one inverse real
+    FFT of its half k = 0..h, with real samples. Otherwise to_grid lays c
+    out at length L, and checks it.
+    """
+    h = (len(c) - 1) // 2
+    L = fast_len(2 * h + 1)
+    if real:
+        t = c[h:].astype(np.complex128)
+        k = np.arange(h + 1)
+    else:
+        t = to_grid(c, L)
+        # each slot's frequency; the slots between h and L - h hold zeros
+        k = np.arange(L)
+        k[h + 1 :] -= L
+    step = np.exp(2j * np.pi * k / (m * L))
+    for _ in range(m):
+        # "forward" puts the 1/L on the forward transform, so the inverse is the plain sum
+        yield np.fft.irfft(t, L, norm="forward") if real else np.fft.ifft(t, norm="forward")
+        t *= step
 
 
 def min_lower_bound(c: np.ndarray) -> float:
     """A lower bound on min over theta of the real-valued p with Hermitian
-    coefficients c on -n..n, from one FFT in O(n log n). Raises ValueError
-    unless c is one odd-length row with c_-k == conj(c_k), Im c_0 == 0.
+    coefficients c on -n..n, in O(n log n) time and O(n) memory. Raises
+    ValueError unless c is one odd-length row with c_-k == conj(c_k),
+    Im c_0 == 0.
 
-    p is sampled on G = fast_len(8(2n+1)) points by one inverse real FFT of
-    c_0..c_n. Every theta lies between neighbouring samples a and b = a + 1/G,
-    where p is within ||p''|| (theta - a)(b - theta)/2 <= ||p''||/(8 G^2) of
-    the chord through p(a) and p(b). Bernstein's inequality for degree n (A.
-    Zygmund, Trigonometric Series, ch. X), ||p''|| <= (2 pi n)^2 ||p||, makes
-    that r ||p|| with r = (pi n/G)^2/2 < 0.02. So
+    p is sampled on G = 8L points, L = fast_len(2n+1), by the eight inverse
+    real FFTs of `phases`, keeping only the least sample and the largest
+    |sample|. Every theta lies between neighbouring samples a and
+    b = a + 1/G, where p is within ||p''|| (theta - a)(b - theta)/2 <=
+    ||p''||/(8 G^2) of the chord through p(a) and p(b). Bernstein's
+    inequality for degree n (A. Zygmund, Trigonometric Series, ch. X),
+    ||p''|| <= (2 pi n)^2 ||p||, makes that r ||p|| with
+    r = (pi n/G)^2/2 < 0.02, since G >= 8(2n+1). So
 
         min p >= min_g p(g) - r ||p||,   ||p|| <= M/(1 - r),
 
     with M the largest |sample| (the second from |p| <= M + r ||p||).
 
     Rounding bound (in the model of U and gamma), for p with exactly the
-    coefficients given: each sample is within e0 = fft_error_bound(G, ||c||_2)
-    of p(g), and M + e0 stands for M. Forming the Bernstein term and the
-    final difference takes at most twelve roundings of terms no larger than
-    M + e0 + the Bernstein term, so gamma_12 times that sum is subtracted
-    too. The second-order terms and the rounding of the error terms' own
-    arithmetic stay below a relative 2^-40; the subtracted terms carry a
-    factor 1 + 2^-20 for them.
+    coefficients given: each sample is within
+    e0 = fft_error_bound(L, ||c||_2) + 7 TWIDDLE_EPS ||c||_1 of p(g) (see
+    fft_error_bound), and M + e0 stands for M. Forming the Bernstein term
+    and the final difference takes at most twelve roundings of terms no
+    larger than M + e0 + the Bernstein term, so gamma_12 times that sum is
+    subtracted too. The second-order terms and the rounding of the error
+    terms' own arithmetic stay below a relative 2^-40; the subtracted terms
+    carry a factor 1 + 2^-20 for them.
     """
     if c.ndim != 1 or len(c) % 2 != 1 or np.any(c[::-1] != np.conj(c)):
         raise ValueError("need one odd-length row of Hermitian coefficients, c_-k == conj(c_k)")
     n = (len(c) - 1) // 2
-    G = fast_len(8 * (2 * n + 1))
-    vals = np.fft.irfft(c[n:], G, norm="forward")
-    lowest, top = float(np.min(vals)), float(np.max(np.abs(vals)))
+    L, m = fast_len(2 * n + 1), 8
+    lowest, top = np.inf, 0.0
+    for vals in phases(c, m, real=True):
+        lo, hi = float(vals.min()), float(vals.max())
+        lowest, top = min(lowest, lo), max(top, hi, -lo)
     # norm squares the coefficients, which under- or overflow outside
     # 1e-150..1e150; rescale there
     with np.errstate(over="ignore"):
@@ -141,8 +192,8 @@ def min_lower_bound(c: np.ndarray) -> float:
     if not 1e-150 < norm2 < 1e150:
         big = float(np.max(np.abs(c)))
         norm2 = big * float(np.linalg.norm(c / big)) if big else 0.0
-    e0 = fft_error_bound(G, norm2)
-    r = (np.pi * n / G) ** 2 / 2
+    e0 = fft_error_bound(L, norm2) + (m - 1) * TWIDDLE_EPS * float(np.sum(np.abs(c)))
+    r = (np.pi * n / (m * L)) ** 2 / 2
     bern = r * (top + e0) / (1 - r)
     arith = gamma(12) * (top + e0 + bern)
     return float(lowest - (1 + 2.0**-20) * (bern + e0 + arith))

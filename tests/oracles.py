@@ -2,7 +2,8 @@
 
 Each function here is a direct or dense computation of something the package
 computes by FFT, by a structured operator or in closed form: the direct sum
-of a trigonometric polynomial (in double and in extended precision), the
+of a trigonometric polynomial (in double and in extended precision) and its
+sampling by one FFT of the whole grid (eval_grid), the
 certificate eta and eta' summed over the atoms' kernels pointwise, the
 dense Gram-side maps T, T~*, A = T(P . P), A~* = P T~*(.) P with their
 projector and weighted norm, the general FFT step of A(Toep(z)) for any
@@ -66,9 +67,20 @@ def eval_direct(c: np.ndarray, theta):
     return out
 
 
+def eval_grid(c: np.ndarray, G: int) -> np.ndarray:
+    """Values p(g/G), g = 0..G-1, of the polynomial with coefficients c on
+    -n..n, by one zero-padded inverse FFT of length G: the one-FFT sampling
+    that trigpoly.phases splits into m phases of length G/m, and the fine
+    grids the tests compare rigorous bounds with. to_grid checks that c has
+    odd length and that G exceeds 2n."""
+    # "forward" puts the 1/G on the forward transform, so the inverse is the plain sum
+    return np.fft.ifft(tp.to_grid(c, G), norm="forward")
+
+
 def eval_grid_longdouble(c: np.ndarray, G: int) -> np.ndarray:
     """Values p(g/G), g = 0..G-1, of the polynomial with coefficients c, as
-    np.clongdouble, by the direct sum in extended precision: the reference for the rounding error of `eval_grid`.
+    np.clongdouble, by the direct sum in extended precision: the reference for
+    the rounding error of `eval_grid` and of trigpoly.phases.
 
     The phase index k g mod G is formed exactly in integers and picks one of
     the G roots of unity, so the phases carry only the long-double rounding

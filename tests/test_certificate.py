@@ -5,10 +5,11 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from supres import budget
 from supres import certificate as cert
 from supres import trigpoly as tp
 
-from oracles import eval_direct, eval_eta, freqs, neumann_bounds
+from oracles import eval_direct, eval_eta, eval_grid, freqs, neumann_bounds
 
 
 def random_measure(rng, n, size, min_sep):
@@ -296,10 +297,19 @@ def dense_off_mask(atoms, n, G):
     return np.min(dist, axis=1) > 1.0 / n
 
 
+def phase_off_mask(atoms, n, L, m):
+    """The scan's off-atom mask on G = m L points, gathered from the windows
+    of its m phases: g = j m + r for phase r."""
+    off = np.ones(m * L, dtype=bool)
+    for r in range(m):
+        off[cert._near_atoms(atoms, n, L, m, r) * m + r] = False
+    return off
+
+
 def dense_verify_bounded(c, grid_mult=10):
     """The boundedness scan by pointwise kernel sums and a dense distance mask."""
     n = c.n
-    G = tp.fast_len(grid_mult * (2 * n + 1))
+    G = grid_mult * tp.fast_len(2 * n + 1)
     theta = np.arange(G) / G
     vals = np.abs(eval_eta(c, theta)[0])
     off = dense_off_mask(c.measure.atoms, n, G)
@@ -314,13 +324,14 @@ class TestGridScan:
         (64, 1, 0.5, 10), (64, 3, 0.15, 7), (1448, 5, 0.1, 10), (1448, 20, 0.03, 10),
     ])
     def test_eval_grid_matches_pointwise(self, n, size, min_sep, grid_mult):
-        # the scan's G, grid_mult (2n+1) rounded up to a 5-smooth length
-        # (28970 = 2 * 5 * 2897 becomes 29160 at n = 1448)
+        # the scan's G, grid_mult times 2n+1 rounded up to a 5-smooth length
+        # (the prime 2897 becomes 2916 at n = 1448), sampled here by one FFT,
+        # which TestEvalGrid::test_phases_match_one_fft holds the phases to
         rng = np.random.default_rng(n + size)
         c = cert.solve_certificate(random_measure(rng, n, size, min_sep))
         p = cert.eta_coeffs(c)
-        G = tp.fast_len(grid_mult * (2 * n + 1))
-        grid = tp.eval_grid(p, G)
+        G = grid_mult * tp.fast_len(2 * n + 1)
+        grid = eval_grid(p, G)
         idx = np.arange(G) if G < 2000 else rng.choice(G, 400, replace=False)
         theta = idx / G
         np.testing.assert_allclose(grid[idx], eval_eta(c, theta)[0], rtol=0, atol=1e-11)
@@ -336,12 +347,14 @@ class TestGridScan:
         ([0.1, 0.35, 0.8], 256, 5130),
     ])
     def test_window_mask_matches_dense(self, atoms, n, G):
+        # G split into m phases of length G/m, for every m <= 12 dividing G
         atoms = np.array(atoms)
-        np.testing.assert_array_equal(cert._off_atom_mask(atoms, n, G),
-                                      dense_off_mask(atoms, n, G))
+        for m in (m for m in range(1, 13) if G % m == 0):
+            np.testing.assert_array_equal(phase_off_mask(atoms, n, G // m, m),
+                                          dense_off_mask(atoms, n, G), err_msg=str(m))
 
     def test_boundary_point_is_excluded(self):
-        off = cert._off_atom_mask(np.array([0.25]), 16, 1024)
+        off = phase_off_mask(np.array([0.25]), 16, 128, 8)
         assert not off[320] and off[321]
         assert not off[192] and off[191]
 
@@ -349,10 +362,10 @@ class TestGridScan:
         rng = np.random.default_rng(5)
         for _ in range(40):
             n = int(rng.integers(1, 300))
-            G = int(rng.integers(4, 13)) * (2 * n + 1)
+            m = int(rng.integers(4, 13))
             atoms = np.sort(rng.uniform(0, 1, int(rng.integers(1, 6))))
-            np.testing.assert_array_equal(cert._off_atom_mask(atoms, n, G),
-                                          dense_off_mask(atoms, n, G))
+            np.testing.assert_array_equal(phase_off_mask(atoms, n, 2 * n + 1, m),
+                                          dense_off_mask(atoms, n, m * (2 * n + 1)))
 
     @pytest.mark.parametrize("n, atoms, grid_mult", [
         (64, [0.123456], 10),
@@ -371,6 +384,17 @@ class TestGridScan:
         assert got["certified"] == ref["certified"]
         assert got["argmax"] == ref["argmax"]
         assert abs(got["sup_off_atom"] - ref["sup_off_atom"]) <= 1e-11
+
+    def test_scan_budget_covers_measured_peaks(self):
+        # peak minus the RSS before the scan, getrusage in fresh processes,
+        # |S| = 3, grid_mult 10: the budget holds one phase, so it admits
+        # n = 2^21 (882 MB), where the whole grid was refused past n = 8.8e5
+        def need(n):
+            return cert._SCAN_BYTES_PER_L * tp.fast_len(2 * n + 1)
+
+        for n, peak in ((2**12, 1_790_000), (2**16, 18_000_000), (2**21, 539_100_000)):
+            assert need(n) >= peak, n
+        assert need(2**21) <= budget.CAP_BYTES < need(2**22)
 
     def test_scan_over_memory_cap_refused_before_allocating(self):
         import tracemalloc
@@ -443,7 +467,7 @@ def test_certified_implies_bounded_off_the_windows(n, seed, size, grid_mult):
     c = cert.solve_certificate(m)
     if not cert.verify_bounded(c, grid_mult=grid_mult)["certified"]:
         return
-    G = tp.fast_len(grid_mult * (2 * n + 1))
+    G = grid_mult * tp.fast_len(2 * n + 1)
     band = 1.0 / n + np.linspace(0.0, 3.0 / G, 25)
     theta = np.concatenate([m.atoms[:, None] + band, m.atoms[:, None] - band]).ravel() % 1.0
     dist = np.abs(theta[:, None] - m.atoms[None, :]) % 1.0

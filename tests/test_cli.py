@@ -175,11 +175,13 @@ class TestCertify:
         assert json.loads(out)["n"] == 64
 
     def test_bad_grid_mult(self, tmp_path, capsys):
+        # below 4, or above 2^16: each unit of grid_mult is one more FFT
         path = write_measure(tmp_path, 64, [0.2], [1.0])
-        code, _, err = run_cli(
-            ["certify", "--measure", path, "--grid-mult", "2"], capsys)
-        assert code == 1
-        assert json.loads(err)["error"] == "usage"
+        for grid_mult in ("2", str(2**16 + 1)):
+            code, _, err = run_cli(
+                ["certify", "--measure", path, "--grid-mult", grid_mult], capsys)
+            assert code == 1
+            assert json.loads(err)["error"] == "usage"
 
     def test_out_dir_gets_json_copy(self, tmp_path, capsys):
         path = write_measure(tmp_path, 64, [0.3], [1.0])

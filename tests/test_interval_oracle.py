@@ -14,6 +14,7 @@ import pytest
 import supres.trigpoly as tp
 from supres.certificate import AtomicMeasure, solve_certificate
 
+from oracles import eval_grid
 from test_gram import FALLBACK, cg_zeta
 
 mpmath = pytest.importorskip("mpmath")
@@ -34,7 +35,7 @@ def enclose_at_fine_argmin(p: np.ndarray):
     on the G = 64(2n+1) point grid, summed term by term over k = -n..n."""
     n = (len(p) - 1) // 2
     G = 64 * (2 * n + 1)
-    g = int(np.argmin(tp.eval_grid(p, G).real))
+    g = int(np.argmin(eval_grid(p, G).real))
     t = 2 * iv.pi * iv.mpf(g) / G
     total = iv.mpf(0)
     for k, c in zip(range(-n, n + 1), p):

@@ -4,7 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 from supres import trigpoly as tp
 
-from oracles import eval_direct, eval_grid_longdouble, freqs
+from oracles import eval_direct, eval_grid, eval_grid_longdouble, freqs
 
 
 def random_poly(rng, n):
@@ -62,8 +62,23 @@ class TestEvalGrid:
                                       (64, 129), (64, 1000), (64, 1290)])
     def test_matches_pointwise(self, n, G):
         p = random_poly(np.random.default_rng(n + G), n)
-        np.testing.assert_allclose(tp.eval_grid(p, G), eval_direct(p, np.arange(G) / G),
+        np.testing.assert_allclose(eval_grid(p, G), eval_direct(p, np.arange(G) / G),
                                    rtol=0, atol=1e-11)
+
+    @pytest.mark.parametrize("m", [4, 8, 10, 12])
+    def test_phases_match_one_fft(self, m):
+        # phase r of trigpoly.phases holds the samples g = j m + r of the
+        # G = m fast_len(2n+1) point grid: complex rows by inverse FFTs, and
+        # Hermitian rows, real samples, by inverse real FFTs
+        rng = np.random.default_rng(m)
+        for n in range(101):
+            G = m * tp.fast_len(2 * n + 1)
+            for p, real in ((random_poly(rng, n), False), (hermitian_poly(rng, n), True)):
+                got = np.stack(list(tp.phases(p, m, real=real)), axis=1).ravel()
+                want = eval_grid(p, G)
+                assert got.dtype == (np.float64 if real else np.complex128)
+                np.testing.assert_allclose(got, want.real if real else want, rtol=0,
+                                           atol=1e-13 * float(np.sum(np.abs(p))))
 
     def test_fast_len_is_next_five_smooth(self):
         def smooth(x):
@@ -83,7 +98,7 @@ class TestEvalGrid:
     def test_grid_must_exceed_twice_the_order(self):
         p = random_poly(np.random.default_rng(0), 5)
         with pytest.raises(ValueError, match="needs > 10"):
-            tp.eval_grid(p, 10)
+            tp.to_grid(p, 10)
 
     @pytest.mark.parametrize("h, length", [(0, 1), (0, 4), (3, 7), (3, 16)])
     def test_layout_round_trip(self, h, length):
@@ -171,7 +186,7 @@ class TestDirichletDeriv:
 
 def fine_min(p):
     """Minimum of p on a grid 64 times finer than min_lower_bound's."""
-    return float(np.min(tp.eval_grid(p, 64 * tp.fast_len(8 * len(p))).real))
+    return float(np.min(eval_grid(p, 64 * tp.fast_len(8 * len(p))).real))
 
 
 class TestMinLowerBound:
@@ -183,7 +198,7 @@ class TestMinLowerBound:
         rng = np.random.default_rng(1000 * n + int(decay))
         for _ in range(5):
             p = hermitian_poly(rng, n, decay)
-            low, top = fine_min(p), float(np.max(np.abs(tp.eval_grid(p, 16 * n + 8))))
+            low, top = fine_min(p), float(np.max(np.abs(eval_grid(p, 16 * n + 8))))
             bound = tp.min_lower_bound(p)
             assert bound <= low
             assert bound >= low - 0.02 * top
@@ -194,12 +209,22 @@ class TestMinLowerBound:
 
     @pytest.mark.parametrize("c0", [1.0, -1.0, 3.7e-9, -2.5e6, 1e100, -7e-100, 1e200, -7e-200])
     def test_constant_loses_the_fft_term(self, c0):
-        # at order 0 the Bernstein term is 0, so what min_lower_bound takes
-        # off the constant is the FFT rounding term plus the arithmetic term,
-        # and no less than the FFT term alone; at 1e200 and 7e-200 the
-        # squares inside the coefficient norm over- and underflow
-        p = np.array([c0 + 0j])
-        assert c0 - tp.min_lower_bound(p) >= tp.fft_error_bound(tp.fast_len(8), abs(c0))
+        # the constant c0 as a row of order h = 0..3: its samples are exactly
+        # c0, so what min_lower_bound takes off it is at least its Bernstein
+        # term r|c0|/(1 - r), the FFT rounding term at length L = fast_len(2h+1)
+        # and the twiddle term of its 8 phases, each with the factor 1 + 2^-20
+        # for second-order terms. At h = 0, L = 1 and the FFT term is exactly
+        # 0, but the twiddle term is not; at h >= 1 the Bernstein term is
+        # taken in full, so both rounding terms must show. At 1e200 and
+        # 7e-200 the squares inside the coefficient norm over- and underflow
+        for h in range(4):
+            p = np.zeros(2 * h + 1, dtype=complex)
+            p[h] = c0
+            L = tp.fast_len(2 * h + 1)
+            r = (np.pi * h / (8 * L)) ** 2 / 2
+            taken = c0 - tp.min_lower_bound(p)
+            assert taken >= ((1 + 2.0**-20) * r * abs(c0) / (1 - r) + tp.fft_error_bound(L, abs(c0))
+                             + 7 * tp.TWIDDLE_EPS * abs(c0)), h
 
     @pytest.mark.parametrize("n", [1, 5, 64, 513])
     def test_top_frequency_cosine(self, n):
@@ -250,15 +275,16 @@ def test_fft_rounding_within_assumed_bound():
     # fft_error_bound assumes numpy's mixed-radix FFT meets Higham's radix-2
     # bound ||y^ - y||_2 <= eps ||y||_2 = e0 with t = 2 ceil(log2 G) stages and
     # twiddles within mu = 4u; check it against a long-double direct sum on
-    # min_lower_bound's grid sizes G = fast_len(8(2n+1)) and on gram's factor
-    # lengths fast_len(4n+1), which together take radices 2, 3 and 5
+    # the scan's phase length fast_len(2n+1), gram's factor length
+    # fast_len(4n+1) and the one-FFT grids fast_len(8(2n+1)), which together
+    # take radices 2, 3 and 5
     rng = np.random.default_rng(16)
     radices = set()
     for n in range(101):
         p = hermitian_poly(rng, n)
-        for G in (tp.fast_len(8 * (2 * n + 1)), tp.fast_len(4 * n + 1)):
+        for G in (tp.fast_len(8 * (2 * n + 1)), tp.fast_len(4 * n + 1), tp.fast_len(2 * n + 1)):
             e0 = tp.fft_error_bound(G, float(np.linalg.norm(p)))
-            err = tp.eval_grid(p, G) - eval_grid_longdouble(p, G)
+            err = eval_grid(p, G) - eval_grid_longdouble(p, G)
             assert float(np.sqrt(np.sum(np.abs(err) ** 2))) <= e0, (n, G)
             radices |= {q for q in (2, 3, 5) if G % q == 0}
     assert radices == {2, 3, 5}
@@ -267,16 +293,21 @@ def test_fft_rounding_within_assumed_bound():
 @pytest.mark.skipif(np.finfo(np.longdouble).eps > 2.0**-60,
                     reason="needs an extended-precision long double")
 def test_min_lower_bound_sampling_within_assumed_bound():
-    # the same assumption at min_lower_bound's own transform: the inverse real
-    # FFT of c_0..c_n on G = fast_len(8(2n+1)) points, against the long-double
-    # direct sum, within fft_error_bound(G, ||p||_2)
+    # the same assumption at min_lower_bound's own transforms: its eight
+    # phases, inverse real FFTs of length L = fast_len(2n+1) of the twiddled
+    # c_0..c_n, against the long-double direct sum on G = 8L points. Phase
+    # r transforms coefficients within r TWIDDLE_EPS |c_k| of the exact
+    # twiddled ones, so by Parseval its error has 2-norm at most
+    # fft_error_bound(L, ||p||_2) + sqrt(L) r TWIDDLE_EPS ||p||_2
     rng = np.random.default_rng(16)
     for n in range(101):
         p = hermitian_poly(rng, n)
-        G = tp.fast_len(8 * (2 * n + 1))
-        e0 = tp.fft_error_bound(G, float(np.linalg.norm(p)))
-        err = np.fft.irfft(p[n:], G, norm="forward") - eval_grid_longdouble(p, G)
-        assert float(np.sqrt(np.sum(np.abs(err) ** 2))) <= e0, (n, G)
+        L, norm = tp.fast_len(2 * n + 1), float(np.linalg.norm(p))
+        want = eval_grid_longdouble(p, 8 * L)
+        for r, vals in enumerate(tp.phases(p, 8, real=True)):
+            bound = tp.fft_error_bound(L, norm) + np.sqrt(L) * r * tp.TWIDDLE_EPS * norm
+            err = vals - want[r::8]
+            assert float(np.sqrt(np.sum(np.abs(err) ** 2))) <= bound, (n, r)
 
 
 @pytest.mark.skipif(np.finfo(np.longdouble).eps > 2.0**-60,
@@ -330,4 +361,4 @@ def test_bad_coeff_length():
     with pytest.raises(ValueError, match="odd length"):
         tp.to_grid(np.ones(6), 16)
     with pytest.raises(ValueError, match="odd length"):
-        tp.eval_grid(np.ones(6), 16)
+        next(tp.phases(np.ones(6), 4))

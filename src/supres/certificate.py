@@ -208,9 +208,10 @@ def eta_coeffs(c: Certificate) -> np.ndarray:
 
 
 # peak resident bytes per point of one phase of the scan, L = fast_len(2n+1):
-# eta's coefficients, the twiddled row and its step, one phase's samples and
-# their moduli; 128..207 measured with getrusage in fresh processes (peak
-# minus the RSS before the scan) at n = 2^12..2^21, the most at n = 2^12
+# the twiddled row and its step, one phase's samples and their moduli (eta's
+# coefficients are freed before the first phase); 104..183 measured with
+# getrusage in fresh processes (peak minus the RSS before the scan) at
+# n = 2^12..2^21, the most at n = 2^12 (128..207 while they stayed alive)
 _SCAN_BYTES_PER_L = 210
 
 
@@ -265,10 +266,13 @@ def verify_bounded(c: Certificate, grid_mult: int = 10) -> dict:
     L = tp.fast_len(2 * n + 1)
     check_budget(_SCAN_BYTES_PER_L * L, f"boundedness scan at n={n}")
     coeffs = eta_coeffs(c)
-    max_c = float(np.max(np.abs(coeffs)))
-    slack = np.pi * n * max_c / grid_mult
+    slack = np.pi * n * float(np.max(np.abs(coeffs))) / grid_mult
+    # the sampler holds the only reference to eta's coefficients, and drops
+    # it once it has twiddled them
+    samples = tp.phases(coeffs, grid_mult)
+    del coeffs
     sup_off, best = -np.inf, 0
-    for r, vals in enumerate(tp.phases(coeffs, grid_mult)):
+    for r, vals in enumerate(samples):
         vals = np.abs(vals)
         vals[_near_atoms(m.atoms, n, L, grid_mult, r)] = -np.inf
         j = int(vals.argmax())

@@ -142,6 +142,9 @@ def phases(c: np.ndarray, m: int, real: bool = False):
         k = np.arange(L)
         k[h + 1 :] -= L
     step = np.exp(2j * np.pi * k / (m * L))
+    # the loop needs only t and step: a caller that drops its own reference
+    # to c frees that row here
+    del c, k
     for _ in range(m):
         # "forward" puts the 1/L on the forward transform, so the inverse is the plain sum
         yield np.fft.irfft(t, L, norm="forward") if real else np.fft.ifft(t, norm="forward")

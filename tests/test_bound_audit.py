@@ -111,6 +111,27 @@ class TestFInner:
             tracemalloc.stop()
         assert peak < 1_000_000
 
+    @pytest.mark.parametrize("n", [4, 16, 64, 4096, ba._BLOCK_TERMS + 5])
+    def test_rows_round_as_one_row_calls(self, n):
+        # many samples in one call give, bit for bit, what each gives alone,
+        # theta = 0 rows included; above _BLOCK_TERMS an audit's block is one
+        # row, and a call on several rows still rounds row by row
+        rng = np.random.default_rng(n)
+        per = 2 if n <= 4096 else 1
+        samples = [ba._proposal(label, n, rng) for label in ba.DOMAINS for _ in range(per)]
+        samples += [(0.2, 0.0), (-0.4, 0.0)]
+        s, theta = np.array(samples).T
+        values, bounds = ba.f_inner(s, theta, n)
+        assert values.shape == bounds.shape == s.shape
+        for i, (si, th) in enumerate(samples):
+            value, bound = ba.f_inner(si, th, n)
+            assert values[i] == value and bounds[i] == bound, (n, si, th)
+        assert (values[-2:] == 0.0).all() and (bounds[-2:] == 0.0).all()
+
+    def test_rejects_mismatched_shapes(self):
+        with pytest.raises(ValueError, match="one shape"):
+            ba.f_inner(np.zeros(3), np.zeros(2), 8)
+
     def test_quadrature_oracle_zero_width(self):
         assert ba.f_inner_quad(0.2, 0.0, 10) == (0.0, 0.0)
 
@@ -210,12 +231,43 @@ class TestAudit:
         with pytest.raises(ValueError, match="at least 11 samples"):
             ba.check_master_bounds(8, count)
 
+    def test_samples_evaluated_in_blocks(self, monkeypatch):
+        # one f_inner call per block of samples, not one per sample
+        calls, f_inner = [], ba.f_inner
+
+        def counted(s, theta, n):
+            calls.append(np.size(s))
+            return f_inner(s, theta, n)
+
+        monkeypatch.setattr(ba, "f_inner", counted)
+        ba.check_master_bounds(16, 110)
+        assert calls == [110]
+        calls.clear()
+        ba.check_master_bounds(4096, 110)
+        rows = ba._BLOCK_TERMS // 4097
+        assert 1 < rows < 110
+        assert len(calls) == -(-110 // rows) and sum(calls) == 110
+
+    @pytest.mark.parametrize("n, terms", [(16, 17), (16, 3 * 17), (16, 7 * 17 + 16),
+                                          (64, 65 * 40), (64, 10**6)])
+    def test_report_does_not_depend_on_block_size(self, monkeypatch, n, terms):
+        # blocks of 1, 3 and 7 rows and 40 rows straddle the 110 samples'
+        # block boundaries; 10**6 terms is one block
+        ref = ba.check_master_bounds(n, 110, seed=4)
+        monkeypatch.setattr(ba, "_BLOCK_TERMS", terms)
+        assert ba.check_master_bounds(n, 110, seed=4) == ref
+
     def test_sample_count_rounds_down_to_subdomain_multiple(self):
         assert ba.check_master_bounds(8, 50, seed=2)["samples"] == 44
 
     def test_sample_rows_over_memory_budget_refused(self):
         with pytest.raises(BudgetExceeded, match="GB"):
             ba.check_master_bounds(8, 10**9)
+
+    def test_kernel_over_memory_budget_refused_before_sampling(self, monkeypatch):
+        monkeypatch.setattr(ba, "_proposal", None)
+        with pytest.raises(BudgetExceeded, match="audit kernel"):
+            ba.check_master_bounds(10**8, 110)
 
     def test_eval_err_max_is_the_largest_rounding_bound(self):
         rep = ba.check_master_bounds(16, 22, seed=6)

@@ -580,6 +580,18 @@ class TestProcessLevel:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.splitlines()[-1] == "0 []"
 
+    def test_audit_imports_no_scipy(self):
+        # the audit evaluates its integrals in closed form with numpy; the
+        # quadrature that checks it is a test oracle
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import sys; from supres import cli; "
+             "code = cli.main(['audit', '--n', '8', '--samples', '11']); "
+             "print(code, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"],
+            capture_output=True, text=True, timeout=120, env=child_env())
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "0 []"
+
     def test_import_loads_no_numpy(self):
         # the parser is built at import; SUPRES_THREADS can cap the BLAS pools
         # only if numpy is still unloaded when main runs

@@ -27,12 +27,9 @@ import pathlib
 TESTS = pathlib.Path(__file__).resolve().parent
 SRC = TESTS.parent / "src" / "supres"
 
-ALLOWED = {
-    # perfbench's worker imports it for the spectrum-sweep correctness check
-    "spectrum.dense_extremes",
-    # uses bound_audit's module-level quad, which perfbench's tracer reads
-    "bound_audit.f_inner_quad",
-}
+# the one oracle left in the package: perfbench's worker and tests import it
+# from supres.spectrum to check spectrum-sweep reports
+ALLOWED = {"spectrum.dense_extremes"}
 
 ALLOWED_CLASSES = set()
 

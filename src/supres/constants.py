@@ -4,14 +4,12 @@ Four computations: the log-linear fixed points that pin the envelope
 constant C1, the root eta* of the interpolation-margin inequality, the
 decay curve f(K) that turns a truncation level into a deviation bound, and
 the truncation budget B1-B6. All are pure functions of the printed inputs
-below; the report bundles them with those inputs.
+below, and one bisection finds all three roots, so math is the only import.
 """
 
 from __future__ import annotations
 
 import math
-
-from scipy.special import lambertw
 
 ZETA_2 = math.pi**2 / 6.0
 
@@ -31,16 +29,31 @@ ETA_CURVE = 0.112
 K_TARGET = 1e13
 
 
+def _bisect(f, lo, hi) -> float:
+    """The root of f on (lo, hi), where f changes sign: halve until the midpoint is an end."""
+    flo, fhi = f(lo), f(hi)
+    if not (flo < 0 < fhi or fhi < 0 < flo):
+        raise ValueError("f must change sign on the bracket")
+    while lo < (mid := 0.5 * (lo + hi)) < hi:
+        if (f(mid) < 0) == (flo < 0):
+            lo = mid
+        else:
+            hi = mid
+    return mid
+
+
 def c1_bound() -> tuple[float, float]:
     """Both fixed points of x = kappa (M1 + M2 log x), kappa = (3 + 3 EPS)/LAM.
 
-    With a = kappa M2, x = -a W_k(-e^{-M1/M2}/a) on the Lambert W branches
-    k = 0 and -1 (Corless et al., Adv. Comput. Math. 5, 1996). They give the
-    printed roots (0.1354, 2496.7); the large one justifies C1 = 2500.
+    g(x) = x - kappa (M1 + M2 log x) is convex with its minimum at a = kappa M2,
+    where g(a) = kappa M2 (1 - M1/M2 - log a) < 0: one root on each side of a.
+    Each is bisected in u = log x over (-700, log a) and (log a, 30). They give
+    the printed roots (0.1354, 2496.7); the large one justifies C1 = 2500.
     """
-    a = (3.0 + 3.0 * EPS) / LAM * M2
-    z = -math.exp(-M1 / M2) / a
-    return tuple(-a * float(lambertw(z, k).real) for k in (0, -1))
+    kappa = (3.0 + 3.0 * EPS) / LAM
+    u = math.log(kappa * M2)
+    return tuple(math.exp(_bisect(lambda v: math.exp(v) - kappa * (M1 + M2 * v), lo, hi))
+                 for lo, hi in ((-700.0, u), (u, 30.0)))
 
 
 def interpolation_margin(eta: float, C1: float) -> float:
@@ -50,21 +63,11 @@ def interpolation_margin(eta: float, C1: float) -> float:
 
 
 def eta_star(C1: float = C1) -> float:
-    """Root of interpolation_margin(eta) = 1 by bisection on (1e-6, 1).
-
-    The margin is strictly increasing in eta and exceeds 1 at eta = 1 for
-    any C1 > 1, so the bracket always holds.
-    """
+    """Root of interpolation_margin(eta) = 1 by bisection on (1e-6, 1): the
+    margin increases in eta and exceeds 1 at eta = 1 for any finite C1 > 1."""
     if C1 <= 1:
         raise ValueError("C1 must exceed 1")
-    lo, hi = 1e-6, 1.0
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if interpolation_margin(mid, C1) < 1.0:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    return _bisect(lambda eta: interpolation_margin(eta, C1) - 1.0, 1e-6, 1.0)
 
 
 def k_bound_value(K: float) -> float:
@@ -77,11 +80,11 @@ def k_bound_value(K: float) -> float:
 
 
 def k_bound_curve(K_values) -> list[tuple[float, float]]:
-    """Sample f(K) over the given truncation levels (each must be >= 2)."""
+    """Sample f(K) over the given truncation levels (each finite and >= 2)."""
     out = []
     for K in K_values:
-        if K < 2:
-            raise ValueError("truncation levels must be at least 2")
+        if not 2 <= K < math.inf:
+            raise ValueError("truncation levels must be finite and at least 2")
         out.append((float(K), k_bound_value(float(K))))
     return out
 
@@ -116,22 +119,15 @@ def truncation_budget(K_target: float) -> dict:
     Doubling search, so each reported K1 is within a factor 2 of the exact
     crossover.
     """
-    bounds = _budget_bounds(K_target)
-    report = {"K_target": float(K_target), "bounds": {}, "feasible": True}
-    for name, fn in bounds.items():
+    rows = {}
+    for name, fn in _budget_bounds(K_target).items():
         thr = _BUDGET_THRESHOLDS[name]
         K1 = 1.0
         while fn(K1) > thr and K1 < 2.0**60:
             K1 *= 2.0
-        ok = fn(K1) <= thr
-        report["bounds"][name] = {
-            "threshold": thr,
-            "K1": K1,
-            "value_at_K1": float(fn(K1)),
-            "met": bool(ok),
-        }
-        report["feasible"] = report["feasible"] and ok
-    return report
+        rows[name] = {"threshold": thr, "K1": K1, "value_at_K1": fn(K1), "met": fn(K1) <= thr}
+    return {"K_target": float(K_target), "bounds": rows,
+            "feasible": all(row["met"] for row in rows.values())}
 
 
 def constants_report() -> dict:

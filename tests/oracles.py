@@ -1,24 +1,25 @@
 """Independent references that the fast paths of supres are checked against.
 
 Each function here is a direct or dense computation of something the package
-computes by FFT, by a structured operator or in closed form: the direct sum
-of a trigonometric polynomial (in double and in extended precision) and its
-sampling by one FFT of the whole grid (eval_grid), the
+computes by FFT, by a structured operator, by bisection or in closed form:
+the direct sum of a trigonometric polynomial (in double and in extended
+precision) and its sampling by one FFT of the whole grid (eval_grid), the
 certificate eta and eta' summed over the atoms' kernels pointwise, the
-audit's inner integral F(s; theta) by adaptive quadrature, the
-dense Gram-side maps T, T~*, A = T(P . P), A~* = P T~*(.) P with their
-projector and weighted norm, the general FFT step of A(Toep(z)) for any
-complex z, the dense matrix of A A~*, the one-atom limit entries of
+audit's inner integral F(s; theta) by adaptive quadrature, the two C1
+fixed points of constants by Lambert W, the dense Gram-side maps T, T~*,
+A = T(P . P), A~* = P T~*(.) P with their projector and weighted norm, the
+general FFT step of A(Toep(z)) for any complex z, the dense matrix of
+A A~*, the one-atom limit entries of
 qk_operator case by case and at finite n, the dense section I - Q + P with
 its projector built from the closed form of w, the printed complex kernel
 E of those entries, and the measured deviations of the interpolation system
 from the identity (neumann_bounds). A polynomial is its coefficient array
 on -n..n, as in the package. No code of the package calls them; tests
-import them from here. Of the package they use only the Dirichlet kernel,
-the coefficient layout, the interpolation system and its closed-form
-bounds, the dense Q (itself checked against the entry and finite-n routes
-here) and two private helpers of gram: the projector factor V and the
-diagonal weights.
+import them from here. Of the package they use only the printed inputs of
+constants, the Dirichlet kernel, the coefficient layout, the interpolation
+system and its closed-form bounds, the dense Q (itself checked against the
+entry and finite-n routes here) and two private helpers of gram: the
+projector factor V and the diagonal weights.
 
 One oracle stays in the package because the benchmark under perfbench/
 imports it from there: spectrum.dense_extremes, the dense SVD its worker
@@ -35,9 +36,9 @@ import math
 import numpy as np
 from scipy.fft import fft2, ifft2, next_fast_len
 from scipy.integrate import quad
-from scipy.special import sici
+from scipy.special import lambertw, sici
 
-from supres import trigpoly as tp
+from supres import constants as co, trigpoly as tp
 from supres.certificate import AtomicMeasure, Certificate, build_system, system_norm_bounds
 from supres.gram import _projector_factor, _weights
 from supres.qk_operator import qk_dense
@@ -133,6 +134,16 @@ def f_inner_quad(s: float, theta: float, n: int) -> tuple[complex, float]:
     im, im_err = quad(lambda t: kernel(t).imag, 0.0, -theta,
                       points=pts, limit=200, epsabs=1e-11, epsrel=1e-11)
     return complex(re, im), float(re_err + im_err)
+
+
+def c1_roots_lambertw() -> tuple[float, float]:
+    """Both fixed points of x = kappa (M1 + M2 log x), kappa = (3 + 3 EPS)/LAM,
+    in closed form: with a = kappa M2, x = -a W_k(-e^{-M1/M2}/a) on the
+    Lambert W branches k = 0 and -1 (Corless et al., Adv. Comput. Math. 5,
+    1996). The reference for constants.c1_bound's bisection."""
+    a = (3.0 + 3.0 * co.EPS) / co.LAM * co.M2
+    z = -math.exp(-co.M1 / co.M2) / a
+    return tuple(-a * float(lambertw(z, k).real) for k in (0, -1))
 
 
 def neumann_bounds(m: AtomicMeasure) -> dict:

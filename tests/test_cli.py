@@ -567,30 +567,26 @@ class TestProcessLevel:
         assert lines[0] == "False"
         assert lines[-1] == "(0, 0) False"
 
-    def test_certify_imports_no_scipy(self, tmp_path):
-        # the certify path needs numpy only; importing scipy would add to
-        # every certify run's start-up
-        path = write_measure(tmp_path, 256, [0.1, 0.6], [1.0, -1.0])
+    # certify and audit need numpy only and constants math only; importing
+    # scipy would add to every run's start-up. The last row runs audit and
+    # constants in one process, as the benchmark's audit-quad workload does.
+    @pytest.mark.parametrize("argvs", [
+        [["certify", "--measure", "MEASURE"]],
+        [["audit", "--n", "8", "--samples", "11"]],
+        [["constants"]],
+        [["audit", "--n", "8", "--samples", "11"], ["constants"]],
+    ], ids=["certify", "audit", "constants", "audit-then-constants"])
+    def test_loads_no_scipy(self, tmp_path, argvs):
+        path = str(write_measure(tmp_path, 256, [0.1, 0.6], [1.0, -1.0]))
+        argvs = [[path if a == "MEASURE" else a for a in argv] for argv in argvs]
         proc = subprocess.run(
             [sys.executable, "-c",
              "import sys; from supres import cli; "
-             f"code = cli.main(['certify', '--measure', {path!r}]); "
-             "print(code, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"],
+             f"codes = [cli.main(argv) for argv in {argvs!r}]; "
+             "print(codes, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"],
             capture_output=True, text=True, timeout=120, env=child_env())
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.splitlines()[-1] == "0 []"
-
-    def test_audit_imports_no_scipy(self):
-        # the audit evaluates its integrals in closed form with numpy; the
-        # quadrature that checks it is a test oracle
-        proc = subprocess.run(
-            [sys.executable, "-c",
-             "import sys; from supres import cli; "
-             "code = cli.main(['audit', '--n', '8', '--samples', '11']); "
-             "print(code, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"],
-            capture_output=True, text=True, timeout=120, env=child_env())
-        assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.splitlines()[-1] == "0 []"
+        assert proc.stdout.splitlines()[-1] == f"{[0] * len(argvs)} []"
 
     def test_import_loads_no_numpy(self):
         # the parser is built at import; SUPRES_THREADS can cap the BLAS pools

@@ -4,6 +4,8 @@ import pytest
 
 from supres import constants as co
 
+from oracles import c1_roots_lambertw
+
 
 class TestC1Bound:
     def test_default_roots(self):
@@ -17,10 +19,20 @@ class TestC1Bound:
         for x in (small, large):
             assert x == pytest.approx(kappa * (152.0 + 76.0 * math.log(x)), rel=1e-6)
 
+    def test_within_one_ulp_of_lambert_w(self):
+        for x, ref in zip(co.c1_bound(), c1_roots_lambertw()):
+            assert abs(x - ref) <= math.ulp(ref)
+
+    def test_frozen_roots(self):
+        assert co.c1_bound() == (0.13540739922162023, 2496.7205384423664)
+
 
 class TestEtaStar:
     def test_published_value(self):
         assert co.eta_star(2500.0) == pytest.approx(0.0112, abs=5e-4)
+
+    def test_frozen_value(self):
+        assert co.eta_star(2500.0) == 0.011293631947504885
 
     def test_residual(self):
         eta = co.eta_star(2500.0)
@@ -33,6 +45,11 @@ class TestEtaStar:
     def test_rejects_c1_at_most_one(self):
         with pytest.raises(ValueError):
             co.eta_star(1.0)
+
+    @pytest.mark.parametrize("c1", [math.nan, math.inf])
+    def test_rejects_non_finite_c1(self, c1):
+        with pytest.raises(ValueError):
+            co.eta_star(c1)
 
 
 class TestKBoundCurve:
@@ -56,6 +73,11 @@ class TestKBoundCurve:
         samples = co.k_bound_curve([1e6, 1e9, 1e12])
         assert [k for k, _ in samples] == [1e6, 1e9, 1e12]
         assert samples[0][1] > samples[1][1] > samples[2][1]
+
+    @pytest.mark.parametrize("K", [math.nan, math.inf])
+    def test_curve_rejects_non_finite_levels(self, K):
+        with pytest.raises(ValueError):
+            co.k_bound_curve([1e6, K])
 
 
 class TestReport:

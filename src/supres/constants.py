@@ -70,8 +70,17 @@ def eta_star(C1: float = C1) -> float:
     return _bisect(lambda eta: interpolation_margin(eta, C1) - 1.0, 1e-6, 1.0)
 
 
+def _check_level(K: float) -> None:
+    """Refuse a truncation level that is not finite or is below 2: at K = 1
+    the bounds divide by log K = 0, and below it log K < 0."""
+    if not 2 <= K < math.inf:
+        raise ValueError(f"truncation levels must be finite and at least 2, got {K}")
+
+
 def k_bound_value(K: float) -> float:
-    """Deviation bound f(K) for one truncation level, prefactor 2/ETA_CURVE."""
+    """Deviation bound f(K) for one truncation level, prefactor 2/ETA_CURVE;
+    K finite and >= 2, else ValueError."""
+    _check_level(K)
     lg = math.log
     c1 = 4.0 * C1 / lg(K) + 8.0 * C1
     c1p = (C1 / lg(K + 1.0)) * (21.0 + 9.0 * lg(K / C1) + 3.0 * lg(K))
@@ -81,12 +90,7 @@ def k_bound_value(K: float) -> float:
 
 def k_bound_curve(K_values) -> list[tuple[float, float]]:
     """Sample f(K) over the given truncation levels (each finite and >= 2)."""
-    out = []
-    for K in K_values:
-        if not 2 <= K < math.inf:
-            raise ValueError("truncation levels must be finite and at least 2")
-        out.append((float(K), k_bound_value(float(K))))
-    return out
+    return [(float(K), k_bound_value(float(K))) for K in K_values]
 
 
 _BUDGET_THRESHOLDS = {
@@ -117,8 +121,9 @@ def truncation_budget(K_target: float) -> dict:
     threshold, for a run truncated at K_target.
 
     Doubling search, so each reported K1 is within a factor 2 of the exact
-    crossover.
+    crossover. K_target finite and >= 2, else ValueError.
     """
+    _check_level(K_target)
     rows = {}
     for name, fn in _budget_bounds(K_target).items():
         thr = _BUDGET_THRESHOLDS[name]

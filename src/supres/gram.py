@@ -53,7 +53,8 @@ class _Factor:
     product below is a Toeplitz product, whose outputs -n..n come from lags
     -3n..3n, or a correlation of two vectors on -n..n, with lags -2n..2n; at
     length 4n+1 or more the circular wrap reaches none of the kept outputs
-    (the 4K+1 note of qk_operator.AsymptoticOperator).
+    (the length note of qk_operator.AsymptoticOperator: a Toeplitz block
+    with n_out rows and n_in columns needs n_in + n_out - 1 slots).
     """
 
     V: np.ndarray

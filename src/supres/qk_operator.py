@@ -6,9 +6,13 @@ l/(2n+1), converges entrywise to a closed-form limit matrix Q as n grows.
 Q is real, its row l1 = 0 is the first coordinate vector, rows with even
 l1 != 0 vanish identically, and every remaining entry is a difference of
 one fixed cosine-integral kernel R (specfun.r_kernel) at two lags. That
-structure gives an O(K log K) matvec for the stabilized section
-I - Q + P, where P projects onto the span of the first coordinate and one
-explicit alternating vector w, which is all the operator stores of P.
+structure gives O(K log K) products with the stabilized section I - Q + P
+and its transpose, where P projects onto the span of the first coordinate
+and one explicit alternating vector w, which is all the operator stores of
+P. Q's rows vanish on the even l1 != 0 and Q^T reads only the odd l, so
+each product splits the convolution with R by the parity of l into
+Toeplitz blocks of half size, done by real FFTs at length fast_len(2K)
+(see AsymptoticOperator).
 
 qk_dense reconstructs the whole matrix from the precomputed kernel. The
 tests check it against two independent routes in tests/oracles.py: qk_entry
@@ -34,11 +38,22 @@ class AsymptoticOperator:
 
     r_kernel holds R at lags -2K..2K; prefactor is the row scaling
     4/(pi l1)^2 on odd l1 and zero elsewhere, which realizes the even-row
-    sparsity without branching; signs alternates (-1)^l. r_hat is numpy's
-    real FFT of r_kernel at length fft_len = trigpoly.fast_len(4K+1), the
-    package's one length rule. The full linear convolution with a
-    length-(2K+1) vector spans lags 0..6K, and at any length >= 4K+1 the
-    circular wrap leaves the lags 2K..4K the matvec keeps untouched.
+    sparsity without branching; signs alternates (-1)^l.
+
+    Split by the parity of l, Q's odd rows are T_OE x_E - T_OO x_O plus
+    rank-one terms, and Q^T's even and odd outputs are T_EO v and T_OO v for
+    v on the odd l: Toeplitz blocks between the classes E and O, with kernel
+    R at odd lags (T_OE, T_EO) or at even lags (T_OO). spectra holds numpy's
+    real FFTs of their circulant embeddings, rows (T_OE, T_OO, T_EO), at
+    fft_len = trigpoly.fast_len(2K), the package's one length rule.
+
+    The length note: a Toeplitz block with n_out rows and n_in columns uses
+    n_in + n_out - 1 lags, and at any length at least that the circular
+    wrap leaves every output untouched. The classes hold K and K + 1 of the
+    l, so the mixed blocks use 2K lags, and so does T_OO for even K. For odd
+    K, T_OO is (K+1) x (K+1) with 2K + 1 lags: its corner lags, R(2K) and
+    R(-2K), share one slot mod 2K. That is harmless only because R is even,
+    so both corners read the same value.
 
     w is unit norm with w(0) = 0 and w(l) proportional to (-1)^l / l, so it
     is orthogonal to the first coordinate e0 and P = e0 e0^T + w w^T is the
@@ -51,11 +66,21 @@ class AsymptoticOperator:
     signs: np.ndarray
     w: np.ndarray
     fft_len: int
-    r_hat: np.ndarray
+    spectra: np.ndarray
 
     @property
     def dim(self) -> int:
         return 2 * self.K + 1
+
+    @property
+    def odd(self) -> slice:
+        """Positions of the odd l in a vector on -K..K."""
+        return slice(1 - self.K % 2, None, 2)
+
+    @property
+    def even(self) -> slice:
+        """Positions of the even l in a vector on -K..K."""
+        return slice(self.K % 2, None, 2)
 
 
 def build_operator(K: int) -> AsymptoticOperator:
@@ -67,22 +92,19 @@ def build_operator(K: int) -> AsymptoticOperator:
     odd = ells % 2 != 0
     prefactor[odd] = 4.0 / (np.pi * ells[odd]) ** 2
     signs = np.where(ells % 2 == 0, 1.0, -1.0)
-    fft_len = tp.fast_len(4 * K + 1)
-    r_hat = np.fft.rfft(r_kernel, fft_len)
+    fft_len = tp.fast_len(2 * K)
+    # class sizes and the lag l_O - l_E between the first odd and first even l
+    n_o, n_e, shift = K + K % 2, K + 1 - K % 2, 1 - 2 * (K % 2)
+    cols = np.zeros((3, fft_len))
+    for col, (n_out, n_in, lag0) in zip(cols, ((n_o, n_e, shift), (n_o, n_o, 0),
+                                               (n_e, n_o, -shift))):
+        d = np.arange(1 - n_in, n_out)
+        col[d % fft_len] = r_kernel[2 * K + lag0 + 2 * d]
     w = np.zeros(2 * K + 1)
     nz = ells != 0
     w[nz] = signs[nz] / ells[nz]
     w /= np.linalg.norm(w)
-    return AsymptoticOperator(K, r_kernel, prefactor, signs, w, fft_len, r_hat)
-
-
-def _conv_r(op: AsymptoticOperator, v: np.ndarray) -> np.ndarray:
-    """Lags 2K..4K of the linear convolution v * r_kernel, by one forward
-    and one inverse real FFT against the cached kernel transform."""
-    if np.iscomplexobj(v):
-        return _conv_r(op, v.real) + 1j * _conv_r(op, v.imag)
-    K = op.K
-    return np.fft.irfft(np.fft.rfft(v, op.fft_len) * op.r_hat, op.fft_len)[2 * K : 4 * K + 1]
+    return AsymptoticOperator(K, r_kernel, prefactor, signs, w, fft_len, np.fft.rfft(cols))
 
 
 def _project(op: AsymptoticOperator, x: np.ndarray) -> np.ndarray:
@@ -93,32 +115,49 @@ def _project(op: AsymptoticOperator, x: np.ndarray) -> np.ndarray:
 
 
 def matvec(op: AsymptoticOperator, x: np.ndarray) -> np.ndarray:
-    """(I - Q + P) x in O(K log K); Q x takes one convolution with R."""
+    """(I - Q + P) x in O(K log K); Q x takes one 2-row forward and one
+    inverse real FFT at half length."""
     x = np.asarray(x)
     if x.shape != (op.dim,):
         raise ValueError("vector length must be 2K+1")
-    K = op.K
+    if np.iscomplexobj(x):
+        return matvec(op, x.real) + 1j * matvec(op, x.imag)
+    K, L = op.K, op.fft_len
+    n_o = K + K % 2
     z = op.signs * x
     alpha = np.dot(op.r_kernel[K : 3 * K + 1], z)
-    conv = _conv_r(op, z)
-    qx = op.prefactor * (alpha - conv - x[K])
-    qx[K] = x[K]
-    return x - qx + _project(op, x)
+    buf = np.zeros((2, L))
+    buf[0, : op.dim - n_o] = z[op.even]
+    buf[1, :n_o] = z[op.odd]
+    spec = np.fft.rfft(buf)
+    spec *= op.spectra[:2]
+    spec[0] += spec[1]
+    conv = np.fft.irfft(spec[0], L)[:n_o]
+    y = x + _project(op, x)
+    y[op.odd] -= op.prefactor[op.odd] * (alpha - conv - x[K])
+    y[K] -= x[K]
+    return y
 
 
 def matvec_transpose(op: AsymptoticOperator, x: np.ndarray) -> np.ndarray:
-    """(I - Q + P)^T x in O(K log K); Q^T x takes one convolution with R,
-    and since Q is real this is also the adjoint."""
+    """(I - Q + P)^T x in O(K log K); Q^T x takes one forward and one 2-row
+    inverse real FFT at half length, and since Q is real this is also the
+    adjoint."""
     x = np.asarray(x)
     if x.shape != (op.dim,):
         raise ValueError("vector length must be 2K+1")
-    K = op.K
-    v = op.prefactor * x
+    if np.iscomplexobj(x):
+        return matvec_transpose(op, x.real) + 1j * matvec_transpose(op, x.imag)
+    K, L = op.K, op.fft_len
+    v = op.prefactor[op.odd] * x[op.odd]
     s = np.sum(v)
-    conv = _conv_r(op, v)
-    qtx = op.signs * (op.r_kernel[K : 3 * K + 1] * s - conv)
-    qtx[K] += x[K] - s
-    return x - qtx + _project(op, x)
+    out = np.fft.irfft(np.fft.rfft(v, L) * op.spectra[1:], L)
+    conv = np.empty(op.dim)
+    conv[op.odd] = out[0, : v.size]
+    conv[op.even] = out[1, : op.dim - v.size]
+    y = x + _project(op, x) - op.signs * (op.r_kernel[K : 3 * K + 1] * s - conv)
+    y[K] -= x[K] - s
+    return y
 
 
 def qk_dense(K: int) -> np.ndarray:

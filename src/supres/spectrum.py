@@ -118,7 +118,7 @@ def dense_extremes(K: int) -> tuple[float, float]:
     return float(svals[-1]), float(svals[0])
 
 
-# peak resident bytes per unit of K above the pre-solve baseline: 708-715
+# peak resident bytes per unit of K above the pre-solve baseline: 708-714
 # measured with getrusage in fresh processes at K = 2^16..2^18, mostly the
 # ~20 ARPACK work vectors of length 2K+1; 900 still admits K = 2^20
 _SECTION_BYTES_PER_K = 900

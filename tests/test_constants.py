@@ -79,6 +79,13 @@ class TestKBoundCurve:
         with pytest.raises(ValueError):
             co.k_bound_curve([1e6, K])
 
+    @pytest.mark.parametrize("K", [math.nan, math.inf, -math.inf, -1.0, 0.5, 1.0, 1.999])
+    def test_value_rejects_bad_levels(self, K):
+        # at K = 1 the formula divides by log K = 0, below it log K < 0;
+        # NaN and inf would pass through as NaN
+        with pytest.raises(ValueError, match="finite and at least 2"):
+            co.k_bound_value(K)
+
 
 class TestReport:
     def test_fields_and_invariants(self):
@@ -127,6 +134,13 @@ class TestBudget:
         assert bounds["B4"](1e7) <= 0.02
         assert bounds["B5"](7.54e10) <= 0.1
         assert bounds["B6"](1.46e10) <= 0.1
+
+    @pytest.mark.parametrize("K", [math.nan, math.inf, -math.inf, -1.0, 0.0, 0.5, 1.0])
+    def test_rejects_bad_target(self, K):
+        # NaN once gave rows of NaN, -1 a bare math domain error and 0.5 a
+        # feasible budget from negative tail bounds
+        with pytest.raises(ValueError, match="finite and at least 2"):
+            co.truncation_budget(K)
 
     def test_growth_with_target(self):
         # the log K factor makes the quadratic bounds need a larger split

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from supres import qk_operator as qk
+from supres import trigpoly as tp
 from supres.budget import BudgetExceeded
 from supres.certificate import AtomicMeasure
 
@@ -172,10 +173,14 @@ class TestMatvec:
         e0[K] = 1.0
         assert np.max(np.abs(qk.matvec(op, e0) - A @ e0)) < 1e-11
 
-    @pytest.mark.parametrize("K", [5, 40])
+    @pytest.mark.parametrize("K", [1, 2, 3, 5, 40, 50, 51])
     @pytest.mark.parametrize("kind", ["real", "complex"])
     def test_cached_kernel_against_dense(self, K, kind):
+        # K = 1, 2, 3 and 50, 51 take both parities of K through the
+        # parity-split products; at K = 1 and 3 the O x O block's corner
+        # lags share a slot of the length-2K transform
         op = qk.build_operator(K)
+        assert op.fft_len == tp.fast_len(2 * K)
         A = section_dense(K)
         rng = np.random.default_rng(K)
         x = rng.standard_normal(2 * K + 1)
@@ -184,6 +189,7 @@ class TestMatvec:
         assert np.max(np.abs(qk.matvec(op, x) - A @ x)) < 1e-12
         assert np.max(np.abs(qk.matvec_transpose(op, x) - A.T @ x)) < 1e-12
         assert np.isrealobj(qk.matvec(op, x.real))
+        assert np.isrealobj(qk.matvec_transpose(op, x.real))
 
     def test_adjoint_pairing(self):
         K = 64
@@ -201,19 +207,22 @@ class TestMatvec:
             qk.matvec(op, np.zeros(8))
 
     def test_near_linear_scaling(self):
-        # both sizes alternate, so a burst of load on a shared host hits both
-        # rather than one; each keeps its best time
-        cases = []
-        for K in (2**16, 2**17):
-            x = np.random.default_rng(0).standard_normal(2 * K + 1)
-            cases.append((qk.build_operator(K), x))
-        best = [math.inf, math.inf]
+        # the least-squares exponent of time against K over six doublings,
+        # bounded by log2(2.5), a factor 2.5 per doubling; a fit is steadier
+        # than a ratio of two sizes, which jumps where a size's transforms
+        # leave the cache. The sizes alternate, so a burst of load on a
+        # shared host hits all of them rather than one; each keeps its best
+        Ks = [2**j for j in range(13, 19)]
+        cases = [(qk.build_operator(K), np.random.default_rng(0).standard_normal(2 * K + 1))
+                 for K in Ks]
+        best = [math.inf] * len(cases)
         for _ in range(9):
             for i, (op, x) in enumerate(cases):
                 t0 = time.perf_counter()
                 qk.matvec(op, x)
                 best[i] = min(best[i], time.perf_counter() - t0)
-        assert best[1] / best[0] < 2.5
+        exponent = np.polyfit(np.log2(Ks), np.log2(best), 1)[0]
+        assert exponent < math.log2(2.5)
 
     @settings(max_examples=25, deadline=None)
     @given(st.integers(min_value=2, max_value=30), st.integers(min_value=0, max_value=2**31))

@@ -314,19 +314,19 @@ def test_min_lower_bound_sampling_within_assumed_bound():
                     reason="needs an extended-precision long double")
 def test_real_fft_rounding_within_assumed_bound():
     # the same assumption at qk_operator's real transforms, lengths
-    # L = fast_len(4K+1): rfft of a real vector of the kernel's length 4K+1
-    # within fft_error_bound(L, ||v||_2), and irfft of a half spectrum within
-    # fft_error_bound(L, ||Y_full||_2)/L, Y_full its Hermitian extension,
-    # each against a long-double DFT
+    # L = fast_len(2K): rfft of a real vector filling all L slots, as the
+    # circulant kernel columns do, within fft_error_bound(L, ||v||_2), and
+    # irfft of a half spectrum within fft_error_bound(L, ||Y_full||_2)/L,
+    # Y_full its Hermitian extension, each against a long-double DFT
     rng = np.random.default_rng(8)
     radices = set()
     for K in range(1, 101):
-        L = tp.fast_len(4 * K + 1)
+        L = tp.fast_len(2 * K)
         angle = 8 * np.arctan(np.longdouble(1)) * np.arange(L, dtype=np.longdouble) / L
         roots = np.cos(angle) + 1j * np.sin(angle)
         half = np.arange(L // 2 + 1)
 
-        v = rng.normal(size=4 * K + 1)
+        v = rng.normal(size=L)
         want = np.conj(roots[np.outer(half, np.arange(v.size)) % L]) @ v.astype(np.longdouble)
         err = np.fft.rfft(v, L) - want
         bound = tp.fft_error_bound(L, float(np.linalg.norm(v)))

@@ -79,17 +79,26 @@ def _check_level(K: float) -> None:
 
 def k_bound_value(K: float) -> float:
     """Deviation bound f(K) for one truncation level, prefactor 2/ETA_CURVE;
-    K finite and >= 2, else ValueError."""
+    K finite and >= 2, else ValueError.
+
+    The 9 log(K/C1) term of c1' is negative below C1, and for K below about
+    8.736 it drives f(K) itself negative, which is no bound: a level whose
+    f(K) is not positive is refused with ValueError too.
+    """
     _check_level(K)
     lg = math.log
     c1 = 4.0 * C1 / lg(K) + 8.0 * C1
     c1p = (C1 / lg(K + 1.0)) * (21.0 + 9.0 * lg(K / C1) + 3.0 * lg(K))
     num = (c1 + c1p + C1 / lg(K + 1.0)) * (2.0 * M1 + 2.0 * M2 * lg(1.0 + K) + 1.0) * lg(1.0 + K)
-    return (2.0 / ETA_CURVE) * math.sqrt(ZETA_2) * num / (1.0 + K)
+    value = (2.0 / ETA_CURVE) * math.sqrt(ZETA_2) * num / (1.0 + K)
+    if not value > 0:
+        raise ValueError(f"the printed bound is not positive at truncation level K = {K}: {value}")
+    return value
 
 
 def k_bound_curve(K_values) -> list[tuple[float, float]]:
-    """Sample f(K) over the given truncation levels (each finite and >= 2)."""
+    """Sample f(K) over the given truncation levels (each finite and >= 2,
+    with f(K) > 0)."""
     return [(float(K), k_bound_value(float(K))) for K in K_values]
 
 

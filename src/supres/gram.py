@@ -6,16 +6,17 @@ Here P = I - V V* projects onto the orthogonal complement of the atom
 columns, and zeta, 4n+1 Toeplitz coefficients, is the minimum-norm solution
 of the diagonal-sum constraint by CG. CG applies z -> T(P Toep(z) P),
 with T the sum along diagonals, matrix-free: with the spectra of V's |S|
-columns taken once per task, and every iterate Hermitian-symmetric, each
-step is 2|S| + 2 FFTs in work arrays reused across steps, O(|S| n log n)
-(Toeplitz products and diagonal sums by FFT as in R. M. Gray, Toeplitz
-and Circulant Matrices: A Review, 2006). They are numpy's, at the one
-length trigpoly.fast_len(4n+1) (`_factor_len`). The identity is
-checked in coefficient form. Q is proved PSD from the symbol of
-Toep(zeta), a trigonometric polynomial sampled by eight real FFTs at that
-same length (trigpoly.min_lower_bound), in O(n log n); only where that
-floor is not positive is the dense Q formed, by a rank-2|S| update of
-Toep(zeta), for its eigenvalues.
+columns taken once per task, and every iterate Hermitian-symmetric, every
+sequence of a step is Hermitian and every spectrum real, so a step is
+2|S| + 2 real FFTs, half the cost of a complex one, in work arrays reused
+across steps, O(|S| n log n) (Toeplitz products and diagonal sums by FFT
+as in R. M. Gray, Toeplitz and Circulant Matrices: A Review, 2006). They
+are numpy's, at the one length trigpoly.fast_len(4n+1) (`_factor_len`).
+The identity is checked in coefficient form. Q is proved PSD from the
+symbol of Toep(zeta), a trigonometric polynomial sampled by eight real
+FFTs at that same length (trigpoly.min_lower_bound), in O(n log n); only
+where that floor is not positive is the dense Q formed, by a rank-2|S|
+update of Toep(zeta), for its eigenvalues.
 """
 
 from __future__ import annotations
@@ -47,7 +48,13 @@ def _factor_len(n: int) -> int:
 @dataclass(frozen=True, eq=False)
 class _Factor:
     """P = I - V V* on -n..n through its d x |S| factor V, with the numpy
-    FFT spectra of V's columns (one row per atom) at _factor_len(n) >= 4n+1.
+    FFT spectra of V's columns (one real row per atom) at
+    _factor_len(n) >= 4n+1.
+
+    V's columns are Hermitian, v(-k) = conj v(k): so are U's, the
+    exponentials psi(tau_j), and G = U*U and its Cholesky factor are real.
+    Their spectra are therefore real, and one inverse real FFT of the
+    halves k = 0..n gives them, half the cost of a complex FFT.
 
     Coefficients sit at index k mod length (`trigpoly.to_grid`). Every
     product below is a Toeplitz product, whose outputs -n..n come from lags
@@ -66,50 +73,64 @@ def _projector_factor(m: AtomicMeasure) -> _Factor:
     factor G = U*U = L L*, so that V V* = U G^{-1} U*."""
     k = np.arange(-m.n, m.n + 1)
     V = np.exp(2j * np.pi * np.outer(k, m.atoms))
-    G = V.conj().T @ V
+    G = (V.conj().T @ V).real
     if np.linalg.cond(G) > 1e12:
         raise SingularGram("atom Gram matrix U*U is numerically singular")
-    V = solve_triangular(np.linalg.cholesky(G), V.conj().T, lower=True).conj().T
-    return _Factor(V, np.fft.fft(tp.to_grid(V.T, _factor_len(m.n))))
+    V = solve_triangular(np.linalg.cholesky(G), V.T, lower=True).T
+    # sum_k v(k) e^{-2 pi i k l/L} = sum_k conj(v(k)) e^{2 pi i k l/L}, v Hermitian
+    half = np.conj(V[m.n :].T, order="C")
+    return _Factor(V, np.fft.irfft(half, _factor_len(m.n), norm="forward"))
 
 
 def _step_work(f: _Factor) -> tuple[np.ndarray, np.ndarray]:
-    """_t_ptp's work arrays for f: V's conjugate, and two |S| x length
-    arrays that every step overwrites."""
-    return f.V.conj(), np.empty((2,) + f.spectra.shape, dtype=np.complex128)
+    """_t_ptp's work arrays for f, which every step overwrites: a real
+    |S| x L array and a complex |S| x (L/2 + 1) one, the half spectra of its
+    rows."""
+    size, length = f.spectra.shape
+    return np.empty((size, length)), np.empty((size, length // 2 + 1), dtype=np.complex128)
 
 
 def _t_ptp(f: _Factor, z: np.ndarray, work: tuple) -> np.ndarray:
     """T(P Toep(z) P) for Hermitian coefficients z on -2n..2n, by 2|S| + 2
-    FFTs in the arrays of work = _step_work(f), which x_corr passes to
-    every CG step.
+    real FFTs, each half the cost of a complex one, in the arrays of
+    work = _step_work(f), which x_corr passes to every CG step.
 
     z is symmetrised first, z <- (z + conj(z_{-s}))/2, which leaves CG's
     iterates unchanged up to rounding (x_corr). Then Toep(z) is Hermitian
     and its spectrum zf real. Expanding P = I - V V* gives w z - sum_j
-    [corr(v_j, Toep(z) v_j - (V C*)_j) + corr(Toep(z) v_j, v_j)] with
-    C = V* Toep(z) V and w the diagonal lengths. One inverse batch gives
-    the rows Toep(z) v_j, one forward batch their spectra F_j, and the
-    spectra of the rows of V C* are conj(C) times V's cached spectra s_j.
-    The result is Hermitian, so its spectrum is real:
-    Re sum_j conj(s_j) (2 F_j - (conj(C) s)_j). tests/oracles.t_ptp is the
-    general step, for any complex z, in 4|S| + 2 FFTs.
+    [corr(v_j, Toep(z) v_j - (V C)_j) + corr(Toep(z) v_j, v_j)] with
+    C = V* Toep(z) V, real symmetric, and w the diagonal lengths. Every
+    sequence here is Hermitian, so every spectrum is real, and a Hermitian
+    sequence is kept by its half k >= 0: with the numpy sign, the rfft of
+    a real spectrum is L times the conjugate of that half, and the irfft of
+    such a half is the spectrum again. One rfft per atom gives the rows
+    Toep(z) v_j, from which C comes and (V C)_j/2 is taken off; one irfft
+    per atom gives their spectra F_j - (C s)_j/2, with s_j V's cached
+    spectra; and the result's spectrum is sum_j s_j (2 F_j - (C s)_j).
+    tests/oracles.t_ptp is the general step, for any complex z, in
+    4|S| + 2 complex FFTs.
     """
-    Vc, (rows, vcs) = work
+    rows, half = work
     spectra = f.spectra
     n = (f.V.shape[0] - 1) // 2
     length = spectra.shape[1]
     z = (z + np.conj(z[::-1])) / 2
-    np.multiply(spectra, np.fft.fft(tp.to_grid(z, length)).real, out=rows)
-    np.fft.ifft(rows, out=rows)
-    # C^T, from the rows' coefficients -n..-1 and 0..n
-    CT = rows[:, length - n :] @ Vc[:n] + rows[:, : n + 1] @ Vc[n:]
-    rows[:, n + 1 : length - n] = 0
-    np.fft.fft(rows, out=rows)
-    np.matmul(CT.conj().T / 2, spectra, out=vcs)
-    rows -= vcs
-    spec = 2 * np.vecdot(spectra, rows, axis=0).real
-    return _weights(n) * z - tp.from_grid(np.fft.ifft(spec), 2 * n)
+    np.multiply(spectra, np.fft.irfft(z[2 * n :].conj(), length, norm="forward"), out=rows)
+    # half's rows: L conj(Toep(z) v_j) at k = 0..L/2
+    np.fft.rfft(rows, out=half)
+    # L C, a sum over k = -n..n of Hermitian terms: twice the real part over
+    # k >= 0 less k = 0
+    Vh = f.V[n:]
+    LC = 2 * (half[:, : n + 1] @ Vh).real - np.outer(half[:, 0].real, Vh[0].real)
+    # take L conj((V C)_j)/2 off, so that the irfft gives F_j - (C s)_j/2
+    corr = Vh @ (LC / 2)
+    half[:, : n + 1] -= np.conjugate(corr, out=corr).T
+    half[:, n + 1 :] = 0
+    np.fft.irfft(half, length, out=rows)
+    # the rfft of the result's real spectrum holds L conj(c_s) at s >= 0; c_-s = conj(c_s)
+    spec = np.fft.rfft(2 * np.einsum("jl,jl->l", spectra, rows))
+    out = np.concatenate([spec[2 * n : 0 : -1], spec[: 2 * n + 1].conj()]) / length
+    return _weights(n) * z - out
 
 
 def p_err(c: Certificate, f: _Factor) -> np.ndarray:
@@ -121,7 +142,7 @@ def p_err(c: Certificate, f: _Factor) -> np.ndarray:
     FFT on f's grid; conjugating a correlation reverses its spectrum.
     """
     eta = np.fft.fft(tp.to_grid(eta_coeffs(c), f.spectra.shape[1]))
-    vv = np.sum(np.abs(f.spectra) ** 2, axis=0)
+    vv = np.sum(f.spectra**2, axis=0)
     spec = np.roll(vv[::-1], 1) / (2 * c.n + 1) - np.abs(eta) ** 2
     return tp.from_grid(np.fft.ifft(spec), 2 * c.n)
 
@@ -149,7 +170,11 @@ _GRAM_BYTES_PER_ENTRY = 40
 # phases for any |S|. Measured with getrusage in fresh processes (peak minus
 # the RSS before the assembly) at n = 2^12..2^18, |S| = 1..60: 204..4650
 # bytes per L, 41..70.5 per entry; per atom about 71 bytes per L, and
-# about 400 bytes per L for the rest at n = 2^12, the most
+# about 400 bytes per L for the rest at n = 2^12, the most. That was the
+# complex step (65 B/L per atom at n = 2^16). The real step holds per atom
+# V (8), its real spectra (8) and one real and one half-complex work row
+# (8 each); at |S| = 4 and 16 it measures 41 B/L per atom and 242 fixed at
+# n = 2^14 (complex step: 68 and 308), 37 and 206 at 2^16 (65 and 262)
 _SYMBOL_BYTES_PER_ENTRY = 72
 _SYMBOL_ROWS = 6
 
@@ -168,10 +193,10 @@ def x_corr(f: _Factor, perr: np.ndarray) -> tuple[np.ndarray, int]:
     conj(perr) is Hermitian-symmetric, perr being real, and S and w commute
     with z -> conj(z_{-s}), so every CG iterate is Hermitian-symmetric:
     _t_ptp symmetrises its input, which moves the iterates only by
-    rounding, and takes the Hermitian step (tests/oracles.t_ptp is the
-    general one). zeta is returned Hermitian-symmetrized, exactly in floating
-    point, so Toep(zeta) is Hermitian. Raises IllConditioned if CG does not
-    converge.
+    rounding, and takes the Hermitian step in real FFTs, half the cost of
+    complex ones (tests/oracles.t_ptp is the general, complex step). zeta
+    is returned Hermitian-symmetrized, exactly in floating point, so
+    Toep(zeta) is Hermitian. Raises IllConditioned if CG does not converge.
     """
     n = (f.V.shape[0] - 1) // 2
     if perr.shape != (4 * n + 1,):

@@ -86,6 +86,18 @@ class TestKBoundCurve:
         with pytest.raises(ValueError, match="finite and at least 2"):
             co.k_bound_value(K)
 
+    @pytest.mark.parametrize("K", [2.0, 5.0, 8.7])
+    def test_refuses_levels_without_a_positive_bound(self, K):
+        # the printed f(K) is negative for 2 <= K < 8.736: no deviation bound
+        with pytest.raises(ValueError, match=f"K = {K}"):
+            co.k_bound_value(K)
+        with pytest.raises(ValueError, match=f"K = {K}"):
+            co.k_bound_curve([1e12, K])
+
+    def test_accepts_first_level_with_a_positive_bound(self):
+        assert co.k_bound_value(9.0) > 0
+        assert co.k_bound_curve([9.0]) == [(9.0, co.k_bound_value(9.0))]
+
 
 class TestReport:
     def test_fields_and_invariants(self):

@@ -292,25 +292,46 @@ class TestFFTOperator:
 
     @pytest.mark.parametrize("size", [1, 5, 12])
     def test_step_takes_2s_plus_2_ffts(self, monkeypatch, size):
-        # one Hermitian step transforms z, then one inverse and one forward
-        # batch of |S| rows, then the summed spectrum: 2|S| + 2 FFTs, where
-        # the general step takes 4|S| + 2
+        # one Hermitian step transforms z, then one forward and one inverse
+        # batch of |S| rows, then the summed spectrum: 2|S| + 2 real FFTs
+        # and no complex one, where the general step takes 4|S| + 2 complex
         rng = np.random.default_rng(size)
         m = AtomicMeasure(96, tuple((0.3 + np.arange(size) / 12) % 1), (1.0,) * size)
         f = _projector_factor(m)
-        count = 0
+        count = {"real": 0, "complex": 0}
 
-        def counting(transform):
+        def counting(transform, kind):
             def counted(a, *args, **kwargs):
-                nonlocal count
-                count += np.size(a) // np.shape(a)[-1]
+                count[kind] += np.size(a) // np.shape(a)[-1]
                 return transform(a, *args, **kwargs)
             return counted
 
-        for name in ("fft", "ifft"):
-            monkeypatch.setattr(np.fft, name, counting(getattr(np.fft, name)))
+        for name, kind in (("rfft", "real"), ("irfft", "real"), ("fft", "complex"),
+                           ("ifft", "complex")):
+            monkeypatch.setattr(np.fft, name, counting(getattr(np.fft, name), kind))
         _t_ptp(f, hermitian_poly(rng, 2 * m.n), _step_work(f))
-        assert count == 2 * size + 2
+        assert count == {"real": 2 * size + 2, "complex": 0}
+
+    @pytest.mark.parametrize("m", [
+        well_separated(np.random.default_rng(5), 64, 6),
+        AtomicMeasure(64, (0.3, 0.31, 0.32, 0.7), (1.0, -1.0, 1.0, 1j)),
+        FALLBACK,
+    ], ids=["separated", "clustered", "fallback"])
+    def test_factor_is_hermitian_and_spectra_real(self, m):
+        # the columns of U are Hermitian and G = U*U real, so L and V = U L^{-*}
+        # are too, and V's spectra are real: the step's real arithmetic rests
+        # on this
+        k = np.arange(-m.n, m.n + 1)
+        U = np.exp(2j * np.pi * np.outer(k, m.atoms))
+        G = U.conj().T @ U
+        assert np.max(np.abs(G.imag)) <= 1e-15 * np.max(np.abs(G))
+        f = _projector_factor(m)
+        np.testing.assert_allclose(f.V[::-1], f.V.conj(), rtol=0, atol=1e-15)
+        assert f.spectra.dtype == np.float64
+        full = np.fft.fft(tp.to_grid(f.V.T, gram._factor_len(m.n)))
+        scale = np.max(np.abs(full))
+        assert np.max(np.abs(full.imag)) <= 1e-14 * scale
+        np.testing.assert_allclose(f.spectra, full.real, rtol=0, atol=1e-14 * scale)
 
     def test_factor_spans_projector_complement(self):
         m = well_separated(np.random.default_rng(7), 40, 4)

@@ -5,12 +5,13 @@ polynomial eta(theta) = sum_j a_j D(theta - tau_j) + b_j D'(theta - tau_j)
 (D the centered Dirichlet kernel of cutoff n) satisfying eta(tau_j) = sign_j
 and eta'(tau_j) = 0, then verify |eta| < 1 away from the atoms on a dense
 grid with a Lipschitz safety margin (`verify_bounded`, whose dict is the
-certify report). The grid values come from eta's 2n+1 coefficients by
-trigpoly.phases, grid_mult inverse FFTs of length fast_len(2n+1): O(n log n)
-time per phase and O(n) memory for any grid_mult; the checks at the atoms
-read eta and eta' there from the residual of the solved interpolation
-system, whose rows are those values, so they take no kernel evaluation
-beyond the system's own.
+certify report). The grid values come from eta's 2n+1 coefficients, split
+into the Hermitian rows of Re eta and Im eta (trigpoly.re_im), by
+trigpoly.phases, two inverse real FFTs of length fast_len(2n+1) per phase:
+O(n log n) time per phase and O(n) memory for any grid_mult. The checks
+at the atoms read eta and eta' there from the residual of the solved
+interpolation system, whose rows are those values, so they take no kernel
+evaluation beyond the system's own.
 """
 
 from __future__ import annotations
@@ -208,10 +209,12 @@ def eta_coeffs(c: Certificate) -> np.ndarray:
 
 
 # peak resident bytes per point of one phase of the scan, L = fast_len(2n+1):
-# the twiddled row and its step, one phase's samples and their moduli (eta's
-# coefficients are freed before the first phase); 104..183 measured with
-# getrusage in fresh processes (peak minus the RSS before the scan) at
-# n = 2^12..2^21, the most at n = 2^12 (128..207 while they stayed alive)
+# eta's coefficients, their reflection and the two rows of Re eta and Im eta
+# (about 96 while all live), then per phase the twiddled half rows and their
+# step and the phase's two sample rows, squared in place and summed into the
+# first (about 40; the coefficients and full rows are freed before the first
+# phase); 143, 103 and 104 measured with getrusage in fresh processes (peak
+# minus the RSS before the scan) at n = 2^12, 2^16 and 2^20, three atoms
 _SCAN_BYTES_PER_L = 210
 
 
@@ -240,9 +243,11 @@ def verify_bounded(c: Certificate, grid_mult: int = 10) -> dict:
 
     Samples |eta| on G = grid_mult L points, L = fast_len(2n+1) (the
     5-smooth length rule of `trigpoly.fast_len`), by the grid_mult phases of
-    `trigpoly.phases`, one inverse FFT of length L each, keeping per phase
-    only the largest |eta| off the atoms and its point. It excludes a
-    radius-1/n neighborhood of each atom (main lobe plus first sidelobe), and
+    `trigpoly.phases` on the rows of Re eta and Im eta (`trigpoly.re_im`),
+    two inverse real FFTs of length L each, keeping per phase only the
+    largest |eta|^2 = re^2 + im^2 off the atoms and its point; the square
+    root is taken of the maximum only. It excludes a radius-1/n
+    neighborhood of each atom (main lobe plus first sidelobe), and
     adds the crude Lipschitz slack pi*n*max|c_k|/grid_mult covering the gap
     between adjacent samples. The slack is at least max|eta'| times half
     the spacing 1/(grid_mult*(2n+1)), so it also covers the finer spacing
@@ -267,17 +272,19 @@ def verify_bounded(c: Certificate, grid_mult: int = 10) -> dict:
     check_budget(_SCAN_BYTES_PER_L * L, f"boundedness scan at n={n}")
     coeffs = eta_coeffs(c)
     slack = np.pi * n * float(np.max(np.abs(coeffs))) / grid_mult
-    # the sampler holds the only reference to eta's coefficients, and drops
-    # it once it has twiddled them
-    samples = tp.phases(coeffs, grid_mult)
+    # the sampler holds the only reference to the rows of Re eta and Im eta,
+    # and drops it once it has twiddled them
+    samples = tp.phases(tp.re_im(coeffs), grid_mult)
     del coeffs
-    sup_off, best = -np.inf, 0
-    for r, vals in enumerate(samples):
-        vals = np.abs(vals)
+    sup_sq, best = -np.inf, 0
+    for r, rows in enumerate(samples):
+        rows *= rows
+        vals = rows[0]
+        vals += rows[1]
         vals[_near_atoms(m.atoms, n, L, grid_mult, r)] = -np.inf
         j = int(vals.argmax())
-        if vals[j] > sup_off:
-            sup_off, best = float(vals[j]), j * grid_mult + r
+        if vals[j] > sup_sq:
+            sup_sq, best = float(vals[j]), j * grid_mult + r
 
     g = _gamma(n)
     matrix, rhs = c.system or build_system(m)
@@ -294,7 +301,8 @@ def verify_bounded(c: Certificate, grid_mult: int = 10) -> dict:
         "argmax": np.nan,
         "certified": False,
     }
-    if sup_off > -np.inf:
+    if sup_sq > -np.inf:
+        sup_off = math.sqrt(sup_sq)
         report.update(sup_off_atom=sup_off, argmax=best / (grid_mult * L),
                       certified=bool(sup_off + slack < 1.0 and interp_err <= INTERP_TOL))
     return report

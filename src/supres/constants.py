@@ -102,26 +102,17 @@ def k_bound_curve(K_values) -> list[tuple[float, float]]:
     return [(float(K), k_bound_value(float(K))) for K in K_values]
 
 
-_BUDGET_THRESHOLDS = {
-    "B1": 1e-4,
-    "B2": 0.01,
-    "B3": 0.01,
-    "B4": 0.02,
-    "B5": 0.1,
-    "B6": 0.1,
-}
-
-
-def _budget_bounds(K_target: float) -> dict:
-    """The six tail bounds as functions of the split point K1."""
+def _budget(K_target: float) -> dict:
+    """The six tail bounds: each name's threshold, and its bound as a
+    function of the split point K1."""
     grow = C1 + C1 * math.log(K_target)
     return {
-        "B1": lambda K1: 4.0 * math.sqrt(ZETA_2) / math.pi**3 * 100.0 * grow / K1**2,
-        "B2": lambda K1: 16.0 / math.pi**3 * 100.0 * grow / K1**2,
-        "B3": lambda K1: 8.5e4 / K1,
-        "B4": lambda K1: 1.35e5 / K1,
-        "B5": lambda K1: 7.54e9 / K1,
-        "B6": lambda K1: 1.46e9 / K1,
+        "B1": (1e-4, lambda K1: 4.0 * math.sqrt(ZETA_2) / math.pi**3 * 100.0 * grow / K1**2),
+        "B2": (0.01, lambda K1: 16.0 / math.pi**3 * 100.0 * grow / K1**2),
+        "B3": (0.01, lambda K1: 8.5e4 / K1),
+        "B4": (0.02, lambda K1: 1.35e5 / K1),
+        "B5": (0.1, lambda K1: 7.54e9 / K1),
+        "B6": (0.1, lambda K1: 1.46e9 / K1),
     }
 
 
@@ -134,8 +125,7 @@ def truncation_budget(K_target: float) -> dict:
     """
     _check_level(K_target)
     rows = {}
-    for name, fn in _budget_bounds(K_target).items():
-        thr = _BUDGET_THRESHOLDS[name]
+    for name, (thr, fn) in _budget(K_target).items():
         K1 = 1.0
         while fn(K1) > thr and K1 < 2.0**60:
             K1 *= 2.0

@@ -10,8 +10,10 @@ columns taken once per task, and every iterate Hermitian-symmetric, every
 sequence of a step is Hermitian and every spectrum real, so a step is
 2|S| + 2 real FFTs, half the cost of a complex one, in work arrays reused
 across steps, O(|S| n log n) (Toeplitz products and diagonal sums by FFT
-as in R. M. Gray, Toeplitz and Circulant Matrices: A Review, 2006). They
-are numpy's, at the one length trigpoly.fast_len(4n+1) (`_factor_len`).
+as in R. M. Gray, Toeplitz and Circulant Matrices: A Review, 2006). The
+right-hand side p_err takes eta's spectrum as the real spectra of the rows
+of Re eta and Im eta, so every transform here is a real FFT, numpy's, at
+the one length trigpoly.fast_len(4n+1) (`_factor_len`).
 The identity is checked in coefficient form. Q is proved PSD from the
 symbol of Toep(zeta), a trigonometric polynomial sampled by eight real
 FFTs at that same length (trigpoly.min_lower_bound), in O(n log n); only
@@ -56,7 +58,8 @@ class _Factor:
     Their spectra are therefore real, and one inverse real FFT of the
     halves k = 0..n gives them, half the cost of a complex FFT.
 
-    Coefficients sit at index k mod length (`trigpoly.to_grid`). Every
+    The irfft of a half row at this length places coefficient k at index
+    k mod length, as a circular convolution reads it. Every
     product below is a Toeplitz product, whose outputs -n..n come from lags
     -3n..3n, or a correlation of two vectors on -n..n, with lags -2n..2n; at
     length 4n+1 or more the circular wrap reaches none of the kept outputs
@@ -106,9 +109,9 @@ def _t_ptp(f: _Factor, z: np.ndarray, work: tuple) -> np.ndarray:
     such a half is the spectrum again. One rfft per atom gives the rows
     Toep(z) v_j, from which C comes and (V C)_j/2 is taken off; one irfft
     per atom gives their spectra F_j - (C s)_j/2, with s_j V's cached
-    spectra; and the result's spectrum is sum_j s_j (2 F_j - (C s)_j).
-    tests/oracles.t_ptp is the general step, for any complex z, in
-    4|S| + 2 complex FFTs.
+    spectra; and the result's spectrum is sum_j s_j (2 F_j - (C s)_j),
+    whose coefficients trigpoly.from_spectrum reads off. tests/oracles.t_ptp
+    is the general step, for any complex z, in 4|S| + 2 complex FFTs.
     """
     rows, half = work
     spectra = f.spectra
@@ -127,10 +130,7 @@ def _t_ptp(f: _Factor, z: np.ndarray, work: tuple) -> np.ndarray:
     half[:, : n + 1] -= np.conjugate(corr, out=corr).T
     half[:, n + 1 :] = 0
     np.fft.irfft(half, length, out=rows)
-    # the rfft of the result's real spectrum holds L conj(c_s) at s >= 0; c_-s = conj(c_s)
-    spec = np.fft.rfft(2 * np.einsum("jl,jl->l", spectra, rows))
-    out = np.concatenate([spec[2 * n : 0 : -1], spec[: 2 * n + 1].conj()]) / length
-    return _weights(n) * z - out
+    return _weights(n) * z - tp.from_spectrum(2 * np.einsum("jl,jl->l", spectra, rows), 2 * n)
 
 
 def p_err(c: Certificate, f: _Factor) -> np.ndarray:
@@ -138,13 +138,19 @@ def p_err(c: Certificate, f: _Factor) -> np.ndarray:
     for the projector factor f of the measure.
 
     With T(P) = dim delta_0 - sum_j corr(v_j, v_j) the constants cancel and
-    p_err = conj(sum_j corr(v_j, v_j)) / dim - corr(eta, eta), one inverse
-    FFT on f's grid; conjugating a correlation reverses its spectrum.
+    p_err = conj(sum_j corr(v_j, v_j)) / dim - corr(eta, eta), whose
+    spectrum on f's grid is real; conjugating a correlation reverses its
+    spectrum. eta's spectrum is re + i im, the real spectra of the rows of
+    Re eta and Im eta, so |F(eta)|^2 = re^2 + im^2 costs two inverse real
+    FFTs of their halves, formed from eta_k and conj(eta_-k), k >= 0.
     """
-    eta = np.fft.fft(tp.to_grid(eta_coeffs(c), f.spectra.shape[1]))
+    n = c.n
+    eta = eta_coeffs(c)
+    a, b = eta[n:], np.conj(eta[n::-1])
+    # the conjugated halves of the rows of Re eta and Im eta, (a + b)/2 and (a - b)/2i
+    re, im = np.fft.irfft(np.conj([a + b, (a - b) * -1j]) / 2, f.spectra.shape[1], norm="forward")
     vv = np.sum(f.spectra**2, axis=0)
-    spec = np.roll(vv[::-1], 1) / (2 * c.n + 1) - np.abs(eta) ** 2
-    return tp.from_grid(np.fft.ifft(spec), 2 * c.n)
+    return tp.from_spectrum(np.roll(vv[::-1], 1) / (2 * n + 1) - re * re - im * im, 2 * n)
 
 
 def _weights(n: int) -> np.ndarray:

@@ -118,10 +118,8 @@ def matvec(op: AsymptoticOperator, x: np.ndarray) -> np.ndarray:
     """(I - Q + P) x in O(K log K); Q x takes one 2-row forward and one
     inverse real FFT at half length."""
     x = np.asarray(x)
-    if x.shape != (op.dim,):
-        raise ValueError("vector length must be 2K+1")
-    if np.iscomplexobj(x):
-        return matvec(op, x.real) + 1j * matvec(op, x.imag)
+    if x.shape != (op.dim,) or np.iscomplexobj(x):
+        raise ValueError("need a real vector of length 2K+1")
     K, L = op.K, op.fft_len
     n_o = K + K % 2
     z = op.signs * x
@@ -144,10 +142,8 @@ def matvec_transpose(op: AsymptoticOperator, x: np.ndarray) -> np.ndarray:
     inverse real FFT at half length, and since Q is real this is also the
     adjoint."""
     x = np.asarray(x)
-    if x.shape != (op.dim,):
-        raise ValueError("vector length must be 2K+1")
-    if np.iscomplexobj(x):
-        return matvec_transpose(op, x.real) + 1j * matvec_transpose(op, x.imag)
+    if x.shape != (op.dim,) or np.iscomplexobj(x):
+        raise ValueError("need a real vector of length 2K+1")
     K, L = op.K, op.fft_len
     v = op.prefactor[op.odd] * x[op.odd]
     s = np.sum(v)

@@ -2,16 +2,20 @@
 
 A polynomial of order n is its dense coefficient array c_k, k = -n..n, so
 that p(theta) = sum_k c_k exp(2i pi k theta): every function here takes
-that array and reads n as (len(c) - 1)/2. For FFTs the array is laid out
-with c_k at index k mod length (`to_grid`, `from_grid`); to_grid checks the
-layout's two conditions, an odd row length and a length above 2n.
-`phases` is the package's one sampler of p on a uniform grid: G = m L
-points, L = fast_len(2n+1) from `fast_len`, the length rule of every FFT in
-the package (all numpy's), as m inverse FFTs of length L, one phase at a
-time, so its callers keep O(L) memory however fine the grid.
-`min_lower_bound` turns such a sampling of a real polynomial, by inverse
-real FFTs, into a rigorous lower bound on its minimum; `fft_error_bound`
-and `TWIDDLE_EPS` are the sampling's rounding terms in that bound.
+that array and reads n as (len(c) - 1)/2. Every FFT of the package is a
+real one, numpy's rfft or irfft. A real-valued p has a Hermitian row,
+c_-k = conj(c_k), kept by its half c_0..c_n: with numpy's sign, the irfft
+of the half samples p, the irfft of its conjugate is the row's real
+spectrum, and `from_spectrum` turns a real spectrum back into the row. A
+complex p is the two Hermitian rows of Re p and Im p (`re_im`).
+`phases` is the package's one sampler of such rows on a uniform grid:
+G = m L points, L = fast_len(2n+1) from `fast_len`, the length rule of
+every FFT in the package (all numpy's), as m inverse real FFTs of length
+L per row, one phase at a time, so its callers keep O(L) memory however
+fine the grid.
+`min_lower_bound` turns such a sampling of a real polynomial into a
+rigorous lower bound on its minimum; `fft_error_bound` and `TWIDDLE_EPS`
+are the sampling's rounding terms in that bound.
 `U` and `gamma` are the package's one floating-point model, which every
 a-priori rounding bound in it rests on.
 The kernel is the centered one,
@@ -39,28 +43,6 @@ def gamma(k: int) -> float:
     return k * U / (1 - k * U)
 
 
-def to_grid(x: np.ndarray, length: int) -> np.ndarray:
-    """Rows of coefficients on -h..h placed at index k mod length: c_0..c_h
-    at the front of each row, c_-h..c_-1 at the back. This is the layout
-    every FFT of the package reads and writes. Raises ValueError unless the
-    rows have odd length 2h+1 and length exceeds 2h, so the two ends do not
-    overlap."""
-    if x.shape[-1] % 2 != 1:
-        raise ValueError(f"coefficient rows need odd length 2h+1, got {x.shape[-1]}")
-    h = (x.shape[-1] - 1) // 2
-    if length <= 2 * h:
-        raise ValueError(f"grid of {length} points cannot hold order {h} (needs > {2 * h})")
-    buf = np.zeros(x.shape[:-1] + (length,), dtype=np.complex128)
-    buf[..., : h + 1] = x[..., h:]
-    buf[..., length - h :] = x[..., :h]
-    return buf
-
-
-def from_grid(buf: np.ndarray, h: int) -> np.ndarray:
-    """Coefficients -h..h of rows laid out as in to_grid."""
-    return np.concatenate([buf[..., buf.shape[-1] - h :], buf[..., : h + 1]], axis=-1)
-
-
 def fast_len(m: int) -> int:
     """Smallest 2^a 3^b 5^c >= m, m >= 1.
 
@@ -81,8 +63,8 @@ def fast_len(m: int) -> int:
 
 
 def fft_error_bound(L: int, norm2: float) -> float:
-    """e0, the bound on every sample's rounding error when one inverse FFT
-    of length L (a phase of `phases`) samples a polynomial of coefficient
+    """e0, the bound on every sample's rounding error when one inverse real
+    FFT of length L (a phase of `phases`) samples a polynomial of coefficient
     2-norm norm2.
 
     In the model of U and gamma, Higham's Theorem 24.2 (section 24.1)
@@ -115,39 +97,53 @@ def fft_error_bound(L: int, norm2: float) -> float:
 TWIDDLE_EPS = np.pi * gamma(3) + np.sqrt(2) * (U + gamma(2))
 
 
-def phases(c: np.ndarray, m: int, real: bool = False):
-    """The values of the polynomial with coefficients c on -h..h at the
-    G = m L points g/G, L = fast_len(2h+1), one phase at a time: for
-    r = 0..m-1, yields the L values p((j m + r)/G), j = 0..L-1. Callers
-    keep running reductions only, so a sampling takes O(L) memory however
-    large m is, and O(m L log L) time.
+def re_im(c: np.ndarray) -> np.ndarray:
+    """The Hermitian rows of Re p and Im p, stacked, for the coefficients c
+    on -h..h of a complex p: (c_k + conj(c_-k))/2 and (c_k - conj(c_-k))/2i."""
+    flip = np.conj(c[::-1])
+    return np.stack([c + flip, (c - flip) * -1j]) / 2
 
-    Phase r is one inverse FFT of length L, since
-    p(j/L + r/G) = sum_k c_k e^{2 pi i k r/G} e^{2 pi i k j/L}. The twiddled
-    coefficients advance by one complex multiply per phase, by
-    step_k = exp(2 pi i k/G) computed once (their drift: TWIDDLE_EPS). With
-    real=True, p must be real-valued (c Hermitian, which the caller checks);
-    then each twiddled row is Hermitian too, and a phase is one inverse real
-    FFT of its half k = 0..h, with real samples. Otherwise to_grid lays c
-    out at length L, and checks it.
+
+def from_spectrum(spec: np.ndarray, h: int) -> np.ndarray:
+    """The Hermitian coefficients on -h..h of the row whose spectrum at
+    length L = len(spec) > 2h, sum_s c_s e^{-2 pi i s l/L} with numpy's
+    sign, is the real array spec: its rfft holds L conj(c_s) at s >= 0,
+    and c_-s = conj(c_s)."""
+    half = np.fft.rfft(spec)
+    return np.concatenate([half[h:0:-1], half[: h + 1].conj()]) / len(spec)
+
+
+def phases(rows: np.ndarray, m: int):
+    """The values of the real polynomials with Hermitian coefficient rows on
+    -h..h (one row, or a stack of rows on the last axis) at the G = m L
+    points g/G, L = fast_len(2h+1), one phase at a time: for r = 0..m-1,
+    yields the real values p((j m + r)/G), j = 0..L-1, of each row. Callers
+    keep running reductions only, so a sampling takes O(L) memory per row
+    however large m is, and O(m L log L) time. Raises ValueError, before
+    the first phase, unless the rows have odd length 2h+1; that the rows
+    are Hermitian, c_-k == conj(c_k), is the caller's to ensure.
+
+    Phase r is one inverse real FFT of length L per row, since
+    p(j/L + r/G) = sum_k c_k e^{2 pi i k r/G} e^{2 pi i k j/L} and the
+    twiddled row is Hermitian too: its half k = 0..h is all the transform
+    reads. The twiddled halves advance by one complex multiply per phase,
+    by step_k = exp(2 pi i k/G) computed once (their drift: TWIDDLE_EPS).
     """
-    h = (len(c) - 1) // 2
+    if rows.shape[-1] % 2 != 1:
+        raise ValueError(f"coefficient rows need odd length 2h+1, got {rows.shape[-1]}")
+    h = (rows.shape[-1] - 1) // 2
     L = fast_len(2 * h + 1)
-    if real:
-        t = c[h:].astype(np.complex128)
-        k = np.arange(h + 1)
-    else:
-        t = to_grid(c, L)
-        # each slot's frequency; the slots between h and L - h hold zeros
-        k = np.arange(L)
-        k[h + 1 :] -= L
-    step = np.exp(2j * np.pi * k / (m * L))
+    # irfft reads L/2 + 1 entries: a half row padded here once is not padded
+    # again on every phase, which costs the transform up to a quarter more
+    t = np.zeros(rows.shape[:-1] + (L // 2 + 1,), dtype=np.complex128)
+    t[..., : h + 1] = rows[..., h:]
+    step = np.exp(2j * np.pi * np.arange(L // 2 + 1) / (m * L))
     # the loop needs only t and step: a caller that drops its own reference
-    # to c frees that row here
-    del c, k
+    # to the rows frees them here
+    del rows
     for _ in range(m):
         # "forward" puts the 1/L on the forward transform, so the inverse is the plain sum
-        yield np.fft.irfft(t, L, norm="forward") if real else np.fft.ifft(t, norm="forward")
+        yield np.fft.irfft(t, L, norm="forward")
         t *= step
 
 
@@ -185,7 +181,7 @@ def min_lower_bound(c: np.ndarray) -> float:
     n = (len(c) - 1) // 2
     L, m = fast_len(2 * n + 1), 8
     lowest, top = np.inf, 0.0
-    for vals in phases(c, m, real=True):
+    for vals in phases(c, m):
         lo, hi = float(vals.min()), float(vals.max())
         lowest, top = min(lowest, lo), max(top, hi, -lo)
     # norm squares the coefficients, which under- or overflow outside

@@ -3,7 +3,8 @@
 Each function here is a direct or dense computation of something the package
 computes by FFT, by a structured operator, by bisection or in closed form:
 the direct sum of a trigonometric polynomial (in double and in extended
-precision) and its sampling by one FFT of the whole grid (eval_grid), the
+precision) and its sampling by one complex FFT of the whole grid
+(eval_grid), the
 certificate eta and eta' summed over the atoms' kernels pointwise, the
 audit's inner integral F(s; theta) by adaptive quadrature, the two C1
 fixed points of constants by Lambert W, the dense Gram-side maps T, T~*,
@@ -14,10 +15,12 @@ qk_operator case by case and at finite n, the dense section I - Q + P with
 its projector built from the closed form of w, the printed complex kernel
 E of those entries, and the measured deviations of the interpolation system
 from the identity (neumann_bounds). A polynomial is its coefficient array
-on -n..n, as in the package. No code of the package calls them; tests
-import them from here. Of the package they use only the printed inputs of
-constants, the Dirichlet kernel, the coefficient layout, the interpolation
-system and its closed-form bounds, the dense Q (itself checked against the
+on -n..n, as in the package. The complex FFTs here read the full layout of
+to_grid and from_grid, coefficient k at index k mod length, where the
+package keeps only real FFTs of Hermitian half rows. No code of the
+package calls them; tests import them from here. Of the package they use
+only the printed inputs of constants, the Dirichlet kernel, the
+interpolation system and its closed-form bounds, the dense Q (itself checked against the
 entry and finite-n routes here) and two private helpers of gram: the
 projector factor V and the diagonal weights.
 
@@ -50,6 +53,27 @@ def freqs(c: np.ndarray) -> np.ndarray:
     return np.arange(-n, n + 1)
 
 
+def to_grid(x: np.ndarray, length: int) -> np.ndarray:
+    """Rows of coefficients on -h..h placed at index k mod length: c_0..c_h
+    at the front of each row, c_-h..c_-1 at the back, the layout of a
+    complex FFT. Raises ValueError unless the rows have odd length 2h+1 and
+    length exceeds 2h, so the two ends do not overlap."""
+    if x.shape[-1] % 2 != 1:
+        raise ValueError(f"coefficient rows need odd length 2h+1, got {x.shape[-1]}")
+    h = (x.shape[-1] - 1) // 2
+    if length <= 2 * h:
+        raise ValueError(f"grid of {length} points cannot hold order {h} (needs > {2 * h})")
+    buf = np.zeros(x.shape[:-1] + (length,), dtype=np.complex128)
+    buf[..., : h + 1] = x[..., h:]
+    buf[..., length - h :] = x[..., :h]
+    return buf
+
+
+def from_grid(buf: np.ndarray, h: int) -> np.ndarray:
+    """Coefficients -h..h of rows laid out as in to_grid."""
+    return np.concatenate([buf[..., buf.shape[-1] - h :], buf[..., : h + 1]], axis=-1)
+
+
 def eval_direct(c: np.ndarray, theta):
     """Evaluate the polynomial with coefficients c at theta (scalar or
     array). Periodic with period 1.
@@ -75,11 +99,12 @@ def eval_direct(c: np.ndarray, theta):
 def eval_grid(c: np.ndarray, G: int) -> np.ndarray:
     """Values p(g/G), g = 0..G-1, of the polynomial with coefficients c on
     -n..n, by one zero-padded inverse FFT of length G: the one-FFT sampling
-    that trigpoly.phases splits into m phases of length G/m, and the fine
-    grids the tests compare rigorous bounds with. to_grid checks that c has
-    odd length and that G exceeds 2n."""
+    that trigpoly.phases splits into m phases of length G/m, one inverse
+    real FFT per Hermitian row each, and the fine grids the tests compare
+    rigorous bounds with. to_grid checks that c has odd length and that G
+    exceeds 2n."""
     # "forward" puts the 1/G on the forward transform, so the inverse is the plain sum
-    return np.fft.ifft(tp.to_grid(c, G), norm="forward")
+    return np.fft.ifft(to_grid(c, G), norm="forward")
 
 
 def eval_grid_longdouble(c: np.ndarray, G: int) -> np.ndarray:
@@ -268,13 +293,13 @@ def t_ptp(f, z: np.ndarray) -> np.ndarray:
     V, spectra = f.V, f.spectra
     n = (V.shape[0] - 1) // 2
     size, length = spectra.shape
-    zf = np.fft.fft(tp.to_grid(z, length))
-    both = tp.from_grid(np.fft.ifft(np.concatenate([zf * spectra, np.conj(zf) * spectra])), n)
+    zf = np.fft.fft(to_grid(z, length))
+    both = from_grid(np.fft.ifft(np.concatenate([zf * spectra, np.conj(zf) * spectra])), n)
     tv, tsv = both[:size], both[size:]
     C = V.T.conj() @ tv.T
-    rows = np.fft.fft(tp.to_grid(np.concatenate([tsv - C.conj() @ V.T, tv]), length))
+    rows = np.fft.fft(to_grid(np.concatenate([tsv - C.conj() @ V.T, tv]), length))
     cross = spectra * np.conj(rows[:size]) + rows[size:] * np.conj(spectra)
-    return _weights(n) * z - tp.from_grid(np.fft.ifft(np.sum(cross, axis=0)), 2 * n)
+    return _weights(n) * z - from_grid(np.fft.ifft(np.sum(cross, axis=0)), 2 * n)
 
 
 def quad_form_poly(H: np.ndarray) -> np.ndarray:

@@ -134,18 +134,20 @@ class TestBudget:
 
     def test_each_bound_met_within_factor_two(self):
         rep = co.truncation_budget(1e13)
-        bounds = co._budget_bounds(1e13)
+        bounds = co._budget(1e13)
         for name, b in rep["bounds"].items():
-            assert b["value_at_K1"] <= b["threshold"]
+            threshold, bound = bounds[name]
+            assert b["threshold"] == threshold
+            assert b["value_at_K1"] <= threshold
             if b["K1"] > 1:
-                assert bounds[name](b["K1"] / 2.0) > b["threshold"]
+                assert bound(b["K1"] / 2.0) > threshold
 
     def test_closed_form_spot_values(self):
-        bounds = co._budget_bounds(1e13)
-        assert bounds["B3"](1e7) <= 0.01
-        assert bounds["B4"](1e7) <= 0.02
-        assert bounds["B5"](7.54e10) <= 0.1
-        assert bounds["B6"](1.46e10) <= 0.1
+        bounds = co._budget(1e13)
+        assert bounds["B3"][1](1e7) <= 0.01
+        assert bounds["B4"][1](1e7) <= 0.02
+        assert bounds["B5"][1](7.54e10) <= 0.1
+        assert bounds["B6"][1](1.46e10) <= 0.1
 
     @pytest.mark.parametrize("K", [math.nan, math.inf, -math.inf, -1.0, 0.0, 0.5, 1.0])
     def test_rejects_bad_target(self, K):

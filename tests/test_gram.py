@@ -37,6 +37,7 @@ from oracles import (
     projector_PUperp,
     quad_form_poly,
     t_ptp,
+    to_grid,
 )
 from test_certificate import random_measure
 from test_trigpoly import hermitian_poly, random_poly
@@ -328,7 +329,7 @@ class TestFFTOperator:
         f = _projector_factor(m)
         np.testing.assert_allclose(f.V[::-1], f.V.conj(), rtol=0, atol=1e-15)
         assert f.spectra.dtype == np.float64
-        full = np.fft.fft(tp.to_grid(f.V.T, gram._factor_len(m.n)))
+        full = np.fft.fft(to_grid(f.V.T, gram._factor_len(m.n)))
         scale = np.max(np.abs(full))
         assert np.max(np.abs(full.imag)) <= 1e-14 * scale
         np.testing.assert_allclose(f.spectra, full.real, rtol=0, atol=1e-14 * scale)

@@ -18,6 +18,9 @@ equality they keep.
 
 The floating-point model, the unit roundoff trigpoly.U and trigpoly.gamma,
 has one home: no other module spells a power of two at or below 2^-50.
+
+Every FFT of the package is a real one (rfft, irfft) of real rows or
+Hermitian half rows: no module calls a complex transform.
 """
 
 import ast
@@ -104,3 +107,21 @@ def test_unit_roundoff_is_spelled_once_in_trigpoly():
     found = [path.stem for path in sorted(SRC.glob("*.py"))
              for node in ast.walk(ast.parse(path.read_text())) if _tiny_power_of_two(node)]
     assert found == ["trigpoly"]
+
+
+# the complex transforms of numpy.fft (and of scipy.fft, which shares the names)
+COMPLEX_FFTS = {"fft", "ifft", "fft2", "ifft2", "fftn", "ifftn"}
+
+
+def _complex_fft_call(node) -> bool:
+    """node calls a complex FFT, as an attribute (np.fft.fft) or a bare name."""
+    if not isinstance(node, ast.Call):
+        return False
+    f = node.func
+    return (f.attr if isinstance(f, ast.Attribute) else getattr(f, "id", None)) in COMPLEX_FFTS
+
+
+def test_every_fft_in_the_package_is_real():
+    found = [path.stem for path in sorted(SRC.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text())) if _complex_fft_call(node)]
+    assert found == []

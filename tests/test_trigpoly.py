@@ -4,7 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 from supres import trigpoly as tp
 
-from oracles import eval_direct, eval_grid, eval_grid_longdouble, freqs
+from oracles import eval_direct, eval_grid, eval_grid_longdouble, freqs, from_grid, to_grid
 
 
 def random_poly(rng, n):
@@ -67,18 +67,43 @@ class TestEvalGrid:
 
     @pytest.mark.parametrize("m", [4, 8, 10, 12])
     def test_phases_match_one_fft(self, m):
-        # phase r of trigpoly.phases holds the samples g = j m + r of the
-        # G = m fast_len(2n+1) point grid: complex rows by inverse FFTs, and
-        # Hermitian rows, real samples, by inverse real FFTs
+        # phase r of trigpoly.phases holds the real samples g = j m + r of
+        # the G = m fast_len(2n+1) point grid, by inverse real FFTs: of one
+        # Hermitian row, and of a two-row batch, the rows of Re p and Im p
+        # of a complex p, which give the real and imaginary parts of p
         rng = np.random.default_rng(m)
         for n in range(101):
             G = m * tp.fast_len(2 * n + 1)
-            for p, real in ((random_poly(rng, n), False), (hermitian_poly(rng, n), True)):
-                got = np.stack(list(tp.phases(p, m, real=real)), axis=1).ravel()
-                want = eval_grid(p, G)
-                assert got.dtype == (np.float64 if real else np.complex128)
-                np.testing.assert_allclose(got, want.real if real else want, rtol=0,
-                                           atol=1e-13 * float(np.sum(np.abs(p))))
+            p = hermitian_poly(rng, n)
+            got = np.stack(list(tp.phases(p, m)), axis=-1).ravel()
+            assert got.dtype == np.float64
+            np.testing.assert_allclose(got, eval_grid(p, G).real, rtol=0,
+                                       atol=1e-13 * float(np.sum(np.abs(p))))
+            q = random_poly(rng, n)
+            got = np.stack(list(tp.phases(tp.re_im(q), m)), axis=-1).reshape(2, G)
+            assert got.dtype == np.float64
+            want = eval_grid(q, G)
+            np.testing.assert_allclose(got, [want.real, want.imag], rtol=0,
+                                       atol=1e-13 * float(np.sum(np.abs(q))))
+
+    def test_re_im_rows(self):
+        # the rows of Re p and Im p are Hermitian, their Re c_0 and Im c_0
+        # exactly real, and they add back to p
+        q = random_poly(np.random.default_rng(2), 7)
+        re, im = tp.re_im(q)
+        for row in (re, im):
+            np.testing.assert_array_equal(row[::-1], np.conj(row))
+        assert re[7].imag == 0 and im[7].imag == 0
+        np.testing.assert_allclose(re + 1j * im, q, rtol=0, atol=1e-15)
+
+    @pytest.mark.parametrize("h, length", [(0, 1), (0, 4), (3, 7), (3, 16), (5, 11)])
+    def test_from_spectrum_inverts_the_real_spectrum(self, h, length):
+        # a Hermitian row's spectrum, the full complex FFT of its layout, is
+        # real; from_spectrum reads the row back from it
+        c = hermitian_poly(np.random.default_rng(h + length), h)
+        spec = np.fft.fft(to_grid(c, length))
+        assert np.max(np.abs(spec.imag)) <= 1e-14
+        np.testing.assert_allclose(tp.from_spectrum(spec.real, h), c, rtol=0, atol=1e-15)
 
     def test_fast_len_is_next_five_smooth(self):
         def smooth(x):
@@ -98,17 +123,17 @@ class TestEvalGrid:
     def test_grid_must_exceed_twice_the_order(self):
         p = random_poly(np.random.default_rng(0), 5)
         with pytest.raises(ValueError, match="needs > 10"):
-            tp.to_grid(p, 10)
+            to_grid(p, 10)
 
     @pytest.mark.parametrize("h, length", [(0, 1), (0, 4), (3, 7), (3, 16)])
     def test_layout_round_trip(self, h, length):
         # rows of coefficients -h..h, coefficient k at index k mod length
         x = np.random.default_rng(h + length).normal(size=(2, 2 * h + 1)) + 0j
-        buf = tp.to_grid(x, length)
+        buf = to_grid(x, length)
         k = np.arange(-h, h + 1)
         np.testing.assert_array_equal(buf[:, k % length], x)
         assert np.count_nonzero(buf) == x.size
-        np.testing.assert_array_equal(tp.from_grid(buf, h), x)
+        np.testing.assert_array_equal(from_grid(buf, h), x)
 
 
 @settings(max_examples=100, deadline=None)
@@ -304,7 +329,7 @@ def test_min_lower_bound_sampling_within_assumed_bound():
         p = hermitian_poly(rng, n)
         L, norm = tp.fast_len(2 * n + 1), float(np.linalg.norm(p))
         want = eval_grid_longdouble(p, 8 * L)
-        for r, vals in enumerate(tp.phases(p, 8, real=True)):
+        for r, vals in enumerate(tp.phases(p, 8)):
             bound = tp.fft_error_bound(L, norm) + np.sqrt(L) * r * tp.TWIDDLE_EPS * norm
             err = vals - want[r::8]
             assert float(np.sqrt(np.sum(np.abs(err) ** 2))) <= bound, (n, r)
@@ -356,9 +381,11 @@ def test_min_lower_bound_property(n, seed, shift):
 
 
 def test_bad_coeff_length():
-    # an even-length row has no centre coefficient: to_grid, and so every
-    # FFT of the package, refuses it
-    with pytest.raises(ValueError, match="odd length"):
-        tp.to_grid(np.ones(6), 16)
-    with pytest.raises(ValueError, match="odd length"):
-        next(tp.phases(np.ones(6), 4))
+    # an even-length row has no centre coefficient: the sampler refuses one
+    # row or a stack of rows before its first phase, and so does the
+    # oracles' complex layout
+    for rows in (np.ones(6), np.ones((2, 6))):
+        with pytest.raises(ValueError, match="odd length"):
+            next(tp.phases(rows, 2))
+        with pytest.raises(ValueError, match="odd length"):
+            to_grid(rows, 16)

@@ -5,8 +5,8 @@ polynomial eta(theta) = sum_j a_j D(theta - tau_j) + b_j D'(theta - tau_j)
 (D the centered Dirichlet kernel of cutoff n) satisfying eta(tau_j) = sign_j
 and eta'(tau_j) = 0, then verify |eta| < 1 away from the atoms on a dense
 grid with a Lipschitz safety margin (`verify_bounded`, whose dict is the
-certify report). The grid values come from eta's 2n+1 coefficients, split
-into the Hermitian rows of Re eta and Im eta (trigpoly.re_im), by
+certify report). The grid values come from the halves k = 0..n of the
+Hermitian coefficient rows of Re eta and Im eta (`eta_coeffs`), by
 trigpoly.phases, two inverse real FFTs of length fast_len(2n+1) per phase:
 O(n log n) time per phase and O(n) memory for any grid_mult. The checks
 at the atoms read eta and eta' there from the residual of the solved
@@ -189,32 +189,37 @@ def solve_certificate(m: AtomicMeasure) -> Certificate:
 
 
 def eta_coeffs(c: Certificate) -> np.ndarray:
-    """Coefficient array of eta on -n..n, the 2n+1 values
-    c_k = (1/(2n+1)) sum_j (a_j + 2 i pi k b_j) e^{-2 i pi k tau_j}.
+    """The halves k = 0..n of the Hermitian coefficient rows of Re eta and
+    Im eta, stacked (2, n+1). D and D' are real, so
+    Re eta = sum_j Re a_j D(. - tau_j) + Re b_j D'(. - tau_j), with
+    coefficients (1/(2n+1)) sum_j (Re a_j + 2 i pi k Re b_j)
+    e^{-2 i pi k tau_j}, and Im eta likewise with Im a and Im b.
 
-    Writing k = (qB - n) + r with B = ceil(sqrt(2n+1)) and 0 <= r < B splits
-    each exponential into e^{-2 i pi (qB - n) tau} e^{-2 i pi r tau}, so both
+    Writing k = qB + r with B = isqrt(n) + 1 and 0 <= r < B splits each
+    exponential into e^{-2 i pi qB tau} e^{-2 i pi r tau}, so the four
     sums over j are one product of a (coarse x |S|) and an (|S| x fine)
-    table, O(sqrt(n) |S|) exponentials in place of (2n+1) |S|.
+    table, O(sqrt(n) |S|) exponentials in place of (n+1) |S|.
     """
     n = c.n
-    d = 2 * n + 1
     tau = c.measure.atoms
-    B = math.isqrt(d - 1) + 1
-    coarse = np.exp(-2j * np.pi * np.outer(np.arange(-(-d // B)) * B - n, tau))
+    B = math.isqrt(n) + 1
+    # qB tau is reduced mod 1 before the 2 pi: a rounding of the large
+    # argument would shift the B coefficients of its block alike
+    coarse = np.exp(-2j * np.pi * (np.outer(np.arange(-(-(n + 1) // B)) * B, tau) % 1.0))
     fine = np.exp(-2j * np.pi * np.outer(np.arange(B), tau))
-    sa, sb = (np.vstack([coarse * c.a, coarse * c.b]) @ fine.T).reshape(2, -1)[:, :d]
-    k = np.arange(-n, n + 1)
-    return (sa + 2j * np.pi * k * sb) / d
+    sums = np.vstack([coarse * w for w in (c.a.real, c.a.imag, c.b.real, c.b.imag)]) @ fine.T
+    sa, sb = sums.reshape(2, 2, -1)[..., : n + 1]
+    return (sa + 2j * np.pi * np.arange(n + 1) * sb) / (2 * n + 1)
 
 
 # peak resident bytes per point of one phase of the scan, L = fast_len(2n+1):
-# eta's coefficients, their reflection and the two rows of Re eta and Im eta
-# (about 96 while all live), then per phase the twiddled half rows and their
-# step and the phase's two sample rows, squared in place and summed into the
-# first (about 40; the coefficients and full rows are freed before the first
-# phase); 143, 103 and 104 measured with getrusage in fresh processes (peak
-# minus the RSS before the scan) at n = 2^12, 2^16 and 2^20, three atoms
+# eta_coeffs' table product and its k-weighted copy (about 56, of which its
+# (2, n+1) halves keep 16), then per phase the twiddled halves (16) and
+# their step (8), the phase's two sample rows (16), squared in place and
+# summed into the first, and the FFT's own buffers. Measured with getrusage
+# in fresh processes (peak minus the RSS before the scan), three atoms:
+# 138-151, 109-110, 85 and 84 at n = 2^12, 2^16, 2^20 and 2^21; certify at
+# n = 2^21 ran in 5.6-5.7 s with 368 MB max RSS, one thread
 _SCAN_BYTES_PER_L = 210
 
 
@@ -243,7 +248,7 @@ def verify_bounded(c: Certificate, grid_mult: int = 10) -> dict:
 
     Samples |eta| on G = grid_mult L points, L = fast_len(2n+1) (the
     5-smooth length rule of `trigpoly.fast_len`), by the grid_mult phases of
-    `trigpoly.phases` on the rows of Re eta and Im eta (`trigpoly.re_im`),
+    `trigpoly.phases` on the halves of Re eta and Im eta (`eta_coeffs`),
     two inverse real FFTs of length L each, keeping per phase only the
     largest |eta|^2 = re^2 + im^2 off the atoms and its point; the square
     root is taken of the maximum only. It excludes a radius-1/n
@@ -270,12 +275,14 @@ def verify_bounded(c: Certificate, grid_mult: int = 10) -> dict:
     m, n = c.measure, c.n
     L = tp.fast_len(2 * n + 1)
     check_budget(_SCAN_BYTES_PER_L * L, f"boundedness scan at n={n}")
-    coeffs = eta_coeffs(c)
-    slack = np.pi * n * float(np.max(np.abs(coeffs))) / grid_mult
-    # the sampler holds the only reference to the rows of Re eta and Im eta,
-    # and drops it once it has twiddled them
-    samples = tp.phases(tp.re_im(coeffs), grid_mult)
-    del coeffs
+    re, im = halves = eta_coeffs(c)
+    # eta's coefficients are re_k + i im_k at k >= 0 and conj(re_k - i im_k) at -k
+    top = max(float(np.max(np.abs(re + i * im))) for i in (1j, -1j))
+    slack = np.pi * n * top / grid_mult
+    # the sampler holds the only reference to the halves, and drops it once
+    # it has twiddled them
+    samples = tp.phases(halves, grid_mult)
+    del re, im, halves
     sup_sq, best = -np.inf, 0
     for r, rows in enumerate(samples):
         rows *= rows

@@ -10,10 +10,12 @@ columns taken once per task, and every iterate Hermitian-symmetric, every
 sequence of a step is Hermitian and every spectrum real, so a step is
 2|S| + 2 real FFTs, half the cost of a complex one, in work arrays reused
 across steps, O(|S| n log n) (Toeplitz products and diagonal sums by FFT
-as in R. M. Gray, Toeplitz and Circulant Matrices: A Review, 2006). The
-right-hand side p_err takes eta's spectrum as the real spectra of the rows
-of Re eta and Im eta, so every transform here is a real FFT, numpy's, at
-the one length trigpoly.fast_len(4n+1) (`_factor_len`).
+as in R. M. Gray, Toeplitz and Circulant Matrices: A Review, 2006). V and
+eta travel as the halves k = 0..n of their Hermitian rows, and the
+right-hand side p_err takes eta's spectrum as the real spectra of the
+halves of Re eta and Im eta (certificate.eta_coeffs), so every transform
+here is a real FFT, numpy's, at the one length trigpoly.fast_len(4n+1)
+(`_factor_len`), with trigpoly.to_spectrum's sign convention.
 The identity is checked in coefficient form. Q is proved PSD from the
 symbol of Toep(zeta), a trigonometric polynomial sampled by eight real
 FFTs at that same length (trigpoly.min_lower_bound), in O(n log n); only
@@ -49,14 +51,15 @@ def _factor_len(n: int) -> int:
 
 @dataclass(frozen=True, eq=False)
 class _Factor:
-    """P = I - V V* on -n..n through its d x |S| factor V, with the numpy
-    FFT spectra of V's columns (one real row per atom) at
-    _factor_len(n) >= 4n+1.
+    """P = I - V V* on -n..n through its d x |S| factor V, kept by its
+    (n+1) x |S| half k = 0..n, with the spectra of V's columns (one real
+    row per atom, trigpoly.to_spectrum) at _factor_len(n) >= 4n+1.
 
     V's columns are Hermitian, v(-k) = conj v(k): so are U's, the
     exponentials psi(tau_j), and G = U*U and its Cholesky factor are real.
-    Their spectra are therefore real, and one inverse real FFT of the
-    halves k = 0..n gives them, half the cost of a complex FFT.
+    The half therefore holds all of V, and the spectra are real: one
+    inverse real FFT of the half gives them, half the cost of a complex
+    FFT. Only the dense route (_dense_gram) unfolds V to its d rows.
 
     The irfft of a half row at this length places coefficient k at index
     k mod length, as a circular convolution reads it. Every
@@ -73,16 +76,17 @@ class _Factor:
 
 def _projector_factor(m: AtomicMeasure) -> _Factor:
     """V = U L^{-*} for the atom columns U = [psi(tau_j)] and the Cholesky
-    factor G = U*U = L L*, so that V V* = U G^{-1} U*."""
-    k = np.arange(-m.n, m.n + 1)
-    V = np.exp(2j * np.pi * np.outer(k, m.atoms))
-    G = (V.conj().T @ V).real
+    factor G = U*U = L L*, so that V V* = U G^{-1} U*: both kept by their
+    halves k = 0..n, G the sum of Hermitian terms over -n..n, twice the
+    real part over k >= 0 less k = 0."""
+    # k tau reduced mod 1 before the 2 pi, as eta_coeffs reduces its phases:
+    # p_err's double zeros at the atoms rest on the two agreeing
+    U = np.exp(2j * np.pi * (np.outer(np.arange(m.n + 1), m.atoms) % 1.0))
+    G = 2 * (U.conj().T @ U).real - np.outer(U[0].real, U[0].real)
     if np.linalg.cond(G) > 1e12:
         raise SingularGram("atom Gram matrix U*U is numerically singular")
-    V = solve_triangular(np.linalg.cholesky(G), V.T, lower=True).T
-    # sum_k v(k) e^{-2 pi i k l/L} = sum_k conj(v(k)) e^{2 pi i k l/L}, v Hermitian
-    half = np.conj(V[m.n :].T, order="C")
-    return _Factor(V, np.fft.irfft(half, _factor_len(m.n), norm="forward"))
+    V = solve_triangular(np.linalg.cholesky(G), U.T, lower=True).T
+    return _Factor(V, tp.to_spectrum(V.T, _factor_len(m.n)))
 
 
 def _step_work(f: _Factor) -> tuple[np.ndarray, np.ndarray]:
@@ -104,9 +108,10 @@ def _t_ptp(f: _Factor, z: np.ndarray, work: tuple) -> np.ndarray:
     [corr(v_j, Toep(z) v_j - (V C)_j) + corr(Toep(z) v_j, v_j)] with
     C = V* Toep(z) V, real symmetric, and w the diagonal lengths. Every
     sequence here is Hermitian, so every spectrum is real, and a Hermitian
-    sequence is kept by its half k >= 0: with the numpy sign, the rfft of
-    a real spectrum is L times the conjugate of that half, and the irfft of
-    such a half is the spectrum again. One rfft per atom gives the rows
+    sequence is kept by its half k >= 0: z's spectrum is
+    trigpoly.to_spectrum of its half, the rfft of a real spectrum is L
+    times the conjugate of the half (trigpoly.from_spectrum), and the
+    irfft of that is the spectrum again. One rfft per atom gives the rows
     Toep(z) v_j, from which C comes and (V C)_j/2 is taken off; one irfft
     per atom gives their spectra F_j - (C s)_j/2, with s_j V's cached
     spectra; and the result's spectrum is sum_j s_j (2 F_j - (C s)_j),
@@ -114,19 +119,18 @@ def _t_ptp(f: _Factor, z: np.ndarray, work: tuple) -> np.ndarray:
     is the general step, for any complex z, in 4|S| + 2 complex FFTs.
     """
     rows, half = work
-    spectra = f.spectra
-    n = (f.V.shape[0] - 1) // 2
+    V, spectra = f.V, f.spectra
+    n = V.shape[0] - 1
     length = spectra.shape[1]
     z = (z + np.conj(z[::-1])) / 2
-    np.multiply(spectra, np.fft.irfft(z[2 * n :].conj(), length, norm="forward"), out=rows)
+    np.multiply(spectra, tp.to_spectrum(z[2 * n :], length), out=rows)
     # half's rows: L conj(Toep(z) v_j) at k = 0..L/2
     np.fft.rfft(rows, out=half)
     # L C, a sum over k = -n..n of Hermitian terms: twice the real part over
     # k >= 0 less k = 0
-    Vh = f.V[n:]
-    LC = 2 * (half[:, : n + 1] @ Vh).real - np.outer(half[:, 0].real, Vh[0].real)
+    LC = 2 * (half[:, : n + 1] @ V).real - np.outer(half[:, 0].real, V[0].real)
     # take L conj((V C)_j)/2 off, so that the irfft gives F_j - (C s)_j/2
-    corr = Vh @ (LC / 2)
+    corr = V @ (LC / 2)
     half[:, : n + 1] -= np.conjugate(corr, out=corr).T
     half[:, n + 1 :] = 0
     np.fft.irfft(half, length, out=rows)
@@ -140,15 +144,13 @@ def p_err(c: Certificate, f: _Factor) -> np.ndarray:
     With T(P) = dim delta_0 - sum_j corr(v_j, v_j) the constants cancel and
     p_err = conj(sum_j corr(v_j, v_j)) / dim - corr(eta, eta), whose
     spectrum on f's grid is real; conjugating a correlation reverses its
-    spectrum. eta's spectrum is re + i im, the real spectra of the rows of
-    Re eta and Im eta, so |F(eta)|^2 = re^2 + im^2 costs two inverse real
-    FFTs of their halves, formed from eta_k and conj(eta_-k), k >= 0.
+    spectrum. eta's spectrum is re + i im, the real spectra
+    (trigpoly.to_spectrum) of the halves of Re eta and Im eta that
+    eta_coeffs returns, so |F(eta)|^2 = re^2 + im^2 costs two inverse real
+    FFTs.
     """
     n = c.n
-    eta = eta_coeffs(c)
-    a, b = eta[n:], np.conj(eta[n::-1])
-    # the conjugated halves of the rows of Re eta and Im eta, (a + b)/2 and (a - b)/2i
-    re, im = np.fft.irfft(np.conj([a + b, (a - b) * -1j]) / 2, f.spectra.shape[1], norm="forward")
+    re, im = tp.to_spectrum(eta_coeffs(c), f.spectra.shape[1])
     vv = np.sum(f.spectra**2, axis=0)
     return tp.from_spectrum(np.roll(vv[::-1], 1) / (2 * n + 1) - re * re - im * im, 2 * n)
 
@@ -171,16 +173,12 @@ _CG_MAXITER = 200
 # n = 512..2048, |S| = 2..60
 _GRAM_BYTES_PER_ENTRY = 40
 # peak resident bytes per entry of |S| + _SYMBOL_ROWS rows of length L, the
-# factor's FFT length >= 4n+1, on the symbol route: per atom V, the spectra
-# and _t_ptp's work arrays, and rows of CG vectors and the symbol floor's
-# phases for any |S|. Measured with getrusage in fresh processes (peak minus
-# the RSS before the assembly) at n = 2^12..2^18, |S| = 1..60: 204..4650
-# bytes per L, 41..70.5 per entry; per atom about 71 bytes per L, and
-# about 400 bytes per L for the rest at n = 2^12, the most. That was the
-# complex step (65 B/L per atom at n = 2^16). The real step holds per atom
-# V (8), its real spectra (8) and one real and one half-complex work row
-# (8 each); at |S| = 4 and 16 it measures 41 B/L per atom and 242 fixed at
-# n = 2^14 (complex step: 68 and 308), 37 and 206 at 2^16 (65 and 262)
+# factor's FFT length >= 4n+1, on the symbol route: per atom V's half (4),
+# its real spectra (8) and the step's real and half-complex work rows (8
+# each), and for any |S| rows of CG vectors and the symbol floor's phases.
+# Measured with getrusage in fresh processes (peak minus the RSS before the
+# assembly), one thread, at |S| = 4 and 16: 35 B/L per atom and 241 fixed
+# at n = 2^14, 33 and 210 at n = 2^16
 _SYMBOL_BYTES_PER_ENTRY = 72
 _SYMBOL_ROWS = 6
 
@@ -204,7 +202,7 @@ def x_corr(f: _Factor, perr: np.ndarray) -> tuple[np.ndarray, int]:
     is returned Hermitian-symmetrized, exactly in floating point, so
     Toep(zeta) is Hermitian. Raises IllConditioned if CG does not converge.
     """
-    n = (f.V.shape[0] - 1) // 2
+    n = f.V.shape[0] - 1
     if perr.shape != (4 * n + 1,):
         raise ValueError("perr must have order 2n")
     rw = 1.0 / np.sqrt(_weights(n))
@@ -242,7 +240,7 @@ def _dense_gram(f: _Factor, zeta: np.ndarray) -> np.ndarray:
     P T P = T - (V M* + M V*) with M = T V - V C/2 and C = V* T V, since T
     and C are Hermitian; V/(2 dim) in M adds the -V V*/dim of P/dim.
     """
-    V = f.V
+    V = np.concatenate([f.V[:0:-1].conj(), f.V])
     d = V.shape[0]
     n = (d - 1) // 2
     Q = toeplitz(zeta[2 * n :], zeta[2 * n :: -1])

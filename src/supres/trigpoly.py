@@ -1,15 +1,15 @@
 """Trigonometric polynomials and the centered Dirichlet kernel.
 
 A polynomial of order n is its dense coefficient array c_k, k = -n..n, so
-that p(theta) = sum_k c_k exp(2i pi k theta): every function here takes
-that array and reads n as (len(c) - 1)/2. Every FFT of the package is a
+that p(theta) = sum_k c_k exp(2i pi k theta). Every FFT of the package is a
 real one, numpy's rfft or irfft. A real-valued p has a Hermitian row,
-c_-k = conj(c_k), kept by its half c_0..c_n: with numpy's sign, the irfft
-of the half samples p, the irfft of its conjugate is the row's real
-spectrum, and `from_spectrum` turns a real spectrum back into the row. A
-complex p is the two Hermitian rows of Re p and Im p (`re_im`).
-`phases` is the package's one sampler of such rows on a uniform grid:
-G = m L points, L = fast_len(2n+1) from `fast_len`, the length rule of
+c_-k = conj(c_k), and travels as its half c_0..c_n, one longer than its
+order; a complex p is the two halves of the rows of Re p and Im p. With
+numpy's sign the irfft of a half samples p and the irfft of its
+conjugate is the row's real spectrum (`to_spectrum`); `from_spectrum`
+turns a real spectrum back into the full row.
+`phases` is the package's one sampler of such halves on a uniform grid:
+G = m L points, L = fast_len(2h+1) from `fast_len`, the length rule of
 every FFT in the package (all numpy's), as m inverse real FFTs of length
 L per row, one phase at a time, so its callers keep O(L) memory however
 fine the grid.
@@ -97,31 +97,34 @@ def fft_error_bound(L: int, norm2: float) -> float:
 TWIDDLE_EPS = np.pi * gamma(3) + np.sqrt(2) * (U + gamma(2))
 
 
-def re_im(c: np.ndarray) -> np.ndarray:
-    """The Hermitian rows of Re p and Im p, stacked, for the coefficients c
-    on -h..h of a complex p: (c_k + conj(c_-k))/2 and (c_k - conj(c_-k))/2i."""
-    flip = np.conj(c[::-1])
-    return np.stack([c + flip, (c - flip) * -1j]) / 2
+def to_spectrum(halves: np.ndarray, L: int) -> np.ndarray:
+    """The real spectra at length L > 2h, sum_s c_s e^{-2 pi i s l/L} with
+    numpy's sign, of the Hermitian rows with halves c_0..c_h (one row, or a
+    stack on the last axis). A real spectrum is its own conjugate,
+    sum_s conj(c_s) e^{2 pi i s l/L}: the irfft of the conjugated halves.
+    The inverse of `from_spectrum`."""
+    # "forward" puts the 1/L on the forward transform, so the inverse is the
+    # plain sum; C order keeps the spectra of a transposed stack row-major
+    return np.fft.irfft(np.conj(halves, order="C"), L, norm="forward")
 
 
 def from_spectrum(spec: np.ndarray, h: int) -> np.ndarray:
     """The Hermitian coefficients on -h..h of the row whose spectrum at
-    length L = len(spec) > 2h, sum_s c_s e^{-2 pi i s l/L} with numpy's
-    sign, is the real array spec: its rfft holds L conj(c_s) at s >= 0,
-    and c_-s = conj(c_s)."""
+    length L = len(spec) > 2h (`to_spectrum`) is the real array spec: its
+    rfft holds L conj(c_s) at s >= 0, and c_-s = conj(c_s)."""
     half = np.fft.rfft(spec)
     return np.concatenate([half[h:0:-1], half[: h + 1].conj()]) / len(spec)
 
 
-def phases(rows: np.ndarray, m: int):
-    """The values of the real polynomials with Hermitian coefficient rows on
-    -h..h (one row, or a stack of rows on the last axis) at the G = m L
-    points g/G, L = fast_len(2h+1), one phase at a time: for r = 0..m-1,
-    yields the real values p((j m + r)/G), j = 0..L-1, of each row. Callers
-    keep running reductions only, so a sampling takes O(L) memory per row
-    however large m is, and O(m L log L) time. Raises ValueError, before
-    the first phase, unless the rows have odd length 2h+1; that the rows
-    are Hermitian, c_-k == conj(c_k), is the caller's to ensure.
+def phases(halves: np.ndarray, m: int):
+    """The values of the real polynomials with Hermitian coefficient rows of
+    halves c_0..c_h (one row, or a stack of rows on the last axis; h is
+    the length less one) at the G = m L points g/G, L = fast_len(2h+1), one
+    phase at a time: for r = 0..m-1, yields the real values
+    p((j m + r)/G), j = 0..L-1, of each row. Callers keep running
+    reductions only, so a sampling takes O(L) memory per row however large
+    m is, and O(m L log L) time. Raises ValueError, before the first phase,
+    on empty halves; that each Im c_0 is 0 is the caller's to ensure.
 
     Phase r is one inverse real FFT of length L per row, since
     p(j/L + r/G) = sum_k c_k e^{2 pi i k r/G} e^{2 pi i k j/L} and the
@@ -129,18 +132,18 @@ def phases(rows: np.ndarray, m: int):
     reads. The twiddled halves advance by one complex multiply per phase,
     by step_k = exp(2 pi i k/G) computed once (their drift: TWIDDLE_EPS).
     """
-    if rows.shape[-1] % 2 != 1:
-        raise ValueError(f"coefficient rows need odd length 2h+1, got {rows.shape[-1]}")
-    h = (rows.shape[-1] - 1) // 2
+    h = halves.shape[-1] - 1
+    if h < 0:
+        raise ValueError("coefficient halves must not be empty")
     L = fast_len(2 * h + 1)
-    # irfft reads L/2 + 1 entries: a half row padded here once is not padded
+    # irfft reads L/2 + 1 entries: a half padded here once is not padded
     # again on every phase, which costs the transform up to a quarter more
-    t = np.zeros(rows.shape[:-1] + (L // 2 + 1,), dtype=np.complex128)
-    t[..., : h + 1] = rows[..., h:]
+    t = np.zeros(halves.shape[:-1] + (L // 2 + 1,), dtype=np.complex128)
+    t[..., : h + 1] = halves
     step = np.exp(2j * np.pi * np.arange(L // 2 + 1) / (m * L))
     # the loop needs only t and step: a caller that drops its own reference
-    # to the rows frees them here
-    del rows
+    # to the halves frees them here
+    del halves
     for _ in range(m):
         # "forward" puts the 1/L on the forward transform, so the inverse is the plain sum
         yield np.fft.irfft(t, L, norm="forward")
@@ -181,7 +184,7 @@ def min_lower_bound(c: np.ndarray) -> float:
     n = (len(c) - 1) // 2
     L, m = fast_len(2 * n + 1), 8
     lowest, top = np.inf, 0.0
-    for vals in phases(c, m):
+    for vals in phases(c[n:], m):
         lo, hi = float(vals.min()), float(vals.max())
         lowest, top = min(lowest, lo), max(top, hi, -lo)
     # norm squares the coefficients, which under- or overflow outside

@@ -15,14 +15,16 @@ qk_operator case by case and at finite n, the dense section I - Q + P with
 its projector built from the closed form of w, the printed complex kernel
 E of those entries, and the measured deviations of the interpolation system
 from the identity (neumann_bounds). A polynomial is its coefficient array
-on -n..n, as in the package. The complex FFTs here read the full layout of
-to_grid and from_grid, coefficient k at index k mod length, where the
-package keeps only real FFTs of Hermitian half rows. No code of the
-package calls them; tests import them from here. Of the package they use
-only the printed inputs of constants, the Dirichlet kernel, the
-interpolation system and its closed-form bounds, the dense Q (itself checked against the
-entry and finite-n routes here) and two private helpers of gram: the
-projector factor V and the diagonal weights.
+on -n..n, as in the package; a Hermitian row the package passes by its
+half k = 0..n is unfolded to that array by `unfold`. The complex FFTs
+here read the full layout of to_grid and from_grid, coefficient k at
+index k mod length, where the package keeps only real FFTs of Hermitian
+half rows. No code of the package calls them; tests import them from
+here. Of the package they use only the printed inputs of constants, the
+Dirichlet kernel, the interpolation system and its closed-form bounds,
+the dense Q (itself checked against the entry and finite-n routes here)
+and two private helpers of gram: the projector factor V, unfolded from
+its half, and the diagonal weights.
 
 One oracle stays in the package because the benchmark under perfbench/
 imports it from there: spectrum.dense_extremes, the dense SVD its worker
@@ -51,6 +53,12 @@ def freqs(c: np.ndarray) -> np.ndarray:
     """The frequencies -n..n of a coefficient array of length 2n+1."""
     n = (len(c) - 1) // 2
     return np.arange(-n, n + 1)
+
+
+def unfold(half: np.ndarray) -> np.ndarray:
+    """The Hermitian rows on -h..h with halves c_0..c_h (one row, or a stack
+    on the last axis): c_-k = conj(c_k)."""
+    return np.concatenate([np.conj(half[..., :0:-1]), half], axis=-1)
 
 
 def to_grid(x: np.ndarray, length: int) -> np.ndarray:
@@ -249,7 +257,7 @@ def projector_PUperp(m: AtomicMeasure) -> np.ndarray:
     The dense I - V V* of the factor the Gram task uses; op_A,
     op_Atilde_star and lambda_min_AAtilde form it.
     """
-    V = _projector_factor(m).V
+    V = unfold(_projector_factor(m).V.T).T
     P = np.eye(V.shape[0]) - V @ V.conj().T
     return (P + P.conj().T) / 2
 
@@ -290,7 +298,7 @@ def t_ptp(f, z: np.ndarray) -> np.ndarray:
     on complex z, and TestXCorr runs x_corr on it in place of the package
     step.
     """
-    V, spectra = f.V, f.spectra
+    V, spectra = unfold(f.V.T).T, f.spectra
     n = (V.shape[0] - 1) // 2
     size, length = spectra.shape
     zf = np.fft.fft(to_grid(z, length))

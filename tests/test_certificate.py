@@ -9,7 +9,14 @@ from supres import budget
 from supres import certificate as cert
 from supres import trigpoly as tp
 
-from oracles import eval_direct, eval_eta, eval_grid, freqs, neumann_bounds
+from oracles import eval_direct, eval_eta, eval_grid, freqs, neumann_bounds, unfold
+
+
+def eta_row(c):
+    """eta's coefficients on -n..n: Re eta + i Im eta, unfolded from the
+    halves of eta_coeffs."""
+    re, im = cert.eta_coeffs(c)
+    return unfold(re) + 1j * unfold(im)
 
 
 def random_measure(rng, n, size, min_sep):
@@ -156,7 +163,7 @@ class TestEtaCoeffs:
         for n, size, min_sep in [(64, 3, 0.15), (256, 20, 0.048)]:
             m = random_measure(rng, n, size, min_sep=min_sep)
             c = cert.solve_certificate(m)
-            p = cert.eta_coeffs(c)
+            p = eta_row(c)
             theta = rng.uniform(0, 1, 40)
             eta, deta = eval_eta(c, theta)
             np.testing.assert_allclose(eval_direct(p, theta), eta, atol=1e-11)
@@ -170,9 +177,10 @@ class TestEtaCoeffs:
 
     @pytest.mark.parametrize("n, size", [(1, 1), (2, 2), (7, 3), (1448, 20), (16384, 32)])
     def test_blocked_tables_match_direct_sum(self, n, size):
-        # the coarse x fine split against the (2n+1) x |S| exponential table;
-        # either side's exponentials carry an error of a few eps times their
-        # argument, up to 2 pi (n + sqrt(2n+1)), on terms of size |a| + 2 pi n |b|
+        # the coarse x fine split of the halves of Re eta and Im eta,
+        # unfolded, against the (2n+1) x |S| exponential table; either side's
+        # exponentials carry an error of a few eps times their argument, up
+        # to 2 pi (n + sqrt(2n+1)), on terms of size |a| + 2 pi n |b|
         rng = np.random.default_rng(n)
         atoms = np.sort(rng.uniform(0, 1, size))
         m = cert.AtomicMeasure(n, atoms, np.ones(size, complex))
@@ -181,7 +189,7 @@ class TestEtaCoeffs:
         k = np.arange(-n, n + 1)
         phases = np.exp(-2j * np.pi * np.outer(k, atoms))
         want = (phases @ a + 2j * np.pi * k * (phases @ b)) / (2 * n + 1)
-        got = cert.eta_coeffs(cert.Certificate(m, a, b))
+        got = eta_row(cert.Certificate(m, a, b))
         scale = np.sum(np.abs(a) + 2 * np.pi * n * np.abs(b)) / (2 * n + 1)
         eps = np.finfo(float).eps
         bound = 8 * eps * 2 * np.pi * (n + np.sqrt(2 * n + 1)) * scale
@@ -191,7 +199,7 @@ class TestEtaCoeffs:
         n = 20
         m = cert.AtomicMeasure(n, np.array([0.25]), np.array([1.0 + 0j]))
         c = cert.solve_certificate(m)
-        p = cert.eta_coeffs(c)
+        p = eta_row(c)
         k = np.arange(-n, n + 1)
         expected = np.exp(-2j * np.pi * k * 0.25) / (2 * n + 1)
         np.testing.assert_allclose(p, expected, atol=1e-14)
@@ -313,7 +321,7 @@ def dense_verify_bounded(c, grid_mult=10):
     theta = np.arange(G) / G
     vals = np.abs(eval_eta(c, theta)[0])
     off = dense_off_mask(c.measure.atoms, n, G)
-    slack = np.pi * n * np.max(np.abs(cert.eta_coeffs(c))) / grid_mult
+    slack = np.pi * n * np.max(np.abs(eta_row(c))) / grid_mult
     idx = np.argmax(np.where(off, vals, -np.inf))
     return {"sup_off_atom": vals[idx], "argmax": theta[idx],
             "certified": bool(vals[idx] + slack < 1.0)}
@@ -329,7 +337,7 @@ class TestGridScan:
         # which TestEvalGrid::test_phases_match_one_fft holds the phases to
         rng = np.random.default_rng(n + size)
         c = cert.solve_certificate(random_measure(rng, n, size, min_sep))
-        p = cert.eta_coeffs(c)
+        p = eta_row(c)
         G = grid_mult * tp.fast_len(2 * n + 1)
         grid = eval_grid(p, G)
         idx = np.arange(G) if G < 2000 else rng.choice(G, 400, replace=False)

@@ -8,7 +8,7 @@ import supres.budget as budget
 import supres.gram as gram
 import supres.trigpoly as tp
 from supres.certificate import (AtomicMeasure, Certificate, SeparationTooSmall, build_system,
-                               eta_coeffs, solve_certificate, system_norm_bounds)
+                               solve_certificate, system_norm_bounds)
 from supres.gram import (
     IllConditioned,
     SingularGram,
@@ -38,8 +38,9 @@ from oracles import (
     quad_form_poly,
     t_ptp,
     to_grid,
+    unfold,
 )
-from test_certificate import random_measure
+from test_certificate import eta_row, random_measure
 from test_trigpoly import hermitian_poly, random_poly
 
 # twelve atoms at n = 128 near the separation limit, alternating signs: here
@@ -286,7 +287,7 @@ class TestFFTOperator:
             np.testing.assert_allclose(got, want, rtol=0,
                                        atol=1e-13 * float(np.max(np.abs(want))))
         c = Certificate(m, rng.normal(size=size), rng.normal(size=size) / n)
-        e = eta_coeffs(c)
+        e = eta_row(c)
         want = -np.convolve(e, np.conj(e)[::-1]) - np.conj(op_T(P)) / (2 * n + 1)
         want[2 * n] += 1.0
         np.testing.assert_allclose(p_err(c, f), want, rtol=0, atol=1e-12 * n)
@@ -320,23 +321,23 @@ class TestFFTOperator:
     ], ids=["separated", "clustered", "fallback"])
     def test_factor_is_hermitian_and_spectra_real(self, m):
         # the columns of U are Hermitian and G = U*U real, so L and V = U L^{-*}
-        # are too, and V's spectra are real: the step's real arithmetic rests
-        # on this
+        # are too: V is kept by its half k = 0..n, whose k = 0 row is real,
+        # and its spectra are real: the step's real arithmetic rests on this
         k = np.arange(-m.n, m.n + 1)
         U = np.exp(2j * np.pi * np.outer(k, m.atoms))
         G = U.conj().T @ U
         assert np.max(np.abs(G.imag)) <= 1e-15 * np.max(np.abs(G))
         f = _projector_factor(m)
-        np.testing.assert_allclose(f.V[::-1], f.V.conj(), rtol=0, atol=1e-15)
+        assert f.V.shape == (m.n + 1, m.size) and np.all(f.V[0].imag == 0)
         assert f.spectra.dtype == np.float64
-        full = np.fft.fft(to_grid(f.V.T, gram._factor_len(m.n)))
+        full = np.fft.fft(to_grid(unfold(f.V.T), gram._factor_len(m.n)))
         scale = np.max(np.abs(full))
         assert np.max(np.abs(full.imag)) <= 1e-14 * scale
         np.testing.assert_allclose(f.spectra, full.real, rtol=0, atol=1e-14 * scale)
 
     def test_factor_spans_projector_complement(self):
         m = well_separated(np.random.default_rng(7), 40, 4)
-        V = _projector_factor(m).V
+        V = unfold(_projector_factor(m).V.T).T
         np.testing.assert_allclose(V.conj().T @ V, np.eye(4), atol=1e-12)
         k = np.arange(-m.n, m.n + 1)
         U = np.exp(2j * np.pi * np.outer(k, m.atoms))

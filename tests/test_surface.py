@@ -20,7 +20,9 @@ The floating-point model, the unit roundoff trigpoly.U and trigpoly.gamma,
 has one home: no other module spells a power of two at or below 2^-50.
 
 Every FFT of the package is a real one (rfft, irfft) of real rows or
-Hermitian half rows: no module calls a complex transform.
+Hermitian half rows: no module calls a complex transform. The sign and
+scaling convention of those transforms has one home too: only trigpoly
+passes an FFT a norm= keyword (trigpoly.to_spectrum and the sampler).
 """
 
 import ast
@@ -113,15 +115,33 @@ def test_unit_roundoff_is_spelled_once_in_trigpoly():
 COMPLEX_FFTS = {"fft", "ifft", "fft2", "ifft2", "fftn", "ifftn"}
 
 
-def _complex_fft_call(node) -> bool:
-    """node calls a complex FFT, as an attribute (np.fft.fft) or a bare name."""
+def _called_name(node):
+    """The name node calls, as an attribute (np.fft.fft) or a bare name; None
+    for a node that is no call."""
     if not isinstance(node, ast.Call):
-        return False
+        return None
     f = node.func
-    return (f.attr if isinstance(f, ast.Attribute) else getattr(f, "id", None)) in COMPLEX_FFTS
+    return f.attr if isinstance(f, ast.Attribute) else getattr(f, "id", None)
+
+
+def _complex_fft_call(node) -> bool:
+    """node calls a complex FFT."""
+    return _called_name(node) in COMPLEX_FFTS
 
 
 def test_every_fft_in_the_package_is_real():
     found = [path.stem for path in sorted(SRC.glob("*.py"))
              for node in ast.walk(ast.parse(path.read_text())) if _complex_fft_call(node)]
     assert found == []
+
+
+def _normed_fft_call(node) -> bool:
+    """node calls an FFT of numpy.fft or scipy.fft with a norm= keyword."""
+    return (_called_name(node) in COMPLEX_FFTS | {"rfft", "irfft"}
+            and any(k.arg == "norm" for k in node.keywords))
+
+
+def test_fft_convention_is_spelled_once_in_trigpoly():
+    found = {path.stem for path in sorted(SRC.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text())) if _normed_fft_call(node)}
+    assert found == {"trigpoly"}

@@ -4,7 +4,8 @@ from hypothesis import given, settings, strategies as st
 
 from supres import trigpoly as tp
 
-from oracles import eval_direct, eval_grid, eval_grid_longdouble, freqs, from_grid, to_grid
+from oracles import (eval_direct, eval_grid, eval_grid_longdouble, freqs, from_grid, to_grid,
+                     unfold)
 
 
 def random_poly(rng, n):
@@ -69,41 +70,37 @@ class TestEvalGrid:
     def test_phases_match_one_fft(self, m):
         # phase r of trigpoly.phases holds the real samples g = j m + r of
         # the G = m fast_len(2n+1) point grid, by inverse real FFTs: of one
-        # Hermitian row, and of a two-row batch, the rows of Re p and Im p
-        # of a complex p, which give the real and imaginary parts of p
+        # Hermitian row's half, and of a two-row batch, the halves of the
+        # rows of Re q and Im q of a complex q, which give the real and
+        # imaginary parts of q
         rng = np.random.default_rng(m)
         for n in range(101):
             G = m * tp.fast_len(2 * n + 1)
             p = hermitian_poly(rng, n)
-            got = np.stack(list(tp.phases(p, m)), axis=-1).ravel()
+            got = np.stack(list(tp.phases(p[n:], m)), axis=-1).ravel()
             assert got.dtype == np.float64
             np.testing.assert_allclose(got, eval_grid(p, G).real, rtol=0,
                                        atol=1e-13 * float(np.sum(np.abs(p))))
-            q = random_poly(rng, n)
-            got = np.stack(list(tp.phases(tp.re_im(q), m)), axis=-1).reshape(2, G)
+            halves = np.stack([hermitian_poly(rng, n)[n:] for _ in range(2)])
+            q = unfold(halves[0]) + 1j * unfold(halves[1])
+            got = np.stack(list(tp.phases(halves, m)), axis=-1).reshape(2, G)
             assert got.dtype == np.float64
             want = eval_grid(q, G)
             np.testing.assert_allclose(got, [want.real, want.imag], rtol=0,
                                        atol=1e-13 * float(np.sum(np.abs(q))))
 
-    def test_re_im_rows(self):
-        # the rows of Re p and Im p are Hermitian, their Re c_0 and Im c_0
-        # exactly real, and they add back to p
-        q = random_poly(np.random.default_rng(2), 7)
-        re, im = tp.re_im(q)
-        for row in (re, im):
-            np.testing.assert_array_equal(row[::-1], np.conj(row))
-        assert re[7].imag == 0 and im[7].imag == 0
-        np.testing.assert_allclose(re + 1j * im, q, rtol=0, atol=1e-15)
-
     @pytest.mark.parametrize("h, length", [(0, 1), (0, 4), (3, 7), (3, 16), (5, 11)])
     def test_from_spectrum_inverts_the_real_spectrum(self, h, length):
         # a Hermitian row's spectrum, the full complex FFT of its layout, is
-        # real; from_spectrum reads the row back from it
+        # real; to_spectrum forms it from the row's half, and from_spectrum
+        # reads the row back from it
         c = hermitian_poly(np.random.default_rng(h + length), h)
         spec = np.fft.fft(to_grid(c, length))
         assert np.max(np.abs(spec.imag)) <= 1e-14
-        np.testing.assert_allclose(tp.from_spectrum(spec.real, h), c, rtol=0, atol=1e-15)
+        got = tp.to_spectrum(c[h:], length)
+        assert got.dtype == np.float64 and got.shape == (length,)
+        np.testing.assert_allclose(got, spec.real, rtol=0, atol=1e-14)
+        np.testing.assert_allclose(tp.from_spectrum(got, h), c, rtol=0, atol=1e-15)
 
     def test_fast_len_is_next_five_smooth(self):
         def smooth(x):
@@ -329,7 +326,7 @@ def test_min_lower_bound_sampling_within_assumed_bound():
         p = hermitian_poly(rng, n)
         L, norm = tp.fast_len(2 * n + 1), float(np.linalg.norm(p))
         want = eval_grid_longdouble(p, 8 * L)
-        for r, vals in enumerate(tp.phases(p, 8)):
+        for r, vals in enumerate(tp.phases(p[n:], 8)):
             bound = tp.fft_error_bound(L, norm) + np.sqrt(L) * r * tp.TWIDDLE_EPS * norm
             err = vals - want[r::8]
             assert float(np.sqrt(np.sum(np.abs(err) ** 2))) <= bound, (n, r)
@@ -381,11 +378,13 @@ def test_min_lower_bound_property(n, seed, shift):
 
 
 def test_bad_coeff_length():
-    # an even-length row has no centre coefficient: the sampler refuses one
-    # row or a stack of rows before its first phase, and so does the
-    # oracles' complex layout
+    # an empty half has no c_0, so no order: the sampler refuses one such
+    # row or a stack of them before its first phase, where fast_len(-1)
+    # would give it a grid of zeros; an even-length row has no centre
+    # coefficient, and the oracles' complex layout refuses it
+    for halves in (np.ones(0), np.ones((2, 0))):
+        with pytest.raises(ValueError, match="empty"):
+            next(tp.phases(halves, 2))
     for rows in (np.ones(6), np.ones((2, 6))):
-        with pytest.raises(ValueError, match="odd length"):
-            next(tp.phases(rows, 2))
         with pytest.raises(ValueError, match="odd length"):
             to_grid(rows, 16)

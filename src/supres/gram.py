@@ -6,16 +6,18 @@ Here P = I - V V* projects onto the orthogonal complement of the atom
 columns, and zeta, 4n+1 Toeplitz coefficients, is the minimum-norm solution
 of the diagonal-sum constraint by CG. CG applies z -> T(P Toep(z) P),
 with T the sum along diagonals, matrix-free: with the spectra of V's |S|
-columns taken once per task, and every iterate Hermitian-symmetric, every
+columns taken once per task, and every iterate a Hermitian row, every
 sequence of a step is Hermitian and every spectrum real, so a step is
 2|S| + 2 real FFTs, half the cost of a complex one, in work arrays reused
 across steps, O(|S| n log n) (Toeplitz products and diagonal sums by FFT
-as in R. M. Gray, Toeplitz and Circulant Matrices: A Review, 2006). V and
-eta travel as the halves k = 0..n of their Hermitian rows, and the
-right-hand side p_err takes eta's spectrum as the real spectra of the
-halves of Re eta and Im eta (certificate.eta_coeffs), so every transform
-here is a real FFT, numpy's, at the one length trigpoly.fast_len(4n+1)
-(`_factor_len`), with trigpoly.to_spectrum's sign convention.
+as in R. M. Gray, Toeplitz and Circulant Matrices: A Review, 2006). V,
+eta, p_err, zeta and every CG iterate travel as the halves k >= 0 of
+their Hermitian rows, and CG runs in real arithmetic on them; p_err takes
+eta's spectrum as the real spectra of the halves of Re eta and Im eta
+(certificate.eta_coeffs), so every transform here is a real FFT, numpy's,
+at the one length trigpoly.fast_len(4n+1) (`_factor_len`), with
+trigpoly.to_spectrum's sign convention. Only the dense route unfolds V
+and zeta to their full rows.
 The identity is checked in coefficient form. Q is proved PSD from the
 symbol of Toep(zeta), a trigonometric polynomial sampled by eight real
 FFTs at that same length (trigpoly.min_lower_bound), in O(n log n); only
@@ -98,13 +100,14 @@ def _step_work(f: _Factor) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _t_ptp(f: _Factor, z: np.ndarray, work: tuple) -> np.ndarray:
-    """T(P Toep(z) P) for Hermitian coefficients z on -2n..2n, by 2|S| + 2
-    real FFTs, each half the cost of a complex one, in the arrays of
-    work = _step_work(f), which x_corr passes to every CG step.
+    """The half s = 0..2n of T(P Toep(z) P) for the Hermitian row on
+    -2n..2n with half z, by 2|S| + 2 real FFTs, each half the cost of a
+    complex one, in the arrays of work = _step_work(f), which x_corr
+    passes to every CG step.
 
-    z is symmetrised first, z <- (z + conj(z_{-s}))/2, which leaves CG's
-    iterates unchanged up to rounding (x_corr). Then Toep(z) is Hermitian
-    and its spectrum zf real. Expanding P = I - V V* gives w z - sum_j
+    Toep(z) is Hermitian and its spectrum real; the spectrum reads
+    Re z_0 only, while w z keeps Im z_0, so a z with Im z_0 = 0 gives a
+    result with Im 0 there (x_corr). Expanding P = I - V V* gives w z - sum_j
     [corr(v_j, Toep(z) v_j - (V C)_j) + corr(Toep(z) v_j, v_j)] with
     C = V* Toep(z) V, real symmetric, and w the diagonal lengths. Every
     sequence here is Hermitian, so every spectrum is real, and a Hermitian
@@ -122,8 +125,7 @@ def _t_ptp(f: _Factor, z: np.ndarray, work: tuple) -> np.ndarray:
     V, spectra = f.V, f.spectra
     n = V.shape[0] - 1
     length = spectra.shape[1]
-    z = (z + np.conj(z[::-1])) / 2
-    np.multiply(spectra, tp.to_spectrum(z[2 * n :], length), out=rows)
+    np.multiply(spectra, tp.to_spectrum(z, length), out=rows)
     # half's rows: L conj(Toep(z) v_j) at k = 0..L/2
     np.fft.rfft(rows, out=half)
     # L C, a sum over k = -n..n of Hermitian terms: twice the real part over
@@ -138,8 +140,9 @@ def _t_ptp(f: _Factor, z: np.ndarray, work: tuple) -> np.ndarray:
 
 
 def p_err(c: Certificate, f: _Factor) -> np.ndarray:
-    """Coefficients on -2n..2n of the residual (1 - |eta|^2) - psi* P psi / dim,
-    for the projector factor f of the measure.
+    """The half s = 0..2n of the Hermitian coefficients on -2n..2n of the
+    residual (1 - |eta|^2) - psi* P psi / dim, for the projector factor f
+    of the measure; its s = 0 entry is exactly real (trigpoly.from_spectrum).
 
     With T(P) = dim delta_0 - sum_j corr(v_j, v_j) the constants cancel and
     p_err = conj(sum_j corr(v_j, v_j)) / dim - corr(eta, eta), whose
@@ -156,9 +159,10 @@ def p_err(c: Certificate, f: _Factor) -> np.ndarray:
 
 
 def _weights(n: int) -> np.ndarray:
+    """The diagonal lengths d - s of the d x d Toeplitz matrices, d = 2n+1,
+    at s = 0..2n, the half of the even row d - |s|."""
     d = 2 * n + 1
-    s = np.arange(-(d - 1), d)
-    return d - np.abs(s)
+    return d - np.arange(d)
 
 
 # CG on a matrix of condition ~1.5 on its range; the absolute floor sits above
@@ -175,52 +179,63 @@ _GRAM_BYTES_PER_ENTRY = 40
 # peak resident bytes per entry of |S| + _SYMBOL_ROWS rows of length L, the
 # factor's FFT length >= 4n+1, on the symbol route: per atom V's half (4),
 # its real spectra (8) and the step's real and half-complex work rows (8
-# each), and for any |S| rows of CG vectors and the symbol floor's phases.
-# Measured with getrusage in fresh processes (peak minus the RSS before the
-# assembly), one thread, at |S| = 4 and 16: 35 B/L per atom and 241 fixed
-# at n = 2^14, 33 and 210 at n = 2^16
+# each), and for any |S| rows of CG's real vectors, each the halves of a
+# row on -2n..2n, and the symbol floor's phases. Measured with getrusage
+# in fresh processes (peak minus the RSS before the assembly), one thread,
+# at |S| = 4 and 16: 36 B/L per atom and 160 fixed at n = 2^14, 33 and 133
+# at n = 2^16
 _SYMBOL_BYTES_PER_ENTRY = 72
 _SYMBOL_ROWS = 6
 
 
 def x_corr(f: _Factor, perr: np.ndarray) -> tuple[np.ndarray, int]:
-    """Toeplitz coefficients zeta, on -2n..2n, of the minimum-norm correction
-    X = P Toep(zeta) P whose quadratic form psi* X psi has the coefficients
-    perr on -2n..2n, and the CG iteration count; f is the projector factor.
+    """The half s = 0..2n of the Hermitian Toeplitz coefficients zeta of the
+    minimum-norm correction X = P Toep(zeta) P whose quadratic form
+    psi* X psi has the coefficients with half perr, and the CG iteration
+    count; f is the projector factor.
 
     Since psi* X psi(theta) = sum_s T(X)_s e^{-2 pi i s theta}, the constraint
-    in T-coefficients is A(X) = conj(perr). zeta = w^{-1/2} y, with y from
-    scipy's CG, started from zero, on w^{-1/2} S w^{-1/2} y = w^{-1/2}
-    conj(perr), where S z = T(P Toep(z) P) is applied by FFT. S is PSD and
+    in T-coefficients is A(X) = conj(perr), the row reversed, whose half is
+    the conjugate of perr's. zeta = w^{-1/2} y, with y from scipy's CG,
+    started from zero, on w^{-1/2} S w^{-1/2} y = w^{-1/2} conj(perr),
+    where S z = T(P Toep(z) P) is applied by FFT (_t_ptp). S is PSD and
     its kernel, two directions per atom, is orthogonal to perr, which has
     double zeros at the atoms, so CG returns the minimum-norm solution.
-    conj(perr) is Hermitian-symmetric, perr being real, and S and w commute
-    with z -> conj(z_{-s}), so every CG iterate is Hermitian-symmetric:
-    _t_ptp symmetrises its input, which moves the iterates only by
-    rounding, and takes the Hermitian step in real FFTs, half the cost of
-    complex ones (tests/oracles.t_ptp is the general, complex step). zeta
-    is returned Hermitian-symmetrized, exactly in floating point, so
-    Toep(zeta) is Hermitian. Raises IllConditioned if CG does not converge.
+    S and w map Hermitian rows to Hermitian rows, and the inner product of
+    two Hermitian rows is real, a_0 b_0 + 2 Re sum_{s>=1} conj(a_s) b_s,
+    so CG runs in real arithmetic on the halves scaled by
+    D = diag(1, sqrt 2, ..., sqrt 2) and viewed as 2(2n+1) floats: their
+    Euclidean norm is the full row's, and _CG_RTOL and _CG_ATOL keep their
+    meaning. The Im y_0 slot starts at 0, perr_0 being exactly real, and
+    the operator maps 0 there to 0, so Im zeta_0 is exactly 0 and
+    Toep(zeta) exactly Hermitian. Raises IllConditioned if CG does not
+    converge.
     """
     n = f.V.shape[0] - 1
-    if perr.shape != (4 * n + 1,):
-        raise ValueError("perr must have order 2n")
+    if perr.shape != (2 * n + 1,):
+        raise ValueError("perr must be the half of a row of order 2n")
     rw = 1.0 / np.sqrt(_weights(n))
+    # CG's unknown is u = D w^{1/2} zeta: zeta = into u, and the step's
+    # output is scaled by out
+    D = np.where(np.arange(2 * n + 1) > 0, np.sqrt(2), 1.0)
+    into, out = rw / D, rw * D
     work = _step_work(f)
-    op = LinearOperator((4 * n + 1,) * 2, dtype=np.complex128,
-                        matvec=lambda y: rw * _t_ptp(f, rw * np.ravel(y), work))
+
+    def matvec(u):
+        return (out * _t_ptp(f, into * np.ravel(u).view(np.complex128), work)).view(np.float64)
+
+    op = LinearOperator((2 * (2 * n + 1),) * 2, dtype=np.float64, matvec=matvec)
     iters = 0
 
     def count(_):
         nonlocal iters
         iters += 1
 
-    y, info = cg(op, rw * np.conj(perr), rtol=_CG_RTOL, atol=_CG_ATOL,
+    u, info = cg(op, (out * np.conj(perr)).view(np.float64), rtol=_CG_RTOL, atol=_CG_ATOL,
                  maxiter=_CG_MAXITER, callback=count)
     if info != 0:
         raise IllConditioned(f"conjugate gradients did not converge in {_CG_MAXITER} iterations")
-    zeta = rw * y
-    return (zeta + np.conj(zeta[::-1])) / 2, iters
+    return into * u.view(np.complex128), iters
 
 
 # verdict thresholds of the gram report: Q counts as positive semidefinite when
@@ -234,23 +249,23 @@ SUP_POLY_ERR_TOL = 1e-8
 
 
 def _dense_gram(f: _Factor, zeta: np.ndarray) -> np.ndarray:
-    """The dense Q = P (I/dim + Toep(zeta)) P for the projector factor f,
-    by a rank-2|S| update of Toep(zeta).
+    """The dense Q = P (I/dim + Toep(zeta)) P for the projector factor f
+    and the half zeta of the Toeplitz row, by a rank-2|S| update of
+    Toep(zeta): the one place V and zeta are unfolded to full rows.
 
     P T P = T - (V M* + M V*) with M = T V - V C/2 and C = V* T V, since T
-    and C are Hermitian; V/(2 dim) in M adds the -V V*/dim of P/dim.
+    and C are Hermitian; V/(2 dim) in M adds the -V V*/dim of P/dim. The
+    rounding of the update leaves Q Hermitian only to the last bits;
+    eigvalsh reads its lower triangle.
     """
     V = np.concatenate([f.V[:0:-1].conj(), f.V])
     d = V.shape[0]
-    n = (d - 1) // 2
-    Q = toeplitz(zeta[2 * n :], zeta[2 * n :: -1])
+    Q = toeplitz(zeta, zeta.conj())
     TV = Q @ V
     C = V.conj().T @ TV
-    M = TV - V @ ((C + C.conj().T) / 4) + V / (2 * d)
+    M = TV - V @ (C / 2) + V / (2 * d)
     Q -= np.hstack([V, M]) @ np.hstack([M, V]).conj().T
     Q.flat[:: d + 1] += 1.0 / d
-    Q += Q.conj().T
-    Q *= 0.5
     return Q
 
 
@@ -259,11 +274,11 @@ def assemble_and_verify(c: Certificate) -> dict:
     reproduces 1 - |eta|^2, and prove Q positive semidefinite.
 
     The defect is taken in coefficient form from one fresh T(P Toep(zeta) P)
-    with the final zeta, by the Hermitian step, whose symmetrisation leaves
-    that zeta unchanged: psi* Q psi - (1 - |eta|^2) has coefficients
-    conj(T(P Toep(zeta) P)) - p_err. sup_poly_err is their l1 norm, which
-    bounds the defect at every theta, not only on a grid; residual_rel is
-    their l2 norm over |p_err| (absolute if p_err is numerically zero).
+    with the final zeta, by the Hermitian step: psi* Q psi - (1 - |eta|^2)
+    has coefficients conj(T(P Toep(zeta) P)) - p_err, a Hermitian row kept
+    by its half. sup_poly_err is the full row's l1 norm (trigpoly.row_norms),
+    which bounds the defect at every theta, not only on a grid; residual_rel
+    is its l2 norm over |p_err| (absolute if p_err is numerically zero).
 
     PSD has two routes. Toep(zeta) is Hermitian Toeplitz, so its smallest
     eigenvalue is at least the minimum of its symbol zeta^ (U. Grenander and
@@ -295,9 +310,9 @@ def assemble_and_verify(c: Certificate) -> dict:
     perr = p_err(c, f)
     zeta, iters = x_corr(f, perr)
 
-    defect = np.conj(_t_ptp(f, zeta, _step_work(f))) - perr
-    resid = float(np.linalg.norm(defect))
-    scale = float(np.linalg.norm(perr))
+    # the halves of both rows, measured by the full rows' norms
+    sup_err, resid = tp.row_norms(np.conj(_t_ptp(f, zeta, _step_work(f))) - perr)
+    scale = tp.row_norms(perr)[1]
     if scale > 1e-13:
         resid /= scale
 
@@ -312,7 +327,6 @@ def assemble_and_verify(c: Certificate) -> dict:
         eigs = np.linalg.eigvalsh(_dense_gram(f, zeta))
         min_eig, floor = float(eigs[0]), float(eigs[size])
         rank_def = int(np.sum(eigs < 1e-8 * float(np.max(np.abs(eigs)))))
-    sup_err = float(np.sum(np.abs(defect)))
     psd_ok = rigorous or min_eig >= MIN_EIG_FLOOR
     defect_ok = sup_err <= SUP_POLY_ERR_TOL
     return {

@@ -7,14 +7,15 @@ c_-k = conj(c_k), and travels as its half c_0..c_n, one longer than its
 order; a complex p is the two halves of the rows of Re p and Im p. With
 numpy's sign the irfft of a half samples p and the irfft of its
 conjugate is the row's real spectrum (`to_spectrum`); `from_spectrum`
-turns a real spectrum back into the full row.
+turns a real spectrum back into the half.
 `phases` is the package's one sampler of such halves on a uniform grid:
 G = m L points, L = fast_len(2h+1) from `fast_len`, the length rule of
 every FFT in the package (all numpy's), as m inverse real FFTs of length
 L per row, one phase at a time, so its callers keep O(L) memory however
 fine the grid.
 `min_lower_bound` turns such a sampling of a real polynomial into a
-rigorous lower bound on its minimum; `fft_error_bound` and `TWIDDLE_EPS`
+rigorous lower bound on its minimum, with the norms of the full row from
+its half (`row_norms`); `fft_error_bound` and `TWIDDLE_EPS`
 are the sampling's rounding terms in that bound.
 `U` and `gamma` are the package's one floating-point model, which every
 a-priori rounding bound in it rests on.
@@ -109,11 +110,29 @@ def to_spectrum(halves: np.ndarray, L: int) -> np.ndarray:
 
 
 def from_spectrum(spec: np.ndarray, h: int) -> np.ndarray:
-    """The Hermitian coefficients on -h..h of the row whose spectrum at
+    """The half c_0..c_h of the Hermitian row on -h..h whose spectrum at
     length L = len(spec) > 2h (`to_spectrum`) is the real array spec: its
-    rfft holds L conj(c_s) at s >= 0, and c_-s = conj(c_s)."""
-    half = np.fft.rfft(spec)
-    return np.concatenate([half[h:0:-1], half[: h + 1].conj()]) / len(spec)
+    rfft holds L conj(c_s) at s >= 0. The inverse of `to_spectrum`; the
+    rfft's entry 0, a sum of reals, is real, so Im c_0 is exactly 0."""
+    return np.fft.rfft(spec)[: h + 1].conj() / len(spec)
+
+
+def row_norms(half: np.ndarray) -> tuple[float, float]:
+    """The 1-norm and the 2-norm of the Hermitian row with the non-empty
+    half c_0..c_h, in which each c_k, k >= 1, stands twice:
+    |c_0| + 2 sum |c_k| and sqrt(|c_0|^2 + 2 sum |c_k|^2)."""
+    a = np.abs(half)
+    norm1 = 2 * float(np.sum(a)) - float(a[0])
+    # sqrt 2 |c_k| squares to the two terms of c_k and c_-k
+    a[1:] *= np.sqrt(2)
+    # norm squares the coefficients, which under- or overflow outside
+    # 1e-150..1e150; rescale there
+    with np.errstate(over="ignore"):
+        norm2 = float(np.linalg.norm(a))
+    if not 1e-150 < norm2 < 1e150:
+        big = float(np.max(a))
+        norm2 = big * float(np.linalg.norm(a / big)) if big else 0.0
+    return norm1, norm2
 
 
 def phases(halves: np.ndarray, m: int):
@@ -151,9 +170,9 @@ def phases(halves: np.ndarray, m: int):
 
 
 def min_lower_bound(c: np.ndarray) -> float:
-    """A lower bound on min over theta of the real-valued p with Hermitian
-    coefficients c on -n..n, in O(n log n) time and O(n) memory. Raises
-    ValueError unless c is one odd-length row with c_-k == conj(c_k),
+    """A lower bound on min over theta of the real-valued p whose Hermitian
+    coefficient row on -n..n has the half c = c_0..c_n, in O(n log n) time
+    and O(n) memory. Raises ValueError unless c is one non-empty row with
     Im c_0 == 0.
 
     p is sampled on G = 8L points, L = fast_len(2n+1), by the eight inverse
@@ -172,29 +191,24 @@ def min_lower_bound(c: np.ndarray) -> float:
     Rounding bound (in the model of U and gamma), for p with exactly the
     coefficients given: each sample is within
     e0 = fft_error_bound(L, ||c||_2) + 7 TWIDDLE_EPS ||c||_1 of p(g) (see
-    fft_error_bound), and M + e0 stands for M. Forming the Bernstein term
-    and the final difference takes at most twelve roundings of terms no
-    larger than M + e0 + the Bernstein term, so gamma_12 times that sum is
-    subtracted too. The second-order terms and the rounding of the error
+    fft_error_bound), with the norms of the full row, in which each c_k,
+    k >= 1, stands twice (`row_norms`); M + e0 stands for M. Forming the
+    Bernstein term and the final difference takes at most twelve roundings
+    of terms no larger than M + e0 + the Bernstein term, so gamma_12 times
+    that sum is subtracted too. The second-order terms and the rounding of the error
     terms' own arithmetic stay below a relative 2^-40; the subtracted terms
     carry a factor 1 + 2^-20 for them.
     """
-    if c.ndim != 1 or len(c) % 2 != 1 or np.any(c[::-1] != np.conj(c)):
-        raise ValueError("need one odd-length row of Hermitian coefficients, c_-k == conj(c_k)")
-    n = (len(c) - 1) // 2
+    if c.ndim != 1 or len(c) == 0 or np.imag(c[0]) != 0:
+        raise ValueError("need one non-empty half row c_0..c_n with Im c_0 == 0")
+    n = len(c) - 1
     L, m = fast_len(2 * n + 1), 8
     lowest, top = np.inf, 0.0
-    for vals in phases(c[n:], m):
+    for vals in phases(c, m):
         lo, hi = float(vals.min()), float(vals.max())
         lowest, top = min(lowest, lo), max(top, hi, -lo)
-    # norm squares the coefficients, which under- or overflow outside
-    # 1e-150..1e150; rescale there
-    with np.errstate(over="ignore"):
-        norm2 = float(np.linalg.norm(c))
-    if not 1e-150 < norm2 < 1e150:
-        big = float(np.max(np.abs(c)))
-        norm2 = big * float(np.linalg.norm(c / big)) if big else 0.0
-    e0 = fft_error_bound(L, norm2) + (m - 1) * TWIDDLE_EPS * float(np.sum(np.abs(c)))
+    norm1, norm2 = row_norms(c)
+    e0 = fft_error_bound(L, norm2) + (m - 1) * TWIDDLE_EPS * norm1
     r = (np.pi * n / (m * L)) ** 2 / 2
     bern = r * (top + e0) / (1 - r)
     arith = gamma(12) * (top + e0 + bern)

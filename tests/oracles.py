@@ -14,17 +14,17 @@ A A~*, the one-atom limit entries of
 qk_operator case by case and at finite n, the dense section I - Q + P with
 its projector built from the closed form of w, the printed complex kernel
 E of those entries, and the measured deviations of the interpolation system
-from the identity (neumann_bounds). A polynomial is its coefficient array
-on -n..n, as in the package; a Hermitian row the package passes by its
-half k = 0..n is unfolded to that array by `unfold`. The complex FFTs
+from the identity (neumann_bounds). A polynomial is its full coefficient array
+on -n..n here; a Hermitian row, which the package passes by its half
+k = 0..n, is unfolded to that array by `unfold`. The complex FFTs
 here read the full layout of to_grid and from_grid, coefficient k at
 index k mod length, where the package keeps only real FFTs of Hermitian
 half rows. No code of the package calls them; tests import them from
 here. Of the package they use only the printed inputs of constants, the
 Dirichlet kernel, the interpolation system and its closed-form bounds,
 the dense Q (itself checked against the entry and finite-n routes here)
-and two private helpers of gram: the projector factor V, unfolded from
-its half, and the diagonal weights.
+and one private helper of gram, the projector factor V, unfolded from its
+half; the diagonal lengths d - |s| are their own here (diagonal_lengths).
 
 One oracle stays in the package because the benchmark under perfbench/
 imports it from there: spectrum.dense_extremes, the dense SVD its worker
@@ -45,7 +45,7 @@ from scipy.special import lambertw, sici
 
 from supres import constants as co, trigpoly as tp
 from supres.certificate import AtomicMeasure, Certificate, build_system, system_norm_bounds
-from supres.gram import _projector_factor, _weights
+from supres.gram import _projector_factor
 from supres.qk_operator import qk_dense
 
 
@@ -59,6 +59,13 @@ def unfold(half: np.ndarray) -> np.ndarray:
     """The Hermitian rows on -h..h with halves c_0..c_h (one row, or a stack
     on the last axis): c_-k = conj(c_k)."""
     return np.concatenate([np.conj(half[..., :0:-1]), half], axis=-1)
+
+
+def diagonal_lengths(n: int) -> np.ndarray:
+    """The lengths d - |s| of the diagonals s = -2n..2n of a d x d matrix,
+    d = 2n+1: the weights w of T and of the normal equations."""
+    d = 2 * n + 1
+    return d - np.abs(np.arange(-(d - 1), d))
 
 
 def to_grid(x: np.ndarray, length: int) -> np.ndarray:
@@ -289,14 +296,15 @@ def op_Atilde_star(m: AtomicMeasure, p: np.ndarray) -> np.ndarray:
 
 def t_ptp(f, z: np.ndarray) -> np.ndarray:
     """T(P Toep(z) P) for any complex coefficients z on -2n..2n, by FFT:
-    the general step gram._t_ptp specialises to Hermitian z.
+    the general step gram._t_ptp specialises to Hermitian z, kept by its
+    half.
 
     Expanding P = I - V V* gives w z - sum_j [corr(v_j, Toep(z)* v_j - (V C*)_j)
     + corr(Toep(z) v_j, v_j)] with C = V* Toep(z) V and w the diagonal
     lengths. Toep(z)* is Toep of conj(z_{-s}), whose spectrum at this
     layout is the conjugate of z's. TestFFTOperator checks it against op_A
-    on complex z, and TestXCorr runs x_corr on it in place of the package
-    step.
+    on complex z, and TestXCorr runs x_corr on it, through unfold and the
+    result's half, in place of the package step.
     """
     V, spectra = unfold(f.V.T).T, f.spectra
     n = (V.shape[0] - 1) // 2
@@ -307,7 +315,7 @@ def t_ptp(f, z: np.ndarray) -> np.ndarray:
     C = V.T.conj() @ tv.T
     rows = np.fft.fft(to_grid(np.concatenate([tsv - C.conj() @ V.T, tv]), length))
     cross = spectra * np.conj(rows[:size]) + rows[size:] * np.conj(spectra)
-    return _weights(n) * z - from_grid(np.fft.ifft(np.sum(cross, axis=0)), 2 * n)
+    return diagonal_lengths(n) * z - from_grid(np.fft.ifft(np.sum(cross, axis=0)), 2 * n)
 
 
 def quad_form_poly(H: np.ndarray) -> np.ndarray:
@@ -350,7 +358,7 @@ def lambda_min_AAtilde(m: AtomicMeasure) -> float:
     outer projectors, so the 2|S| smallest eigenvalues are discarded by
     count.
     """
-    rw = 1.0 / np.sqrt(_weights(m.n))
+    rw = 1.0 / np.sqrt(diagonal_lengths(m.n))
     sym = rw[:, None] * _sigma_matrix(projector_PUperp(m)) * rw[None, :]
     return float(np.linalg.eigvalsh(sym)[2 * m.size])
 

@@ -16,7 +16,6 @@ from supres.gram import (
     _projector_factor,
     _step_work,
     _t_ptp,
-    _weights,
     assemble_and_verify,
     p_err,
     x_corr,
@@ -24,6 +23,7 @@ from supres.gram import (
 
 from oracles import (
     _sigma_matrix,
+    diagonal_lengths,
     eval_direct,
     eval_eta,
     eval_grid,
@@ -56,8 +56,8 @@ def well_separated(rng, n, size):
 
 
 def cg_zeta(c):
-    """The Toeplitz coefficients of c's correction, through gram.x_corr (so a
-    monkeypatch of it applies), and the measure's projector factor."""
+    """The half of the Toeplitz row of c's correction, through gram.x_corr
+    (so a monkeypatch of it applies), and the measure's projector factor."""
     f = _projector_factor(c.measure)
     zeta, _ = gram.x_corr(f, p_err(c, f))
     return zeta, f
@@ -70,7 +70,8 @@ def dense_gram(c):
 
 
 def perr_of(c):
-    """p_err of a certificate against its measure's projector factor."""
+    """p_err of a certificate against its measure's projector factor: the
+    half s = 0..2n of its row."""
     return p_err(c, _projector_factor(c.measure))
 
 
@@ -82,10 +83,11 @@ def toep(z):
 
 
 def x_corr_dense(m, pe):
-    """The coefficients x_corr returns, lifted to the dense X = P Toep(zeta) P."""
+    """The half zeta x_corr returns for the half pe, lifted to the dense
+    X = P Toep(zeta) P."""
     zeta, _ = x_corr(_projector_factor(m), pe)
     P = projector_PUperp(m)
-    return P @ toep(zeta) @ P
+    return P @ toep(unfold(zeta)) @ P
 
 
 def is_hermitian(H, tol=1e-12):
@@ -94,27 +96,31 @@ def is_hermitian(H, tol=1e-12):
 
 
 def residual_rel(m, X, pe):
-    """|A(X) - conj(p_err)| / |p_err|, absolute when p_err is numerically zero."""
+    """|A(X) - conj(p_err)| / |p_err| for the half pe of p_err, absolute
+    when p_err is numerically zero."""
+    pe = unfold(pe)
     r = np.linalg.norm(op_A(m, X) - np.conj(pe))
     scale = np.linalg.norm(pe)
     return r / scale if scale > 1e-13 else r
 
 
 def kernel_poly(n, tau):
-    """Order-2n polynomial whose conjugate coefficients w_s e^{2 pi i s tau}
-    span one analytic-kernel direction of A A~* for an atom at tau."""
-    s = np.arange(-2 * n, 2 * n + 1)
-    return (2 * n + 1 - np.abs(s)) * np.exp(-2j * np.pi * s * tau)
+    """The half s = 0..2n of the order-2n Hermitian row whose conjugate
+    coefficients w_s e^{2 pi i s tau} span one analytic-kernel direction of
+    A A~* for an atom at tau."""
+    s = np.arange(2 * n + 1)
+    return (2 * n + 1 - s) * np.exp(-2j * np.pi * s * tau)
 
 
 def dense_x_corr(m, pe):
     """X = P Toep(zeta) P with zeta from a dense eigendecomposition
-    pseudo-inverse of the weighted normal matrix, kernel cut at 1e-8."""
+    pseudo-inverse of the weighted normal matrix, kernel cut at 1e-8, for
+    the half pe of p_err."""
     P = projector_PUperp(m)
-    rw = 1 / np.sqrt(_weights(m.n))
+    rw = 1 / np.sqrt(diagonal_lengths(m.n))
     lam, V = np.linalg.eigh(rw[:, None] * _sigma_matrix(P) * rw[None, :])
     inv = np.where(lam > 1e-8 * lam[-1], 1 / lam, 0.0)
-    zeta = rw * (V @ (inv * (V.conj().T @ (rw * np.conj(pe)))))
+    zeta = rw * (V @ (inv * (V.conj().T @ (rw * np.conj(unfold(pe))))))
     return P @ toep(zeta) @ P
 
 
@@ -175,7 +181,7 @@ class TestNormW:
 
     def test_perr_small_for_well_separated_pair(self):
         c = solve_certificate(AtomicMeasure(256, (0.2, 0.6), (1.0, 1.0)))
-        assert norm_W(perr_of(c)) <= 1 / 256
+        assert norm_W(unfold(perr_of(c))) <= 1 / 256
 
 
 class TestProjector:
@@ -247,7 +253,7 @@ class TestOpA:
         m = AtomicMeasure(32, (0.25, 0.7), (1.0, 1.0))
         S = _sigma_matrix(projector_PUperp(m))
         assert np.max(np.abs(S - S.conj().T)) < 1e-10
-        rw = 1 / np.sqrt(_weights(m.n))
+        rw = 1 / np.sqrt(diagonal_lengths(m.n))
         eigs = np.linalg.eigvalsh(rw[:, None] * S * rw[None, :])
         assert eigs[0] > -1e-10
 
@@ -258,7 +264,7 @@ class TestOpA:
         n = m.n
         dim = 4 * n + 1
         S = _sigma_matrix(projector_PUperp(m))
-        w = _weights(n)
+        w = diagonal_lengths(n)
         cols = np.zeros((dim, dim), dtype=complex)
         for j in range(dim):
             e = np.zeros(dim, dtype=complex)
@@ -273,8 +279,9 @@ class TestFFTOperator:
     def test_matches_dense_oracle(self, n, size):
         # T(P Toep(z) P) by FFT against op_A on the dense Toeplitz matrix:
         # the general step of the oracles for random complex z, the
-        # package's Hermitian step for Hermitian z; and p_err by FFT against
-        # (1 - |eta|^2) by np.convolve minus conj(op_T(P)) / dim
+        # package's Hermitian step for the half of Hermitian z; and p_err's
+        # half by FFT against (1 - |eta|^2) by np.convolve minus
+        # conj(op_T(P)) / dim
         rng = np.random.default_rng(100 * n + size)
         spread = (np.arange(size) + rng.uniform(-0.1, 0.1, size)) / size
         atoms = (rng.uniform() + spread) % 1
@@ -282,7 +289,7 @@ class TestFFTOperator:
         f = _projector_factor(m)
         P = projector_PUperp(m)
         z, zh = random_poly(rng, 2 * n), hermitian_poly(rng, 2 * n)
-        for got, z in ((t_ptp(f, z), z), (_t_ptp(f, zh, _step_work(f)), zh)):
+        for got, z in ((t_ptp(f, z), z), (unfold(_t_ptp(f, zh[2 * n :], _step_work(f))), zh)):
             want = op_A(m, toep(z))
             np.testing.assert_allclose(got, want, rtol=0,
                                        atol=1e-13 * float(np.max(np.abs(want))))
@@ -290,7 +297,9 @@ class TestFFTOperator:
         e = eta_row(c)
         want = -np.convolve(e, np.conj(e)[::-1]) - np.conj(op_T(P)) / (2 * n + 1)
         want[2 * n] += 1.0
-        np.testing.assert_allclose(p_err(c, f), want, rtol=0, atol=1e-12 * n)
+        got = p_err(c, f)
+        assert got.shape == (2 * n + 1,) and got[0].imag == 0
+        np.testing.assert_allclose(unfold(got), want, rtol=0, atol=1e-12 * n)
 
     @pytest.mark.parametrize("size", [1, 5, 12])
     def test_step_takes_2s_plus_2_ffts(self, monkeypatch, size):
@@ -311,7 +320,7 @@ class TestFFTOperator:
         for name, kind in (("rfft", "real"), ("irfft", "real"), ("fft", "complex"),
                            ("ifft", "complex")):
             monkeypatch.setattr(np.fft, name, counting(getattr(np.fft, name), kind))
-        _t_ptp(f, hermitian_poly(rng, 2 * m.n), _step_work(f))
+        _t_ptp(f, hermitian_poly(rng, 2 * m.n)[2 * m.n :], _step_work(f))
         assert count == {"real": 2 * size + 2, "complex": 0}
 
     @pytest.mark.parametrize("m", [
@@ -351,13 +360,13 @@ class TestPErr:
             m = well_separated(rng, 64, 2)
             pe = perr_of(solve_certificate(m))
             for t in m.atoms:
-                assert abs(eval_direct(pe, t)) < 1e-9
+                assert abs(eval_direct(unfold(pe), t)) < 1e-9
 
     def test_real_valued(self):
         m = AtomicMeasure(48, (0.1, 0.55), (1.0, -1.0))
         pe = perr_of(solve_certificate(m))
         grid = np.linspace(0, 1, 257)
-        assert np.max(np.abs(eval_direct(pe, grid).imag)) < 1e-12
+        assert np.max(np.abs(eval_direct(unfold(pe), grid).imag)) < 1e-12
 
     def test_single_atom_identically_zero(self):
         # One atom: psi* P psi / dim collapses to 1 - |D|^2 = 1 - |eta|^2
@@ -368,7 +377,7 @@ class TestPErr:
 class TestXCorr:
     def test_zero_input_zero_output(self):
         m = AtomicMeasure(16, (0.4,), (1.0,))
-        X = x_corr_dense(m, np.zeros(65, dtype=complex))
+        X = x_corr_dense(m, np.zeros(33, dtype=complex))
         assert np.max(np.abs(X)) < 1e-14
 
     def test_residual_two_atoms(self):
@@ -390,7 +399,7 @@ class TestXCorr:
                 m = AtomicMeasure(n, tuple(atoms), tuple(np.exp(2j * np.pi * rng.uniform(size=size))))
                 Y = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
                 Y = Y + Y.conj().T
-                targets = [np.conj(op_A(m, Y))]
+                targets = [np.conj(op_A(m, Y))[2 * n :]]
                 if system_norm_bounds(m)["operator_norm"] < 1:
                     targets.append(perr_of(solve_certificate(m)))
                 for pe in targets:
@@ -402,7 +411,8 @@ class TestXCorr:
 
     def test_hermitian_step_matches_general_step(self, monkeypatch):
         # x_corr on the package's Hermitian step and on the oracles' general
-        # step: the same iteration count and zeta up to rounding
+        # step, fed the unfolded half and read back by its half: the same
+        # iteration count and zeta up to rounding
         rng = np.random.default_rng(18)
         measures = [well_separated(rng, n, size) for n, size in
                     ((16, 1), (16, 2), (32, 3), (64, 5), (128, 8), (256, 12))]
@@ -412,12 +422,38 @@ class TestXCorr:
             f = _projector_factor(m)
             cases.append((m, f, p_err(solve_certificate(m), f)))
         fast = [x_corr(f, pe) for _, f, pe in cases]
-        monkeypatch.setattr(gram, "_t_ptp", lambda f, z, work: t_ptp(f, z))
+        monkeypatch.setattr(gram, "_t_ptp", lambda f, z, work: t_ptp(f, unfold(z))[len(z) - 1 :])
         for (m, f, pe), (zeta, iters) in zip(cases, fast):
             want, want_iters = x_corr(f, pe)
             assert iters == want_iters, f"n={m.n}, |S|={m.size}"
             assert np.max(np.abs(zeta - want)) <= 1e-12 * np.max(np.abs(want)), \
                 f"n={m.n}, |S|={m.size}"
+
+    def test_cg_runs_in_real_arithmetic_on_halves(self, monkeypatch):
+        # scipy's cg gets a float64 operator and right-hand side of
+        # 2(2n+1) entries, the half w^{-1/2} conj(p_err) scaled by
+        # D = diag(1, sqrt 2, ...), whose Euclidean norm is the full row's;
+        # zeta comes back as the half, with Im zeta_0 exactly 0
+        calls = []
+        real_cg = gram.cg
+
+        def spy(A, b, **kwargs):
+            calls.append((A.dtype, A.shape, b.copy()))
+            return real_cg(A, b, **kwargs)
+
+        monkeypatch.setattr(gram, "cg", spy)
+        rng = np.random.default_rng(19)
+        for m in (well_separated(rng, 48, 3), FALLBACK, AtomicMeasure(64, (0.2, 0.6), (1.0, 1j))):
+            calls.clear()
+            c = solve_certificate(m)
+            zeta, _ = cg_zeta(c)
+            d = 2 * m.n + 1
+            (dtype, shape, b), = calls
+            assert dtype == np.float64 and shape == (2 * d, 2 * d)
+            assert b.dtype == np.float64 and b.shape == (2 * d,)
+            full = np.conj(unfold(perr_of(c))) / np.sqrt(diagonal_lengths(m.n))
+            assert np.linalg.norm(b) == pytest.approx(np.linalg.norm(full), rel=1e-14)
+            assert zeta.shape == (d,) and zeta[0].imag == 0
 
     def test_rhs_off_the_range_raises(self):
         # a component along the analytic kernel leaves A(X) = conj(perr) with
@@ -437,7 +473,7 @@ class TestXCorr:
         X = x_corr_dense(m, pe)
         grid = np.linspace(0, 1, 401)
         lhs = eval_direct(quad_form_poly(X), grid).real
-        rhs = eval_direct(pe, grid).real
+        rhs = eval_direct(unfold(pe), grid).real
         assert np.max(np.abs(lhs - rhs)) < 1e-10
 
     def test_frobenius_bound_chain(self):
@@ -448,12 +484,14 @@ class TestXCorr:
             X = x_corr_dense(m, pe)
             lam = lambda_min_AAtilde(m)
             fro = np.linalg.norm(X, "fro")
-            assert fro <= norm_W(pe) / np.sqrt(lam) + 1e-12
+            assert fro <= norm_W(unfold(pe)) / np.sqrt(lam) + 1e-12
 
     def test_order_must_match(self):
+        # perr is the half s = 0..2n, 33 entries at n = 16: the full row of
+        # 65 is refused
         m = AtomicMeasure(16, (0.4,), (1.0,))
         with pytest.raises(ValueError):
-            x_corr(_projector_factor(m), np.zeros(33, dtype=complex))
+            x_corr(_projector_factor(m), np.zeros(65, dtype=complex))
 
 
 class TestAssemble:
@@ -571,14 +609,14 @@ class TestAssemble:
         assert rep["rank_deficiency"] >= m.size
 
     def test_off_diagonal_perturbation_caught(self, monkeypatch):
-        # a Hermitian eps on zeta at s = +-1 moves T(Q) by T(P Toep(delta) P),
-        # so the l1 defect is the l1 norm of that oracle image, and it bounds
-        # the pointwise defect of the dense Q everywhere
+        # a Hermitian eps on zeta at s = +-1 (its half's s = 1) moves T(Q) by
+        # T(P Toep(delta) P), so the l1 defect is the l1 norm of that oracle
+        # image, and it bounds the pointwise defect of the dense Q everywhere
         eps = 1e-6
         real_x_corr = gram.x_corr
         m = AtomicMeasure(64, (0.2, 0.6), (1.0, 1j))
-        delta = np.zeros(4 * m.n + 1, dtype=complex)
-        delta[2 * m.n - 1] = delta[2 * m.n + 1] = eps
+        delta = np.zeros(2 * m.n + 1, dtype=complex)
+        delta[1] = eps
 
         def perturbed(f, perr):
             zeta, iters = real_x_corr(f, perr)
@@ -588,7 +626,7 @@ class TestAssemble:
         c = solve_certificate(m)
         rep = assemble_and_verify(c)
         assert rep["sup_poly_err"] > 1e-8
-        want = np.sum(np.abs(op_A(m, toep(delta))))
+        want = np.sum(np.abs(op_A(m, toep(unfold(delta)))))
         assert rep["sup_poly_err"] == pytest.approx(want, rel=1e-6)
         theta = np.linspace(0.0, 1.0, 1001)
         pointwise = np.abs(eval_direct(quad_form_poly(dense_gram(c)), theta).real
@@ -643,7 +681,7 @@ class TestSymbolFloor:
         zeta, _ = cg_zeta(c)
         # the floor fails because the symbol itself dips below -1/d, not
         # because its lower bound is loose
-        assert 257 * eval_grid(zeta, 64 * tp.fast_len(8 * 513)).real.min() < -1
+        assert 257 * eval_grid(unfold(zeta), 64 * tp.fast_len(8 * 513)).real.min() < -1
         rep = assemble_and_verify(c)
         assert rep["psd_rigorous"] is False
         assert rep["verified"] is True
@@ -661,7 +699,7 @@ class TestSymbolFloor:
         measures += [near_limit_measure(rng, n, size) for n, size in ((32, 2), (96, 5), (160, 8))]
         for m in measures:
             zeta, _ = cg_zeta(solve_certificate(m))
-            fine = eval_grid(zeta, 64 * tp.fast_len(8 * (4 * m.n + 1))).real.min()
+            fine = eval_grid(unfold(zeta), 64 * tp.fast_len(8 * (4 * m.n + 1))).real.min()
             assert tp.min_lower_bound(zeta) <= fine
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -716,7 +754,7 @@ class TestLambdaMin:
     def test_kernel_dimension_two_per_atom(self):
         m = AtomicMeasure(24, (0.2, 0.55), (1.0, 1.0))
         S = _sigma_matrix(projector_PUperp(m))
-        rw = 1 / np.sqrt(_weights(m.n))
+        rw = 1 / np.sqrt(diagonal_lengths(m.n))
         eigs = np.linalg.eigvalsh(rw[:, None] * S * rw[None, :])
         assert np.max(np.abs(eigs[: 2 * m.size])) < 1e-10
         assert eigs[2 * m.size] > 0.1
@@ -746,4 +784,4 @@ def test_correction_pipeline_property(n, size, seed):
     X = x_corr_dense(m, pe)
     assert residual_rel(m, X, pe) <= 1e-8
     lam = lambda_min_AAtilde(m)
-    assert np.linalg.norm(X, "fro") <= norm_W(pe) / np.sqrt(lam) + 1e-12
+    assert np.linalg.norm(X, "fro") <= norm_W(unfold(pe)) / np.sqrt(lam) + 1e-12

@@ -93,14 +93,16 @@ class TestEvalGrid:
     def test_from_spectrum_inverts_the_real_spectrum(self, h, length):
         # a Hermitian row's spectrum, the full complex FFT of its layout, is
         # real; to_spectrum forms it from the row's half, and from_spectrum
-        # reads the row back from it
+        # reads the half back from it, with Im c_0 exactly 0
         c = hermitian_poly(np.random.default_rng(h + length), h)
         spec = np.fft.fft(to_grid(c, length))
         assert np.max(np.abs(spec.imag)) <= 1e-14
         got = tp.to_spectrum(c[h:], length)
         assert got.dtype == np.float64 and got.shape == (length,)
         np.testing.assert_allclose(got, spec.real, rtol=0, atol=1e-14)
-        np.testing.assert_allclose(tp.from_spectrum(got, h), c, rtol=0, atol=1e-15)
+        back = tp.from_spectrum(got, h)
+        assert back.shape == (h + 1,) and back[0].imag == 0
+        np.testing.assert_allclose(back, c[h:], rtol=0, atol=1e-15)
 
     def test_fast_len_is_next_five_smooth(self):
         def smooth(x):
@@ -207,7 +209,8 @@ class TestDirichletDeriv:
 
 
 def fine_min(p):
-    """Minimum of p on a grid 64 times finer than min_lower_bound's."""
+    """Minimum of p, the full row on -n..n, on a grid 64 times finer than
+    min_lower_bound's."""
     return float(np.min(eval_grid(p, 64 * tp.fast_len(8 * len(p))).real))
 
 
@@ -221,7 +224,7 @@ class TestMinLowerBound:
         for _ in range(5):
             p = hermitian_poly(rng, n, decay)
             low, top = fine_min(p), float(np.max(np.abs(eval_grid(p, 16 * n + 8))))
-            bound = tp.min_lower_bound(p)
+            bound = tp.min_lower_bound(p[n:])
             assert bound <= low
             assert bound >= low - 0.02 * top
 
@@ -231,7 +234,7 @@ class TestMinLowerBound:
 
     @pytest.mark.parametrize("c0", [1.0, -1.0, 3.7e-9, -2.5e6, 1e100, -7e-100, 1e200, -7e-200])
     def test_constant_loses_the_fft_term(self, c0):
-        # the constant c0 as a row of order h = 0..3: its samples are exactly
+        # the constant c0 as the half of a row of order h = 0..3: its samples are exactly
         # c0, so what min_lower_bound takes off it is at least its Bernstein
         # term r|c0|/(1 - r), the FFT rounding term at length L = fast_len(2h+1)
         # and the twiddle term of its 8 phases, each with the factor 1 + 2^-20
@@ -240,48 +243,78 @@ class TestMinLowerBound:
         # taken in full, so both rounding terms must show. At 1e200 and
         # 7e-200 the squares inside the coefficient norm over- and underflow
         for h in range(4):
-            p = np.zeros(2 * h + 1, dtype=complex)
-            p[h] = c0
+            p = np.zeros(h + 1, dtype=complex)
+            p[0] = c0
             L = tp.fast_len(2 * h + 1)
             r = (np.pi * h / (8 * L)) ** 2 / 2
             taken = c0 - tp.min_lower_bound(p)
             assert taken >= ((1 + 2.0**-20) * r * abs(c0) / (1 - r) + tp.fft_error_bound(L, abs(c0))
                              + 7 * tp.TWIDDLE_EPS * abs(c0)), h
 
+    @pytest.mark.parametrize("n", [1, 7, 40, 300])
+    def test_takes_off_the_full_rows_rounding_terms(self, n):
+        # from its least sample, min_lower_bound takes off at least the
+        # Bernstein and rounding terms with e0 from the norms of the full
+        # row, where each c_k, k >= 1, stands twice: the half's own norms
+        # would fall short by about a third of e0, which the arithmetic
+        # term gamma_12 (top + ...) does not make up
+        rng = np.random.default_rng(n)
+        L = tp.fast_len(2 * n + 1)
+        r = (np.pi * n / (8 * L)) ** 2 / 2
+        for _ in range(5):
+            p = hermitian_poly(rng, n)
+            vals = np.concatenate(list(tp.phases(p[n:], 8)))
+            lowest, top = float(vals.min()), float(np.max(np.abs(vals)))
+            e0 = (tp.fft_error_bound(L, float(np.linalg.norm(p)))
+                  + 7 * tp.TWIDDLE_EPS * float(np.sum(np.abs(p))))
+            bern = r * (top + e0) / (1 - r)
+            assert lowest - tp.min_lower_bound(p[n:]) >= (1 + 2.0**-20) * (bern + e0)
+
     @pytest.mark.parametrize("n", [1, 5, 64, 513])
     def test_top_frequency_cosine(self, n):
         # cos(2 pi n theta) bends fastest of all order-n polynomials of its
         # norm, so the Bernstein term is met with equality in its second
         # derivative; its minimum -1 must still be covered
-        c = np.zeros(2 * n + 1, dtype=complex)
-        c[0] = c[-1] = 0.5
+        c = np.zeros(n + 1, dtype=complex)
+        c[n] = 0.5
         bound = tp.min_lower_bound(c)
         assert -1.02 <= bound <= -1.0
 
     def test_refuses_more_than_one_row(self):
-        # three rows of cos(2 pi 10 theta): the order is read off the row
-        # length, so a stack of rows would get its Bernstein term for the
-        # wrong order
-        c = np.zeros(21, dtype=complex)
-        c[0] = c[-1] = 0.5
-        with pytest.raises(ValueError, match="one odd-length row"):
+        # the halves of three rows of cos(2 pi 10 theta), a 2-d stack: the
+        # order is read off the half's length, so a stack of rows would get
+        # its Bernstein term for the wrong order
+        c = np.zeros(11, dtype=complex)
+        c[10] = 0.5
+        with pytest.raises(ValueError, match="one non-empty half row"):
             tp.min_lower_bound(np.tile(c, (3, 1)))
 
-    def test_refuses_even_length(self):
-        with pytest.raises(ValueError, match="one odd-length row"):
-            tp.min_lower_bound(np.ones(6, dtype=complex))
-
-    def test_refuses_non_hermitian(self):
-        c = hermitian_poly(np.random.default_rng(3), 4)
-        c[5] += 1e-12
-        with pytest.raises(ValueError, match="Hermitian"):
-            tp.min_lower_bound(c)
+    def test_refuses_empty_row(self):
+        # an empty array has no c_0, so no order
+        with pytest.raises(ValueError, match="one non-empty half row"):
+            tp.min_lower_bound(np.ones(0, dtype=complex))
 
     def test_refuses_imaginary_constant(self):
-        c = hermitian_poly(np.random.default_rng(4), 4)
-        c[4] += 1e-12j
-        with pytest.raises(ValueError, match="Hermitian"):
+        # Im c_0 != 0 is the one way a half fails to be a Hermitian row's:
+        # the sampler would drop it and bound a different polynomial
+        c = hermitian_poly(np.random.default_rng(4), 4)[4:]
+        c[0] += 1e-12j
+        with pytest.raises(ValueError, match="Im c_0 == 0"):
             tp.min_lower_bound(c)
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e200, 7e-200])
+def test_row_norms_are_the_full_rows(scale):
+    # the 1- and 2-norms of a half are those of its unfolded row, in which
+    # each c_k, k >= 1, stands twice; at 1e200 and 7e-200 the squares over-
+    # and underflow, and the rescaled norm keeps its relative accuracy
+    rng = np.random.default_rng(12)
+    for n in (0, 1, 2, 9, 100):
+        half = hermitian_poly(rng, n)[n:]
+        row = unfold(half)
+        norm1, norm2 = tp.row_norms(half * scale)
+        assert norm1 == pytest.approx(scale * float(np.sum(np.abs(row))), rel=1e-14)
+        assert norm2 == pytest.approx(scale * float(np.linalg.norm(row)), rel=1e-14)
 
 
 def test_fft_error_bound_frozen():
@@ -374,7 +407,7 @@ def test_real_fft_rounding_within_assumed_bound():
 def test_min_lower_bound_property(n, seed, shift):
     p = hermitian_poly(np.random.default_rng(seed), n, decay=1.0)
     p = p + shift * (np.arange(-n, n + 1) == 0)
-    assert tp.min_lower_bound(p) <= fine_min(p)
+    assert tp.min_lower_bound(p[n:]) <= fine_min(p)
 
 
 def test_bad_coeff_length():

@@ -8,6 +8,12 @@ subdomain, evaluates F in closed form with an a-priori rounding-error bound,
 and records any sample where the measured part exceeds its bound by more
 than that rounding bound.
 
+Each subdomain is one row of the table _DOMAINS: its sampling box and its
+two printed bounds. The box draws s from an interval, then theta from an
+interval over that s; it covers the whole subdomain, and _proposal keeps a
+draw once it lies in the rectangle and classify_domain, the one definition
+of the partition and of its tie-breaking, gives it the row's label.
+
 Each bound is transcribed term by term with absolute values around the
 individual summands: a few printed distance factors change sign on their
 own subdomain (the small-theta branches reuse an expression derived for
@@ -27,15 +33,12 @@ log coefficient (1/2 + 1/pi)/(8(1 + n|s|)) <= 0.102 < 1/(2 pi). From n ~
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 
 import numpy as np
 
 from . import trigpoly as tp
 from .budget import check_budget
-
-DOMAINS = ("D0+", "D1+", "D2+", "D3+", "D4+",
-           "D0-", "D1-", "D2-", "D3-", "D4-", "D5-")
-
 
 # peak bytes per term of one closed-form evaluation: the index, the sine
 # quotients and the phase with its cosine or sine (32.3 measured with getrusage
@@ -184,135 +187,120 @@ def _peak_pair(s: float, theta: float, n: int) -> float:
             + abs(theta / (8.0 * (2 * n + 3) * s * (s - theta))))
 
 
+# one row per subdomain, in the order of classify_domain's tests:
+# draw(rng, h) draws (s, theta) from the box, one rng.uniform call for each;
+# real(s, theta, n, h, c) and imag(s, theta, n, h, c) are the printed bounds
+# for |Re F| and |Im F|, with h = 1/(2n+3) and c = _cconst(n)
+_Domain = namedtuple("_Domain", "draw real imag")
+
+_DOMAINS = {
+    "D0+": _Domain(
+        lambda rng, h: (s := rng.uniform(h, 0.5 - h), rng.uniform(s + h, 0.5)),
+        lambda s, theta, n, h, c: (math.pi / 2.0 + c * (2.0 * (2 * n + 3) + abs(1.0 / s)
+                                                        + abs(1.0 / (theta - s))) + theta / 2.0),
+        lambda s, theta, n, h, c: (c * (abs(1.0 / s) + abs(1.0 / (theta - s)))
+                                   + math.log(max(r := s / (theta - s), 1.0 / r)))),
+    "D1+": _Domain(
+        lambda rng, h: (s := rng.uniform(0.0, h), rng.uniform(0.0, s + h)),
+        lambda s, theta, n, h, c: math.pi * (2 * n + 3) * theta / 4.0 + theta / 2.0,
+        lambda s, theta, n, h, c: math.pi * (n + 1) * theta / 2.0),
+    "D2+": _Domain(
+        lambda rng, h: (s := rng.uniform(h, 0.5), rng.uniform(max(s - h, 0.0), min(s + h, 0.5))),
+        lambda s, theta, n, h, c: (math.pi / 2.0
+                                   + c * (abs(1.0 / s) + abs(1.0 / (s - theta + 2.0 * h)))
+                                   + theta / 2.0),
+        lambda s, theta, n, h, c: (math.pi * (n + 1) / (2.0 * n)
+                                   + c * (abs(1.0 / s) + abs(1.0 / (s - theta + 2.0 / n)))
+                                   + 0.25 * abs(math.log(abs(s / (s - theta + 2.0 / n)))))),
+    "D3+": _Domain(
+        lambda rng, h: (s := rng.uniform(0.0, h), rng.uniform(s + h, 0.5)),
+        lambda s, theta, n, h, c: ((2 * n + 3) * math.pi / 4.0 * (s + h)
+                                   + c * ((2 * n + 3) + abs(1.0 / (s - theta))) + theta / 2.0),
+        lambda s, theta, n, h, c: (c * (abs(1.0 / (theta - s)) + abs(1.0 / (2.0 / n - s)))
+                                   + 0.25 * abs(math.log((theta - s) / (2.0 / n - s)))
+                                   + math.pi * (n + 1) / n)),
+    "D4+": _Domain(
+        lambda rng, h: (s := rng.uniform(h, 0.5), rng.uniform(0.0, s - h)),
+        lambda s, theta, n, h, c: ((_peak_pair(s, theta, n) if theta <= h
+                                    else c * (abs(1.0 / s) + abs(1.0 / (s - theta))))
+                                   + theta / 2.0),
+        lambda s, theta, n, h, c: ((abs(4.0 * math.pi**2 * theta / (8.0 * (s - theta)))
+                                    + abs(theta / (8.0 * (2 * n + 3) * s * (s - theta)))
+                                    if theta <= h else c * (abs(1.0 / s) + abs(1.0 / (s - theta))))
+                                   + 0.25 * abs(math.log(s / (s - theta))))),
+    "D0-": _Domain(
+        lambda rng, h: (s := rng.uniform(-0.5, -h), rng.uniform(0.0, min(0.5, s + 0.5))),
+        lambda s, theta, n, h, c: ((_peak_pair(s, theta, n) if theta <= h
+                                    else c * (abs(1.0 / s) + abs(1.0 / (theta - s))))
+                                   + theta / 2.0),
+        lambda s, theta, n, h, c: ((_peak_pair(s, theta, n) if theta <= h
+                                    else c * (abs(1.0 / s) + abs(1.0 / (s - theta))))
+                                   + 0.25 * abs(math.log(-s / (theta - s))))),
+    "D1-": _Domain(
+        lambda rng, h: (s := rng.uniform(-h, 0.0), rng.uniform(h, s + 0.5)),
+        lambda s, theta, n, h, c: (math.pi / 4.0
+                                   + c * (abs(1.0 / (-s + h)) + abs(1.0 / (theta - s)))
+                                   + theta / 2.0),
+        lambda s, theta, n, h, c: (c * (abs(1.0 / (theta - s)) + abs(1.0 / (1.0 / n - s)))
+                                   + math.pi * (n + 1) / (4.0 * n)
+                                   + abs(math.log((theta - s) / (1.0 / n - s))))),
+    "D2-": _Domain(
+        lambda rng, h: (rng.uniform(-h, 0.0), rng.uniform(0.0, h)),
+        lambda s, theta, n, h, c: (2 * n + 3) * math.pi * theta / 4.0 + theta / 2.0,
+        lambda s, theta, n, h, c: math.pi * (n + 1) * theta / 4.0),
+    "D3-": _Domain(
+        lambda rng, h: (s := rng.uniform(-0.5, -h), rng.uniform(s + 0.5, min(0.5, s + 1.0 - h))),
+        lambda s, theta, n, h, c: (c * (2.0 + abs(1.0 / (1.0 + s - theta)))
+                                   + c * (abs(1.0 / s) + 2.0) + theta / 2.0),
+        lambda s, theta, n, h, c: (0.25 * (abs(math.log(1.0 / -s))
+                                           + abs(math.log(1.0 / (1.0 + s - theta))))
+                                   + 2.0 * math.log(2.0)
+                                   + c * (4.0 + abs(1.0 / s) + abs(1.0 / (1.0 + s - theta))))),
+    "D4-": _Domain(
+        lambda rng, h: (s := rng.uniform(-h, 0.0), rng.uniform(s + 0.5, 0.5)),
+        lambda s, theta, n, h, c: (c * (2.0 + abs(1.0 / (1.0 + s - theta))) + math.pi / 4.0
+                                   + c * (abs(1.0 / (h - s)) + 2.0)),
+        lambda s, theta, n, h, c: (math.pi * (n + 1) / (4.0 * n)
+                                   + c * (abs(1.0 / (1.0 + s - theta)) + abs(1.0 / (-s + 1.0 / n))
+                                          + 4.0)
+                                   * abs(math.log(0.5 / (1.0 + s - theta))
+                                         + math.log(0.5 / (-s + 1.0 / n))))),
+    "D5-": _Domain(
+        lambda rng, h: (s := rng.uniform(-0.5, -0.5 + h), rng.uniform(s + 1.0 - h, 0.5)),
+        lambda s, theta, n, h, c: (math.pi / 4.0 + c * (2.0 + abs(1.0 / (1.0 + s - theta + h)))
+                                   + c * (2.0 + abs(1.0 / s)) + theta / 2.0),
+        lambda s, theta, n, h, c: (math.pi / 2.0
+                                   + 0.25 * abs(math.log(0.5 / -s
+                                                         + 0.5 / (1.0 + s - theta + 1.0 / n)))
+                                   + c * (2.0 + abs(1.0 / (1.0 + s - theta + 1.0 / n))
+                                          + abs(1.0 / s)))),
+}
+
+DOMAINS = tuple(_DOMAINS)
+
+
+def _domain(label: str) -> _Domain:
+    if label not in _DOMAINS:
+        raise ValueError(f"unknown domain {label}")
+    return _DOMAINS[label]
+
+
 def bound_real(label: str, s: float, theta: float, n: int) -> float:
     """Printed upper bound for |Re F| on the labeled subdomain."""
-    c = _cconst(n)
-    h = 1.0 / (2 * n + 3)
-    t2 = theta / 2.0
-    if label == "D0-":
-        if theta <= h:
-            return _peak_pair(s, theta, n) + t2
-        return c * (abs(1.0 / s) + abs(1.0 / (theta - s))) + t2
-    if label == "D1-":
-        return math.pi / 4.0 + c * (abs(1.0 / (-s + h)) + abs(1.0 / (theta - s))) + t2
-    if label == "D2-":
-        return (2 * n + 3) * math.pi * theta / 4.0 + t2
-    if label == "D3-":
-        return c * (2.0 + abs(1.0 / (1.0 + s - theta))) + c * (abs(1.0 / s) + 2.0) + t2
-    if label == "D4-":
-        return (c * (2.0 + abs(1.0 / (1.0 + s - theta))) + math.pi / 4.0
-                + c * (abs(1.0 / (h - s)) + 2.0))
-    if label == "D5-":
-        return (math.pi / 4.0 + c * (2.0 + abs(1.0 / (1.0 + s - theta + h)))
-                + c * (2.0 + abs(1.0 / s)) + t2)
-    if label == "D0+":
-        return (math.pi / 2.0
-                + c * (2.0 * (2 * n + 3) + abs(1.0 / s) + abs(1.0 / (theta - s))) + t2)
-    if label == "D1+":
-        return math.pi * (2 * n + 3) * theta / 4.0 + t2
-    if label == "D2+":
-        return (math.pi / 2.0
-                + c * (abs(1.0 / s) + abs(1.0 / (s - theta + 2.0 * h))) + t2)
-    if label == "D3+":
-        return ((2 * n + 3) * math.pi / 4.0 * (s + h)
-                + c * ((2 * n + 3) + abs(1.0 / (s - theta))) + t2)
-    if label == "D4+":
-        if theta <= h:
-            return _peak_pair(s, theta, n) + t2
-        return c * (abs(1.0 / s) + abs(1.0 / (s - theta))) + t2
-    raise ValueError(f"unknown domain {label}")
+    return _domain(label).real(s, theta, n, 1.0 / (2 * n + 3), _cconst(n))
 
 
 def bound_imag(label: str, s: float, theta: float, n: int) -> float:
     """Printed upper bound for |Im F| on the labeled subdomain."""
-    c = _cconst(n)
-    h = 1.0 / (2 * n + 3)
-    if label == "D0-":
-        logterm = 0.25 * abs(math.log(-s / (theta - s)))
-        if theta <= h:
-            return _peak_pair(s, theta, n) + logterm
-        return c * (abs(1.0 / s) + abs(1.0 / (s - theta))) + logterm
-    if label == "D1-":
-        return (c * (abs(1.0 / (theta - s)) + abs(1.0 / (1.0 / n - s)))
-                + math.pi * (n + 1) / (4.0 * n)
-                + abs(math.log((theta - s) / (1.0 / n - s))))
-    if label == "D2-":
-        return math.pi * (n + 1) * theta / 4.0
-    if label == "D3-":
-        return (0.25 * (abs(math.log(1.0 / -s)) + abs(math.log(1.0 / (1.0 + s - theta))))
-                + 2.0 * math.log(2.0)
-                + c * (4.0 + abs(1.0 / s) + abs(1.0 / (1.0 + s - theta))))
-    if label == "D4-":
-        return (math.pi * (n + 1) / (4.0 * n)
-                + c * (abs(1.0 / (1.0 + s - theta)) + abs(1.0 / (-s + 1.0 / n)) + 4.0)
-                * abs(math.log(0.5 / (1.0 + s - theta)) + math.log(0.5 / (-s + 1.0 / n))))
-    if label == "D5-":
-        return (math.pi / 2.0
-                + 0.25 * abs(math.log(0.5 / -s + 0.5 / (1.0 + s - theta + 1.0 / n)))
-                + c * (2.0 + abs(1.0 / (1.0 + s - theta + 1.0 / n)) + abs(1.0 / s)))
-    if label == "D0+":
-        ratio = s / (theta - s)
-        return (c * (abs(1.0 / s) + abs(1.0 / (theta - s)))
-                + math.log(max(ratio, 1.0 / ratio)))
-    if label == "D1+":
-        return math.pi * (n + 1) * theta / 2.0
-    if label == "D2+":
-        return (math.pi * (n + 1) / (2.0 * n)
-                + c * (abs(1.0 / s) + abs(1.0 / (s - theta + 2.0 / n)))
-                + 0.25 * abs(math.log(abs(s / (s - theta + 2.0 / n)))))
-    if label == "D3+":
-        return (c * (abs(1.0 / (theta - s)) + abs(1.0 / (2.0 / n - s)))
-                + 0.25 * abs(math.log((theta - s) / (2.0 / n - s)))
-                + math.pi * (n + 1) / n)
-    if label == "D4+":
-        logterm = 0.25 * abs(math.log(s / (s - theta)))
-        if theta <= h:
-            return (abs(4.0 * math.pi**2 * theta / (8.0 * (s - theta)))
-                    + abs(theta / (8.0 * (2 * n + 3) * s * (s - theta))) + logterm)
-        return c * (abs(1.0 / s) + abs(1.0 / (s - theta))) + logterm
-    raise ValueError(f"unknown domain {label}")
+    return _domain(label).imag(s, theta, n, 1.0 / (2 * n + 3), _cconst(n))
 
 
-# rejection-sampling boxes (s_lo, s_hi, theta_lo(s), theta_hi(s)) per domain
 def _proposal(label: str, n: int, rng) -> tuple[float, float]:
     h = 1.0 / (2 * n + 3)
+    draw = _DOMAINS[label].draw
     for _ in range(10000):
-        if label == "D0+":
-            s = rng.uniform(h, 0.5 - h)
-            th = rng.uniform(s + h, 0.5)
-        elif label == "D1+":
-            s = rng.uniform(0.0, h)
-            th = rng.uniform(0.0, s + h)
-        elif label == "D2+":
-            s = rng.uniform(h, 0.5)
-            th = rng.uniform(max(s - h, 0.0), min(s + h, 0.5))
-        elif label == "D3+":
-            s = rng.uniform(0.0, h)
-            th = rng.uniform(s + h, 0.5)
-        elif label == "D4+":
-            s = rng.uniform(2 * h, 0.5)
-            th = rng.uniform(0.0, s - h)
-        elif label == "D0-":
-            s = rng.uniform(-0.5, -h)
-            th = rng.uniform(0.0, min(0.5, s + 0.5))
-        elif label == "D1-":
-            s = rng.uniform(-h, 0.0)
-            th = rng.uniform(h, s + 0.5)
-        elif label == "D2-":
-            s = rng.uniform(-h, 0.0)
-            th = rng.uniform(0.0, h)
-        elif label == "D3-":
-            s = rng.uniform(-0.5, -h)
-            th = rng.uniform(s + 0.5, min(0.5, s + 1.0 - h))
-        elif label == "D4-":
-            s = rng.uniform(-h, 0.0)
-            th = rng.uniform(s + 0.5, 0.5)
-        else:  # D5-
-            s = rng.uniform(-0.5, -0.5 + h)
-            th = rng.uniform(s + 1.0 - h, 0.5)
-        if th < 0.0 or th > 0.5:
-            continue
-        if classify_domain(s, th, n) == label:
+        s, th = draw(rng, h)
+        if 0.0 <= th <= 0.5 and classify_domain(s, th, n) == label:
             return s, th
     raise RuntimeError(f"proposal box for {label} failed at n={n}")
 

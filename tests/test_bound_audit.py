@@ -1,5 +1,7 @@
+import itertools
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -180,6 +182,69 @@ class TestClassify:
     def test_rejects_outside_rectangle(self):
         with pytest.raises(ValueError):
             ba.classify_domain(0.7, 0.1, 8)
+
+
+class ScriptedRng:
+    """Stands in for the generator _proposal draws from: uniform(lo, hi)
+    records its bounds and returns the next of the scripted values, which
+    repeat."""
+
+    def __init__(self, values):
+        self.values = itertools.cycle(values)
+        self.bounds = []
+
+    def uniform(self, lo, hi):
+        self.bounds.append((lo, hi))
+        return next(self.values)
+
+
+class TestProposal:
+    @pytest.mark.parametrize("n", [4, 16, 64, 1024])
+    def test_each_box_covers_its_subdomain(self, n):
+        # every point of the rectangle lies in the s-box of its subdomain and
+        # in the theta-box over its s; the bands near s = 0 (the corner band
+        # holds D4+'s strip h <= s < 2h next to D1+) and s = -1/2, 1/2 hold
+        # the narrow subdomains
+        rng = np.random.default_rng(n)
+        h = 1.0 / (2 * n + 3)
+        points = np.vstack([rng.uniform(lo, hi, size=(1000, 2)) for lo, hi in (
+            ([-0.5, 0.0], [0.5, 0.5]),
+            ([-3 * h, 0.0], [3 * h, 0.5]),
+            ([-3 * h, 0.0], [3 * h, 3 * h]),
+            ([-0.5, 0.0], [-0.5 + 3 * h, 0.5]),
+            ([0.5 - 3 * h, 0.0], [0.5, 0.5]))])
+        for s, theta in points:
+            label = ba.classify_domain(s, theta, n)
+            scripted = ScriptedRng([s, theta])
+            assert ba._proposal(label, n, scripted) == (s, theta)
+            (s_lo, s_hi), (theta_lo, theta_hi) = scripted.bounds
+            assert s_lo <= s <= s_hi and theta_lo <= theta <= theta_hi, (
+                label, s, theta, scripted.bounds)
+
+    @pytest.mark.parametrize("label", ba.DOMAINS)
+    def test_gives_up_naming_its_label(self, label):
+        # a draw always in another subdomain, or always above theta = 1/2,
+        # is rejected until the proposal gives up
+        other = (-0.4, 0.05) if label == "D2+" else (0.3, 0.3)
+        for script in (other, (0.1, 0.6)):
+            scripted = ScriptedRng(script)
+            with pytest.raises(RuntimeError, match=f"box for {re.escape(label)} failed at n=8"):
+                ba._proposal(label, 8, scripted)
+            assert len(scripted.bounds) == 2 * 10000
+
+    @pytest.mark.parametrize("n", [4, 16, 64, 1024])
+    def test_d4_plus_bounds_hold_next_to_d1_plus(self, n):
+        # the strip h <= s < 2h, theta <= s - h of D4+, audited since its box
+        # draws s from [h, 1/2]
+        rng = np.random.default_rng(n)
+        h = 1.0 / (2 * n + 3)
+        s = rng.uniform(h, 2 * h, 200)
+        theta = rng.uniform(0.0, s - h)
+        values, errs = ba.f_inner(s, theta, n)
+        for si, th, value, err in zip(s, theta, values, errs):
+            assert ba.classify_domain(si, th, n) == "D4+"
+            assert abs(value.real) <= ba.bound_real("D4+", si, th, n) + err
+            assert abs(value.imag) <= ba.bound_imag("D4+", si, th, n) + err
 
 
 class TestBounds:

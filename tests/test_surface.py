@@ -23,11 +23,20 @@ Every FFT of the package is a real one (rfft, irfft) of real rows or
 Hermitian half rows: no module calls a complex transform. The sign and
 scaling convention of those transforms has one home too: only trigpoly
 passes an FFT a norm= keyword (trigpoly.to_spectrum and the sampler).
+
+Each subdomain of the audit has one home as data, its row of
+bound_audit._DOMAINS (sampling box and both printed bounds), and one as
+logic, its test in bound_audit.classify_domain, which fixes the partition
+and its tie-breaking order: no other code spells a subdomain's label, and
+nothing dispatches on one by comparison.
 """
 
 import ast
+import collections
 import math
 import pathlib
+
+from supres.bound_audit import DOMAINS
 
 TESTS = pathlib.Path(__file__).resolve().parent
 SRC = TESTS.parent / "src" / "supres"
@@ -145,3 +154,24 @@ def test_fft_convention_is_spelled_once_in_trigpoly():
     found = {path.stem for path in sorted(SRC.glob("*.py"))
              for node in ast.walk(ast.parse(path.read_text())) if _normed_fft_call(node)}
     assert found == {"trigpoly"}
+
+
+def test_each_audit_subdomain_has_one_row_and_one_test():
+    tree = ast.parse((SRC / "bound_audit.py").read_text())
+    labels = set(DOMAINS)
+    table = next(node.value for node in tree.body if isinstance(node, ast.Assign)
+                 and [getattr(t, "id", None) for t in node.targets] == ["_DOMAINS"])
+    keys = [key.value for key in table.keys]
+    classify = next(node for node in tree.body
+                    if isinstance(node, ast.FunctionDef) and node.name == "classify_domain")
+    returns = [node.value.value for node in sorted(
+        (node for node in ast.walk(classify) if isinstance(node, ast.Return)),
+        key=lambda node: (node.lineno, node.col_offset))]
+    assert tuple(keys) == tuple(returns) == DOMAINS
+    spelled = collections.Counter(node.value for node in ast.walk(tree)
+                                  if isinstance(node, ast.Constant) and node.value in labels)
+    assert spelled == {label: 2 for label in DOMAINS}
+    compared = [ast.unparse(node) for node in ast.walk(tree) if isinstance(node, ast.Compare)
+                and any(isinstance(operand, ast.Constant) and operand.value in labels
+                        for operand in [node.left, *node.comparators])]
+    assert compared == []

@@ -28,6 +28,14 @@ grows like ln(n)/(2 pi). Unlike every other line, D4- multiplies its log
 sum (about ln n) by the c-term, whose 1/(-s + 1/n) ~ n/(1 + n|s|) makes its
 log coefficient (1/2 + 1/pi)/(8(1 + n|s|)) <= 0.102 < 1/(2 pi). From n ~
 2500 it fails: 7 soft D4-/Im violations at n = 4096 (110 samples, seed 0).
+
+The D2- bound on |Im F|, pi(n+1)theta/4, is also kept as transcribed, and
+fails at the smallest n. On a 200 x 200 grid of D2- (-h <= s < 0,
+0 < theta <= h) the ratio |Im F|/bound peaks near s = -0.74h at small
+theta: 1.009 at n = 4, where 944 of the 40000 points exceed the bound, and
+0.995 at n = 5 (0.972 at n = 8, 0.930 at n = 64). So an audit at n = 4 can
+report soft D2-/Im violations: one in 110 samples at seed 3, six in 2200
+at seed 0.
 """
 
 from __future__ import annotations

@@ -5,13 +5,14 @@ polynomial eta(theta) = sum_j a_j D(theta - tau_j) + b_j D'(theta - tau_j)
 (D the centered Dirichlet kernel of cutoff n) satisfying eta(tau_j) = sign_j
 and eta'(tau_j) = 0, then verify |eta| < 1 away from the atoms on a dense
 grid with a Lipschitz safety margin (`verify_bounded`, whose dict is the
-certify report). The grid values come from the halves k = 0..n of the
-Hermitian coefficient rows of Re eta and Im eta (`eta_coeffs`), by
-trigpoly.phases, two inverse real FFTs of length fast_len(2n+1) per phase:
-O(n log n) time per phase and O(n) memory for any grid_mult. The checks
-at the atoms read eta and eta' there from the residual of the solved
-interpolation system, whose rows are those values, so they take no kernel
-evaluation beyond the system's own.
+certify report). A certificate is its measure and coefficients alone. The
+grid values come from the halves k = 0..n of the Hermitian coefficient rows
+of Re eta and Im eta (`eta_coeffs`), by trigpoly.phases, two inverse real
+FFTs of length fast_len(2n+1) per phase: O(n log n) time per phase and O(n)
+memory for any grid_mult. The checks at the atoms read eta and eta' there
+from the residual of the interpolation system, whose rows are those values:
+the check builds that system from the measure, one |S| x |S| kernel
+evaluation, whether the coefficients were solved or given.
 """
 
 from __future__ import annotations
@@ -118,15 +119,12 @@ def _is_real(x) -> bool:
 
 @dataclass(frozen=True, eq=False)
 class Certificate:
-    """Solved certificate coefficients for a measure, with the interpolation
-    system (matrix, rhs) of `build_system` they solve, which verify_bounded
-    reads its atom checks from; None for coefficients given directly, whose
-    check then builds the system."""
+    """Certificate coefficients (a, b) for a measure, solved or given:
+    eta = sum_j a_j D(. - tau_j) + b_j D'(. - tau_j)."""
 
     measure: AtomicMeasure
     a: np.ndarray
     b: np.ndarray
-    system: tuple | None = field(default=None, repr=False)
 
     @property
     def n(self) -> int:
@@ -185,7 +183,7 @@ def solve_certificate(m: AtomicMeasure) -> Certificate:
         raise SingularSystem("non-finite solution")
     S = m.size
     g = _gamma(m.n)
-    return Certificate(measure=m, a=sol[:S], b=sol[S:] / g, system=(matrix, rhs))
+    return Certificate(measure=m, a=sol[:S], b=sol[S:] / g)
 
 
 def eta_coeffs(c: Certificate) -> np.ndarray:
@@ -262,7 +260,8 @@ def verify_bounded(c: Certificate, grid_mult: int = 10) -> dict:
     `system_norm_bounds` operator norm); interp_err and deriv_err, the
     largest |eta - sign| and |eta'| at the atoms, from the residual of
     `build_system` at (a, gamma b), whose rows are eta(tau_j) - sign_j and
-    -eta'(tau_j)/gamma (the system the solve formed, kept on c);
+    -eta'(tau_j)/gamma, built here from c's measure for solved and given
+    coefficients alike;
     sup_off_atom and argmax, the grid max off the atoms and its point (NaN
     when no grid point is off the atoms); certified, True when grid max +
     slack < 1 and interp_err is at most INTERP_TOL.
@@ -294,7 +293,7 @@ def verify_bounded(c: Certificate, grid_mult: int = 10) -> dict:
             sup_sq, best = float(vals[j]), j * grid_mult + r
 
     g = _gamma(n)
-    matrix, rhs = c.system or build_system(m)
+    matrix, rhs = build_system(m)
     r = np.abs(matrix @ np.concatenate([c.a, g * c.b]) - rhs)
     interp_err = float(np.max(r[: m.size]))
     report = {

@@ -287,6 +287,22 @@ class TestAudit:
         assert cli.main(["audit", "--n", "4096"]) == 0
         assert json.loads(capsys.readouterr().out)["violation_count"] == 7
 
+    def test_d2_minus_imag_bound_fails_at_n_4(self, capsys):
+        # the transcribed D2-/Im bound pi(n+1)theta/4 sits just below Im F
+        # near s = -0.74h, small theta, at the smallest n (module docstring):
+        # one soft violation at n = 4, seed 3, and the audit still exits 0
+        rep = ba.check_master_bounds(4, 110, seed=3)
+        assert rep["violation_count"] == 1
+        assert rep["hard_violation_count"] == 0
+        (v,) = rep["violations"]
+        assert v["domain"] == "D2-/Im"
+        assert v["s"] == pytest.approx(-0.0606, abs=5e-5)
+        assert v["theta"] == pytest.approx(0.0179, abs=5e-5)
+        assert v["measured"] == pytest.approx(0.070504, abs=5e-7)
+        assert v["bound"] == pytest.approx(0.070407, abs=5e-7)
+        assert cli.main(["audit", "--n", "4", "--seed", "3"]) == 0
+        assert json.loads(capsys.readouterr().out)["violation_count"] == 1
+
     def test_modulus_below_bound_sum(self):
         rng = np.random.default_rng(8)
         for label in ba.DOMAINS:

@@ -271,9 +271,9 @@ class TestVerifyBounded:
         assert report["sup_off_atom"] < 1.0
         assert report["certified"] is False
 
-    def test_check_reuses_the_solved_system(self, monkeypatch):
-        # solve and check evaluate the Dirichlet kernels once between them;
-        # coefficients given without the system get the same report
+    def test_check_builds_its_own_system(self, monkeypatch):
+        # solve and check each evaluate the Dirichlet kernels once, for the
+        # system each forms; coefficients given directly get the same report
         m = cert.AtomicMeasure(256, np.array([0.1, 0.4, 0.75]), np.array([1.0, 1j, -1.0]))
         calls = 0
         kernels = tp.dirichlet_deriv
@@ -285,11 +285,31 @@ class TestVerifyBounded:
 
         monkeypatch.setattr(tp, "dirichlet_deriv", counted)
         c = cert.solve_certificate(m)
-        report = cert.verify_bounded(c)
         assert calls == 1
+        report = cert.verify_bounded(c)
+        assert calls == 2
         bare = cert.Certificate(m, c.a, c.b)
         assert json.dumps(cert.verify_bounded(bare)) == json.dumps(report)
-        assert calls == 2
+        assert calls == 3
+
+    @pytest.mark.parametrize("atoms, signs", [((0.2, 0.7), (1.0, -1.0)), ((0.1, 0.5), (1.0, -1j))])
+    def test_check_follows_the_measure_not_the_solve(self, atoms, signs):
+        # coefficients solved for one measure and checked against another:
+        # the atom checks are eta and eta' at the other measure's atoms, and
+        # the report is the one those coefficients get when given directly
+        m1 = cert.AtomicMeasure(128, np.array([0.1, 0.5]), np.array([1.0, 1j]))
+        m2 = cert.AtomicMeasure(128, np.array(atoms), np.array(signs))
+        c = cert.solve_certificate(m1)
+        moved = dataclasses.replace(c, measure=m2)
+        report = cert.verify_bounded(moved)
+        eta, deta = eval_eta(moved, m2.atoms)
+        np.testing.assert_allclose(report["interp_err"], np.max(np.abs(eta - m2.signs)), rtol=1e-9)
+        # same atoms, other signs: eta' still vanishes there, to rounding
+        np.testing.assert_allclose(report["deriv_err"], np.max(np.abs(deta)), rtol=1e-9,
+                                   atol=1e-15 * m2.n**2)
+        assert report["certified"] is False
+        bare = cert.verify_bounded(cert.Certificate(m2, c.a, c.b))
+        assert json.dumps(report) == json.dumps(bare)
 
     def test_small_grid_mult_rejected(self):
         m = cert.AtomicMeasure(16, np.array([0.5]), np.array([1.0 + 0j]))

@@ -715,8 +715,7 @@ class TestSymbolFloor:
             solve_certificate(m)
         matrix, rhs = build_system(m)
         sol = np.linalg.solve(matrix, rhs)
-        c = Certificate(m, sol[:size], sol[size:] / np.sqrt(4 * np.pi**2 * n * (n + 1) / 3),
-                        system=(matrix, rhs))
+        c = Certificate(m, sol[:size], sol[size:] / np.sqrt(4 * np.pi**2 * n * (n + 1) / 3))
         rep = assemble_and_verify(c)
         assert rep["psd_rigorous"] is True
         assert rep["verified"] is True

@@ -14,7 +14,9 @@ by some test module, so none of them outlives its last test.
 Every dataclass of the package passes eq=False: they hold numpy arrays, and
 the generated field-by-field __eq__ would raise on them ("truth value of an
 array ... is ambiguous") and leave the objects unhashable. Identity is the
-equality they keep.
+equality they keep. No dataclass field defaults to None: an optional field
+is state that every reader must handle when it is absent, two paths where
+one would do.
 
 The floating-point model, the unit roundoff trigpoly.U and trigpoly.gamma,
 has one home: no other module spells a power of two at or below 2^-50.
@@ -33,6 +35,8 @@ nothing dispatches on one by comparison.
 
 import ast
 import collections
+import dataclasses
+import importlib
 import math
 import pathlib
 
@@ -101,6 +105,19 @@ def test_every_dataclass_compares_by_identity():
                 if not (isinstance(eq, ast.Constant) and eq.value is False):
                     plain.append(name)
     assert checked and plain == []
+
+
+def test_no_dataclass_field_defaults_to_none():
+    checked, optional = [], []
+    for path in sorted(SRC.glob("*.py")):
+        module = importlib.import_module(f"supres.{path.stem}")
+        for obj in vars(module).values():
+            if (isinstance(obj, type) and dataclasses.is_dataclass(obj)
+                    and obj.__module__ == module.__name__):
+                checked.append(obj.__qualname__)
+                optional += [f"{path.stem}.{obj.__qualname__}.{f.name}"
+                             for f in dataclasses.fields(obj) if f.default is None]
+    assert checked and optional == []
 
 
 def _tiny_power_of_two(node) -> bool:

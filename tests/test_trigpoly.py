@@ -207,6 +207,29 @@ class TestDirichletDeriv:
         for a, b in zip(tp.dirichlet_deriv(31, 0.2), tp.dirichlet_deriv(31, 1.2)):
             assert a == pytest.approx(b, rel=1e-10, abs=1e-9)
 
+    def test_series_points_written_in_place(self):
+        # the series overwrites only the points below the switch: one call on
+        # an array that mixes them with exact integers and ordinary theta, 1-d
+        # and 2-d, equals calls point by point, bit for bit
+        rng = np.random.default_rng(12)
+        for n in (1, 8, 64, 1024, 16384):
+            switch = 5e-3 / n
+            th = np.concatenate([[-2.0, 0.0, 1.0, 3.0], switch * np.array([-1.5, -1, -0.5, 0.5, 1, 1.5]),
+                                 rng.uniform(-switch, switch, 6), rng.uniform(-1, 1, 8)])
+            for arr in (th, th[:, None] - th[:10]):
+                batch = tp.dirichlet_deriv(n, arr)
+                for idx in np.ndindex(arr.shape):
+                    point = tp.dirichlet_deriv(n, arr[idx])
+                    assert [v[idx] for v in batch] == [p[()] for p in point], (n, arr[idx])
+                assert all(v.shape == arr.shape and v.dtype == float for v in batch)
+
+    @pytest.mark.parametrize("theta", [0.3, 1e-9, 0.0, 2])
+    def test_scalar_input_types(self, theta):
+        # a float theta gives D as a 0-d array and D', D'' as numpy floats
+        D0, D1, D2 = tp.dirichlet_deriv(16, theta)
+        assert type(D0) is np.ndarray and D0.shape == ()
+        assert type(D1) is np.float64 and type(D2) is np.float64
+
 
 def fine_min(p):
     """Minimum of p, the full row on -n..n, on a grid 64 times finer than

@@ -18,6 +18,7 @@ evaluation, whether the coefficients were solved or given.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -38,7 +39,8 @@ class SingularSystem(ArithmeticError):
 class AtomicMeasure:
     """At least one atom tau_j in [0,1), with unit-modulus complex signs, at
     cutoff n, and their least wrap-around distance, separation (inf for one
-    atom)."""
+    atom). n is stored as a Python int: an integral float or any integer but
+    a bool is taken, anything else raises ValueError."""
 
     n: int
     atoms: np.ndarray
@@ -46,6 +48,12 @@ class AtomicMeasure:
     separation: float = field(init=False, repr=False)
 
     def __post_init__(self):
+        n = self.n
+        if isinstance(n, float) and n.is_integer():
+            n = int(n)
+        if isinstance(n, bool) or not isinstance(n, numbers.Integral):
+            raise ValueError(f"cutoff n must be an integer, got {n!r}")
+        object.__setattr__(self, "n", int(n))
         atoms = np.atleast_1d(np.asarray(self.atoms, dtype=float))
         signs = np.atleast_1d(np.asarray(self.signs, dtype=np.complex128))
         if atoms.size == 0:
@@ -96,10 +104,6 @@ def measure_from_json(doc) -> AtomicMeasure:
         raise ValueError(f"malformed measure document: {exc}") from exc
     if not isinstance(atoms, list):
         raise ValueError("atoms must be a non-empty list")
-    if isinstance(n, float) and n.is_integer():
-        n = int(n)
-    if isinstance(n, bool) or not isinstance(n, int):
-        raise ValueError(f"cutoff n must be an integer, got {n!r}")
     if not all(map(_is_real, positions)):
         raise ValueError("every position must be a number")
     if not all(isinstance(s, list) and len(s) == 2 and all(map(_is_real, s))

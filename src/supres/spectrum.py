@@ -4,18 +4,21 @@ Both ends are eigenvalues of the real symmetric map M^T M, found together by
 one run of ARPACK's implicitly restarted Lanczos method
 (scipy.sparse.linalg.eigsh with which="BE", k=2): the Krylov space it builds
 serves the top and the bottom alike, so no shift and no second run are
-needed. A Rayleigh-quotient residual on each returned Ritz vector gives the
-usual a-posteriori guarantee: the estimate lies within residual of some true
-eigenvalue, which the report maps back to the singular-value scale. That
-places *a* singular value near each estimate; it does not prove that none
-lies below sigma_min, so condition_holds is a residual-based estimate, not a
-proof. `sweep_report`, the spectrum command's report, repeats
-`spectrum_report` at K/4, K/2 and K: the spectrum is flat in K past 100.
+needed. A run is its numbers: `lanczos_extremes` returns each end's value
+and residual ||A x - lam x|| / ||x|| on its Ritz vector x, and the count of
+products. The residual gives the usual a-posteriori guarantee (Parlett, The
+Symmetric Eigenvalue Problem, Thm 4.5.1): the estimate lies within residual
+of some true eigenvalue, which the report maps back to the singular-value
+scale. A residual above RESIDUAL_TOL, or NaN (from a zero vector), is
+refused as NonConvergence. That places *a* singular value near each
+estimate; it does not prove that none lies below sigma_min, so
+condition_holds is a residual-based estimate, not a proof. `sweep_report`,
+the spectrum command's report, repeats `spectrum_report` at K/4, K/2 and K:
+the spectrum is flat in K past 100.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -25,20 +28,8 @@ from . import qk_operator as qk
 from .budget import check_budget
 
 
-class ZeroVector(ValueError):
-    """A residual bound was requested for the zero vector."""
-
-
 class NonConvergence(RuntimeError):
     """Lanczos gave up, or a Ritz pair missed the residual target."""
-
-
-@dataclass(frozen=True, eq=False)
-class Eigenpair:
-    value: float
-    vector: np.ndarray
-    residual: float
-    iters: int
 
 
 # ARPACK's stopping test is relative, ||r|| <= rtol |lam|, so it runs at
@@ -52,23 +43,17 @@ RESIDUAL_TOL = 1e-8
 _MAX_RESTARTS = 20000
 
 
-def aposteriori_bound(apply: Callable, x: np.ndarray, lam: float) -> float:
-    """||A x - lam x|| / ||x||: distance from lam to the nearest eigenvalue
-    of the Hermitian map A."""
-    nx = float(np.linalg.norm(x))
-    if nx == 0.0:
-        raise ZeroVector("residual bound needs a nonzero vector")
-    return float(np.linalg.norm(apply(x) - lam * x)) / nx
+def lanczos_extremes(apply: Callable, dim: int, seed=0):
+    """((value, residual) of the bottom end, (value, residual) of the top
+    end, products) of a real symmetric map, from one Lanczos run.
 
-
-def lanczos_extremes(apply: Callable, dim: int, seed=0) -> tuple[Eigenpair, Eigenpair]:
-    """(bottom, top) eigenpairs of a real symmetric map from one Lanczos run.
-
-    ARPACK runs at rtol = 0 for at most _MAX_RESTARTS restart cycles, and
-    the residual of each returned Ritz vector is checked against
-    RESIDUAL_TOL. iters, the same for both pairs, counts applications of
-    the map in the run, the two residual checks included. Raises
-    NonConvergence when ARPACK gives up or a residual misses RESIDUAL_TOL.
+    ARPACK runs at rtol = 0 for at most _MAX_RESTARTS restart cycles. Each
+    returned Ritz vector x with value lam has the residual
+    ||A x - lam x|| / ||x||, some eigenvalue of A lying that close to lam,
+    checked against RESIDUAL_TOL. products counts applications of the map
+    in the run, the two residual checks included. Raises NonConvergence
+    when ARPACK gives up or a residual misses RESIDUAL_TOL; a residual that
+    is NaN, as from a zero vector, misses it too.
     """
     count = 0
 
@@ -84,25 +69,26 @@ def lanczos_extremes(apply: Callable, dim: int, seed=0) -> tuple[Eigenpair, Eige
     except ArpackNoConvergence as exc:
         raise NonConvergence(
             f"Lanczos did not converge after {count} products: {exc}") from exc
-    ends = [(float(lam), x, aposteriori_bound(counted, x, lam)) for lam, x in zip(w, V.T)]
-    for (_, _, res), end in zip(ends, ("bottom", "top")):
+    ends = [(float(lam), float(np.linalg.norm(counted(x) - lam * x) / np.linalg.norm(x)))
+            for lam, x in zip(w, V.T)]
+    for (_, res), end in zip(ends, ("bottom", "top")):
         if not res <= RESIDUAL_TOL:  # a NaN residual fails too
             raise NonConvergence(
                 f"Lanczos {end} residual {res:.3e} above the target {RESIDUAL_TOL:.3e} "
                 f"after {count} products")
-    bottom, top = (Eigenpair(lam, x, res, count) for lam, x, res in ends)
-    return bottom, top
+    return ends[0], ends[1], count
 
 
-def _sigma_scale(pair: Eigenpair) -> tuple[float, float]:
-    """(sigma, residual) on the singular-value scale for an eigenpair of M^T M.
+def _sigma_scale(lam: float, res: float) -> tuple[float, float]:
+    """(sigma, residual) on the singular-value scale for an eigenvalue lam
+    of M^T M with residual res.
 
     |sigma - sigma_true| <= res / (sigma + sigma_true), and the true value is
     at least sqrt(lam - res).
     """
-    sigma = float(np.sqrt(max(pair.value, 0.0)))
-    denom = sigma + float(np.sqrt(max(pair.value - pair.residual, 0.0)))
-    return sigma, pair.residual / denom if denom > 0 else float(np.sqrt(pair.residual))
+    sigma = float(np.sqrt(max(lam, 0.0)))
+    denom = sigma + float(np.sqrt(max(lam - res, 0.0)))
+    return sigma, res / denom if denom > 0 else float(np.sqrt(res))
 
 
 def dense_extremes(K: int) -> tuple[float, float]:
@@ -139,17 +125,17 @@ def spectrum_report(K: int, seed=0) -> dict:
     def squared(x):
         return qk.matvec_transpose(op, qk.matvec(op, x))
 
-    bottom, top = lanczos_extremes(squared, op.dim, seed)
-    sigma_max, res_max = _sigma_scale(top)
-    sigma_min, res_min = _sigma_scale(bottom)
+    bottom, top, products = lanczos_extremes(squared, op.dim, seed)
+    sigma_max, res_max = _sigma_scale(*top)
+    sigma_min, res_min = _sigma_scale(*bottom)
     return {
         "K": K,
         "sigma_max": sigma_max,
         "sigma_min": sigma_min,
         "residual_max": res_max,
         "residual_min": res_min,
-        "iters_max": top.iters,
-        "iters_min": bottom.iters,
+        "iters_max": products,
+        "iters_min": products,
         "condition_holds": bool(sigma_min - res_min > 0.5),
     }
 

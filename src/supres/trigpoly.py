@@ -30,6 +30,8 @@ is within 1e-12 of its scale (2 pi n)^m.
 
 from __future__ import annotations
 
+import operator
+
 import numpy as np
 
 # the floating-point model (N. J. Higham, Accuracy and Stability of Numerical
@@ -45,13 +47,14 @@ def gamma(k: int) -> float:
 
 
 def fast_len(m: int) -> int:
-    """Smallest 2^a 3^b 5^c >= m, m >= 1.
+    """Smallest 2^a 3^b 5^c >= m, m >= 1 any integer (numpy's too).
 
     The package's one FFT length rule: every transform in supres is numpy's
     at such a length, run by its mixed-radix kernels (radices 2 to 5, the
     case fft_error_bound's rounding assumption covers). A large prime factor
     would fall back to Bluestein's algorithm, several times slower.
     """
+    m = operator.index(m)
     best = 1 << (m - 1).bit_length()
     p5 = 1
     while p5 < best:

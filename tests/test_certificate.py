@@ -110,6 +110,21 @@ class TestAtomicMeasure:
         with pytest.raises(ValueError, match="2\\^53"):
             cert.AtomicMeasure(2**53 + 1, np.array([0.3]), np.array([1.0 + 0j]))
 
+    def test_numpy_integer_cutoff_is_a_python_int(self):
+        m = cert.AtomicMeasure(np.int64(128), [0.1, 0.5], [1, -1])
+        assert type(m.n) is int
+        rep = cert.verify_bounded(cert.solve_certificate(m))
+        assert rep == cert.verify_bounded(cert.solve_certificate(
+            cert.AtomicMeasure(128, [0.1, 0.5], [1, -1])))
+
+    def test_integral_float_cutoff_is_a_python_int(self):
+        assert type(cert.AtomicMeasure(16.0, [0.1], [1]).n) is int
+
+    @pytest.mark.parametrize("n", [128.5, True, "128"])
+    def test_non_integer_cutoff_rejected(self, n):
+        with pytest.raises(ValueError, match="cutoff n must be an integer"):
+            cert.AtomicMeasure(n, [0.1, 0.5], [1, -1])
+
 
 class TestSystem:
     def test_single_atom_system_is_identity(self):

@@ -505,6 +505,11 @@ class TestAssemble:
         assert is_hermitian(dense_gram(c), 1e-12)
         assert rep["residual_rel"] <= 1e-8
 
+    def test_numpy_integer_cutoff(self):
+        c = solve_certificate(AtomicMeasure(np.int64(128), (0.2, 0.6), (1.0, 1.0)))
+        assert assemble_and_verify(c) == assemble_and_verify(
+            solve_certificate(AtomicMeasure(128, (0.2, 0.6), (1.0, 1.0))))
+
     def test_floor_gives_up_its_two_roundings(self):
         # psd_floor is 1/d + min_lower_bound(zeta) less the two roundings of
         # that sum, 2U each, so it sits strictly below the rounded sum, and

@@ -11,59 +11,29 @@ def matrix_apply(A):
     return lambda x: A @ x
 
 
-class TestAposteriori:
-    def test_exact_eigenpair(self):
-        A = np.diag([1.0, 2.0, 3.0])
-        x = np.array([0.0, 0.0, 1.0])
-        assert sp.aposteriori_bound(matrix_apply(A), x, 3.0) == 0.0
-
-    def test_zero_vector_rejected(self):
-        with pytest.raises(sp.ZeroVector):
-            sp.aposteriori_bound(matrix_apply(np.eye(2)), np.zeros(2), 1.0)
-
-    def test_bounds_distance_on_diagonal(self):
-        A = np.diag([1.0, 2.0, 5.0])
-        x = np.array([0.0, 0.1, 1.0])
-        lam = 4.7
-        bound = sp.aposteriori_bound(matrix_apply(A), x, lam)
-        assert min(abs(lam - d) for d in (1.0, 2.0, 5.0)) <= bound
-
-    def test_bounds_distance_random_hermitian(self):
-        rng = np.random.default_rng(21)
-        B = rng.standard_normal((200, 200)) + 1j * rng.standard_normal((200, 200))
-        A = (B + B.conj().T) / 2.0
-        eigs = np.linalg.eigvalsh(A)
-        for _ in range(10):
-            x = rng.standard_normal(200) + 1j * rng.standard_normal(200)
-            lam = float(rng.uniform(eigs[0], eigs[-1]))
-            bound = sp.aposteriori_bound(matrix_apply(A), x, lam)
-            assert np.min(np.abs(eigs - lam)) <= bound + 1e-12
-
-
 def section_squared(op):
     return lambda x: qk.matvec_transpose(op, qk.matvec(op, x))
 
 
 class TestLanczosLargest:
     def test_identity(self):
-        _, top = sp.lanczos_extremes(lambda x: x, 16, seed=3)
-        assert top.value == pytest.approx(1.0, abs=1e-14)
-        assert top.residual == pytest.approx(0.0, abs=1e-14)
-        assert top.vector.shape == (16,)
+        _, (value, residual), _ = sp.lanczos_extremes(lambda x: x, 16, seed=3)
+        assert value == pytest.approx(1.0, abs=1e-14)
+        assert residual == pytest.approx(0.0, abs=1e-14)
 
     def test_diagonal_squared(self):
         D2 = np.diag([1.0, 4.0, 9.0])
-        _, top = sp.lanczos_extremes(matrix_apply(D2), 3, seed=0)
-        assert top.value == pytest.approx(9.0, abs=1e-12)
+        _, (value, _), _ = sp.lanczos_extremes(matrix_apply(D2), 3, seed=0)
+        assert value == pytest.approx(9.0, abs=1e-12)
 
     def test_estimate_within_residual_of_truth(self, monkeypatch):
         rng = np.random.default_rng(4)
         B = rng.standard_normal((100, 100))
         A = B @ B.T  # PSD
         monkeypatch.setattr(sp, "RESIDUAL_TOL", 1e-6)
-        _, top = sp.lanczos_extremes(matrix_apply(A), 100, seed=1)
+        _, (value, residual), _ = sp.lanczos_extremes(matrix_apply(A), 100, seed=1)
         lam_true = np.linalg.eigvalsh(A)[-1]
-        assert abs(top.value - lam_true) <= top.residual + 1e-9
+        assert abs(value - lam_true) <= residual + 1e-9
 
     def test_nonconvergence_raises(self, monkeypatch):
         # two top eigenvalues 1e-12 apart cannot be split to rounding in one
@@ -80,23 +50,33 @@ class TestLanczosLargest:
         with pytest.raises(sp.NonConvergence, match="above the target"):
             sp.lanczos_extremes(section_squared(op), op.dim, seed=0)
 
+    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+    def test_zero_ritz_vector_raises(self, monkeypatch):
+        # a zero vector has residual 0/0 = NaN, which the target test refuses
+        def zero_vectors(A, **kwargs):
+            return np.array([1.0, 2.0]), np.zeros((A.shape[0], 2))
+
+        monkeypatch.setattr(sp, "eigsh", zero_vectors)
+        with pytest.raises(sp.NonConvergence, match="bottom residual nan above the target"):
+            sp.lanczos_extremes(lambda x: x, 8, seed=0)
+
 
 class TestLanczosSmallest:
     def test_identity(self):
-        bottom, _ = sp.lanczos_extremes(lambda x: x, 8, seed=0)
-        assert bottom.value == pytest.approx(1.0, abs=1e-14)
+        (value, _), _, _ = sp.lanczos_extremes(lambda x: x, 8, seed=0)
+        assert value == pytest.approx(1.0, abs=1e-14)
 
     def test_diagonal(self):
         A = np.diag([1.0, 2.0, 3.0])
-        bottom, _ = sp.lanczos_extremes(matrix_apply(A.T @ A), 3, seed=0)
-        assert np.sqrt(bottom.value) == pytest.approx(1.0, abs=1e-12)
+        (value, _), _, _ = sp.lanczos_extremes(matrix_apply(A.T @ A), 3, seed=0)
+        assert np.sqrt(value) == pytest.approx(1.0, abs=1e-12)
 
     def test_section_matches_dense_svd(self):
         K = 40
         op = qk.build_operator(K)
-        bottom, _ = sp.lanczos_extremes(section_squared(op), op.dim, seed=0)
+        (value, residual), _, _ = sp.lanczos_extremes(section_squared(op), op.dim, seed=0)
         dense_min, _ = sp.dense_extremes(K)
-        assert abs(bottom.value - dense_min**2) <= bottom.residual + 1e-12
+        assert abs(value - dense_min**2) <= residual + 1e-12
 
 
 class TestLanczosBothEnds:
@@ -104,10 +84,10 @@ class TestLanczosBothEnds:
     @pytest.mark.parametrize("seed", range(4))
     def test_match_dense_svd(self, K, seed):
         op = qk.build_operator(K)
-        bottom, top = sp.lanczos_extremes(section_squared(op), op.dim, seed=seed)
+        bottom, top, _ = sp.lanczos_extremes(section_squared(op), op.dim, seed=seed)
         lo, hi = sp.dense_extremes(K)
-        assert abs(bottom.value - lo**2) <= bottom.residual + 1e-12
-        assert abs(top.value - hi**2) <= top.residual + 1e-12
+        assert abs(bottom[0] - lo**2) <= bottom[1] + 1e-12
+        assert abs(top[0] - hi**2) <= top[1] + 1e-12
 
 
 class TestReport:
@@ -174,6 +154,9 @@ class TestReport:
         a = sp.spectrum_report(30, seed=7)
         b = sp.spectrum_report(30, seed=7)
         assert a == b
+
+    def test_numpy_integer_size(self):
+        assert sp.spectrum_report(np.int64(40)) == sp.spectrum_report(40)
 
     def test_seed_changes_iterates_not_values(self):
         a = sp.spectrum_report(30, seed=1)

@@ -17,6 +17,9 @@ array ... is ambiguous") and leave the objects unhashable. Identity is the
 equality they keep. No dataclass field defaults to None: an optional field
 is state that every reader must handle when it is absent, two paths where
 one would do.
+Every field of a package dataclass is read, as an attribute load, by some
+code of the package: a field that only its constructor writes is data no
+caller uses.
 
 The floating-point model, the unit roundoff trigpoly.U and trigpoly.gamma,
 has one home: no other module spells a power of two at or below 2^-50.
@@ -118,6 +121,20 @@ def test_no_dataclass_field_defaults_to_none():
                 optional += [f"{path.stem}.{obj.__qualname__}.{f.name}"
                              for f in dataclasses.fields(obj) if f.default is None]
     assert checked and optional == []
+
+
+def test_every_dataclass_field_is_read():
+    fields, read = [], set()
+    for path in sorted(SRC.glob("*.py")):
+        module = importlib.import_module(f"supres.{path.stem}")
+        for obj in vars(module).values():
+            if (isinstance(obj, type) and dataclasses.is_dataclass(obj)
+                    and obj.__module__ == module.__name__):
+                fields += [(f"{path.stem}.{obj.__qualname__}.{f.name}", f.name)
+                           for f in dataclasses.fields(obj)]
+        read |= {node.attr for node in ast.walk(ast.parse(path.read_text()))
+                 if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+    assert fields and [name for name, field in fields if field not in read] == []
 
 
 def _tiny_power_of_two(node) -> bool:

@@ -119,6 +119,11 @@ class TestEvalGrid:
         assert tp.fast_len(81930) == 82944
         assert tp.fast_len(327690) == 328050
 
+    def test_fast_len_takes_any_integer(self):
+        assert tp.fast_len(np.int64(81930)) == tp.fast_len(81930) == 82944
+        with pytest.raises(TypeError):
+            tp.fast_len(81930.0)
+
     def test_grid_must_exceed_twice_the_order(self):
         p = random_poly(np.random.default_rng(0), 5)
         with pytest.raises(ValueError, match="needs > 10"):

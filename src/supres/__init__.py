@@ -6,7 +6,7 @@ Submodules:
                the FFT coefficient layout and its one length rule
 - certificate: interpolating dual certificate construction and verification
 - gram:        the Gram certificate: projector factor, CG correction, identity
-               check and PSD proof by the symbol floor
+               check and PSD proof by the correction's size, in O(|S| n) memory
 - specfun:     the cosine-integral kernel R of the limit operator
 - qk_operator: the deviation operator in the Dirichlet basis, asymptotic
                entries, structured matvec

@@ -16,13 +16,13 @@ their Hermitian rows, and CG runs in real arithmetic on them; p_err takes
 eta's spectrum as the real spectra of the halves of Re eta and Im eta
 (certificate.eta_coeffs), so every transform here is a real FFT, numpy's,
 at the one length trigpoly.fast_len(4n+1) (`_factor_len`), with
-trigpoly.to_spectrum's sign convention. Only the dense route unfolds V
-and zeta to their full rows.
-The identity is checked in coefficient form. Q is proved PSD from the
-symbol of Toep(zeta), a trigonometric polynomial sampled by eight real
-FFTs at that same length (trigpoly.min_lower_bound), in O(n log n); only
-where that floor is not positive is the dense Q formed, by a rank-2|S|
-update of Toep(zeta), for its eigenvalues.
+trigpoly.to_spectrum's sign convention; no half is unfolded to its full
+row.
+The identity is checked in coefficient form. Q is proved PSD from the size
+of the correction, Q >= (1/dim - ||Toep(zeta)||_F) P, the norm one weighted
+sum over zeta's half in O(n); the symbol of Toep(zeta), sampled by eight
+real FFTs at that same length (trigpoly.min_lower_bound), may raise that
+floor. No dense matrix is formed.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_triangular, toeplitz
+from scipy.linalg import solve_triangular
 from scipy.sparse.linalg import LinearOperator, cg
 
 from . import trigpoly as tp
@@ -61,7 +61,7 @@ class _Factor:
     exponentials psi(tau_j), and G = U*U and its Cholesky factor are real.
     The half therefore holds all of V, and the spectra are real: one
     inverse real FFT of the half gives them, half the cost of a complex
-    FFT. Only the dense route (_dense_gram) unfolds V to its d rows.
+    FFT.
 
     The irfft of a half row at this length places coefficient k at index
     k mod length, as a circular convolution reads it. Every
@@ -165,22 +165,36 @@ def _weights(n: int) -> np.ndarray:
     return d - np.arange(d)
 
 
+def _toep_norm_upper(zeta: np.ndarray) -> float:
+    """An upper bound on ||Toep(zeta)||_F, the d x d Hermitian Toeplitz
+    matrix of the row on -2n..2n with half zeta, d = 2n+1, for the floats
+    of zeta as given: ||Toep(zeta)||_F^2 = sum_s (d - |s|)|zeta_s|^2, one
+    weighted sum over the half, each s >= 1 counted twice.
+
+    Its 2n+1 non-negative terms take three roundings each (two in
+    |zeta_s|^2, one in the product with the exact integer weight) and 2n
+    more in the sum, so the float sum is at least (1 - U)^(2n+3) times the
+    exact one, and its square root times 1 + gamma_{2n+3} bounds the norm;
+    three more roundings cover the square root, the product and 1 + gamma's
+    own. Squares that underflow add below d 2^-536 to the norm, inside the
+    U/d that assemble_and_verify's floor keeps spare.
+    """
+    n = (len(zeta) - 1) // 2
+    weights = _weights(n) * np.where(np.arange(2 * n + 1) > 0, 2, 1)
+    return float(np.sqrt(weights @ (zeta.real**2 + zeta.imag**2))) * (1 + tp.gamma(2 * n + 6))
+
+
 # CG on a matrix of condition ~1.5 on its range; the absolute floor sits above
 # the rounding noise of p_err (~1e-17 for one atom, which gets zeta = 0 at once)
 _CG_RTOL = 1e-12
 _CG_ATOL = 1e-15
 _CG_MAXITER = 200
 
-# peak resident bytes per entry of the dim^2 Gram matrix on the dense route:
-# Q, one dim^2 temporary and eigvalsh's copy; 32.6..36.2 measured with
-# getrusage in fresh processes (peak minus the RSS before the assembly) at
-# n = 512..2048, |S| = 2..60
-_GRAM_BYTES_PER_ENTRY = 40
 # peak resident bytes per entry of |S| + _SYMBOL_ROWS rows of length L, the
-# factor's FFT length >= 4n+1, on the symbol route: per atom V's half (4),
-# its real spectra (8) and the step's real and half-complex work rows (8
-# each), and for any |S| rows of CG's real vectors, each the halves of a
-# row on -2n..2n, and the symbol floor's phases. Measured with getrusage
+# factor's FFT length >= 4n+1, the Gram assembly's one budget: per atom V's
+# half (4), its real spectra (8) and the step's real and half-complex work
+# rows (8 each), and for any |S| rows of CG's real vectors, each the halves
+# of a row on -2n..2n, and the symbol floor's phases. Measured with getrusage
 # in fresh processes (peak minus the RSS before the assembly), one thread,
 # at |S| = 4 and 16: 36 B/L per atom and 160 fixed at n = 2^14, 33 and 133
 # at n = 2^16
@@ -238,35 +252,9 @@ def x_corr(f: _Factor, perr: np.ndarray) -> tuple[np.ndarray, int]:
     return into * u.view(np.complex128), iters
 
 
-# verdict thresholds of the gram report: Q counts as positive semidefinite when
-# the symbol floor proves it, or else when the dense Q's smallest eigenvalue is
-# at least MIN_EIG_FLOOR (eigvalsh rounding of the |S| exact zeros, the atom
-# directions P removes, stays far above it), and psi* Q psi reproduces
-# 1 - |eta|^2 when the l1 norm of the defect's coefficients is at most
-# SUP_POLY_ERR_TOL
-MIN_EIG_FLOOR = -1e-9
+# verdict threshold of the gram report: psi* Q psi reproduces 1 - |eta|^2
+# when the l1 norm of the defect's coefficients is at most SUP_POLY_ERR_TOL
 SUP_POLY_ERR_TOL = 1e-8
-
-
-def _dense_gram(f: _Factor, zeta: np.ndarray) -> np.ndarray:
-    """The dense Q = P (I/dim + Toep(zeta)) P for the projector factor f
-    and the half zeta of the Toeplitz row, by a rank-2|S| update of
-    Toep(zeta): the one place V and zeta are unfolded to full rows.
-
-    P T P = T - (V M* + M V*) with M = T V - V C/2 and C = V* T V, since T
-    and C are Hermitian; V/(2 dim) in M adds the -V V*/dim of P/dim. The
-    rounding of the update leaves Q Hermitian only to the last bits;
-    eigvalsh reads its lower triangle.
-    """
-    V = np.concatenate([f.V[:0:-1].conj(), f.V])
-    d = V.shape[0]
-    Q = toeplitz(zeta, zeta.conj())
-    TV = Q @ V
-    C = V.conj().T @ TV
-    M = TV - V @ (C / 2) + V / (2 * d)
-    Q -= np.hstack([V, M]) @ np.hstack([M, V]).conj().T
-    Q.flat[:: d + 1] += 1.0 / d
-    return Q
 
 
 def assemble_and_verify(c: Certificate) -> dict:
@@ -280,26 +268,26 @@ def assemble_and_verify(c: Certificate) -> dict:
     which bounds the defect at every theta, not only on a grid; residual_rel
     is its l2 norm over |p_err| (absolute if p_err is numerically zero).
 
-    PSD has two routes. Toep(zeta) is Hermitian Toeplitz, so its smallest
-    eigenvalue is at least the minimum of its symbol zeta^ (U. Grenander and
-    G. Szego, Toeplitz Forms and Their Applications, 1958), and
-    Q >= psd_floor P with psd_floor = 1/dim + a lower bound on min zeta^
-    (trigpoly.min_lower_bound). psd_floor > 0 makes M = I/dim + Toep(zeta)
-    positive definite, so x* Q x = (Px)* M (Px) vanishes only where Px = 0:
-    the kernel of Q is exactly span psi(tau_j), and rank Q = dim - |S|, the
-    abstract's rank statement. Then no dense Q is formed: rank_deficiency =
-    |S|, min_eig = 0.0 (Q psi(tau_j) = 0 exactly) and psd_rigorous is true.
-    Otherwise Q is formed densely (_dense_gram) for eigvalsh: min_eig is
-    its smallest eigenvalue, rank_deficiency the count below 1e-8 times the
-    spectral norm, psd_floor the estimate lambda_{|S|+1} and psd_rigorous
-    false.
+    PSD is proved from the size of the correction. For x in the range of P,
+    x* Q x = |x|^2/dim + x* Toep(zeta) x >= (1/dim - ||Toep(zeta)||_F)|x|^2,
+    and ||Toep(zeta)||_F^2 = sum_s (dim - |s|)|zeta_s|^2 over -2n..2n, one
+    weighted sum over zeta's half. Toep(zeta) is Hermitian Toeplitz, so its
+    smallest eigenvalue is also at least the minimum of its symbol zeta^ (U.
+    Grenander and G. Szego, Toeplitz Forms and Their Applications, 1958),
+    bounded below by trigpoly.min_lower_bound; lower is the larger of the
+    two bounds, and Q >= psd_floor P with psd_floor = 1/dim + lower, rounded
+    down. psd_floor > 0 makes M = I/dim + Toep(zeta) positive definite, so
+    x* Q x = (Px)* M (Px) vanishes only where Px = 0: the kernel of Q is
+    exactly span psi(tau_j), and rank Q = dim - |S|, the abstract's rank
+    statement. Then psd_rigorous is true, rank_deficiency = |S| and
+    min_eig = 0.0 (Q psi(tau_j) = 0 exactly); otherwise nothing is proved,
+    and both are None.
 
     Returns atom_count, n, min_eig, psd_floor, psd_rigorous,
     rank_deficiency, sup_poly_err, residual_rel, cg_iters and the verdicts:
-    psd_ok (psd_rigorous, or min_eig >= MIN_EIG_FLOOR), defect_ok
-    (sup_poly_err <= SUP_POLY_ERR_TOL) and verified (both). Raises
-    BudgetExceeded, before allocating, past the memory budget of the
-    O(|S| n) arrays, and before the dense Q past its d^2 budget.
+    psd_ok (psd_rigorous), defect_ok (sup_poly_err <= SUP_POLY_ERR_TOL) and
+    verified (both). Raises BudgetExceeded, before allocating, past the
+    memory budget of the O(|S| n) arrays.
     """
     n = c.n
     d = 2 * n + 1
@@ -316,25 +304,18 @@ def assemble_and_verify(c: Certificate) -> dict:
     if scale > 1e-13:
         resid /= scale
 
-    lower = tp.min_lower_bound(zeta)
+    lower = max(tp.min_lower_bound(zeta), -_toep_norm_upper(zeta))
     # 1/d and the sum are rounded once each: take that much off again
     floor = 1.0 / d + lower - 4 * tp.U * (1.0 / d + abs(lower))
-    rigorous = floor > 0
-    if rigorous:
-        min_eig, rank_def = 0.0, size
-    else:
-        check_budget(_GRAM_BYTES_PER_ENTRY * d**2, f"dense Gram matrix at n={n}")
-        eigs = np.linalg.eigvalsh(_dense_gram(f, zeta))
-        min_eig, floor = float(eigs[0]), float(eigs[size])
-        rank_def = int(np.sum(eigs < 1e-8 * float(np.max(np.abs(eigs)))))
-    psd_ok = rigorous or min_eig >= MIN_EIG_FLOOR
+    psd_ok = floor > 0
+    min_eig, rank_def = (0.0, size) if psd_ok else (None, None)
     defect_ok = sup_err <= SUP_POLY_ERR_TOL
     return {
         "atom_count": size,
         "n": n,
         "min_eig": min_eig,
         "psd_floor": floor,
-        "psd_rigorous": rigorous,
+        "psd_rigorous": psd_ok,
         "rank_deficiency": rank_def,
         "sup_poly_err": sup_err,
         "residual_rel": resid,

@@ -10,8 +10,8 @@ audit's inner integral F(s; theta) by adaptive quadrature, the two C1
 fixed points of constants by Lambert W, the dense Gram-side maps T, T~*,
 A = T(P . P), A~* = P T~*(.) P with their projector and weighted norm, the
 general FFT step of A(Toep(z)) for any complex z, the dense matrix of
-A A~*, the one-atom limit entries of
-qk_operator case by case and at finite n, the dense section I - Q + P with
+A A~*, the dense Gram matrix Q = P (I/dim + Toep(zeta)) P, the one-atom
+limit entries of qk_operator case by case and at finite n, the dense section I - Q + P with
 its projector built from the closed form of w, the printed complex kernel
 E of those entries, and the measured deviations of the interpolation system
 from the identity (neumann_bounds). A polynomial is its full coefficient array
@@ -267,6 +267,24 @@ def projector_PUperp(m: AtomicMeasure) -> np.ndarray:
     V = unfold(_projector_factor(m).V.T).T
     P = np.eye(V.shape[0]) - V @ V.conj().T
     return (P + P.conj().T) / 2
+
+
+def toep(z: np.ndarray) -> np.ndarray:
+    """Dense Toeplitz matrix with entries z_{k-l}, z on -2n..2n."""
+    d = (z.size + 1) // 2
+    idx = np.arange(d)
+    return z[idx[:, None] - idx[None, :] + d - 1]
+
+
+def gram_dense(m: AtomicMeasure, zeta: np.ndarray) -> np.ndarray:
+    """The dense Gram matrix Q = P (I/dim + Toep(zeta)) P of the measure m
+    and the half zeta of the Hermitian Toeplitz row on -2n..2n, formed
+    directly from projector_PUperp and the unfolded row: the reference for
+    gram's PSD bound and identity check, which form no dense matrix. The
+    rounding of the products leaves Q Hermitian only to the last bits.
+    """
+    P = projector_PUperp(m)
+    return P @ (toep(unfold(zeta)) + np.eye(len(P)) / len(P)) @ P
 
 
 def op_A(m: AtomicMeasure, X: np.ndarray) -> np.ndarray:

@@ -204,10 +204,10 @@ class TestGram:
         assert rep["sup_poly_err"] <= 1e-8
         assert 0 < rep["cg_iters"] <= 200
 
-    def test_n_4096_is_proved_by_the_symbol_floor(self, tmp_path, capsys):
-        # past the dense route's d^2 memory cap: the symbol floor proves Q
-        # PSD from O(|S| n) arrays. residual_rel is not asserted: p_err is
-        # tiny here and the CG floor is absolute
+    def test_n_4096_is_proved_in_o_n_memory(self, tmp_path, capsys):
+        # the PSD proof forms no dense matrix: it proves Q PSD from O(|S| n)
+        # arrays. residual_rel is not asserted: p_err is tiny here and the
+        # CG floor is absolute
         path = write_measure(tmp_path, 4096, [0.3, 0.61], [1.0, 1j])
         code, out, err = run_cli(["gram", "--measure", path], capsys)
         assert code == 0, err

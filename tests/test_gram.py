@@ -1,5 +1,7 @@
 """Tests for the Gram-matrix calculus."""
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -7,12 +9,12 @@ from hypothesis import given, settings, strategies as st
 import supres.budget as budget
 import supres.gram as gram
 import supres.trigpoly as tp
+from supres import cli
 from supres.certificate import (AtomicMeasure, Certificate, SeparationTooSmall, build_system,
                                solve_certificate, system_norm_bounds)
 from supres.gram import (
     IllConditioned,
     SingularGram,
-    _dense_gram,
     _projector_factor,
     _step_work,
     _t_ptp,
@@ -28,6 +30,7 @@ from oracles import (
     eval_eta,
     eval_grid,
     freqs,
+    gram_dense,
     lambda_min_AAtilde,
     norm_W,
     op_A,
@@ -38,14 +41,17 @@ from oracles import (
     quad_form_poly,
     t_ptp,
     to_grid,
+    toep,
     unfold,
 )
 from test_certificate import eta_row, random_measure
+from test_cli import write_measure
 from test_trigpoly import hermitian_poly, random_poly
 
 # twelve atoms at n = 128 near the separation limit, alternating signs: here
-# 1 + d min zeta^ < 0, so the symbol floor cannot prove Q PSD, and the dense
-# route finds lambda_13(Q) near 0.705/d
+# 1 + d min zeta^ < 0, so the symbol floor cannot prove Q PSD, while
+# d ||Toep(zeta)||_F is near 0.556, so the Frobenius bound does, with a floor
+# near 0.444/d against lambda_13(Q) near 0.705/d
 FALLBACK = AtomicMeasure(
     128, (0.2266, 0.3078, 0.3901, 0.4722, 0.5542, 0.637, 0.7199, 0.8029, 0.8847,
           0.9732, 0.0552, 0.1393), (1.0, -1.0) * 6)
@@ -64,22 +70,14 @@ def cg_zeta(c):
 
 
 def dense_gram(c):
-    """The dense Q of c's gram report, from the dense route's builder."""
-    zeta, f = cg_zeta(c)
-    return _dense_gram(f, zeta)
+    """The dense Q of c's gram report, from the oracles' direct product."""
+    return gram_dense(c.measure, cg_zeta(c)[0])
 
 
 def perr_of(c):
     """p_err of a certificate against its measure's projector factor: the
     half s = 0..2n of its row."""
     return p_err(c, _projector_factor(c.measure))
-
-
-def toep(z):
-    """Dense Toeplitz matrix with entries z_{k-l}, z on -2n..2n."""
-    d = (z.size + 1) // 2
-    idx = np.arange(d)
-    return z[idx[:, None] - idx[None, :] + d - 1]
 
 
 def x_corr_dense(m, pe):
@@ -511,14 +509,20 @@ class TestAssemble:
             solve_certificate(AtomicMeasure(128, (0.2, 0.6), (1.0, 1.0))))
 
     def test_floor_gives_up_its_two_roundings(self):
-        # psd_floor is 1/d + min_lower_bound(zeta) less the two roundings of
-        # that sum, 2U each, so it sits strictly below the rounded sum, and
-        # here, where |lower| < 1/(2d), within 8U of it
+        # psd_floor is 1/d + lower less the two roundings of that sum, 2U
+        # each, with lower the larger of min_lower_bound(zeta) and minus the
+        # Frobenius bound, which exceeds the dense oracle's ||Toep(zeta)||_F
+        # by at most twice its gamma_{2n+6} allowance: so the floor sits
+        # strictly below 1/d + lower, and here, where |lower| < 1/(2d),
+        # within 8U of it with the allowance taken
         c = solve_certificate(AtomicMeasure(128, (0.2, 0.6), (1.0, 1.0)))
-        lower = tp.min_lower_bound(cg_zeta(c)[0])
+        zeta = cg_zeta(c)[0]
+        fro = np.linalg.norm(toep(unfold(zeta)))
+        symbol = tp.min_lower_bound(zeta)
         floor = assemble_and_verify(c)["psd_floor"]
-        assert 0 < floor < 1 / 257 + lower
-        assert floor >= (1 / 257 + lower) * (1 - 8 * tp.U)
+        assert 0 < floor < 1 / 257 + max(symbol, -fro)
+        lowest = max(symbol, -fro * (1 + 2 * tp.gamma(2 * 128 + 6)))
+        assert floor >= (1 / 257 + lowest) * (1 - 8 * tp.U)
 
     def test_residual_matches_projected_form(self):
         # residual_rel comes from the FFT operator T(P Toep(zeta) P); it must
@@ -550,16 +554,18 @@ class TestAssemble:
         assert peak < 1_000_000
 
     def test_symbol_budget_covers_measured_peaks(self):
-        # peak minus the RSS before the assembly, getrusage in fresh
-        # processes, one thread: the fit admits n = 2^18 with seven atoms
+        # the Gram assembly's one budget against its peaks: peak minus the
+        # RSS before the assembly, getrusage in fresh processes, one thread,
+        # the largest of two or three runs of equispaced atoms with
+        # alternating signs. The fit admits n = 2^18 with seven atoms
         # (983 MB) but not with eight (1058 MB), although eight peaked at
-        # 802 MB, since it must also cover the larger fixed part at n = 2^12
+        # 402 MB: it charges 72 B per L per atom, where one atom took 32 to 42
         def need(n, size):
             return gram._SYMBOL_BYTES_PER_ENTRY * (size + gram._SYMBOL_ROWS) * gram._factor_len(n)
 
-        for n, size, peak in ((2**12, 32, 45203456), (2**12, 60, 78458880),
-                              (2**16, 60, 1086902272), (2**18, 1, 214315008),
-                              (2**18, 7, 751808512), (2**18, 8, 802377728)):
+        for n, size, peak in ((2**12, 32, 23388160), (2**12, 60, 40103936),
+                              (2**16, 60, 554332160), (2**18, 1, 105734144),
+                              (2**18, 7, 368603136), (2**18, 8, 402173952)):
             assert need(n, size) >= peak, (n, size)
         assert need(2**18, 7) <= budget.CAP_BYTES < need(2**18, 8)
 
@@ -568,16 +574,6 @@ class TestAssemble:
         assert rep["psd_rigorous"] is True
         assert rep["rank_deficiency"] == 2
         assert rep["sup_poly_err"] <= 1e-8
-
-    def test_dense_route_over_memory_cap_refused(self, monkeypatch):
-        # the d^2 budget applies only where the symbol floor fails: with the
-        # cap just below the dense Q of the fallback measure, its report is
-        # refused, and a measure the floor proves still passes
-        monkeypatch.setattr(budget, "CAP_BYTES", gram._GRAM_BYTES_PER_ENTRY * 257**2 - 1)
-        with pytest.raises(ValueError, match="GB"):
-            assemble_and_verify(solve_certificate(FALLBACK))
-        rep = assemble_and_verify(solve_certificate(AtomicMeasure(128, (0.2, 0.6), (1.0, 1.0))))
-        assert rep["verified"] is True
 
     def test_cg_iteration_count(self):
         # one atom: p_err is rounding noise below the CG floor, so CG stops
@@ -640,29 +636,37 @@ class TestAssemble:
         assert np.max(pointwise) > eps
 
     def test_verdicts_follow_thresholds(self, monkeypatch):
-        # MIN_EIG_FLOOR judges only the dense route's eigenvalue estimate; a
-        # proof by the symbol floor does not depend on it
         c = solve_certificate(AtomicMeasure(64, (0.2, 0.6), (1.0, 1j)))
         rep = assemble_and_verify(c)
         assert (rep["atom_count"], rep["n"]) == (2, 64)
         assert rep["psd_rigorous"] is True
         assert rep["sup_poly_err"] <= gram.SUP_POLY_ERR_TOL
         assert rep["psd_ok"] is rep["defect_ok"] is rep["verified"] is True
-        fb = solve_certificate(FALLBACK)
-        dense = assemble_and_verify(fb)
-        assert dense["psd_rigorous"] is False
-        assert dense["min_eig"] >= gram.MIN_EIG_FLOOR
-        assert dense["psd_ok"] is dense["defect_ok"] is dense["verified"] is True
 
-        monkeypatch.setattr(gram, "MIN_EIG_FLOOR", dense["min_eig"] + 1e-12)
-        bad = assemble_and_verify(fb)
-        assert (bad["psd_ok"], bad["defect_ok"], bad["verified"]) == (False, True, False)
-        assert assemble_and_verify(c)["verified"] is True
-
-        monkeypatch.setattr(gram, "MIN_EIG_FLOOR", dense["min_eig"] - 1e-12)
         monkeypatch.setattr(gram, "SUP_POLY_ERR_TOL", rep["sup_poly_err"] / 2)
         bad = assemble_and_verify(c)
         assert (bad["psd_ok"], bad["defect_ok"], bad["verified"]) == (True, False, False)
+
+    def test_unproved_psd_is_reported_as_such(self, monkeypatch, tmp_path, capsys):
+        # zeta doubled on the fallback measure: d ||Toep(zeta)||_F near 1.11
+        # and 1 + d min zeta^ near -1.4, so neither bound proves Q PSD, and
+        # the report claims no eigenvalue and no rank; the CLI exits 2
+        real_x_corr = gram.x_corr
+
+        def doubled(f, perr):
+            zeta, iters = real_x_corr(f, perr)
+            return 2 * zeta, iters
+
+        monkeypatch.setattr(gram, "x_corr", doubled)
+        rep = assemble_and_verify(solve_certificate(FALLBACK))
+        assert rep["psd_floor"] < 0
+        assert rep["psd_ok"] is rep["psd_rigorous"] is rep["verified"] is False
+        assert rep["min_eig"] is None and rep["rank_deficiency"] is None
+        path = write_measure(tmp_path, FALLBACK.n, FALLBACK.atoms, FALLBACK.signs)
+        assert cli.main(["gram", "--measure", path]) == 2
+        out = json.loads(capsys.readouterr().out)
+        assert out["verified"] is False
+        assert out["min_eig"] is None and out["rank_deficiency"] is None
 
 
 def separation_limit(n, size):
@@ -681,24 +685,24 @@ def near_limit_measure(rng, n, size):
 
 
 class TestSymbolFloor:
-    def test_fallback_measure_takes_dense_route(self):
+    def test_fallback_measure_proved_by_frobenius_bound(self):
         c = solve_certificate(FALLBACK)
         zeta, _ = cg_zeta(c)
-        # the floor fails because the symbol itself dips below -1/d, not
-        # because its lower bound is loose
+        # the symbol floor fails because the symbol itself dips below -1/d,
+        # not because its lower bound is loose; 1/d - ||Toep(zeta)||_F stays
+        # positive, and below the dense oracle's lambda_13(Q)
         assert 257 * eval_grid(unfold(zeta), 64 * tp.fast_len(8 * 513)).real.min() < -1
         rep = assemble_and_verify(c)
-        assert rep["psd_rigorous"] is False
+        assert rep["psd_rigorous"] is True
         assert rep["verified"] is True
+        assert rep["min_eig"] == 0.0
         assert rep["rank_deficiency"] == 12
-        eigs = np.linalg.eigvalsh(dense_gram(c))
-        assert rep["min_eig"] == eigs[0]
-        assert rep["psd_floor"] == eigs[12]
-        assert 0.69 < 257 * rep["psd_floor"] < 0.72
+        assert 257 * rep["psd_floor"] == pytest.approx(0.444241, abs=1e-6)
+        assert rep["psd_floor"] < np.linalg.eigvalsh(dense_gram(c))[12]
 
     def test_floor_below_cg_symbol_minimum(self):
         # the lower bound on min zeta^ for the zeta CG returns, against zeta^
-        # on a 64x finer grid, at measures on both routes
+        # on a 64x finer grid, at measures where the symbol floor fails and holds
         rng = np.random.default_rng(71)
         measures = [FALLBACK, AtomicMeasure(128, (0.2, 0.6), (1.0, 1.0))]
         measures += [near_limit_measure(rng, n, size) for n, size in ((32, 2), (96, 5), (160, 8))]
@@ -710,7 +714,7 @@ class TestSymbolFloor:
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_rank_statement_below_the_separation_guard(self, seed):
         # 16 equispaced atoms 4/n apart at n = 256, where the guard asks for
-        # 11/n: solved directly, the symbol floor still proves Q PSD, so its
+        # 11/n: solved directly, Q is still proved PSD (by either bound), so its
         # kernel is exactly the atom columns and rank Q = d - |S|
         n, size = 256, 16
         rng = np.random.default_rng(seed)

@@ -7,6 +7,13 @@ p(theta*) at the argmin theta* of a fine grid, at 80 bits, from the
 coefficients as given; since min p <= p(theta*), the claimed bound must not
 exceed the enclosure's upper end.
 
+`gram._toep_norm_upper` claims an upper bound on ||Toep(zeta)||_F, the norm
+of the Gram PSD proof, from a float sum in the package's rounding model
+(trigpoly.U and gamma) alone. Here the
+weighted sum sum_s (d - |s|)|zeta_s|^2 is enclosed at 80 bits from the
+coefficients as given, and the square of the claimed bound must not fall
+below the enclosure's upper end.
+
 `bound_audit.f_inner` claims an a-priori bound on the rounding error of its
 closed form for F(s; theta). Here the same sum is enclosed at 80 bits from
 the floats s and theta as given, and the float value must lie within its
@@ -17,7 +24,7 @@ import numpy as np
 import pytest
 
 import supres.trigpoly as tp
-from supres import bound_audit as ba
+from supres import bound_audit as ba, gram
 from supres.certificate import AtomicMeasure, solve_certificate
 
 from oracles import eval_grid, unfold
@@ -65,14 +72,53 @@ def test_random_hermitian_polynomials(n):
         assert_below_enclosure(np.concatenate([[rng.standard_normal()], half]))
 
 
-@pytest.mark.parametrize("m", [
+# the measures whose CG zeta the symbol floor and the norm bound are checked on
+CG_MEASURES = pytest.mark.parametrize("m", [
     FALLBACK,
     AtomicMeasure(16, (0.1, 0.6), (1.0, -1.0)),
     AtomicMeasure(24, (0.05, 0.4, 0.7), (1.0, 1j, -1.0)),
 ], ids=["fallback", "n16", "n24"])
+
+
+@CG_MEASURES
 def test_cg_symbol(m):
     zeta, _ = cg_zeta(solve_certificate(m))
     assert_below_enclosure(zeta)
+
+
+def enclose_toep_norm_squared(half: np.ndarray):
+    """Interval enclosure of ||Toep(zeta)||_F^2 = sum_s (d - |s|)|zeta_s|^2
+    over s = -2n..2n, d = 2n+1, for the half zeta_0..zeta_2n, term by term."""
+    d = len(half)
+    total = iv.mpf(0)
+    for s, z in enumerate(half):
+        term = (d - s) * (iv.mpf(float(z.real)) ** 2 + iv.mpf(float(z.imag)) ** 2)
+        total += term if s == 0 else 2 * term
+    return total
+
+
+def assert_norm_above_enclosure(half: np.ndarray):
+    bound = gram._toep_norm_upper(half)
+    enc = enclose_toep_norm_squared(half)
+    assert (iv.mpf(bound) ** 2).a >= enc.b, (len(half), bound, enc)
+
+
+@pytest.mark.parametrize("n", range(1, 33))
+def test_toep_norm_of_random_halves(n):
+    # rows of unit scale and of tiny and huge ones, whose squares stay
+    # clear of underflow and overflow
+    rng = np.random.default_rng(2000 + n)
+    for scale in (1.0, 1e-120, 1e120):
+        for _ in range(4):
+            half = rng.standard_normal(2 * n + 1) + 1j * rng.standard_normal(2 * n + 1)
+            half[0] = half[0].real
+            assert_norm_above_enclosure(scale * half)
+
+
+@CG_MEASURES
+def test_cg_toep_norm(m):
+    zeta, _ = cg_zeta(solve_certificate(m))
+    assert_norm_above_enclosure(zeta)
 
 
 def enclose_inner_integral(s: float, theta: float, n: int):

@@ -4,7 +4,9 @@ The central identity is 1 - |eta(theta)|^2 = psi*(theta) Q psi(theta) with
 psi the vector of Fourier exponentials and Q = P (I/dim + Toep(zeta)) P.
 Here P = I - V V* projects onto the orthogonal complement of the atom
 columns, and zeta, 4n+1 Toeplitz coefficients, is the minimum-norm solution
-of the diagonal-sum constraint by CG. CG applies z -> T(P Toep(z) P),
+of the diagonal-sum constraint by CG (`_cg`, scipy's loop on numpy alone:
+the module loads no scipy, whose import would cost a gram run more than
+its solve). CG applies z -> T(P Toep(z) P),
 with T the sum along diagonals, matrix-free: with the spectra of V's |S|
 columns taken once per task, and every iterate a Hermitian row, every
 sequence of a step is Hermitian and every spectrum real, so a step is
@@ -30,8 +32,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_triangular
-from scipy.sparse.linalg import LinearOperator, cg
 
 from . import trigpoly as tp
 from .budget import check_budget
@@ -87,7 +87,7 @@ def _projector_factor(m: AtomicMeasure) -> _Factor:
     G = 2 * (U.conj().T @ U).real - np.outer(U[0].real, U[0].real)
     if np.linalg.cond(G) > 1e12:
         raise SingularGram("atom Gram matrix U*U is numerically singular")
-    V = solve_triangular(np.linalg.cholesky(G), U.T, lower=True).T
+    V = np.linalg.solve(np.linalg.cholesky(G), U.T).T
     return _Factor(V, tp.to_spectrum(V.T, _factor_len(m.n)))
 
 
@@ -202,6 +202,28 @@ _SYMBOL_BYTES_PER_ENTRY = 72
 _SYMBOL_ROWS = 6
 
 
+def _cg(matvec, b: np.ndarray) -> tuple[np.ndarray, int]:
+    """Conjugate gradients for A u = b from u = 0, with A real symmetric PSD
+    applied by matvec, and the number of steps taken: the loop of
+    scipy.sparse.linalg.cg (scipy 1.17) without a preconditioner, operation
+    for operation, so the two return the same floats. It stops when
+    |r| < max(_CG_ATOL, _CG_RTOL |b|) at the top of a step, so b = 0 takes
+    no step, and raises IllConditioned after _CG_MAXITER steps without."""
+    tol = max(_CG_ATOL, _CG_RTOL * float(np.linalg.norm(b)))
+    u, r = np.zeros_like(b), b.copy()
+    for step in range(_CG_MAXITER):
+        if np.linalg.norm(r) < tol:
+            return u, step
+        rho = np.dot(r, r)
+        p = r.copy() if step == 0 else p * (rho / rho_prev) + r
+        q = matvec(p)
+        alpha = rho / np.dot(p, q)
+        u += alpha * p
+        r -= alpha * q
+        rho_prev = rho
+    raise IllConditioned(f"conjugate gradients did not converge in {_CG_MAXITER} iterations")
+
+
 def x_corr(f: _Factor, perr: np.ndarray) -> tuple[np.ndarray, int]:
     """The half s = 0..2n of the Hermitian Toeplitz coefficients zeta of the
     minimum-norm correction X = P Toep(zeta) P whose quadratic form
@@ -210,7 +232,7 @@ def x_corr(f: _Factor, perr: np.ndarray) -> tuple[np.ndarray, int]:
 
     Since psi* X psi(theta) = sum_s T(X)_s e^{-2 pi i s theta}, the constraint
     in T-coefficients is A(X) = conj(perr), the row reversed, whose half is
-    the conjugate of perr's. zeta = w^{-1/2} y, with y from scipy's CG,
+    the conjugate of perr's. zeta = w^{-1/2} y, with y from CG (_cg),
     started from zero, on w^{-1/2} S w^{-1/2} y = w^{-1/2} conj(perr),
     where S z = T(P Toep(z) P) is applied by FFT (_t_ptp). S is PSD and
     its kernel, two directions per atom, is orthogonal to perr, which has
@@ -236,19 +258,9 @@ def x_corr(f: _Factor, perr: np.ndarray) -> tuple[np.ndarray, int]:
     work = _step_work(f)
 
     def matvec(u):
-        return (out * _t_ptp(f, into * np.ravel(u).view(np.complex128), work)).view(np.float64)
+        return (out * _t_ptp(f, into * u.view(np.complex128), work)).view(np.float64)
 
-    op = LinearOperator((2 * (2 * n + 1),) * 2, dtype=np.float64, matvec=matvec)
-    iters = 0
-
-    def count(_):
-        nonlocal iters
-        iters += 1
-
-    u, info = cg(op, (out * np.conj(perr)).view(np.float64), rtol=_CG_RTOL, atol=_CG_ATOL,
-                 maxiter=_CG_MAXITER, callback=count)
-    if info != 0:
-        raise IllConditioned(f"conjugate gradients did not converge in {_CG_MAXITER} iterations")
+    u, iters = _cg(matvec, (out * np.conj(perr)).view(np.float64))
     return into * u.view(np.complex128), iters
 
 

@@ -551,8 +551,9 @@ class TestProcessLevel:
 
     def test_no_signal_processing_import(self, tmp_path):
         # importing scipy.signal costs about a second of start-up, and no
-        # command needs it; gram and spectrum transform with numpy.fft, so
-        # running them loads no scipy.fft either
+        # command needs it; spectrum, the one command that loads scipy,
+        # transforms with numpy.fft, so running it loads no scipy.fft either
+        # (gram loads no scipy at all: test_loads_no_scipy)
         path = write_measure(tmp_path, 16, [0.1, 0.6], [1.0, -1.0])
         proc = subprocess.run(
             [sys.executable, "-c",
@@ -567,15 +568,19 @@ class TestProcessLevel:
         assert lines[0] == "False"
         assert lines[-1] == "(0, 0) False"
 
-    # certify and audit need numpy only and constants math only; importing
-    # scipy would add to every run's start-up. The last row runs audit and
-    # constants in one process, as the benchmark's audit-quad workload does.
+    # certify, gram and audit need numpy only and constants math only;
+    # importing scipy would add to every run's start-up (about 0.2 s and
+    # 30 MB for gram's). The audit-then-constants row runs both in one
+    # process, as the benchmark's audit-quad workload does.
     @pytest.mark.parametrize("argvs", [
         [["certify", "--measure", "MEASURE"]],
+        [["gram", "--measure", "MEASURE"]],
+        [["certify", "--measure", "MEASURE"], ["gram", "--measure", "MEASURE"]],
         [["audit", "--n", "8", "--samples", "11"]],
         [["constants"]],
         [["audit", "--n", "8", "--samples", "11"], ["constants"]],
-    ], ids=["certify", "audit", "constants", "audit-then-constants"])
+    ], ids=["certify", "gram", "certify-then-gram", "audit", "constants",
+            "audit-then-constants"])
     def test_loads_no_scipy(self, tmp_path, argvs):
         path = str(write_measure(tmp_path, 256, [0.1, 0.6], [1.0, -1.0]))
         argvs = [[path if a == "MEASURE" else a for a in argv] for argv in argvs]
@@ -587,6 +592,15 @@ class TestProcessLevel:
             capture_output=True, text=True, timeout=120, env=child_env())
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.splitlines()[-1] == f"{[0] * len(argvs)} []"
+
+    def test_gram_import_loads_no_scipy(self):
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, supres.gram; "
+             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"],
+            capture_output=True, text=True, timeout=60, env=child_env())
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "[]\n"
 
     def test_import_loads_no_numpy(self):
         # the parser is built at import; SUPRES_THREADS can cap the BLAS pools

@@ -428,30 +428,62 @@ class TestXCorr:
                 f"n={m.n}, |S|={m.size}"
 
     def test_cg_runs_in_real_arithmetic_on_halves(self, monkeypatch):
-        # scipy's cg gets a float64 operator and right-hand side of
-        # 2(2n+1) entries, the half w^{-1/2} conj(p_err) scaled by
-        # D = diag(1, sqrt 2, ...), whose Euclidean norm is the full row's;
-        # zeta comes back as the half, with Im zeta_0 exactly 0
+        # CG gets a float64 right-hand side of 2(2n+1) entries, the half
+        # w^{-1/2} conj(p_err) scaled by D = diag(1, sqrt 2, ...), whose
+        # Euclidean norm is the full row's, and a matvec from and to such
+        # vectors; zeta comes back as the half, with Im zeta_0 exactly 0
         calls = []
-        real_cg = gram.cg
+        real_cg = gram._cg
 
-        def spy(A, b, **kwargs):
-            calls.append((A.dtype, A.shape, b.copy()))
-            return real_cg(A, b, **kwargs)
+        def spy(matvec, b):
+            calls.append((b.copy(), matvec(np.ones_like(b))))
+            return real_cg(matvec, b)
 
-        monkeypatch.setattr(gram, "cg", spy)
+        monkeypatch.setattr(gram, "_cg", spy)
         rng = np.random.default_rng(19)
         for m in (well_separated(rng, 48, 3), FALLBACK, AtomicMeasure(64, (0.2, 0.6), (1.0, 1j))):
             calls.clear()
             c = solve_certificate(m)
             zeta, _ = cg_zeta(c)
             d = 2 * m.n + 1
-            (dtype, shape, b), = calls
-            assert dtype == np.float64 and shape == (2 * d, 2 * d)
+            (b, image), = calls
             assert b.dtype == np.float64 and b.shape == (2 * d,)
+            assert image.dtype == np.float64 and image.shape == (2 * d,)
             full = np.conj(unfold(perr_of(c))) / np.sqrt(diagonal_lengths(m.n))
             assert np.linalg.norm(b) == pytest.approx(np.linalg.norm(full), rel=1e-14)
             assert zeta.shape == (d,) and zeta[0].imag == 0
+
+    def test_cg_matches_scipy_bitwise(self, monkeypatch):
+        # the oracle: scipy's cg, with the same tolerances and step limit, on
+        # the scaled operator and right-hand side x_corr builds, returns the
+        # same floats and step count as gram._cg. The one-atom p_err is
+        # rounding noise and the zero p_err is exactly zero: both take no step
+        from scipy.sparse.linalg import LinearOperator, cg
+
+        systems = []
+        real_cg = gram._cg
+
+        def spy(matvec, b):
+            systems.append((matvec, b.copy()))
+            return real_cg(matvec, b)
+
+        monkeypatch.setattr(gram, "_cg", spy)
+        rng = np.random.default_rng(71)
+        measures = [near_limit_measure(rng, n, size) for n, size in ((32, 2), (96, 5), (160, 8))]
+        measures += near_limit_measures(np.random.default_rng(20), 12)
+        measures += [FALLBACK, AtomicMeasure(64, (0.37,), (1.0,))]
+        for m in measures:
+            cg_zeta(solve_certificate(m))
+        x_corr(_projector_factor(measures[-1]), np.zeros(2 * 64 + 1, dtype=complex))
+        for (matvec, b), m in zip(systems, measures + [measures[-1]]):
+            u, iters = real_cg(matvec, b)
+            count = []
+            op = LinearOperator((b.size, b.size), matvec=matvec, dtype=np.float64)
+            want, info = cg(op, b, rtol=gram._CG_RTOL, atol=gram._CG_ATOL,
+                            maxiter=gram._CG_MAXITER, callback=count.append)
+            assert info == 0, f"n={m.n}, |S|={m.size}"
+            assert (iters, u.tobytes()) == (len(count), want.tobytes()), f"n={m.n}, |S|={m.size}"
+            assert (iters > 0) == (m.size > 1 and b.any()), f"n={m.n}, |S|={m.size}"
 
     def test_rhs_off_the_range_raises(self):
         # a component along the analytic kernel leaves A(X) = conj(perr) with
@@ -684,6 +716,17 @@ def near_limit_measure(rng, n, size):
     return random_measure(rng, n, size, np.exp(rng.uniform(np.log(lo), np.log(hi))))
 
 
+def near_limit_measures(rng, count):
+    """count near-limit measures at random n = 16..160, each with a random
+    |S| of 1..8 that fits at its 1.05 times the limit."""
+    measures = []
+    for _ in range(count):
+        n = int(rng.integers(16, 161))
+        fits = [s for s in range(1, 9) if s * 1.05 * separation_limit(n, s) < 0.999]
+        measures.append(near_limit_measure(rng, n, int(rng.choice(fits))))
+    return measures
+
+
 class TestSymbolFloor:
     def test_fallback_measure_proved_by_frobenius_bound(self):
         c = solve_certificate(FALLBACK)
@@ -735,12 +778,9 @@ class TestSymbolFloor:
         # seeded property test: psd_floor never exceeds lambda_{|S|+1} of the
         # dense Q, and a positive floor leaves exactly the |S| atom directions
         # in the oracle's numerical kernel
-        rng = np.random.default_rng(20)
-        for _ in range(60):
-            n = int(rng.integers(16, 161))
-            fits = [s for s in range(1, 9) if s * 1.05 * separation_limit(n, s) < 0.999]
-            size = int(rng.choice(fits))
-            c = solve_certificate(near_limit_measure(rng, n, size))
+        for m in near_limit_measures(np.random.default_rng(20), 60):
+            n, size = m.n, m.size
+            c = solve_certificate(m)
             rep = assemble_and_verify(c)
             eigs = np.linalg.eigvalsh(dense_gram(c))
             assert rep["psd_floor"] <= eigs[size] + 1e-12, (n, size)

@@ -10,7 +10,7 @@ Submodules:
 - specfun:     the cosine-integral kernel R of the limit operator
 - qk_operator: the deviation operator in the Dirichlet basis, asymptotic
                entries, structured matvec
-- spectrum:    Lanczos (ARPACK eigsh), residual bounds, the K/4, K/2, K sweep
+- spectrum:    Lanczos in numpy, residual bounds, the K/4, K/2, K sweep
 - constants:   the printed scalar inputs and the constants, curve and
                truncation budgets reproduced from them
 - bound_audit: closed-form spot checks of the inner-integral master bounds

@@ -219,7 +219,7 @@ def _build_parser() -> argparse.ArgumentParser:
     add_out(p)
     p.set_defaults(func=_cmd_gram)
 
-    p = sub.add_parser("spectrum", help="certify extreme singular values of the section")
+    p = sub.add_parser("spectrum", help="estimate extreme singular values of the section")
     p.add_argument("--K", type=_int(lo=4), required=True, help="frequency cutoff of the section")
     p.add_argument("--seed", type=_int(lo=0, hi=math.inf), default=0)
     add_out(p)

@@ -87,7 +87,9 @@ def build_operator(K: int) -> AsymptoticOperator:
     if K < 1:
         raise ValueError("K must be at least 1")
     ells = np.arange(-K, K + 1)
-    r_kernel = sf.r_kernel(np.arange(-2 * K, 2 * K + 1))
+    # R is even: evaluate lags 0..2K and mirror
+    half = sf.r_kernel(np.arange(2 * K + 1))
+    r_kernel = np.concatenate((half[:0:-1], half))
     prefactor = np.zeros(2 * K + 1)
     odd = ells % 2 != 0
     prefactor[odd] = 4.0 / (np.pi * ells[odd]) ** 2

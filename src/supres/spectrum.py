@@ -1,20 +1,20 @@
 """Extremal singular values of the stabilized section by Lanczos.
 
 Both ends are eigenvalues of the real symmetric map M^T M, found together by
-one run of ARPACK's implicitly restarted Lanczos method
-(scipy.sparse.linalg.eigsh with which="BE", k=2): the Krylov space it builds
-serves the top and the bottom alike, so no shift and no second run are
-needed. A run is its numbers: `lanczos_extremes` returns each end's value
-and residual ||A x - lam x|| / ||x|| on its Ritz vector x, and the count of
-products. The residual gives the usual a-posteriori guarantee (Parlett, The
-Symmetric Eigenvalue Problem, Thm 4.5.1): the estimate lies within residual
-of some true eigenvalue, which the report maps back to the singular-value
-scale. A residual above RESIDUAL_TOL, or NaN (from a zero vector), is
-refused as NonConvergence. That places *a* singular value near each
-estimate; it does not prove that none lies below sigma_min, so
-condition_holds is a residual-based estimate, not a proof. `sweep_report`,
-the spectrum command's report, repeats `spectrum_report` at K/4, K/2 and K:
-the spectrum is flat in K past 100.
+one Lanczos run with full reorthogonalisation, on numpy alone: the Krylov
+space it builds serves the top and the bottom alike, so no shift and no
+second run are needed. A run is its numbers: `lanczos_extremes` returns each
+end's value and residual ||A x - lam x|| / ||x|| on its Ritz vector x, and
+the count of products. The residual gives the usual a-posteriori guarantee
+(Parlett, The Symmetric Eigenvalue Problem, Thm 4.5.1): the estimate lies
+within residual of some true eigenvalue, which the report maps back to the
+singular-value scale. It is recomputed with a fresh product, so a wrong
+iteration can fail the check but not pass it. A residual above
+RESIDUAL_TOL, or NaN (from a zero vector), is refused as NonConvergence.
+That places *a* singular value near each estimate; it does not prove that
+none lies below sigma_min, so condition_holds is a residual-based estimate,
+not a proof. `sweep_report`, the spectrum command's report, repeats
+`spectrum_report` at K/4, K/2 and K: the spectrum is flat in K past 100.
 """
 
 from __future__ import annotations
@@ -22,9 +22,9 @@ from __future__ import annotations
 from typing import Callable
 
 import numpy as np
-from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
 
 from . import qk_operator as qk
+from . import trigpoly as tp
 from .budget import check_budget
 
 
@@ -32,28 +32,93 @@ class NonConvergence(RuntimeError):
     """Lanczos gave up, or a Ritz pair missed the residual target."""
 
 
-# ARPACK's stopping test is relative, ||r|| <= rtol |lam|, so it runs at
-# rtol = 0 (machine precision), which meets any absolute target above
-# eps |lam|; RESIDUAL_TOL is the absolute residual each returned Ritz pair of
-# M^T M must meet, else NonConvergence. It sets no computation: on the
-# section both ends converge to rounding within ARPACK's first 20-step cycle.
+# RESIDUAL_TOL is the absolute residual each returned Ritz pair of M^T M must
+# meet, else NonConvergence. It sets no computation: a run stops on ARPACK's
+# relative test at tol = 0, each end's estimate beta |s_last| at most
+# U max(U^(2/3), |theta|) for the unit roundoff U, which meets any absolute
+# target above rounding; on the section both ends pass it within 17-20 steps.
 RESIDUAL_TOL = 1e-8
-# cap on ARPACK's restart cycles, far above the one cycle the section takes;
-# it only ends a run that would otherwise not stop
-_MAX_RESTARTS = 20000
+_EPS23 = tp.U ** (2 / 3)
+# A cycle takes at most _MAX_STEPS steps (the basis rows the memory budget
+# pays for), testing for convergence, an eigh of T, from step _FIRST_CHECK
+# on: the section needs 17-20 steps. After _MAX_CYCLES cycles the run gives
+# up; the cap only ends a run that would otherwise not stop, and the section
+# never restarts.
+_MAX_STEPS = 23
+_FIRST_CHECK = 16
+_MAX_CYCLES = 1000
+
+
+def _extreme_pairs(T: np.ndarray):
+    """((theta, s) of the bottom end, (theta, s) of the top end) of the
+    symmetric T: its extreme eigenvalues and unit eigenvectors."""
+    theta, S = np.linalg.eigh(T)
+    return (theta[0], S[:, 0]), (theta[-1], S[:, -1])
+
+
+def _ritz_ends(apply: Callable, dim: int, v: np.ndarray):
+    """[(theta, x) of the bottom end, (theta, x) of the top end], the Ritz
+    pairs of a Lanczos run from v, or None after _MAX_CYCLES unconverged
+    cycles.
+
+    Each new vector is orthogonalised against the whole basis V twice, and
+    T = V^T A V is built in place. A cycle stops when both ends' Ritz
+    estimates beta |s_last| reach rounding relative to |theta| (see
+    RESIDUAL_TOL) or the Krylov space is exhausted (dim steps, or
+    beta = 0). An unconverged cycle restarts thick (Wu and Simon, SIAM J.
+    Matrix Anal. Appl. 22, 2000): the basis keeps the two end Ritz vectors,
+    T their values and their couplings beta s_last to the residual, from
+    which the next cycle continues.
+    """
+    steps = min(_MAX_STEPS, dim)
+    V = np.empty((steps, dim))
+    T = np.zeros((steps, steps))
+    V[0] = v / np.linalg.norm(v)
+    first = 0
+    for _ in range(_MAX_CYCLES):
+        for j in range(first, steps):
+            # a copy, since apply may return its argument
+            w = np.array(apply(V[j]), dtype=float)
+            basis = V[: j + 1]
+            for _ in range(2):
+                h = basis @ w
+                w -= h @ basis
+                T[j, j] += h[j]
+            beta = float(np.linalg.norm(w))
+            n = j + 1
+            if n >= _FIRST_CHECK or n == steps or beta == 0.0:
+                ends = _extreme_pairs(T[:n, :n])
+                if n == dim or beta == 0.0 or all(
+                        beta * abs(s[-1]) <= tp.U * max(_EPS23, abs(theta))
+                        for theta, s in ends):
+                    return [(theta, s @ basis) for theta, s in ends]
+            if n == steps:
+                break
+            T[j, n] = T[n, j] = beta
+            np.divide(w, beta, out=V[n])
+        (theta_bottom, s_bottom), (theta_top, s_top) = ends
+        V[:2] = np.stack((s_bottom, s_top)) @ V
+        np.divide(w, beta, out=V[2])
+        T[:] = 0.0
+        T[0, 0], T[1, 1] = theta_bottom, theta_top
+        T[0, 2] = T[2, 0] = beta * s_bottom[-1]
+        T[1, 2] = T[2, 1] = beta * s_top[-1]
+        first = 2
+    return None
 
 
 def lanczos_extremes(apply: Callable, dim: int, seed=0):
     """((value, residual) of the bottom end, (value, residual) of the top
     end, products) of a real symmetric map, from one Lanczos run.
 
-    ARPACK runs at rtol = 0 for at most _MAX_RESTARTS restart cycles. Each
-    returned Ritz vector x with value lam has the residual
-    ||A x - lam x|| / ||x||, some eigenvalue of A lying that close to lam,
-    checked against RESIDUAL_TOL. products counts applications of the map
-    in the run, the two residual checks included. Raises NonConvergence
-    when ARPACK gives up or a residual misses RESIDUAL_TOL; a residual that
-    is NaN, as from a zero vector, misses it too.
+    The run (`_ritz_ends`) starts from default_rng(seed).uniform(-1, 1, dim).
+    Each returned Ritz vector x with value lam has the residual
+    ||A x - lam x|| / ||x||, from a fresh product, some eigenvalue of A
+    lying that close to lam, checked against RESIDUAL_TOL. products counts
+    applications of the map in the run, the two residual checks included.
+    Raises NonConvergence after _MAX_CYCLES unconverged cycles or when a
+    residual misses RESIDUAL_TOL; a residual that is NaN, as from a zero
+    vector, misses it too.
     """
     count = 0
 
@@ -62,15 +127,11 @@ def lanczos_extremes(apply: Callable, dim: int, seed=0):
         count += 1
         return apply(x)
 
-    A = LinearOperator((dim, dim), matvec=counted, dtype=float)
-    v0 = np.random.default_rng(seed).uniform(-1.0, 1.0, dim)
-    try:
-        w, V = eigsh(A, k=2, which="BE", v0=v0, tol=0.0, maxiter=_MAX_RESTARTS)
-    except ArpackNoConvergence as exc:
-        raise NonConvergence(
-            f"Lanczos did not converge after {count} products: {exc}") from exc
+    pairs = _ritz_ends(counted, dim, np.random.default_rng(seed).uniform(-1.0, 1.0, dim))
+    if pairs is None:
+        raise NonConvergence(f"Lanczos did not converge after {count} products")
     ends = [(float(lam), float(np.linalg.norm(counted(x) - lam * x) / np.linalg.norm(x)))
-            for lam, x in zip(w, V.T)]
+            for lam, x in pairs]
     for (_, res), end in zip(ends, ("bottom", "top")):
         if not res <= RESIDUAL_TOL:  # a NaN residual fails too
             raise NonConvergence(
@@ -104,9 +165,12 @@ def dense_extremes(K: int) -> tuple[float, float]:
     return float(svals[-1]), float(svals[0])
 
 
-# peak resident bytes per unit of K above the pre-solve baseline: 708-714
-# measured with getrusage in fresh processes at K = 2^16..2^18, mostly the
-# ~20 ARPACK work vectors of length 2K+1; 900 still admits K = 2^20
+# peak resident bytes per unit of K above the pre-solve baseline, in the
+# worst case of all _MAX_STEPS basis rows touched and one thick restart:
+# 886, 820 and 787, measured with getrusage in fresh processes at
+# K = 2^16, 2^17 and 2^18. The basis, 16 _MAX_STEPS bytes per K, is most of
+# it, the operator and the products' FFT buffers the rest; the section's
+# own 19-step runs peak lower. 900 still admits K = 2^20
 _SECTION_BYTES_PER_K = 900
 
 

@@ -551,9 +551,9 @@ class TestProcessLevel:
 
     def test_no_signal_processing_import(self, tmp_path):
         # importing scipy.signal costs about a second of start-up, and no
-        # command needs it; spectrum, the one command that loads scipy,
-        # transforms with numpy.fft, so running it loads no scipy.fft either
-        # (gram loads no scipy at all: test_loads_no_scipy)
+        # command needs it; gram and spectrum transform with numpy.fft, so
+        # running them loads no scipy.fft either (no command loads any
+        # scipy: test_loads_no_scipy)
         path = write_measure(tmp_path, 16, [0.1, 0.6], [1.0, -1.0])
         proc = subprocess.run(
             [sys.executable, "-c",
@@ -568,18 +568,24 @@ class TestProcessLevel:
         assert lines[0] == "False"
         assert lines[-1] == "(0, 0) False"
 
-    # certify, gram and audit need numpy only and constants math only;
-    # importing scipy would add to every run's start-up (about 0.2 s and
-    # 30 MB for gram's). The audit-then-constants row runs both in one
-    # process, as the benchmark's audit-quad workload does.
+    # certify, gram, spectrum, qk-dump and audit need numpy only and
+    # constants math only; importing scipy would add to every run's
+    # start-up (about 0.2 s and 30 MB for gram's and spectrum's). The
+    # audit-then-constants row runs both in one process, as the benchmark's
+    # audit-quad workload does.
     @pytest.mark.parametrize("argvs", [
         [["certify", "--measure", "MEASURE"]],
         [["gram", "--measure", "MEASURE"]],
         [["certify", "--measure", "MEASURE"], ["gram", "--measure", "MEASURE"]],
+        [["spectrum", "--K", "8"]],
+        [["qk-dump", "--K", "2"]],
+        [["certify", "--measure", "MEASURE"], ["gram", "--measure", "MEASURE"],
+         ["spectrum", "--K", "8"]],
         [["audit", "--n", "8", "--samples", "11"]],
         [["constants"]],
         [["audit", "--n", "8", "--samples", "11"], ["constants"]],
-    ], ids=["certify", "gram", "certify-then-gram", "audit", "constants",
+    ], ids=["certify", "gram", "certify-then-gram", "spectrum", "qk-dump",
+            "certify-then-gram-then-spectrum", "audit", "constants",
             "audit-then-constants"])
     def test_loads_no_scipy(self, tmp_path, argvs):
         path = str(write_measure(tmp_path, 256, [0.1, 0.6], [1.0, -1.0]))
@@ -593,10 +599,11 @@ class TestProcessLevel:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.splitlines()[-1] == f"{[0] * len(argvs)} []"
 
-    def test_gram_import_loads_no_scipy(self):
+    @pytest.mark.parametrize("module", ["supres.gram", "supres.spectrum", "supres.qk_operator"])
+    def test_import_loads_no_scipy(self, module):
         proc = subprocess.run(
             [sys.executable, "-c",
-             "import sys, supres.gram; "
+             f"import sys, {module}; "
              "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"],
             capture_output=True, text=True, timeout=60, env=child_env())
         assert proc.returncode == 0, proc.stderr

@@ -1,8 +1,10 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.special import sici
 
 from supres import specfun as sf
 
@@ -94,3 +96,63 @@ class TestEKernel:
         np.testing.assert_array_equal(vec, [sf.r_kernel(c) for c in cs])
         # R is even
         np.testing.assert_array_equal(vec, vec[::-1])
+
+
+EPS = np.finfo(float).eps
+
+
+def assert_within_4_ulp(got, ref):
+    """|got - ref| <= 4 eps max(1, |ref|) elementwise."""
+    err = np.abs(got - ref) / (4 * EPS * np.maximum(1.0, np.abs(ref)))
+    assert err.max() <= 1.0, f"worst at index {err.argmax()}: {err.max() * 4:.2f} eps"
+
+
+def near(x, steps=3):
+    """Floats within steps ulps of x, either side."""
+    out = [x]
+    for direction in (-math.inf, math.inf):
+        v = x
+        for _ in range(steps):
+            v = np.nextafter(v, direction)
+            out.append(v)
+    return out
+
+
+class TestRAccuracy:
+    """R against references on each branch: 40-digit mpmath at the float
+    argument x = pi |m| that r_kernel forms, and scipy's sici."""
+
+    @staticmethod
+    def mp_reference(m):
+        x = np.pi * np.abs(np.asarray(m, dtype=float))
+        with mpmath.workdps(40):
+            return np.array([float(mpmath.ci(mpmath.mpf(v)) - mpmath.euler
+                                   - mpmath.log(mpmath.mpf(v))) for v in x])
+
+    def check_mp(self, m):
+        m = np.asarray(m, dtype=float)
+        assert_within_4_ulp(sf.r_kernel(m), self.mp_reference(m))
+
+    def test_log_spaced(self):
+        self.check_mp(np.logspace(-6, 6, 241) / np.pi)
+
+    def test_branch_boundaries(self):
+        # m within three ulps of b / pi puts pi |m| on both sides of b
+        for b in (sf._SERIES_MAX, sf._ASYMPTOTIC_MIN):
+            m = np.array(near(b / np.pi))
+            x = np.pi * m
+            assert (x < b).any() and (x >= b).any()
+            self.check_mp(m)
+
+    def test_small_integers(self):
+        self.check_mp(np.arange(1, 65))
+
+    def test_powers_of_two(self):
+        self.check_mp(2.0 ** np.arange(21))
+
+    def test_against_sici_on_integer_lags(self):
+        m = np.arange(-2**18, 2**18 + 1)
+        x = np.pi * np.abs(m[m != 0])
+        ref = np.zeros(m.shape)
+        ref[m != 0] = sici(x)[1] - sf.EULER_GAMMA - np.log(x)
+        assert_within_4_ulp(sf.r_kernel(m), ref)

@@ -1,6 +1,5 @@
 import numpy as np
 import pytest
-from scipy.sparse.linalg import eigsh
 
 from supres import qk_operator as qk
 from supres import spectrum as sp
@@ -37,10 +36,10 @@ class TestLanczosLargest:
 
     def test_nonconvergence_raises(self, monkeypatch):
         # two top eigenvalues 1e-12 apart cannot be split to rounding in one
-        # Lanczos cycle, so ARPACK gives up at its restart cap
+        # Lanczos cycle, so the run gives up at its cycle cap
         d = np.linspace(0.0, 1.0, 200)
         d[-2] = 1.0 - 1e-12
-        monkeypatch.setattr(sp, "_MAX_RESTARTS", 1)
+        monkeypatch.setattr(sp, "_MAX_CYCLES", 1)
         with pytest.raises(sp.NonConvergence, match="did not converge"):
             sp.lanczos_extremes(lambda x: d * x, 200, seed=2)
 
@@ -52,11 +51,12 @@ class TestLanczosLargest:
 
     @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
     def test_zero_ritz_vector_raises(self, monkeypatch):
-        # a zero vector has residual 0/0 = NaN, which the target test refuses
-        def zero_vectors(A, **kwargs):
-            return np.array([1.0, 2.0]), np.zeros((A.shape[0], 2))
+        # a zero vector has residual 0/0 = NaN, which the target test refuses;
+        # zero eigenvectors of T make zero Ritz vectors
+        def zero_vectors(T):
+            return (1.0, np.zeros(len(T))), (2.0, np.zeros(len(T)))
 
-        monkeypatch.setattr(sp, "eigsh", zero_vectors)
+        monkeypatch.setattr(sp, "_extreme_pairs", zero_vectors)
         with pytest.raises(sp.NonConvergence, match="bottom residual nan above the target"):
             sp.lanczos_extremes(lambda x: x, 8, seed=0)
 
@@ -88,6 +88,37 @@ class TestLanczosBothEnds:
         lo, hi = sp.dense_extremes(K)
         assert abs(bottom[0] - lo**2) <= bottom[1] + 1e-12
         assert abs(top[0] - hi**2) <= top[1] + 1e-12
+
+    @pytest.mark.parametrize("K", [40, 200])
+    def test_thick_restart_matches_dense_svd(self, K, monkeypatch):
+        # six steps per cycle cannot converge the section in one cycle, so
+        # the run restarts from its kept Ritz vectors
+        monkeypatch.setattr(sp, "_MAX_STEPS", 6)
+        op = qk.build_operator(K)
+        bottom, top, products = sp.lanczos_extremes(section_squared(op), op.dim, seed=0)
+        lo, hi = sp.dense_extremes(K)
+        assert products > 6 + 2
+        assert abs(bottom[0] - lo**2) <= bottom[1] + 1e-12
+        assert abs(top[0] - hi**2) <= top[1] + 1e-12
+
+
+class TestArpackOracle:
+    @pytest.mark.parametrize("K", [4, 40, 400, 4096])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_matches_eigsh(self, K, seed):
+        # ARPACK's implicitly restarted Lanczos on the same map: each end
+        # agrees within the two runs' summed residuals
+        from scipy.sparse.linalg import LinearOperator, eigsh
+
+        op = qk.build_operator(K)
+        apply = section_squared(op)
+        v0 = np.random.default_rng(seed).uniform(-1.0, 1.0, op.dim)
+        w, V = eigsh(LinearOperator((op.dim, op.dim), matvec=apply, dtype=float),
+                     k=2, which="BE", v0=v0, tol=0.0)
+        ends = sp.lanczos_extremes(apply, op.dim, seed=seed)[:2]
+        for (value, residual), lam, x in zip(ends, w, V.T):
+            arpack_residual = np.linalg.norm(apply(x) - lam * x) / np.linalg.norm(x)
+            assert abs(value - lam) <= residual + arpack_residual
 
 
 class TestReport:
@@ -127,20 +158,21 @@ class TestReport:
         assert rep["iters_min"] <= 120
 
     def test_one_run_at_k4096(self):
-        # one Lanczos cycle of 20 products plus the residual checks
+        # one Lanczos cycle of 19 steps plus the two residual checks
         rep = sp.spectrum_report(4096)
         assert rep["iters_min"] == rep["iters_max"] <= 25
 
-    def test_one_eigsh_call_per_section(self, monkeypatch):
+    def test_one_lanczos_call_per_section(self, monkeypatch):
         calls = []
+        run = sp.lanczos_extremes
 
-        def counted(*args, **kwargs):
-            calls.append(kwargs.get("which"))
-            return eigsh(*args, **kwargs)
+        def counted(apply, dim, seed=0):
+            calls.append(dim)
+            return run(apply, dim, seed)
 
-        monkeypatch.setattr(sp, "eigsh", counted)
+        monkeypatch.setattr(sp, "lanczos_extremes", counted)
         sp.spectrum_report(40)
-        assert calls == ["BE"]
+        assert calls == [81]
 
     def test_stability_over_truncation(self):
         sigmas = []
@@ -177,6 +209,14 @@ class TestMemoryBudget:
         finally:
             tracemalloc.stop()
         assert peak < 1_000_000
+
+    def test_section_budget_covers_measured_peaks(self):
+        # worst-case peaks above the pre-solve RSS (getrusage, fresh
+        # processes, one thread, the larger of two runs), with all 23 basis
+        # rows touched and one thick restart forced
+        assert sp._MAX_STEPS <= 23
+        for K, peak in ((2**16, 58093568), (2**17, 107483136), (2**18, 206290944)):
+            assert sp._SECTION_BYTES_PER_K * K >= peak, K
 
     def test_budget_admits_k_2_20(self, monkeypatch):
         # stop right after the guard: the full K = 2^20 report takes seconds

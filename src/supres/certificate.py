@@ -261,12 +261,13 @@ def verify_bounded(c: Certificate, grid_mult: int = 10) -> dict:
     1/G, G >= grid_mult*(2n+1).
 
     Keys: atom_count, n, separation and deviation_bound (the measure and its
-    `system_norm_bounds` operator norm); interp_err and deriv_err, the
+    `system_norm_bounds` operator norm; separation is None for one atom,
+    whose measure field is inf); interp_err and deriv_err, the
     largest |eta - sign| and |eta'| at the atoms, from the residual of
     `build_system` at (a, gamma b), whose rows are eta(tau_j) - sign_j and
     -eta'(tau_j)/gamma, built here from c's measure for solved and given
     coefficients alike;
-    sup_off_atom and argmax, the grid max off the atoms and its point (NaN
+    sup_off_atom and argmax, the grid max off the atoms and its point (None
     when no grid point is off the atoms); certified, True when grid max +
     slack < 1 and interp_err is at most INTERP_TOL.
     Raises BudgetExceeded, before allocating, when the scan would exceed the
@@ -303,12 +304,12 @@ def verify_bounded(c: Certificate, grid_mult: int = 10) -> dict:
     report = {
         "atom_count": m.size,
         "n": n,
-        "separation": m.separation,
-        "deviation_bound": system_norm_bounds(m)["operator_norm"],
+        "separation": m.separation if m.size > 1 else None,
+        "deviation_bound": float(system_norm_bounds(m)["operator_norm"]),
         "interp_err": interp_err,
         "deriv_err": g * float(np.max(r[m.size :])),
-        "sup_off_atom": np.nan,
-        "argmax": np.nan,
+        "sup_off_atom": None,
+        "argmax": None,
         "certified": False,
     }
     if sup_sq > -np.inf:

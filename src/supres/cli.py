@@ -5,10 +5,10 @@ parser, built once at import, checks every flag's bounds; each handler calls
 one library function and prints the dict it returns unchanged
 (`certificate.verify_bounded`, `gram.assemble_and_verify`,
 `spectrum.sweep_report`, `constants.constants_report`,
-`bound_audit.check_master_bounds`) as JSON with sorted keys on stdout,
-serialized by `_plain`. --out DIR additionally writes the report and the
-fixed-schema CSV artifacts into DIR. Identical configuration, including
-SUPRES_THREADS, and seed give byte-identical outputs.
+`bound_audit.check_master_bounds`) as JSON with sorted keys on stdout.
+--out DIR additionally writes the report and the fixed-schema CSV artifacts
+into DIR. Identical configuration, including the BLAS and OpenMP thread
+variables, and seed give byte-identical outputs.
 
 Exit status is 0 on success, 1 on input or usage errors, and 2 when the
 report's verdict fails (certify's certified, gram's verified, spectrum's
@@ -19,14 +19,13 @@ Failures are emitted as one-line JSON objects on stderr, never as bare
 tracebacks; `main` maps library exceptions to error kinds by class name.
 
 The scientific imports are deferred into the command handlers, and building
-the parser imports none, so that the SUPRES_THREADS environment variable can
-cap the BLAS and OpenMP pools before numpy is first loaded.
+the parser imports none, so that --help and usage errors do not wait for
+numpy to load.
 """
 
 import argparse
 import json
 import math
-import os
 import pathlib
 import sys
 
@@ -51,22 +50,6 @@ def _error(kind: str, message: str) -> None:
     sys.stderr.write(json.dumps({"error": kind, "message": message}, sort_keys=True) + "\n")
 
 
-def _cap_threads() -> None:
-    """Propagate SUPRES_THREADS to the BLAS/OpenMP pool variables.
-
-    Must run before numpy is imported anywhere in the process; this module
-    therefore defers all scientific imports into the command handlers.
-    """
-    cap = os.environ.get("SUPRES_THREADS", "").strip()
-    if not cap:
-        return
-    if not cap.isdigit() or int(cap) < 1:
-        raise _CliError("usage", f"SUPRES_THREADS must be a positive integer, got {cap!r}")
-    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
-                "VECLIB_MAXIMUM_THREADS", "NUMEXPR_NUM_THREADS"):
-        os.environ[var] = cap
-
-
 def _int(lo=-2**53, hi=2**53):
     """type= for an integer flag in [lo, hi]; a flag that sizes work keeps
     within 2^53 as a measure's n does, so no float conversion overflows."""
@@ -81,24 +64,10 @@ def _int(lo=-2**53, hi=2**53):
     return parse
 
 
-def _plain(x):
-    """A report as plain JSON values: dicts become objects, tuples and lists
-    arrays, numpy scalars Python numbers, and non-finite floats null."""
-    if isinstance(x, dict):
-        return {k: _plain(v) for k, v in x.items()}
-    if isinstance(x, (list, tuple)):
-        return [_plain(v) for v in x]
-    if hasattr(x, "item"):
-        x = x.item()
-    if isinstance(x, float) and not math.isfinite(x):
-        return None
-    return x
-
-
 def _finish(name: str, report, out, ok: bool = True, failure: str = "") -> int:
     """Print the report (and write it to out/name.json), then return the exit
     code of its verdict ok."""
-    text = json.dumps(_plain(report), sort_keys=True, indent=2) + "\n"
+    text = json.dumps(report, sort_keys=True, indent=2, allow_nan=False) + "\n"
     sys.stdout.write(text)
     if out is not None:
         (out / (name + ".json")).write_text(text)
@@ -263,7 +232,6 @@ _LIBRARY_ERRORS = {
 def main(argv=None) -> int:
     args = None
     try:
-        _cap_threads()
         args = _PARSER.parse_args(argv)
         out = None
         if getattr(args, "out", None):

@@ -154,9 +154,9 @@ def _sigma_scale(lam: float, res: float) -> tuple[float, float]:
 
 def dense_extremes(K: int) -> tuple[float, float]:
     """Test oracle: (sigma_min, sigma_max) of the dense section by a full
-    SVD, for oracle-scale K; the spectrum tests check the Lanczos estimates
-    against it. Kept here, unlike the oracles in tests/oracles.py, because
-    perfbench's worker checks spectrum-sweep reports against it."""
+    SVD, for oracle-scale K. Kept here, unlike the oracles in
+    tests/oracles.py, only because perfbench's worker checks spectrum-sweep
+    reports against it; the tests pin it to oracles.section_extremes."""
     op = qk.build_operator(K)
     P = np.outer(op.w, op.w)
     P[K, K] = 1.0
@@ -206,11 +206,10 @@ def spectrum_report(K: int, seed=0) -> dict:
 
 def sweep_report(K: int, seed=0) -> dict:
     """spectrum_report at K, plus under "sweep" the reports at max(4, K // 4),
-    max(4, K // 2) and K, ascending, one seed. K >= 4; the budget at K, the
-    largest size, is checked before any size is solved."""
+    max(4, K // 2) and K, ascending, one seed. K >= 4; the sizes are solved
+    largest first, so the budget at K refuses before any size is solved."""
     if K < 4:
         raise ValueError(f"section size K must be at least 4, got {K}")
-    check_budget(_SECTION_BYTES_PER_K * K, f"spectrum section at K={K}")
     reports = [spectrum_report(k, seed=seed)
-               for k in sorted({max(4, K // 4), max(4, K // 2), K})]
-    return {**reports[-1], "sweep": reports}
+               for k in sorted({max(4, K // 4), max(4, K // 2), K}, reverse=True)]
+    return {**reports[0], "sweep": reports[::-1]}

@@ -12,7 +12,8 @@ A = T(P . P), A~* = P T~*(.) P with their projector and weighted norm, the
 general FFT step of A(Toep(z)) for any complex z, the dense matrix of
 A A~*, the dense Gram matrix Q = P (I/dim + Toep(zeta)) P, the one-atom
 limit entries of qk_operator case by case and at finite n, the dense section I - Q + P with
-its projector built from the closed form of w, the printed complex kernel
+its projector built from the closed form of w and its extreme singular
+values by a full SVD, the printed complex kernel
 E of those entries, and the measured deviations of the interpolation system
 from the identity (neumann_bounds). A polynomial is its full coefficient array
 on -n..n here; a Hermitian row, which the package passes by its half
@@ -28,10 +29,11 @@ half; the diagonal lengths d - |s| are their own here (diagonal_lengths).
 
 One oracle stays in the package because the benchmark under perfbench/
 imports it from there: spectrum.dense_extremes, the dense SVD its worker
-checks spectrum-sweep reports against. The benchmark's tracer also wraps
-bound_audit.quad, a name the audit does not use: bound_audit resolves it
-to scipy.integrate.quad on demand (a module __getattr__), so importing the
-audit loads no scipy.
+checks spectrum-sweep reports against; the spectrum tests use
+section_extremes, and one test pins dense_extremes to it. The benchmark's
+tracer also wraps bound_audit.quad, a name the audit does not use:
+bound_audit resolves it to scipy.integrate.quad on demand (a module
+__getattr__), so importing the audit loads no scipy.
 """
 
 from __future__ import annotations
@@ -491,3 +493,10 @@ def section_dense(K: int) -> np.ndarray:
     P = np.outer(w, w)
     P[K, K] = 1.0
     return np.eye(2 * K + 1) - qk_dense(K) + P
+
+
+def section_extremes(K: int) -> tuple[float, float]:
+    """(sigma_min, sigma_max) of section_dense(K) by a full SVD, the truth
+    the spectrum tests hold the Lanczos estimates to."""
+    svals = np.linalg.svd(section_dense(K), compute_uv=False)
+    return float(svals[-1]), float(svals[0])

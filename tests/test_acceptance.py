@@ -22,10 +22,10 @@ from supres.certificate import AtomicMeasure, solve_certificate, verify_bounded
 from supres.constants import (_budget, c1_bound, eta_star, k_bound_value,
                               truncation_budget)
 from supres.gram import _projector_factor, assemble_and_verify, p_err
-from supres.spectrum import dense_extremes, spectrum_report
+from supres.spectrum import spectrum_report
 
 from oracles import (dirichlet_limit, eval_eta, lambda_min_AAtilde, norm_W, qk_finite_n,
-                     section_dense, unfold)
+                     section_dense, section_extremes, unfold)
 
 _BATCH = []
 
@@ -178,7 +178,7 @@ def test_criterion_06_spectrum():
     mins = []
     for K in (40, 100, 200, 400):
         rep = spectrum_report(K) if K != 40 else rep40
-        lo, hi = dense_extremes(K)
+        lo, hi = section_extremes(K)
         assert abs(rep["sigma_min"] - lo) <= rep["residual_min"] + 1e-12
         assert abs(rep["sigma_max"] - hi) <= rep["residual_max"] + 1e-12
         if K != 40:

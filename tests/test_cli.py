@@ -289,11 +289,11 @@ class TestSpectrum:
         assert json.loads(err)["error"] == "usage"
 
     def test_over_memory_budget_is_usage_error(self, capsys, monkeypatch):
-        # refused before any sweep size is solved
+        # refused before any sweep size is solved: K, the largest, goes first
         def unreachable(*args, **kwargs):
             raise AssertionError("a sweep size was solved")
 
-        monkeypatch.setattr("supres.spectrum.spectrum_report", unreachable)
+        monkeypatch.setattr("supres.qk_operator.build_operator", unreachable)
         tracemalloc.start()
         try:
             code, out, err = run_cli(["spectrum", "--K", str(10**9)], capsys)
@@ -303,6 +303,7 @@ class TestSpectrum:
         assert code == 1
         assert out == ""
         assert json.loads(err)["error"] == "usage"
+        assert json.loads(err)["message"].startswith(f"spectrum section at K={10**9}")
         assert "GB" in json.loads(err)["message"]
         assert peak < 1_000_000
 
@@ -433,7 +434,7 @@ class TestReportIsTheLibraryValue:
 
     @staticmethod
     def dumps(report) -> str:
-        return json.dumps(report, sort_keys=True, indent=2) + "\n"
+        return json.dumps(report, sort_keys=True, indent=2, allow_nan=False) + "\n"
 
     def test_certify(self, tmp_path, capsys):
         from supres import certificate as cert
@@ -443,6 +444,20 @@ class TestReportIsTheLibraryValue:
         assert code == 0
         c = cert.solve_certificate(cert.AtomicMeasure(128, [0.1, 0.5], [1.0, 1j]))
         assert out == self.dumps(cert.verify_bounded(c, grid_mult=6))
+
+    # one atom has no separation; at n = 1 every grid point lies within 1/n
+    # of it, so no point is off the atom and the scan certifies nothing
+    @pytest.mark.parametrize("n, code, scanned", [(1, 2, False), (64, 0, True)])
+    def test_certify_one_atom(self, tmp_path, capsys, n, code, scanned):
+        from supres import certificate as cert
+
+        path = write_measure(tmp_path, n, [0.3], [1.0])
+        got, out, _ = run_cli(["certify", "--measure", path], capsys)
+        assert got == code
+        rep = cert.verify_bounded(cert.solve_certificate(cert.AtomicMeasure(n, [0.3], [1.0])))
+        assert out == self.dumps(rep)
+        assert rep["separation"] is None
+        assert (rep["sup_off_atom"] is not None) == (rep["argmax"] is not None) == scanned
 
     def test_gram(self, tmp_path, capsys):
         from supres import certificate as cert, gram
@@ -542,13 +557,6 @@ class TestProcessLevel:
         rep = json.loads(proc.stdout)
         assert rep["C1_root_large"] == pytest.approx(2496.7, abs=1.0)
 
-    def test_thread_cap_env(self):
-        proc = subprocess.run(
-            [sys.executable, "-m", "supres.cli", "spectrum", "--K", "8"],
-            capture_output=True, text=True, timeout=120, env=child_env(SUPRES_THREADS="1"))
-        assert proc.returncode == 0
-        assert json.loads(proc.stdout)["condition_holds"] is True
-
     def test_no_signal_processing_import(self, tmp_path):
         # importing scipy.signal costs about a second of start-up, and no
         # command needs it; gram and spectrum transform with numpy.fft, so
@@ -610,8 +618,8 @@ class TestProcessLevel:
         assert proc.stdout == "[]\n"
 
     def test_import_loads_no_numpy(self):
-        # the parser is built at import; SUPRES_THREADS can cap the BLAS pools
-        # only if numpy is still unloaded when main runs
+        # the parser is built at import and loads no numpy (about 0.14 s), so
+        # --help and usage errors answer without it
         proc = subprocess.run(
             [sys.executable, "-c", "import sys, supres.cli; print('numpy' in sys.modules)"],
             capture_output=True, text=True, timeout=60, env=child_env())
@@ -632,13 +640,6 @@ class TestProcessLevel:
         for argv in (["qk-dump", "--K", "2"], ["spectrum", "--K", "3"], []):
             run_cli(argv, capsys)
         assert built == []
-
-    def test_invalid_thread_cap(self):
-        proc = subprocess.run(
-            [sys.executable, "-m", "supres.cli", "constants"],
-            capture_output=True, text=True, timeout=60, env=child_env(SUPRES_THREADS="zero"))
-        assert proc.returncode == 1
-        assert json.loads(proc.stderr)["error"] == "usage"
 
     @pytest.mark.parametrize("argv", [
         ["spectrum", "--K"], ["qk-dump", "--K"], ["audit", "--n"],
@@ -663,6 +664,29 @@ class TestProcessLevel:
 ERROR_KINDS = {"usage", "io", "parse", "measure", "separation_too_small",
                "singular_system", "gram_conditioning", "non_convergence",
                "verification_failed"}
+
+
+def test_every_library_exception_has_an_exit_code():
+    # main maps library exceptions by class name, so a renamed class would
+    # fall through to exit 1: each public exception class of the package is
+    # either a key of the table or an input error (a ValueError), and each
+    # key names such a class
+    import importlib
+    import pkgutil
+
+    import supres
+
+    names = set()
+    for info in pkgutil.iter_modules(supres.__path__):
+        module = importlib.import_module(f"supres.{info.name}")
+        for name, obj in vars(module).items():
+            if (isinstance(obj, type) and issubclass(obj, BaseException)
+                    and obj.__module__ == module.__name__ and not name.startswith("_")):
+                names.add(name)
+                assert name in cli._LIBRARY_ERRORS or issubclass(obj, ValueError), name
+    assert set(cli._LIBRARY_ERRORS) <= names
+    assert {kind for kind, _ in cli._LIBRARY_ERRORS.values()} <= ERROR_KINDS
+
 
 _junk = st.one_of(st.none(), st.booleans(), st.integers(-3, 3),
                   st.floats(allow_nan=True, allow_infinity=True),

@@ -5,6 +5,8 @@ from supres import qk_operator as qk
 from supres import spectrum as sp
 from supres.budget import BudgetExceeded
 
+from oracles import section_extremes
+
 
 def matrix_apply(A):
     return lambda x: A @ x
@@ -75,7 +77,7 @@ class TestLanczosSmallest:
         K = 40
         op = qk.build_operator(K)
         (value, residual), _, _ = sp.lanczos_extremes(section_squared(op), op.dim, seed=0)
-        dense_min, _ = sp.dense_extremes(K)
+        dense_min, _ = section_extremes(K)
         assert abs(value - dense_min**2) <= residual + 1e-12
 
 
@@ -85,7 +87,7 @@ class TestLanczosBothEnds:
     def test_match_dense_svd(self, K, seed):
         op = qk.build_operator(K)
         bottom, top, _ = sp.lanczos_extremes(section_squared(op), op.dim, seed=seed)
-        lo, hi = sp.dense_extremes(K)
+        lo, hi = section_extremes(K)
         assert abs(bottom[0] - lo**2) <= bottom[1] + 1e-12
         assert abs(top[0] - hi**2) <= top[1] + 1e-12
 
@@ -96,10 +98,22 @@ class TestLanczosBothEnds:
         monkeypatch.setattr(sp, "_MAX_STEPS", 6)
         op = qk.build_operator(K)
         bottom, top, products = sp.lanczos_extremes(section_squared(op), op.dim, seed=0)
-        lo, hi = sp.dense_extremes(K)
+        lo, hi = section_extremes(K)
         assert products > 6 + 2
         assert abs(bottom[0] - lo**2) <= bottom[1] + 1e-12
         assert abs(top[0] - hi**2) <= top[1] + 1e-12
+
+
+class TestDenseExtremes:
+    @pytest.mark.parametrize("K", [4, 40, 200])
+    def test_matches_section_svd(self, K):
+        # the benchmark's worker checks spectrum-sweep reports against
+        # dense_extremes; its section takes w from build_operator, the
+        # oracle's from the closed form
+        lo, hi = sp.dense_extremes(K)
+        ref_lo, ref_hi = section_extremes(K)
+        assert lo == pytest.approx(ref_lo, rel=1e-14, abs=0)
+        assert hi == pytest.approx(ref_hi, rel=1e-14, abs=0)
 
 
 class TestArpackOracle:
@@ -146,7 +160,7 @@ class TestReport:
     def test_agrees_with_dense(self):
         for K, seed in ((25, 0), (60, 0), (25, 3), (60, 8), (200, 13)):
             rep = sp.spectrum_report(K, seed=seed)
-            lo, hi = sp.dense_extremes(K)
+            lo, hi = section_extremes(K)
             assert abs(rep["sigma_min"] - lo) <= rep["residual_min"] + 1e-12
             assert abs(rep["sigma_max"] - hi) <= rep["residual_max"] + 1e-12
 

@@ -1,8 +1,9 @@
 """The one memory budget of the toolkit.
 
 Every allocation that grows with the input (the boundedness scan, the Gram
-assembly, the dense limit matrix, the Lanczos section) estimates its peak
-in bytes and passes it through check_budget before allocating anything.
+assembly, the dense limit matrix, the Lanczos section, the audit's kernel
+terms and its sample rows) estimates its peak in bytes and passes it
+through check_budget before allocating anything.
 Stdlib only, so that importing it pulls in no numerical package.
 """
 

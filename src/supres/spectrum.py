@@ -1,16 +1,18 @@
 """Extremal singular values of the stabilized section by Lanczos.
 
 Both ends are eigenvalues of the real symmetric map M^T M, found together by
-one Lanczos run with full reorthogonalisation, on numpy alone: the Krylov
+one Lanczos pass with full reorthogonalisation, on numpy alone: the Krylov
 space it builds serves the top and the bottom alike, so no shift and no
-second run are needed. A run is its numbers: `lanczos_extremes` returns each
-end's value and residual ||A x - lam x|| / ||x|| on its Ritz vector x, and
-the count of products. The residual gives the usual a-posteriori guarantee
-(Parlett, The Symmetric Eigenvalue Problem, Thm 4.5.1): the estimate lies
-within residual of some true eigenvalue, which the report maps back to the
-singular-value scale. It is recomputed with a fresh product, so a wrong
-iteration can fail the check but not pass it. A residual above
-RESIDUAL_TOL, or NaN (from a zero vector), is refused as NonConvergence.
+second run are needed. The pass takes at most _MAX_STEPS steps; a map whose
+ends it cannot converge in them raises NonConvergence. A run is its
+numbers: `lanczos_extremes` returns each end's value and residual
+||A x - lam x|| / ||x|| on its Ritz vector x, and the count of products. The
+residual gives the usual a-posteriori guarantee (Parlett, The Symmetric
+Eigenvalue Problem, Thm 4.5.1): the estimate lies within residual of some
+true eigenvalue, which the report maps back to the singular-value scale.
+It is recomputed with a fresh product, so a wrong iteration can fail the
+check but not pass it. A residual above RESIDUAL_TOL, or NaN (from a zero
+vector), is refused as NonConvergence.
 That places *a* singular value near each estimate; it does not prove that
 none lies below sigma_min, so condition_holds is a residual-based estimate,
 not a proof. `sweep_report`, the spectrum command's report, repeats
@@ -36,17 +38,15 @@ class NonConvergence(RuntimeError):
 # meet, else NonConvergence. It sets no computation: a run stops on ARPACK's
 # relative test at tol = 0, each end's estimate beta |s_last| at most
 # U max(U^(2/3), |theta|) for the unit roundoff U, which meets any absolute
-# target above rounding; on the section both ends pass it within 17-20 steps.
+# target above rounding; on the section both ends pass it within 16-21 steps
+# (7800 runs at K = 10..4096, 600 seeds each).
 RESIDUAL_TOL = 1e-8
 _EPS23 = tp.U ** (2 / 3)
-# A cycle takes at most _MAX_STEPS steps (the basis rows the memory budget
+# A pass takes at most _MAX_STEPS steps (the basis rows the memory budget
 # pays for), testing for convergence, an eigh of T, from step _FIRST_CHECK
-# on: the section needs 17-20 steps. After _MAX_CYCLES cycles the run gives
-# up; the cap only ends a run that would otherwise not stop, and the section
-# never restarts.
+# on: the section needs 16-21 steps.
 _MAX_STEPS = 23
 _FIRST_CHECK = 16
-_MAX_CYCLES = 1000
 
 
 def _extreme_pairs(T: np.ndarray):
@@ -58,67 +58,52 @@ def _extreme_pairs(T: np.ndarray):
 
 def _ritz_ends(apply: Callable, dim: int, v: np.ndarray):
     """[(theta, x) of the bottom end, (theta, x) of the top end], the Ritz
-    pairs of a Lanczos run from v, or None after _MAX_CYCLES unconverged
-    cycles.
+    pairs of one Lanczos pass from v, or None if the pass ends unconverged.
 
-    Each new vector is orthogonalised against the whole basis V twice, and
-    T = V^T A V is built in place. A cycle stops when both ends' Ritz
-    estimates beta |s_last| reach rounding relative to |theta| (see
-    RESIDUAL_TOL) or the Krylov space is exhausted (dim steps, or
-    beta = 0). An unconverged cycle restarts thick (Wu and Simon, SIAM J.
-    Matrix Anal. Appl. 22, 2000): the basis keeps the two end Ritz vectors,
-    T their values and their couplings beta s_last to the residual, from
-    which the next cycle continues.
+    The pass takes at most min(_MAX_STEPS, dim) steps. Each new vector is
+    orthogonalised against the whole basis V twice, and T = V^T A V is built
+    in place. The pass stops when both ends' Ritz estimates beta |s_last|
+    reach rounding relative to |theta| (see RESIDUAL_TOL) or the Krylov
+    space is exhausted (dim steps, or beta = 0).
     """
     steps = min(_MAX_STEPS, dim)
     V = np.empty((steps, dim))
     T = np.zeros((steps, steps))
     V[0] = v / np.linalg.norm(v)
-    first = 0
-    for _ in range(_MAX_CYCLES):
-        for j in range(first, steps):
-            # a copy, since apply may return its argument
-            w = np.array(apply(V[j]), dtype=float)
-            basis = V[: j + 1]
-            for _ in range(2):
-                h = basis @ w
-                w -= h @ basis
-                T[j, j] += h[j]
-            beta = float(np.linalg.norm(w))
-            n = j + 1
-            if n >= _FIRST_CHECK or n == steps or beta == 0.0:
-                ends = _extreme_pairs(T[:n, :n])
-                if n == dim or beta == 0.0 or all(
-                        beta * abs(s[-1]) <= tp.U * max(_EPS23, abs(theta))
-                        for theta, s in ends):
-                    return [(theta, s @ basis) for theta, s in ends]
-            if n == steps:
-                break
+    for j in range(steps):
+        # a copy, since apply may return its argument
+        w = np.array(apply(V[j]), dtype=float)
+        basis = V[: j + 1]
+        for _ in range(2):
+            h = basis @ w
+            w -= h @ basis
+            T[j, j] += h[j]
+        beta = float(np.linalg.norm(w))
+        n = j + 1
+        if n >= _FIRST_CHECK or n == steps or beta == 0.0:
+            ends = _extreme_pairs(T[:n, :n])
+            if n == dim or beta == 0.0 or all(
+                    beta * abs(s[-1]) <= tp.U * max(_EPS23, abs(theta))
+                    for theta, s in ends):
+                return [(theta, s @ basis) for theta, s in ends]
+        if n < steps:
             T[j, n] = T[n, j] = beta
             np.divide(w, beta, out=V[n])
-        (theta_bottom, s_bottom), (theta_top, s_top) = ends
-        V[:2] = np.stack((s_bottom, s_top)) @ V
-        np.divide(w, beta, out=V[2])
-        T[:] = 0.0
-        T[0, 0], T[1, 1] = theta_bottom, theta_top
-        T[0, 2] = T[2, 0] = beta * s_bottom[-1]
-        T[1, 2] = T[2, 1] = beta * s_top[-1]
-        first = 2
     return None
 
 
 def lanczos_extremes(apply: Callable, dim: int, seed=0):
     """((value, residual) of the bottom end, (value, residual) of the top
-    end, products) of a real symmetric map, from one Lanczos run.
+    end, products) of a real symmetric map, from one Lanczos pass.
 
-    The run (`_ritz_ends`) starts from default_rng(seed).uniform(-1, 1, dim).
+    The pass (`_ritz_ends`) starts from default_rng(seed).uniform(-1, 1, dim).
     Each returned Ritz vector x with value lam has the residual
     ||A x - lam x|| / ||x||, from a fresh product, some eigenvalue of A
     lying that close to lam, checked against RESIDUAL_TOL. products counts
-    applications of the map in the run, the two residual checks included.
-    Raises NonConvergence after _MAX_CYCLES unconverged cycles or when a
-    residual misses RESIDUAL_TOL; a residual that is NaN, as from a zero
-    vector, misses it too.
+    applications of the map in the pass, the two residual checks included.
+    Raises NonConvergence when the pass ends unconverged after _MAX_STEPS
+    steps or when a residual misses RESIDUAL_TOL; a residual that is NaN, as
+    from a zero vector, misses it too.
     """
     count = 0
 
@@ -166,11 +151,11 @@ def dense_extremes(K: int) -> tuple[float, float]:
 
 
 # peak resident bytes per unit of K above the pre-solve baseline, in the
-# worst case of all _MAX_STEPS basis rows touched and one thick restart:
-# 886, 820 and 787, measured with getrusage in fresh processes at
-# K = 2^16, 2^17 and 2^18. The basis, 16 _MAX_STEPS bytes per K, is most of
-# it, the operator and the products' FFT buffers the rest; the section's
-# own 19-step runs peak lower. 900 still admits K = 2^20
+# worst case of all _MAX_STEPS basis rows touched: 871, 814 and 784,
+# measured with getrusage in fresh processes, one thread, at K = 2^16, 2^17
+# and 2^18. The basis, 16 _MAX_STEPS bytes per K, is most of it, the
+# operator and the products' FFT buffers the rest; the section's own runs
+# of 16-21 steps peak lower. 900 still admits K = 2^20
 _SECTION_BYTES_PER_K = 900
 
 
